@@ -311,7 +311,7 @@ func BenchmarkAblationDynamicSchedule(b *testing.B) {
 							tc.Compute(sim.Duration(it) * sim.Microsecond)
 						}
 						if dyn {
-							tc.ForDynamic("tri", 0, n, 8, 0, body)
+							tc.For(0, n, body, core.WithName("tri"), core.WithSchedule(core.Dynamic, 8))
 						} else {
 							tc.For(0, n, body)
 						}

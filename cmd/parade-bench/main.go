@@ -6,19 +6,12 @@
 // kernel, diff engine, directive microbenchmarks, Fig 6/7 sweeps) and
 // writes a JSON report; see scripts/bench.sh.
 //
-// With -chaos it runs the fault-injection matrix: the app kernels in
-// both directive modes under every built-in netsim fault profile,
-// asserting bit-identical results against the fault-free baselines.
-//
-// With -crash it runs the crash-stop acceptance matrix instead:
-// deterministic node crash/restart schedules at barrier points, with
-// every recovered run checked bit-identical to its fault-free baseline.
-//
-// With -policy it runs the fixed-vs-adaptive protocol policy sweep: the
-// app kernels across directive modes, fabrics, and hlrc policies, with
-// per-cell result-bit identity asserted and the cells where the adaptive
-// policy beats every fixed policy reported (optionally as JSONL via
-// -policy-out).
+// With -matrix chaos|crash|policy it runs one of the acceptance matrices
+// (internal/harness.RunMatrix): the app kernels under every fault
+// profile, under crash/restart schedules at barrier points, or across
+// hlrc protocol policies, each cell checked against its group's
+// baseline. The -matrix-* flags select the cells; -matrix-out writes the
+// matrix as JSONL.
 package main
 
 import (
@@ -62,7 +55,7 @@ func writeMetrics(path string, points []metricsPoint) error {
 	}{Schema: "parade-bench-metrics/v1", Points: points})
 }
 
-// splitList parses a comma-separated flag value.
+// splitList parses a comma-separated flag value; an empty value is nil.
 func splitList(s string) []string {
 	var out []string
 	for _, part := range strings.Split(s, ",") {
@@ -85,48 +78,33 @@ func main() {
 	benchtime := flag.String("benchtime", "1s", "regress: -benchtime passed to go test")
 	maxRegress := flag.Float64("max-regress", 0, "regress: exit non-zero if any benchmark slows more than this factor vs baseline (0 disables)")
 	metricsOut := flag.String("metrics", "", "write per-figure observability metrics JSON to this file ('-' for stdout)")
-	chaos := flag.Bool("chaos", false, "run the fault-injection matrix (app kernels under every fault profile) instead of figures")
-	chaosNodes := flag.Int("chaos-nodes", 4, "chaos: cluster size")
-	chaosSeed := flag.Int64("chaos-seed", 1, "chaos: fault-plane seed")
-	chaosLanes := flag.Int("chaos-lanes", 0, "chaos: event-lane workers (0 = legacy kernel)")
-	chaosApps := flag.String("chaos-apps", "", "chaos: comma-separated subset of helmholtz,ep,cg,md,quad,taskdep,lockmix (empty = all)")
-	chaosProfiles := flag.String("chaos-profiles", "", "chaos: comma-separated subset of drop,dup,reorder,straggler,chaos (empty = all)")
-	crash := flag.Bool("crash", false, "run the crash-stop acceptance matrix (checkpoint/restart recovery) instead of figures")
-	crashNodes := flag.Int("crash-nodes", 4, "crash: cluster size")
-	crashLanes := flag.Int("crash-lanes", 0, "crash: event-lane workers (0 = legacy kernel)")
-	crashApps := flag.String("crash-apps", "", "crash: comma-separated subset of helmholtz,ep,cg,md,quad,taskdep,lockmix (empty = all)")
-	chaosPolicy := flag.String("chaos-policy", "", "chaos: hlrc protocol policy for every run (empty = legacy)")
-	crashPolicy := flag.String("crash-policy", "", "crash: hlrc protocol policy for every run (empty = legacy)")
-	policy := flag.Bool("policy", false, "run the fixed-vs-adaptive protocol policy sweep instead of figures")
-	policyNodes := flag.Int("policy-nodes", 4, "policy: cluster size")
-	policyLanes := flag.Int("policy-lanes", 0, "policy: event-lane workers for the comparison runs (0 = legacy kernel)")
-	policyApps := flag.String("policy-apps", "", "policy: comma-separated subset of helmholtz,ep,cg,md,quad,taskdep,lockmix (empty = all)")
-	policyModes := flag.String("policy-modes", "", "policy: comma-separated subset of hybrid,sdsm (empty = both)")
-	policyFabrics := flag.String("policy-fabrics", "", "policy: comma-separated subset of via,tcp (empty = both)")
-	policyOut := flag.String("policy-out", "", "policy: write the sweep as JSONL to this file ('-' for stdout)")
+	matrix := flag.String("matrix", "", "run an acceptance matrix instead of figures: chaos, crash or policy")
+	matrixNodes := flag.Int("matrix-nodes", 4, "matrix: cluster size")
+	matrixLanes := flag.Int("matrix-lanes", 0, "matrix: event-lane workers (0 = legacy kernel)")
+	matrixSeed := flag.Int64("matrix-seed", 0, "matrix chaos: fault-plane seed (0 = the default, 1)")
+	matrixApps := flag.String("matrix-apps", "", "matrix: comma-separated subset of helmholtz,ep,cg,md,quad,taskdep,lockmix (empty = all)")
+	matrixModes := flag.String("matrix-modes", "", "matrix policy: comma-separated subset of hybrid,sdsm (empty = both)")
+	matrixFabrics := flag.String("matrix-fabrics", "", "matrix policy: comma-separated subset of via,tcp (empty = both)")
+	matrixProfiles := flag.String("matrix-profiles", "", "matrix chaos: comma-separated subset of drop,dup,reorder,straggler,chaos (empty = all)")
+	matrixPolicy := flag.String("matrix-policy", "", "matrix chaos, crash: hlrc policy for every run (empty = legacy); matrix policy: comma-separated subset to compare (empty = all)")
+	matrixOut := flag.String("matrix-out", "", "matrix: write the runs as JSONL to this file ('-' for stdout)")
 	flag.Parse()
 
-	if *policy {
-		opt := harness.PolicyOptions{Nodes: *policyNodes, Lanes: *policyLanes}
-		if *policyApps != "" {
-			opt.Apps = splitList(*policyApps)
-		}
-		if *policyModes != "" {
-			opt.Modes = splitList(*policyModes)
-		}
-		if *policyFabrics != "" {
-			opt.Fabrics = splitList(*policyFabrics)
-		}
-		rep, err := harness.RunPolicySweep(opt)
+	if *matrix != "" {
+		rep, err := harness.RunMatrix(*matrix, harness.MatrixOptions{
+			Nodes: *matrixNodes, Lanes: *matrixLanes, Seed: *matrixSeed,
+			Apps: splitList(*matrixApps), Modes: splitList(*matrixModes), Fabrics: splitList(*matrixFabrics),
+			Profiles: splitList(*matrixProfiles), Policies: splitList(*matrixPolicy),
+		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Print(rep.Render())
-		if *policyOut != "" {
+		if *matrixOut != "" {
 			w := os.Stdout
-			if *policyOut != "-" {
-				f, err := os.Create(*policyOut)
+			if *matrixOut != "-" {
+				f, err := os.Create(*matrixOut)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
 					os.Exit(1)
@@ -139,43 +117,6 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		if !rep.OK() {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *crash {
-		opt := harness.CrashOptions{Nodes: *crashNodes, Lanes: *crashLanes, Policy: *crashPolicy}
-		if *crashApps != "" {
-			opt.Apps = splitList(*crashApps)
-		}
-		rep, err := harness.RunCrash(opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(rep.Render())
-		if !rep.OK() {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *chaos {
-		opt := harness.ChaosOptions{Nodes: *chaosNodes, Seed: *chaosSeed, Lanes: *chaosLanes, Policy: *chaosPolicy}
-		if *chaosApps != "" {
-			opt.Apps = splitList(*chaosApps)
-		}
-		if *chaosProfiles != "" {
-			opt.Profiles = splitList(*chaosProfiles)
-		}
-		rep, err := harness.RunChaos(opt)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(rep.Render())
 		if !rep.OK() {
 			os.Exit(1)
 		}

@@ -13,42 +13,15 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"strings"
 
 	"parade/internal/apps"
 	"parade/internal/core"
+	"parade/internal/harness"
 	"parade/internal/hlrc"
 	"parade/internal/kdsm"
 	"parade/internal/netsim"
 	"parade/internal/obs"
 )
-
-// parseCrashPlan parses a -crash spec: comma-separated node@barrier
-// events, e.g. "1@2" or "1@1,1@3". Every event restarts — the full
-// runtime cannot run on with a removed member (see core.Validate).
-func parseCrashPlan(spec string) (*hlrc.CrashPlan, error) {
-	plan := &hlrc.CrashPlan{}
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		nodeStr, barStr, ok := strings.Cut(part, "@")
-		if !ok {
-			return nil, fmt.Errorf("bad crash event %q (want node@barrier, e.g. 1@2)", part)
-		}
-		node, err1 := strconv.Atoi(nodeStr)
-		barrier, err2 := strconv.Atoi(barStr)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("bad crash event %q (want node@barrier, e.g. 1@2)", part)
-		}
-		plan.Events = append(plan.Events, hlrc.CrashEvent{Node: node, Barrier: barrier, Restart: true})
-	}
-	if len(plan.Events) == 0 {
-		return nil, fmt.Errorf("empty -crash spec")
-	}
-	return plan, nil
-}
 
 // printPages renders the hottest-pages table when requested.
 func printPages(rep core.Report, n int) {
@@ -167,11 +140,14 @@ func main() {
 	}
 
 	if *crash != "" {
-		plan, err := parseCrashPlan(*crash)
+		events, err := harness.ParseCrash(*crash)
 		if err != nil {
 			fail(err)
 		}
-		cfg.Crash = plan
+		if len(events) == 0 {
+			fail(fmt.Errorf("empty -crash spec"))
+		}
+		cfg.Crash = &hlrc.CrashPlan{Events: events}
 	}
 
 	var rec *obs.Recorder

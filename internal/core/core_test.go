@@ -81,11 +81,11 @@ func TestSerialWritesVisibleInRegion(t *testing.T) {
 			a.Set(m, i, float64(i)*1.5)
 		}
 		m.Parallel(func(tc *Thread) {
-			tc.ForNowait(0, 100, func(i int) {
+			tc.For(0, 100, func(i int) {
 				if a.Get(tc, i) != float64(i)*1.5 {
 					bad++
 				}
-			})
+			}, Nowait())
 		})
 	})
 	if bad != 0 {

@@ -163,24 +163,3 @@ func (t *Thread) forServed(cfg *forConfig, lo, hi int, body func(i int)) {
 		}
 	}
 }
-
-// ForGuided executes a guided-schedule work-sharing loop: chunk sizes
-// start at remaining/(2 x team size) and shrink exponentially toward
-// minChunk, trading the dynamic schedule's request traffic against its
-// load balance. Provided, like ForDynamic, as a §8 extension.
-//
-// Deprecated: use For with WithName and WithSchedule(Guided, minChunk).
-func (t *Thread) ForGuided(name string, lo, hi, minChunk int, perIter sim.Duration, body func(i int)) {
-	t.For(lo, hi, body, WithName(name), WithSchedule(Guided, minChunk), WithIterCost(perIter))
-}
-
-// ForDynamic executes a dynamically scheduled work-sharing loop: chunks
-// of `chunk` iterations are served first-come-first-served, so imbalanced
-// bodies spread across the team at the price of one control round trip
-// per chunk. perIter charges virtual compute like ForCost. The loop ends
-// with the for directive's implicit barrier.
-//
-// Deprecated: use For with WithName and WithSchedule(Dynamic, chunk).
-func (t *Thread) ForDynamic(name string, lo, hi, chunk int, perIter sim.Duration, body func(i int)) {
-	t.For(lo, hi, body, WithName(name), WithSchedule(Dynamic, chunk), WithIterCost(perIter))
-}

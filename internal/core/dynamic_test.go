@@ -11,7 +11,7 @@ func TestForDynamicCoversAllIterations(t *testing.T) {
 	counts := make([]int, 500)
 	run(t, cfg, func(m *Thread) {
 		m.Parallel(func(tc *Thread) {
-			tc.ForDynamic("loop", 0, 500, 7, 0, func(i int) { counts[i]++ })
+			tc.For(0, 500, func(i int) { counts[i]++ }, WithName("loop"), WithSchedule(Dynamic, 7))
 		})
 	})
 	for i, n := range counts {
@@ -26,7 +26,7 @@ func TestForDynamicEmptyRange(t *testing.T) {
 	ran := 0
 	run(t, cfg, func(m *Thread) {
 		m.Parallel(func(tc *Thread) {
-			tc.ForDynamic("empty", 5, 5, 4, 0, func(i int) { ran++ })
+			tc.For(5, 5, func(i int) { ran++ }, WithName("empty"), WithSchedule(Dynamic, 4))
 		})
 	})
 	if ran != 0 {
@@ -40,11 +40,11 @@ func TestForDynamicRepeatedInstances(t *testing.T) {
 	run(t, cfg, func(m *Thread) {
 		m.Parallel(func(tc *Thread) {
 			for round := 0; round < 4; round++ {
-				tc.ForDynamic("again", 0, 50, 8, 0, func(i int) {
+				tc.For(0, 50, func(i int) {
 					tc.node.barMu.Lock(tc.p)
 					total++
 					tc.node.barMu.Unlock(tc.p)
-				})
+				}, WithName("again"), WithSchedule(Dynamic, 8))
 			}
 		})
 	})
@@ -69,7 +69,7 @@ func TestForDynamicBalancesImbalancedWork(t *testing.T) {
 					tc.Compute(sim.Duration(i) * 10 * sim.Microsecond)
 				}
 				if dynamic {
-					tc.ForDynamic("tri", 0, n, 4, 0, body)
+					tc.For(0, n, body, WithName("tri"), WithSchedule(Dynamic, 4))
 				} else {
 					tc.For(0, n, body)
 				}
@@ -94,7 +94,7 @@ func TestForDynamicChunkTrafficScalesInversely(t *testing.T) {
 		cfg := Config{Nodes: 4, ThreadsPerNode: 1}
 		rep := run(t, cfg, func(m *Thread) {
 			m.Parallel(func(tc *Thread) {
-				tc.ForDynamic("traffic", 0, 400, chunk, 0, func(i int) {})
+				tc.For(0, 400, func(i int) {}, WithName("traffic"), WithSchedule(Dynamic, chunk))
 			})
 		})
 		return rep.Counters.Messages
@@ -110,7 +110,7 @@ func TestForGuidedCoversAllIterations(t *testing.T) {
 	counts := make([]int, 1000)
 	run(t, cfg, func(m *Thread) {
 		m.Parallel(func(tc *Thread) {
-			tc.ForGuided("g", 0, 1000, 4, 0, func(i int) { counts[i]++ })
+			tc.For(0, 1000, func(i int) { counts[i]++ }, WithName("g"), WithSchedule(Guided, 4))
 		})
 	})
 	for i, n := range counts {
@@ -126,9 +126,9 @@ func TestForGuidedFewerRequestsThanDynamic(t *testing.T) {
 		rep := run(t, cfg, func(m *Thread) {
 			m.Parallel(func(tc *Thread) {
 				if guided {
-					tc.ForGuided("s", 0, 2000, 4, 0, func(i int) {})
+					tc.For(0, 2000, func(i int) {}, WithName("s"), WithSchedule(Guided, 4))
 				} else {
-					tc.ForDynamic("s", 0, 2000, 4, 0, func(i int) {})
+					tc.For(0, 2000, func(i int) {}, WithName("s"), WithSchedule(Dynamic, 4))
 				}
 			})
 		})

@@ -151,7 +151,7 @@ func TestForDynamicChunkLargerThanRange(t *testing.T) {
 	count := 0
 	run(t, cfg, func(m *Thread) {
 		m.Parallel(func(tc *Thread) {
-			tc.ForDynamic("big", 0, 5, 100, 0, func(i int) { count++ })
+			tc.For(0, 5, func(i int) { count++ }, WithName("big"), WithSchedule(Dynamic, 100))
 		})
 	})
 	if count != 5 {

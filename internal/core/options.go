@@ -2,11 +2,10 @@ package core
 
 import "parade/internal/sim"
 
-// Functional options for the work-sharing and tasking surface. The
-// historical API grew one method per clause combination (For, ForNowait,
-// ForCost, ForCostNowait, ForDynamic, ForGuided); the options collapse
-// that product back into the OpenMP shape — one directive, orthogonal
-// clauses — while the old methods remain as deprecated shims. The task
+// Functional options for the work-sharing and tasking surface: one
+// directive, orthogonal clauses — the OpenMP shape — instead of one
+// method per clause combination. ForCost and ForCostNowait remain as
+// allocation-free spellings for the app kernels' inner loops. The task
 // constructs (Task, Taskloop, Target) take the same shape: loop-flavored
 // clauses are ForTaskOption values accepted by both surfaces, and the
 // task-only clauses (depend, priority, task naming, target data maps)

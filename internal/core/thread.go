@@ -215,32 +215,21 @@ func (t *Thread) For(lo, hi int, body func(i int), opts ...ForOption) {
 	}
 }
 
-// ForNowait executes a static work-sharing loop without the trailing
-// barrier.
-//
-// Deprecated: use For with the Nowait option.
-func (t *Thread) ForNowait(lo, hi int, body func(i int)) {
-	t.forStatic(lo, hi, 0, body)
-}
-
 // computeBatch is the target size of one virtual-time charge inside a
 // costed loop: small enough that the communication thread can preempt a
 // computing thread at a realistic OS granularity.
 const computeBatch = 200 * sim.Microsecond
 
 // ForCost executes a static work-sharing loop with a per-iteration
-// compute cost, followed by the implicit barrier.
-//
-// Deprecated: use For with the WithIterCost option.
+// compute cost, followed by the implicit barrier: For with WithIterCost,
+// without the option allocation, for the app kernels' inner loops.
 func (t *Thread) ForCost(lo, hi int, perIter sim.Duration, body func(i int)) {
 	t.forStatic(lo, hi, perIter, body)
 	t.Barrier()
 }
 
 // ForCostNowait executes a costed static work-sharing loop without the
-// trailing barrier.
-//
-// Deprecated: use For with the WithIterCost and Nowait options.
+// trailing barrier (For with WithIterCost and Nowait).
 func (t *Thread) ForCostNowait(lo, hi int, perIter sim.Duration, body func(i int)) {
 	t.forStatic(lo, hi, perIter, body)
 }

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strconv"
 	"strings"
 
 	"parade/internal/core"
@@ -144,47 +143,14 @@ func (s JobSpec) Normalize() JobSpec {
 	if s.Hetero == "uniform" {
 		s.Hetero = "" // the explicit name for the default machine
 	}
-	s.Crash = canonicalCrash(s.Crash)
+	// Canonical crash text: events trimmed and joined with single commas.
+	// An unparseable spec stays verbatim so validation can report it.
+	if events, err := harness.ParseCrash(s.Crash); err == nil && len(events) > 0 {
+		s.Crash = harness.FormatCrash(events)
+	} else {
+		s.Crash = strings.TrimSpace(s.Crash)
+	}
 	return s
-}
-
-// canonicalCrash rewrites a crash spec into canonical text: events
-// trimmed and joined with single commas. Unparseable specs are returned
-// verbatim (validation reports them; canonicalization must not mask the
-// error).
-func canonicalCrash(spec string) string {
-	events, err := parseCrash(spec)
-	if err != nil || len(events) == 0 {
-		return strings.TrimSpace(spec)
-	}
-	parts := make([]string, len(events))
-	for i, ev := range events {
-		parts[i] = fmt.Sprintf("%d@%d", ev.Node, ev.Barrier)
-	}
-	return strings.Join(parts, ",")
-}
-
-// parseCrash parses parade-run's node@barrier[,node@barrier...] syntax.
-// An empty spec yields no events.
-func parseCrash(spec string) ([]hlrc.CrashEvent, error) {
-	var events []hlrc.CrashEvent
-	for _, part := range strings.Split(spec, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		nodeStr, barStr, ok := strings.Cut(part, "@")
-		if !ok {
-			return nil, fmt.Errorf("bad crash event %q (want node@barrier, e.g. 1@2)", part)
-		}
-		node, err1 := strconv.Atoi(nodeStr)
-		barrier, err2 := strconv.Atoi(barStr)
-		if err1 != nil || err2 != nil {
-			return nil, fmt.Errorf("bad crash event %q (want node@barrier, e.g. 1@2)", part)
-		}
-		events = append(events, hlrc.CrashEvent{Node: node, Barrier: barrier, Restart: true})
-	}
-	return events, nil
 }
 
 // Validate checks the normalized spec and returns nil or a
@@ -225,7 +191,7 @@ func (s JobSpec) Validate() error {
 	if s.FaultProfile != "" {
 		if _, err := netsim.ProfileByName(s.FaultProfile, s.Seed); err != nil {
 			add("fault_profile", "unknown fault profile %q (valid: %s)",
-				s.FaultProfile, strings.Join(profileNames(), ", "))
+				s.FaultProfile, strings.Join(harness.FaultProfiles(), ", "))
 		}
 	}
 	if !hlrc.ValidPolicy(s.Policy) {
@@ -240,7 +206,7 @@ func (s JobSpec) Validate() error {
 			add("hetero", "unknown hetero profile %q (valid: uniform, fasthalf, slow1, or empty)", s.Hetero)
 		}
 	}
-	if events, err := parseCrash(s.Crash); err != nil {
+	if events, err := harness.ParseCrash(s.Crash); err != nil {
 		add("crash", "%v", err)
 	} else if len(events) > 0 {
 		if s.Nodes >= 1 {
@@ -254,16 +220,6 @@ func (s JobSpec) Validate() error {
 		return nil
 	}
 	return &JobSpecError{Index: -1, Fields: fields}
-}
-
-// profileNames lists the built-in fault profiles in canonical order.
-func profileNames() []string {
-	profs := netsim.Profiles(1)
-	names := make([]string, len(profs))
-	for i, p := range profs {
-		names[i] = p.Name
-	}
-	return names
 }
 
 // Canonical returns the canonical identity string of the spec: the
@@ -307,50 +263,19 @@ func (s JobSpec) FingerprintHex() string {
 }
 
 // BuildConfig lowers the validated spec into the cluster configuration
-// its run executes. It assumes Validate passed.
+// its run executes: the spec is a harness.Cell, lowered the one way every
+// acceptance matrix lowers its cells.
 func (s JobSpec) BuildConfig() (core.Config, error) {
 	s = s.Normalize()
-	cfg, err := harness.MatrixModeConfig(s.Mode, s.Nodes, s.ThreadsPerNode)
+	events, err := harness.ParseCrash(s.Crash)
 	if err != nil {
 		return core.Config{}, err
 	}
-	fabric, err := netsim.FabricByName(s.Fabric)
-	if err != nil {
-		return core.Config{}, err
-	}
-	cfg.Fabric = fabric
-	cfg.Lanes = s.Lanes
-	if s.Policy != "" {
-		// Re-derive the directive threshold under the requested policy:
-		// MatrixModeConfig froze it at the legacy default, and the
-		// adaptive policy computes its own from the fabric and cost model.
-		cfg.Policy = s.Policy
-		cfg.SmallThreshold = 0
-		cfg = cfg.WithDefaults()
-	}
-	if s.LockCaching {
-		cfg.LockCaching = true
-	}
-	if s.FaultProfile != "" {
-		prof, err := netsim.ProfileByName(s.FaultProfile, s.Seed)
-		if err != nil {
-			return core.Config{}, err
-		}
-		cfg.Faults = &prof
-	}
-	events, err := parseCrash(s.Crash)
-	if err != nil {
-		return core.Config{}, err
-	}
-	if len(events) > 0 {
-		cfg.Crash = &hlrc.CrashPlan{Events: events}
-	}
-	hetero, err := netsim.HeteroByName(s.Hetero, s.Nodes)
-	if err != nil {
-		return core.Config{}, err
-	}
-	cfg.Hetero = hetero
-	return cfg, nil
+	return harness.Cell{
+		App: s.App, Mode: s.Mode, Fabric: s.Fabric, Nodes: s.Nodes, ThreadsPerNode: s.ThreadsPerNode,
+		Lanes: s.Lanes, Policy: s.Policy, Profile: s.FaultProfile, Seed: s.Seed,
+		Crash: events, Hetero: s.Hetero, LockCaching: s.LockCaching,
+	}.Config()
 }
 
 // SpecMatrix expands a scenario matrix into the cross product of its

@@ -2,9 +2,12 @@ package fleet
 
 import (
 	"errors"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+
+	"parade/internal/harness"
 )
 
 // validSpec is the cheapest valid job: one cell of the matrix.
@@ -142,6 +145,30 @@ func TestJobSpecCanonicalization(t *testing.T) {
 		t.Errorf("crash schedule whitespace changed the fingerprint")
 	}
 
+	// Canonical strings and fingerprints key the cache and the WAL, so
+	// they are pinned byte for byte: plain, faulted+policy, crash+hetero.
+	for _, pin := range []struct {
+		spec       JobSpec
+		canon, hex string
+	}{
+		{JobSpec{App: "cg", Mode: "hybrid"},
+			"parade-fleet/v1 app=cg mode=hybrid fabric=via nodes=4 threads=1 lanes=0 seed=1 lockcache=false faults= crash= policy=",
+			"0c4ea5efdb6d3e5f"},
+		{JobSpec{App: "md", Mode: "sdsm", Fabric: "tcp", Nodes: 8, Lanes: 4, Seed: 7, FaultProfile: "chaos", Policy: "adaptive"},
+			"parade-fleet/v1 app=md mode=sdsm fabric=tcp nodes=8 threads=1 lanes=1 seed=7 lockcache=false faults=chaos crash= policy=adaptive",
+			"42da031112008a45"},
+		{JobSpec{App: "lockmix", Mode: "hybrid", ThreadsPerNode: 2, Crash: " 1@1 , 1@3 ", Hetero: "slow1"},
+			"parade-fleet/v1 app=lockmix mode=hybrid fabric=via nodes=4 threads=2 lanes=0 seed=1 lockcache=true faults= crash=1@1,1@3 policy= hetero=slow1",
+			"3a577daee78bf662"},
+	} {
+		if got := pin.spec.Canonical(); got != pin.canon {
+			t.Errorf("Canonical() = %q, pinned %q", got, pin.canon)
+		}
+		if got := pin.spec.FingerprintHex(); got != pin.hex {
+			t.Errorf("FingerprintHex() of %q = %s, pinned %s", pin.canon, got, pin.hex)
+		}
+	}
+
 	// Distinct configurations must canonicalize distinctly.
 	distinct := []JobSpec{
 		base,
@@ -277,5 +304,60 @@ func TestExecutorDeterminism(t *testing.T) {
 	}
 	if a.StateFingerprint == "" || a.MemHash == "" || a.ResultBits == "" {
 		t.Fatalf("missing fingerprints: %+v", a)
+	}
+}
+
+// TestExecutorLockmixTwoThreads serves the cell that used to panic with
+// an INVALID -> DIRTY page transition (two threads per node, cached lock
+// tokens; harness.TestLockmixTwoThreadsLockCaching has the mechanism).
+func TestExecutorLockmixTwoThreads(t *testing.T) {
+	for _, mode := range harness.MatrixModes() {
+		res, err := (&Executor{}).Run(JobSpec{App: "lockmix", Mode: mode, Nodes: 8, ThreadsPerNode: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != StatusOK {
+			t.Fatalf("%s: status %s: %s", mode, res.Status, res.Error)
+		}
+		// ResultBits is fpBits(Sum, Expected).
+		if len(res.ResultBits) != 32 || res.ResultBits[:16] != res.ResultBits[16:] {
+			t.Errorf("%s: Sum != Expected (result bits %s)", mode, res.ResultBits)
+		}
+	}
+}
+
+// TestReplayCoversAcceptanceMatrices: every cell the chaos and crash
+// matrices enumerate at 4 nodes is in the default replay, lowered to an
+// equal configuration — the service path and the in-process harness run
+// the same cells by construction, not by parallel lists.
+func TestReplayCoversAcceptanceMatrices(t *testing.T) {
+	type key struct{ app, mode, profile, crash string }
+	specs := map[key]JobSpec{}
+	for _, spec := range replaySpecs(ReplayOptions{}) {
+		specs[key{spec.App, spec.Mode, spec.FaultProfile, spec.Crash}] = spec
+	}
+	for _, name := range []string{"chaos", "crash"} {
+		cells, err := harness.MatrixCells(name, harness.MatrixOptions{Nodes: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cell := range cells {
+			spec, ok := specs[key{cell.App, cell.Mode, cell.Profile, harness.FormatCrash(cell.Crash)}]
+			if !ok {
+				t.Errorf("%s cell %s is not in the default replay", name, cell)
+				continue
+			}
+			want, err := cell.Config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := spec.BuildConfig()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s cell %s: served config differs from the matrix's:\n got %+v\nwant %+v", name, cell, got, want)
+			}
+		}
 	}
 }

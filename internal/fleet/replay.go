@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"parade/internal/harness"
 )
 
 // ReplayOptions selects the scenario subset a replay drives through the
@@ -21,8 +23,8 @@ import (
 type ReplayOptions struct {
 	Apps     []string
 	Modes    []string
-	Profiles []string // default: "", drop, dup, reorder, straggler, chaos
-	Crashes  []string // default: "", 1@1, 1@1,1@3
+	Profiles []string // default: "" and harness.FaultProfiles
+	Crashes  []string // default: "" and harness.CrashSchedules of each node count
 	Nodes    []int
 	Lanes    []int
 	Seed     int64
@@ -61,24 +63,7 @@ func Replay(baseURL string, opt ReplayOptions) (ReplaySummary, error) {
 			fmt.Fprintf(opt.Log, format+"\n", args...)
 		}
 	}
-	profiles := opt.Profiles
-	if len(profiles) == 0 {
-		profiles = []string{"drop", "dup", "reorder", "straggler", "chaos"}
-	}
-	crashes := opt.Crashes
-	if len(crashes) == 0 {
-		crashes = []string{"1@1", "1@1,1@3"}
-	}
-	// The matrices pair link faults with crash-free runs and crashes with
-	// the ideal fabric; the fault-free baseline cell anchors both, so both
-	// dimensions always include the empty value.
-	profiles = withEmpty(profiles)
-	crashes = withEmpty(crashes)
-	specs := SpecMatrix{
-		Apps: opt.Apps, Modes: opt.Modes,
-		Profiles: profiles, Crashes: crashes,
-		Nodes: opt.Nodes, Lanes: opt.Lanes, Seed: opt.Seed,
-	}.Expand()
+	specs := replaySpecs(opt)
 	sum := ReplaySummary{Cells: len(specs)}
 	logf("replay: %d scenario cells against %s", len(specs), baseURL)
 
@@ -200,6 +185,38 @@ func Replay(baseURL string, opt ReplayOptions) (ReplaySummary, error) {
 	}
 	logf("replay: pass 2 all %d cells cached, executions_total unchanged", sum.CacheHits)
 	return sum, nil
+}
+
+// replaySpecs expands the replay's scenario subset. The default fault
+// profiles and crash schedules are the chaos and crash matrices' own
+// varied axes, so a default replay covers every cell those matrices
+// assert on. The matrices pair link faults with crash-free runs and
+// crashes with the ideal fabric; the fault-free baseline cell anchors
+// both, so both dimensions always include the empty value.
+func replaySpecs(opt ReplayOptions) []JobSpec {
+	profiles := opt.Profiles
+	if len(profiles) == 0 {
+		profiles = harness.FaultProfiles()
+	}
+	nodes := opt.Nodes
+	if len(nodes) == 0 {
+		nodes = []int{4}
+	}
+	var specs []JobSpec
+	for _, n := range nodes {
+		crashes := opt.Crashes
+		if len(crashes) == 0 {
+			for _, events := range harness.CrashSchedules(n) {
+				crashes = append(crashes, harness.FormatCrash(events))
+			}
+		}
+		specs = append(specs, SpecMatrix{
+			Apps: opt.Apps, Modes: opt.Modes,
+			Profiles: withEmpty(profiles), Crashes: withEmpty(crashes),
+			Nodes: []int{n}, Lanes: opt.Lanes, Seed: opt.Seed,
+		}.Expand()...)
+	}
+	return specs
 }
 
 // postAttempts bounds the overload/restart retry loop: a 429 (queue

@@ -25,9 +25,8 @@ type MatrixApp struct {
 	Run         func(cfg core.Config) (string, sim.Duration, core.Report, error)
 }
 
-// matrixApps is the shared kernel table behind MatrixApps. The chaos and
-// crash matrices and internal/fleet all draw from it, so a service-path
-// replay runs byte-for-byte the same cells as the in-process harness.
+// matrixApps is the shared kernel table: the app axis of Cell, which the
+// acceptance matrices and internal/fleet all run.
 var matrixApps = []MatrixApp{
 	{"helmholtz", false, func(cfg core.Config) (string, sim.Duration, core.Report, error) {
 		r, err := apps.RunHelmholtz(cfg, apps.HelmholtzTest())
@@ -70,21 +69,12 @@ var matrixApps = []MatrixApp{
 	}},
 	{"lockmix", true, func(cfg core.Config) (string, sim.Duration, core.Report, error) {
 		// The lock-protocol stress kernel runs with lazy-release tokens
-		// (LockCaching, applied by the matrix drivers) so the cached lock
-		// path (lockcache.go) degrades gracefully too, not just the
+		// (LockCaching, applied by Cell.Config) so the cached lock path
+		// (lockcache.go) degrades gracefully too, not just the
 		// centralized one.
 		r, err := apps.RunLockmix(cfg, apps.LockmixTest())
 		return fpBits(r.Sum, r.Expected), r.Report.Time, r.Report, err
 	}},
-}
-
-// MatrixApps returns the application kernels of the acceptance matrices
-// in canonical order. The returned slice is a copy; the Run functions
-// are shared.
-func MatrixApps() []MatrixApp {
-	out := make([]MatrixApp, len(matrixApps))
-	copy(out, matrixApps)
-	return out
 }
 
 // MatrixAppByName resolves one kernel of the matrix table.

@@ -12,9 +12,8 @@
 // ReleaseLock, and each node's communication thread calls Handle for
 // every incoming protocol message. The simulation kernel runs one
 // process at a time, so the engine needs no host-level locking — the
-// same invariant lets the optional internal/obs recorder (SetRecorder/
-// SetTrace) log events and histograms with plain, unsynchronized field
-// writes.
+// same invariant lets the optional internal/obs recorder (SetRecorder)
+// log events and histograms with plain, unsynchronized field writes.
 package hlrc
 
 import (
@@ -257,10 +256,8 @@ type Engine struct {
 	pgInvalSh [][]int
 
 	// rec is the optional observability recorder (nil = disabled, the
-	// zero-overhead path). traceSink is the legacy-format text sink a
-	// SetTrace call installed, tracked so it can be detached again.
-	rec       *obs.Recorder
-	traceSink *obs.TextSink
+	// zero-overhead path).
+	rec *obs.Recorder
 
 	// recov is the crash/recovery plane (nil without an active crash
 	// plan — the nil check keeps every hot path identical to a build

@@ -95,8 +95,11 @@ func (e *Engine) makeDirty(p *sim.Proc, node, pg int) {
 		// re-check whether the other thread finished the transition. A
 		// second twin taken now would snapshot the first thread's write
 		// and silently drop it from the interval's diff — the
-		// multi-threaded variant of the atomic-page-update problem.
-		if ns.table.Pages[pg].State == dsm.Dirty {
+		// multi-threaded variant of the atomic-page-update problem. The
+		// page can also have been invalidated during the yield (a cached
+		// lock token's acquire applied write notices); EnsureWrite's loop
+		// re-faults in either case.
+		if ns.table.Pages[pg].State != dsm.ReadOnly {
 			return
 		}
 		twin := e.frames[node].Get()

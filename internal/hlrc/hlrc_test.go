@@ -499,7 +499,9 @@ func TestPageReportTracksHotPages(t *testing.T) {
 func TestProtocolTrace(t *testing.T) {
 	tc := newTestCluster(2, true)
 	var buf strings.Builder
-	tc.e.SetTrace(&buf)
+	rec := obs.New(2)
+	rec.AddSink(obs.NewLegacyTextSink(&buf))
+	tc.e.SetRecorder(rec)
 	tc.spawnNodes(t, func(p *sim.Proc, node int) {
 		if node == 1 {
 			tc.write(p, 1, 0, 1)
@@ -515,43 +517,5 @@ func TestProtocolTrace(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("trace missing %q:\n%s", want, out)
 		}
-	}
-}
-
-// TestSetTraceMatchesLegacySink pins the compatibility contract of the
-// SetTrace shim: its output is byte-identical to attaching an
-// obs.Recorder with the legacy text sink directly.
-func TestSetTraceMatchesLegacySink(t *testing.T) {
-	scenario := func(tc *testCluster) func(p *sim.Proc, node int) {
-		return func(p *sim.Proc, node int) {
-			if node == 1 {
-				tc.write(p, 1, 0, 1)
-			}
-			tc.e.Barrier(p, node)
-			if node == 0 {
-				tc.read(p, 0, 0)
-			}
-			tc.e.Barrier(p, node)
-		}
-	}
-
-	var shim strings.Builder
-	tc1 := newTestCluster(2, true)
-	tc1.e.SetTrace(&shim)
-	tc1.spawnNodes(t, scenario(tc1))
-
-	var direct strings.Builder
-	tc2 := newTestCluster(2, true)
-	rec := obs.New(2)
-	rec.AddSink(obs.NewLegacyTextSink(&direct))
-	tc2.e.SetRecorder(rec)
-	tc2.spawnNodes(t, scenario(tc2))
-
-	if shim.String() != direct.String() {
-		t.Errorf("SetTrace output differs from legacy sink:\nshim:\n%s\ndirect:\n%s",
-			shim.String(), direct.String())
-	}
-	if shim.Len() == 0 {
-		t.Error("empty trace")
 	}
 }

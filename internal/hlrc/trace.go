@@ -1,10 +1,6 @@
 package hlrc
 
-import (
-	"io"
-
-	"parade/internal/obs"
-)
+import "parade/internal/obs"
 
 // Protocol tracing and metrics flow through an optional internal/obs
 // recorder: faults, fetches, flushes, barriers, migrations, and locks
@@ -13,35 +9,5 @@ import (
 // engine records nothing and pays only nil checks.
 
 // SetRecorder attaches (or, with nil, detaches) a structured
-// observability recorder. A legacy text sink previously installed with
-// SetTrace follows the engine to the new recorder.
-func (e *Engine) SetRecorder(r *obs.Recorder) {
-	if e.traceSink != nil {
-		e.rec.RemoveSink(e.traceSink)
-		if r != nil {
-			r.AddSink(e.traceSink)
-		} else {
-			e.traceSink = nil
-		}
-	}
-	e.rec = r
-}
-
-// SetTrace directs a line-per-event protocol trace to w (nil disables).
-// This is a compatibility shim over the structured tracer: it installs
-// an obs.NewLegacyTextSink, whose output is byte-identical to the
-// historical fmt.Fprintf trace format.
-func (e *Engine) SetTrace(w io.Writer) {
-	if e.traceSink != nil {
-		e.rec.RemoveSink(e.traceSink)
-		e.traceSink = nil
-	}
-	if w == nil {
-		return
-	}
-	if e.rec == nil {
-		e.rec = obs.New(e.cfg.Nodes)
-	}
-	e.traceSink = obs.NewLegacyTextSink(w)
-	e.rec.AddSink(e.traceSink)
-}
+// observability recorder.
+func (e *Engine) SetRecorder(r *obs.Recorder) { e.rec = r }

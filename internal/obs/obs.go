@@ -115,19 +115,6 @@ func (r *Recorder) AddSink(s Sink) {
 	r.sinks = append(r.sinks, s)
 }
 
-// RemoveSink detaches a previously attached sink (without closing it).
-func (r *Recorder) RemoveSink(s Sink) {
-	if r == nil {
-		return
-	}
-	for i, have := range r.sinks {
-		if have == s {
-			r.sinks = append(r.sinks[:i], r.sinks[i+1:]...)
-			return
-		}
-	}
-}
-
 // TraceMessages toggles per-message send events.
 func (r *Recorder) TraceMessages(on bool) {
 	if r != nil {

@@ -5,12 +5,14 @@
 # bench/baseline_pr6.json (regenerated after the lane-kernel PR so the
 # lane benchmarks are anchored; the pre-overhaul numbers remain in
 # bench/baseline_pr0.txt). Benchmarks absent from the baseline are
-# reported as "new". Writes BENCH_PR1.json unless the caller picks
+# reported as "new". The first argument is the PR number the report is
+# for: the report goes to BENCH_PR<n>.json unless the caller picks
 # another -out; `-out -` streams the report to stdout and creates no
-# file at all.
+# file at all. With an explicit -out the PR number may be left out.
 #
-# Usage: scripts/bench.sh [extra parade-bench -regress flags]
-# e.g.   scripts/bench.sh -benchtime 0.1s -max-regress 1.5 -out -
+# Usage: scripts/bench.sh [pr-number] [extra parade-bench -regress flags]
+# e.g.   scripts/bench.sh 13
+#        scripts/bench.sh -benchtime 0.1s -max-regress 1.5 -out -
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,9 +24,18 @@ if [ ! -f "$baseline" ]; then
     exit 1
 fi
 
+pr=
+case "${1:-}" in
+'' | *[!0-9]*) ;;
+*)
+    pr=$1
+    shift
+    ;;
+esac
+
 # Apply the default report path only when the caller did not pick one,
 # instead of relying on flag-override order -- that way `-out -` can
-# never leave a stray BENCH_PR1.json behind.
+# never leave a stray report behind.
 out_set=0
 for arg in "$@"; do
     case "$arg" in
@@ -33,7 +44,11 @@ for arg in "$@"; do
 done
 set -- -baseline "$baseline" "$@"
 if [ "$out_set" -eq 0 ]; then
-    set -- -out BENCH_PR1.json "$@"
+    if [ -z "$pr" ]; then
+        echo "bench.sh: need the PR number as the first argument (report goes to BENCH_PR<n>.json) or an explicit -out" >&2
+        exit 2
+    fi
+    set -- -out "BENCH_PR$pr.json" "$@"
 fi
 
 # Report header: make the measurement environment visible in the log
