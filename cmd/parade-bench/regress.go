@@ -20,14 +20,17 @@ import (
 )
 
 // benchSuites is what -regress measures: the event-kernel and diff-engine
-// benchmarks (the hot paths every figure rides on), the directive replay
-// benchmarks, and the Fig 6/7 microbenchmark sweeps.
+// benchmarks (the hot paths every figure rides on), the protocol
+// engine's per-cell fixed cost (New, StateFingerprint) and shared-access
+// fast path, the directive replay benchmarks, and the Fig 6/7
+// microbenchmark sweeps.
 var benchSuites = []struct {
 	Pkg     string
 	Pattern string
 }{
 	{"./internal/sim", "."},
 	{"./internal/dsm", "."},
+	{"./internal/hlrc", "."},
 	{"./internal/microbench", "."},
 	{".", "^(BenchmarkFig6Critical|BenchmarkFig7Single)$"},
 }

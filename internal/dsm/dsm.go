@@ -12,7 +12,10 @@ package dsm
 import "fmt"
 
 // PageSize is the coherence unit, matching the i386 virtual memory page.
-const PageSize = 4096
+const (
+	pageShift = 12
+	PageSize  = 1 << pageShift
+)
 
 // State is a page's protocol state (paper Fig. 5).
 type State uint8
@@ -97,47 +100,47 @@ func (p Perm) String() string {
 	}
 }
 
-// PageInfo is one node's bookkeeping for one shared page.
+// PageInfo is one node's bookkeeping for one shared page. The page's
+// access permission is not here: it is the MMU's (Memory.AppPerm).
 type PageInfo struct {
 	State State
-	Perm  Perm
 	Home  int    // current home node in this node's directory
 	Twin  []byte // pristine copy taken at the first write of an interval
 }
 
-// Table is one node's page table over the shared memory pool.
+// Table is one node's page table over the shared memory pool, held in
+// lazily materialized chunks (Chunked): At(pg) returns the entry for
+// writing, Peek(pg) a copy for inspection.
 type Table struct {
-	Node  int
-	Pages []PageInfo
+	Node int
+	Chunked[PageInfo]
 }
 
 // NewTable creates a page table for npages pages. On the master node
 // (node 0) every page starts READ_ONLY with itself as home; elsewhere
 // pages start INVALID with the master as home (paper §5.2.3).
 func NewTable(node, npages int) *Table {
-	t := &Table{Node: node, Pages: make([]PageInfo, npages)}
-	for i := range t.Pages {
-		if node == 0 {
-			t.Pages[i] = PageInfo{State: ReadOnly, Perm: PermRead, Home: 0}
-		} else {
-			t.Pages[i] = PageInfo{State: Invalid, Perm: PermNone, Home: 0}
-		}
+	init := PageInfo{State: Invalid, Home: 0}
+	if node == 0 {
+		init.State = ReadOnly
 	}
-	return t
+	return &Table{Node: node, Chunked: NewChunked(npages, init)}
 }
 
 // Set transitions page pg to state to, panicking on an edge that the
-// Fig. 5 diagram does not allow. Callers set Perm separately because the
-// permission change is the *mechanism* (MMU) while the state is protocol
-// bookkeeping — keeping them distinct is what exposes the atomic-page-
-// update problem in the first place.
+// Fig. 5 diagram does not allow. Callers set the permission separately
+// because the permission change is the *mechanism* (MMU) while the
+// state is protocol bookkeeping — keeping them distinct is what exposes
+// the atomic-page-update problem in the first place.
 func (t *Table) Set(pg int, to State) {
-	from := t.Pages[pg].State
-	if !ValidTransition(from, to) {
-		panic(fmt.Sprintf("dsm: node %d page %d: illegal transition %v -> %v", t.Node, pg, from, to))
+	pi := t.At(pg)
+	if !ValidTransition(pi.State, to) {
+		panic(fmt.Sprintf("dsm: node %d page %d: illegal transition %v -> %v", t.Node, pg, pi.State, to))
 	}
-	t.Pages[pg].State = to
+	pi.State = to
 }
 
-// PageOf returns the page index containing byte address addr.
-func PageOf(addr int) int { return addr / PageSize }
+// PageOf returns the page index containing byte address addr. (A shift,
+// not a division: this is on every shared access, and a signed division
+// by a power of two costs three more instructions.)
+func PageOf(addr int) int { return addr >> pageShift }

@@ -57,14 +57,12 @@ func TestFig5Transitions(t *testing.T) {
 
 func TestTableInitialState(t *testing.T) {
 	master := NewTable(0, 4)
-	for pg, pi := range master.Pages {
-		if pi.State != ReadOnly || pi.Home != 0 || pi.Perm != PermRead {
+	slave := NewTable(2, 4)
+	for pg := 0; pg < 4; pg++ {
+		if pi := master.Peek(pg); pi.State != ReadOnly || pi.Home != 0 {
 			t.Errorf("master page %d = %+v", pg, pi)
 		}
-	}
-	slave := NewTable(2, 4)
-	for pg, pi := range slave.Pages {
-		if pi.State != Invalid || pi.Home != 0 || pi.Perm != PermNone {
+		if pi := slave.Peek(pg); pi.State != Invalid || pi.Home != 0 {
 			t.Errorf("slave page %d = %+v", pg, pi)
 		}
 	}

@@ -3,8 +3,8 @@ package dsm
 // The simulated MMU. A real page-based SDSM manipulates page protections
 // with mprotect and catches SIGSEGV; under the Go runtime that mechanism
 // is unavailable (the runtime owns signal handling), so the MMU is
-// modeled explicitly: frames hold page contents, appPerm holds the
-// *application* address space permissions, and the protocol writes
+// modeled explicitly: each page has a frame holding its contents and an
+// *application* address space permission, and the protocol writes
 // through a separate *system* path.
 //
 // §5.1 of the paper describes the atomic-page-update problem: in a
@@ -103,57 +103,88 @@ func (u UpdateStrategy) UpdateCost() sim.Duration {
 	}
 }
 
+// memPage is one page of a node's memory image: its frame (nil until
+// first touched through the system path) and its application address
+// space permission, side by side so the access fast path — permission
+// check, then load — stays within one entry.
+type memPage struct {
+	frame []byte
+	perm  Perm
+}
+
 // Memory is one node's view of the shared pool: lazily-allocated frames
-// plus the application address space permissions. Frames double as the
-// "physical memory"; the system path writes them directly.
+// plus the application address space permissions, in lazily
+// materialized chunks. Frames double as the "physical memory"; the
+// system path writes them directly.
 type Memory struct {
 	strategy UpdateStrategy
-	npages   int
-	frames   [][]byte
-	appPerm  []Perm
+	pages    Chunked[memPage]
 }
 
 // NewMemory creates a node memory image of npages pages, all protected.
 func NewMemory(npages int, strategy UpdateStrategy) *Memory {
-	return &Memory{
-		strategy: strategy,
-		npages:   npages,
-		frames:   make([][]byte, npages),
-		appPerm:  make([]Perm, npages),
-	}
+	return &Memory{strategy: strategy, pages: NewChunked(npages, memPage{})}
 }
 
 // Strategy returns the atomic-page-update strategy in use.
 func (m *Memory) Strategy() UpdateStrategy { return m.strategy }
 
 // NPages returns the number of pages in the pool.
-func (m *Memory) NPages() int { return m.npages }
+func (m *Memory) NPages() int { return m.pages.Len() }
+
+// Materialized reports whether the chunk holding page pg exists; while
+// it does not, every page of it has no frame and the permission FillPerm
+// last set (none at first).
+func (m *Memory) Materialized(pg int) bool { return m.pages.Materialized(pg) }
 
 // Frame returns page pg's frame, allocating a zero frame on first touch.
 // This is the system access path: no permission check.
 func (m *Memory) Frame(pg int) []byte {
-	if m.frames[pg] == nil {
-		m.frames[pg] = make([]byte, PageSize)
+	mp := m.pages.At(pg)
+	if mp.frame == nil {
+		mp.frame = make([]byte, PageSize)
 	}
-	return m.frames[pg]
+	return mp.frame
 }
 
 // FrameIfPresent returns the frame or nil if the page was never touched.
-func (m *Memory) FrameIfPresent(pg int) []byte { return m.frames[pg] }
+func (m *Memory) FrameIfPresent(pg int) []byte {
+	if ch := m.pages.chunk(pg); ch != nil {
+		return ch[pg&chunkMask].frame
+	}
+	return nil
+}
 
 // AppPerm returns the application address space permission of page pg.
-func (m *Memory) AppPerm(pg int) Perm { return m.appPerm[pg] }
+func (m *Memory) AppPerm(pg int) Perm {
+	if ch := m.pages.chunk(pg); ch != nil {
+		return ch[pg&chunkMask].perm
+	}
+	return m.pages.init.perm
+}
 
 // SetAppPerm changes the application mapping's permission (mprotect).
-func (m *Memory) SetAppPerm(pg int, p Perm) { m.appPerm[pg] = p }
+// Re-stating the permission a page already has touches nothing.
+func (m *Memory) SetAppPerm(pg int, p Perm) {
+	if m.AppPerm(pg) != p {
+		m.pages.At(pg).perm = p
+	}
+}
+
+// FillPerm sets the application permission of every page of the pool,
+// including those in chunks not yet materialized.
+func (m *Memory) FillPerm(p Perm) {
+	m.pages.init.perm = p
+	m.pages.Each(func(_ int, mp *memPage) { mp.perm = p })
+}
 
 // AppReadOK reports whether an application-path read of addr would
 // succeed, i.e. whether the access faults. The DSM fast path.
-func (m *Memory) AppReadOK(addr int) bool { return m.appPerm[PageOf(addr)] >= PermRead }
+func (m *Memory) AppReadOK(addr int) bool { return m.AppPerm(PageOf(addr)) >= PermRead }
 
 // AppWriteOK reports whether an application-path write of addr would
 // succeed.
-func (m *Memory) AppWriteOK(addr int) bool { return m.appPerm[PageOf(addr)] == PermReadWrite }
+func (m *Memory) AppWriteOK(addr int) bool { return m.AppPerm(PageOf(addr)) == PermReadWrite }
 
 // BeginSystemUpdate prepares page pg for a protocol update (installing a
 // fetched page or applying a diff). With a dual-mapping strategy the
@@ -162,7 +193,7 @@ func (m *Memory) AppWriteOK(addr int) bool { return m.appPerm[PageOf(addr)] == P
 // the atomic-page-update problem. It returns the writable frame.
 func (m *Memory) BeginSystemUpdate(pg int) []byte {
 	if !m.strategy.Dual() {
-		m.appPerm[pg] = PermReadWrite
+		m.SetAppPerm(pg, PermReadWrite)
 	}
 	return m.Frame(pg)
 }
@@ -170,7 +201,7 @@ func (m *Memory) BeginSystemUpdate(pg int) []byte {
 // EndSystemUpdate completes a protocol update, installing the final
 // application permission.
 func (m *Memory) EndSystemUpdate(pg int, finalPerm Perm) {
-	m.appPerm[pg] = finalPerm
+	m.SetAppPerm(pg, finalPerm)
 }
 
 // Typed accessors over the pool. Addresses are byte offsets into the
@@ -178,35 +209,39 @@ func (m *Memory) EndSystemUpdate(pg int, finalPerm Perm) {
 // never straddle a page boundary. These perform NO permission check —
 // the protocol layer's EnsureRead/EnsureWrite runs first.
 
-// ReadF64 loads the float64 at addr.
-func (m *Memory) ReadF64(addr int) float64 {
-	f := m.frames[PageOf(addr)]
-	if f == nil {
-		return 0
+// load returns the 8-byte word at addr; a page never touched through the
+// system path reads as zero without allocating its frame. It is written
+// to fit, with ReadF64 around it, the compiler's inlining budget exactly
+// (hence the bare shift for PageOf): every F64Array.Get ends here.
+func (m *Memory) load(addr int) uint64 {
+	if f := m.FrameIfPresent(addr >> pageShift); f != nil {
+		return binary.LittleEndian.Uint64(f[addr&(PageSize-1):])
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(f[addr%PageSize:]))
+	return 0
 }
+
+// store writes the 8-byte word at addr, allocating the frame on first
+// touch (the only case that pays Frame's materializing lookup).
+func (m *Memory) store(addr int, w uint64) {
+	pg := PageOf(addr)
+	f := m.FrameIfPresent(pg)
+	if f == nil {
+		f = m.Frame(pg)
+	}
+	binary.LittleEndian.PutUint64(f[addr&(PageSize-1):], w)
+}
+
+// ReadF64 loads the float64 at addr.
+func (m *Memory) ReadF64(addr int) float64 { return math.Float64frombits(m.load(addr)) }
 
 // WriteF64 stores v at addr.
-func (m *Memory) WriteF64(addr int, v float64) {
-	f := m.Frame(PageOf(addr))
-	binary.LittleEndian.PutUint64(f[addr%PageSize:], math.Float64bits(v))
-}
+func (m *Memory) WriteF64(addr int, v float64) { m.store(addr, math.Float64bits(v)) }
 
 // ReadI64 loads the int64 at addr.
-func (m *Memory) ReadI64(addr int) int64 {
-	f := m.frames[PageOf(addr)]
-	if f == nil {
-		return 0
-	}
-	return int64(binary.LittleEndian.Uint64(f[addr%PageSize:]))
-}
+func (m *Memory) ReadI64(addr int) int64 { return int64(m.load(addr)) }
 
 // WriteI64 stores v at addr.
-func (m *Memory) WriteI64(addr int, v int64) {
-	f := m.Frame(PageOf(addr))
-	binary.LittleEndian.PutUint64(f[addr%PageSize:], uint64(v))
-}
+func (m *Memory) WriteI64(addr int, v int64) { m.store(addr, uint64(v)) }
 
 // CopyIn installs src as the new contents of page pg via the system
 // path. A nil src means the home never touched the page (all zeroes).

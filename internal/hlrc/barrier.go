@@ -99,7 +99,7 @@ func (e *Engine) refreshPages(p *sim.Proc, node int) {
 	ns.refreshPending = nil
 	gates := make([]*sim.Gate, 0, len(pages))
 	for _, pg := range pages {
-		pi := &ns.table.Pages[pg]
+		pi := ns.table.Peek(pg)
 		if pi.State != dsm.Invalid || pi.Home == node {
 			continue // raced with a migration back to us; nothing to refresh
 		}
@@ -143,7 +143,7 @@ func (e *Engine) ApplyNotices(node int, notices []dsm.WriteNotice) {
 		if wn.Modifier == node {
 			continue
 		}
-		pi := &ns.table.Pages[wn.Page]
+		pi := ns.table.Peek(wn.Page)
 		if pi.Home == node {
 			continue // the home merged the modifier's diffs already
 		}
@@ -212,7 +212,7 @@ func (e *Engine) flush(p *sim.Proc, node int) []dsm.WriteNotice {
 	homes := ns.flushHomes[:0]
 	notices := make([]dsm.WriteNotice, 0, len(pages))
 	for _, pg := range pages {
-		pi := &ns.table.Pages[pg]
+		pi := ns.table.At(pg)
 		notices = append(notices, dsm.WriteNotice{Page: pg, Modifier: node})
 		if pi.Home == node {
 			// Home modifications are already merged in place; just end
@@ -272,15 +272,13 @@ func (e *Engine) flush(p *sim.Proc, node int) []dsm.WriteNotice {
 			e.send(p, node, h, msgDiff, bytes, diffMsg{Diffs: diffs})
 		}
 		ns.flushGate.Wait(p)
-		// Every home has applied its diffs; the bundle slices are dead
-		// and can back the next flush. Without a crash plan the homes
-		// pooled the diffs on application; with one, a bundle may be
-		// resent after a crash, so pooling moves here to the creator.
+		// Every home has applied its diffs, so the acks returned their
+		// ownership: the diffs go back to this node's pool (until here an
+		// unacked bundle may still need a resend after a crash) and the
+		// bundle slices back the next flush.
 		for _, h := range homes {
-			if e.recov != nil {
-				for _, d := range bundles[h] {
-					e.diffs[node].Put(d)
-				}
+			for _, d := range bundles[h] {
+				e.diffs[node].Put(d)
 			}
 			bundles[h] = bundles[h][:0]
 		}

@@ -3,6 +3,7 @@ package hlrc
 import (
 	"sort"
 
+	"parade/internal/dsm"
 	"parade/internal/sim"
 )
 
@@ -18,7 +19,9 @@ import (
 // lastChangeTime, feeds the reclass_latency histogram and is excluded
 // from the fingerprint fold.
 type classifier struct {
-	pages []pageObs
+	// pages holds the per-page state in lazily materialized chunks: only
+	// pages some interval touched are ever written.
+	pages dsm.Chunked[pageObs]
 	// readers accumulates the current interval's read sets as arrivals
 	// come in (page -> set of reading nodes). Folding is commutative, so
 	// arrival order — which differs across lane counts — cannot matter.
@@ -71,7 +74,7 @@ type reclassEvent struct {
 
 func newClassifier(npages int) *classifier {
 	return &classifier{
-		pages:   make([]pageObs, npages),
+		pages:   dsm.NewChunked(npages, pageObs{}),
 		readers: map[int]map[int]bool{},
 		pending: map[int]map[int]bool{},
 	}
@@ -92,7 +95,7 @@ func (c *classifier) noteReads(node int, pages []int) {
 }
 
 // classOf returns the page's acting class.
-func (c *classifier) classOf(pg int) PageClass { return c.pages[pg].class }
+func (c *classifier) classOf(pg int) PageClass { return c.pages.Peek(pg).class }
 
 // observe closes one barrier interval: every page touched in the
 // interval (modified, read, or both) gets one observation, hysteresis
@@ -117,7 +120,7 @@ func (c *classifier) observe(epoch int, now sim.Time, mods map[int]map[int]bool)
 	var events []reclassEvent
 	for _, pg := range touched {
 		modset := mods[pg]
-		po := &c.pages[pg]
+		po := c.pages.At(pg)
 		if len(modset) == 0 && po.everMod {
 			// A read-only interval of a previously-modified page: bank the
 			// evidence for the page's next modified interval instead of
@@ -219,11 +222,10 @@ func intervalClass(mods map[int]bool, readers map[int]bool) PageClass {
 // not). Pages still in their zero state are skipped, preceded by an
 // index, so the fold is sparse but unambiguous.
 func (c *classifier) fold(writeInt func(int)) {
-	for pg := range c.pages {
-		po := &c.pages[pg]
+	c.pages.Each(func(pg int, po *pageObs) {
 		if po.class == ClassUnknown && po.cand == ClassUnknown &&
 			po.streak == 0 && po.lastChangeEpoch == 0 && !po.everMod {
-			continue
+			return
 		}
 		flags := 0
 		if po.everMod {
@@ -232,7 +234,7 @@ func (c *classifier) fold(writeInt func(int)) {
 		writeInt(pg)
 		writeInt(int(po.class)<<24 | int(po.cand)<<16 | int(po.streak)<<8 | flags)
 		writeInt(po.lastChangeEpoch)
-	}
+	})
 	writeInt(-1)
 	// The un-consumed reader evidence: the current interval's read sets
 	// (empty at quiescence) and the banked cross-interval evidence (often

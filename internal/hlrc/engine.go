@@ -98,8 +98,9 @@ type pageReply struct {
 }
 
 // diffMsg bundles the diffs one node flushes to one home. The diffs are
-// pooled: the home returns each to the engine's DiffPool after applying
-// it, and the flusher recycles the bundle slice once all acks are in.
+// pooled and stay the flusher's: the home only applies them, and the
+// flusher returns them (and the bundle slice) to its own DiffPool once
+// all acks are in — the ack hands ownership back.
 type diffMsg struct{ Diffs []*dsm.Diff }
 
 // barrierArrive is a node's arrival at the global barrier, carrying its
@@ -232,10 +233,11 @@ type Engine struct {
 
 	// frames recycles twins and fetch-reply page snapshots; diffs
 	// recycles flush diffs. One free list per node: each list is touched
-	// only from its own node's (lane's) context, and pooled objects
+	// only from its own node's (lane's) context. Fetch-reply frames
 	// migrate between nodes strictly inside protocol messages, which
-	// carry the happens-before edge under event lanes. In legacy mode
-	// the split is behavior-neutral (a free list is a free list).
+	// carry the happens-before edge under event lanes; diffs return to
+	// their creator's list. In legacy mode the split is behavior-neutral
+	// (a free list is a free list).
 	frames []dsm.FramePool
 	diffs  []dsm.DiffPool
 
@@ -246,14 +248,12 @@ type Engine struct {
 	master masterBarrier
 	epoch  int
 
-	// Per-page activity for PageReport.
-	pgFetches    []int
-	pgInval      []int
-	pgMigrations []int
-	// pgInvalSh shards pgInval per node under event lanes: several nodes
-	// can invalidate the same page inside one time window. Inner slices
-	// allocate lazily on a node's first invalidation (lane-confined).
-	pgInvalSh [][]int
+	// pgStats is the per-page activity behind PageReport, one lazily
+	// chunked table per node: each is touched only from its own node's
+	// (lane's) context — fetches counted where they are served,
+	// invalidations where they are applied, migrations at the master —
+	// and PageReport sums them.
+	pgStats []dsm.Chunked[pageActivity]
 
 	// rec is the optional observability recorder (nil = disabled, the
 	// zero-overhead path).
@@ -277,21 +277,19 @@ func New(s *sim.Simulator, net *netsim.Network, cpus []*sim.CPU, cfg Config, c *
 	npages := (cfg.ShmBytes + dsm.PageSize - 1) / dsm.PageSize
 	e := &Engine{
 		sim: s, net: net, cpus: cpus, cfg: cfg, counters: stats.NewSharded(c),
-		Alloc:        dsm.NewAllocator(npages * dsm.PageSize),
-		frames:       make([]dsm.FramePool, cfg.Nodes),
-		diffs:        make([]dsm.DiffPool, cfg.Nodes),
-		locks:        make([]map[int]*lockState, cfg.Nodes),
-		pgFetches:    make([]int, npages),
-		pgInval:      make([]int, npages),
-		pgMigrations: make([]int, npages),
-		policy:       newPolicyEngine(cfg.Policy, npages),
+		Alloc:   dsm.NewAllocator(npages * dsm.PageSize),
+		frames:  make([]dsm.FramePool, cfg.Nodes),
+		diffs:   make([]dsm.DiffPool, cfg.Nodes),
+		locks:   make([]map[int]*lockState, cfg.Nodes),
+		pgStats: make([]dsm.Chunked[pageActivity], cfg.Nodes),
+		policy:  newPolicyEngine(cfg.Policy, npages),
 	}
 	for i := range e.locks {
 		e.locks[i] = map[int]*lockState{}
+		e.pgStats[i] = dsm.NewChunked(npages, pageActivity{})
 	}
 	if s.Lanes() > 0 && !s.Relaxed() {
 		e.counters.EnableShards(cfg.Nodes)
-		e.pgInvalSh = make([][]int, cfg.Nodes)
 	}
 	e.nodes = make([]*nodeState, cfg.Nodes)
 	for i := range e.nodes {
@@ -308,9 +306,7 @@ func New(s *sim.Simulator, net *netsim.Network, cpus []*sim.CPU, cfg Config, c *
 		}
 		// Master starts with every page readable (paper §5.2.3).
 		if i == 0 {
-			for pg := 0; pg < npages; pg++ {
-				e.nodes[i].mem.SetAppPerm(pg, dsm.PermRead)
-			}
+			e.nodes[i].mem.FillPerm(dsm.PermRead)
 		}
 	}
 	e.master.modifiers = map[int]map[int]bool{}
@@ -325,29 +321,11 @@ func New(s *sim.Simulator, net *netsim.Network, cpus []*sim.CPU, cfg Config, c *
 func (e *Engine) cnt(node int) *stats.Counters { return e.counters.At(node) }
 
 // bumpInval counts one invalidation of pg applied on node.
-func (e *Engine) bumpInval(node, pg int) {
-	if e.pgInvalSh != nil {
-		sh := e.pgInvalSh[node]
-		if sh == nil {
-			sh = make([]int, len(e.pgInval))
-			e.pgInvalSh[node] = sh
-		}
-		sh[pg]++
-		return
-	}
-	e.pgInval[pg]++
-}
+func (e *Engine) bumpInval(node, pg int) { e.pgStats[node].At(pg).inval++ }
 
-// FoldCounters merges the per-node counter and per-page shards into the
-// aggregate views. The runtime calls it once after a lane-mode run.
-func (e *Engine) FoldCounters() {
-	e.counters.Fold()
-	for _, sh := range e.pgInvalSh {
-		for pg, n := range sh {
-			e.pgInval[pg] += n
-		}
-	}
-}
+// FoldCounters merges the per-node counter shards into the aggregate
+// view. The runtime calls it once after a lane-mode run.
+func (e *Engine) FoldCounters() { e.counters.Fold() }
 
 // Mem returns node's memory image (for typed accessors after EnsureRead/
 // EnsureWrite have granted access).

@@ -35,10 +35,11 @@ func (e *Engine) EnsureWrite(p *sim.Proc, node, addr int) {
 func (e *Engine) fault(p *sim.Proc, node, pg int, write bool) {
 	ns := e.nodes[node]
 	e.cpus[node].Compute(p, e.cfg.Cost.FaultHandler)
-	switch ns.table.Pages[pg].State {
+	pi := ns.table.Peek(pg)
+	switch pi.State {
 	case dsm.Invalid:
 		// First faulting thread starts the fetch.
-		home := ns.table.Pages[pg].Home
+		home := pi.Home
 		if home == node {
 			panic(fmt.Sprintf("hlrc: node %d is home of page %d but holds it INVALID", node, pg))
 		}
@@ -88,7 +89,7 @@ func (e *Engine) fault(p *sim.Proc, node, pg int, write bool) {
 // place (its page is the merge target, no twin needed — §5.2.2).
 func (e *Engine) makeDirty(p *sim.Proc, node, pg int) {
 	ns := e.nodes[node]
-	if ns.table.Pages[pg].Home != node {
+	if ns.table.Peek(pg).Home != node {
 		e.cpus[node].Compute(p, e.cfg.Cost.TwinCreate)
 		// Two local threads can write-fault on the same page and both
 		// reach this handler; the Compute above yields the processor, so
@@ -99,12 +100,12 @@ func (e *Engine) makeDirty(p *sim.Proc, node, pg int) {
 		// page can also have been invalidated during the yield (a cached
 		// lock token's acquire applied write notices); EnsureWrite's loop
 		// re-faults in either case.
-		if ns.table.Pages[pg].State != dsm.ReadOnly {
+		if ns.table.Peek(pg).State != dsm.ReadOnly {
 			return
 		}
 		twin := e.frames[node].Get()
 		copy(twin, ns.mem.Frame(pg))
-		ns.table.Pages[pg].Twin = twin
+		ns.table.At(pg).Twin = twin
 		e.cnt(node).TwinsCreated++
 		e.rec.TwinCreated(node)
 	}

@@ -14,9 +14,9 @@ import (
 func (e *Engine) handlePageReq(p *sim.Proc, node int, m *netsim.Message) {
 	req := m.Payload.(pageReq)
 	ns := e.nodes[node]
-	if ns.table.Pages[req.Page].Home != node {
+	if home := ns.table.Peek(req.Page).Home; home != node {
 		panic(fmt.Sprintf("hlrc: node %d got page request for %d but home is %d",
-			node, req.Page, ns.table.Pages[req.Page].Home))
+			node, req.Page, home))
 	}
 	e.cpus[node].Compute(p, e.cfg.Cost.PageCopy)
 	var data []byte
@@ -25,7 +25,7 @@ func (e *Engine) handlePageReq(p *sim.Proc, node int, m *netsim.Message) {
 		copy(data, f)
 	}
 	e.cnt(node).PageFetches++
-	e.pgFetches[req.Page]++
+	e.pgStats[node].At(req.Page).fetches++
 	e.rec.FetchServed(node, req.Page)
 	e.send(p, node, m.From, msgPageReply, dsm.PageSize, pageReply{Page: req.Page, Data: data})
 }
@@ -37,8 +37,7 @@ func (e *Engine) handlePageReply(p *sim.Proc, node int, m *netsim.Message) {
 	ns := e.nodes[node]
 	pg := rep.Page
 	e.cpus[node].Compute(p, e.cfg.Cost.PageCopy+ns.mem.Strategy().UpdateCost())
-	frame := ns.mem.BeginSystemUpdate(pg)
-	_ = frame
+	ns.mem.BeginSystemUpdate(pg)
 	ns.mem.CopyIn(pg, rep.Data)
 	if rep.Data != nil {
 		e.frames[node].Put(rep.Data)
@@ -64,19 +63,14 @@ func (e *Engine) handleDiff(p *sim.Proc, node int, m *netsim.Message) {
 	bundle := m.Payload.(diffMsg)
 	ns := e.nodes[node]
 	for _, d := range bundle.Diffs {
-		if ns.table.Pages[d.Page].Home != node {
+		if home := ns.table.Peek(d.Page).Home; home != node {
 			panic(fmt.Sprintf("hlrc: node %d got diff for page %d but home is %d",
-				node, d.Page, ns.table.Pages[d.Page].Home))
+				node, d.Page, home))
 		}
 		e.cpus[node].Compute(p, e.cfg.Cost.DiffApply)
 		d.ApplyInto(ns.mem.Frame(d.Page))
 		e.cnt(node).DiffsApplied++
 		e.rec.DiffApplied(node)
-		if e.recov == nil {
-			// Under a crash plan the flusher keeps (and pools) its
-			// bundle: an unacked bundle may need a resend.
-			e.diffs[node].Put(d)
-		}
 		e.forwardHomePage(p, node, d.Page)
 	}
 	e.send(p, node, m.From, msgDiffAck, 8, nil)
@@ -161,7 +155,7 @@ func (e *Engine) completeBarrier(p *sim.Proc, epoch int) {
 		if len(mods) > 1 {
 			sort.Ints(mods)
 		}
-		cur := homes.Pages[pg].Home
+		cur := homes.Peek(pg).Home
 		// Single modifier becomes the new home (§5.2.2). With multiple
 		// modifiers the current home keeps the highest priority, so it
 		// stays. A dead single modifier cannot take the page (its notices
@@ -195,9 +189,9 @@ func (e *Engine) completeBarrier(p *sim.Proc, epoch int) {
 	sortEntries(entries)
 	for i := range entries {
 		ent := &entries[i]
-		if cur := homes.Pages[ent.Page].Home; ent.NewHome != cur {
+		if cur := homes.Peek(ent.Page).Home; ent.NewHome != cur {
 			e.cnt(0).HomeMigrations++
-			e.pgMigrations[ent.Page]++
+			e.pgStats[0].At(ent.Page).migrations++
 			if e.rec != nil {
 				e.rec.HomeMigrate(p.Now(), epoch, ent.Page, cur, ent.NewHome)
 			}
@@ -247,7 +241,7 @@ func (e *Engine) handleBarrierDepart(p *sim.Proc, node int, m *netsim.Message) {
 	dep := m.Payload.(barrierDepart)
 	ns := e.nodes[node]
 	for _, ent := range dep.Entries {
-		pi := &ns.table.Pages[ent.Page]
+		pi := ns.table.At(ent.Page)
 		oldHome := pi.Home
 		pi.Home = ent.NewHome
 		soleLocal := len(ent.Modifiers) == 1 && ent.Modifiers[0] == node

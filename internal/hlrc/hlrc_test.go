@@ -22,6 +22,16 @@ type testCluster struct {
 }
 
 func newTestCluster(nodes int, migration bool) *testCluster {
+	return newClusterWith(Config{
+		Nodes: nodes, ShmBytes: 1 << 20,
+		HomeMigration: migration, Strategy: dsm.FileMapping,
+	}, false)
+}
+
+// newClusterWith builds a cluster for cfg; crashFabric arms the
+// crash-only fault plane a crash plan needs.
+func newClusterWith(cfg Config, crashFabric bool) *testCluster {
+	nodes := cfg.Nodes
 	s := sim.New(1)
 	cpus := make([]*sim.CPU, nodes)
 	for i := range cpus {
@@ -29,10 +39,10 @@ func newTestCluster(nodes int, migration bool) *testCluster {
 	}
 	c := &stats.Counters{}
 	net := netsim.New(s, nodes, netsim.VIA(), cpus, c)
-	e := New(s, net, cpus, Config{
-		Nodes: nodes, ShmBytes: 1 << 20,
-		HomeMigration: migration, Strategy: dsm.FileMapping,
-	}, c)
+	if crashFabric {
+		net.EnableFaults(netsim.ProfileCrashOnly(1))
+	}
+	e := New(s, net, cpus, cfg, c)
 	for n := 0; n < nodes; n++ {
 		n := n
 		s.SpawnDaemon(fmt.Sprintf("comm%d", n), func(p *sim.Proc) {
@@ -186,7 +196,7 @@ func TestHomeMigratesToSoleModifier(t *testing.T) {
 		t.Fatalf("HomeMigrations = %d, want 1", tc.c.HomeMigrations)
 	}
 	for n := 0; n < 2; n++ {
-		if h := tc.e.Table(n).Pages[0].Home; h != 1 {
+		if h := tc.e.Table(n).Peek(0).Home; h != 1 {
 			t.Fatalf("node %d directory says home=%d, want 1", n, h)
 		}
 	}
@@ -203,7 +213,7 @@ func TestNoMigrationWhenDisabled(t *testing.T) {
 	if tc.c.HomeMigrations != 0 {
 		t.Fatalf("HomeMigrations = %d, want 0", tc.c.HomeMigrations)
 	}
-	if h := tc.e.Table(0).Pages[0].Home; h != 0 {
+	if h := tc.e.Table(0).Peek(0).Home; h != 0 {
 		t.Fatalf("home moved to %d with migration disabled", h)
 	}
 }
@@ -243,7 +253,7 @@ func TestMultipleModifiersKeepCurrentHome(t *testing.T) {
 	if tc.c.HomeMigrations != 0 {
 		t.Fatalf("HomeMigrations = %d; multi-writer page must stay at current home", tc.c.HomeMigrations)
 	}
-	if h := tc.e.Table(1).Pages[0].Home; h != 0 {
+	if h := tc.e.Table(1).Peek(0).Home; h != 0 {
 		t.Fatalf("home = %d, want 0", h)
 	}
 }

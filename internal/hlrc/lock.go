@@ -142,7 +142,7 @@ func (e *Engine) applyGrantInvalidations(node int, notices []dsm.WriteNotice) {
 		if wn.Modifier == node {
 			continue // our own writes do not invalidate our copy
 		}
-		pi := &ns.table.Pages[wn.Page]
+		pi := ns.table.Peek(wn.Page)
 		if pi.Home == node {
 			continue // the home copy is authoritative: diffs merged here
 		}

@@ -25,9 +25,10 @@ func (e *Engine) PrefetchPages(p *sim.Proc, node int, pages []int) {
 	ns := e.nodes[node]
 	var gates []*sim.Gate
 	for _, pg := range pages {
-		switch ns.table.Pages[pg].State {
+		pi := ns.table.Peek(pg)
+		switch pi.State {
 		case dsm.Invalid:
-			home := ns.table.Pages[pg].Home
+			home := pi.Home
 			if home == node {
 				continue // home holds the master copy; nothing to pull
 			}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"parade/internal/dsm"
 )
 
 // Per-page activity accounting: the diagnostic view behind the paper's
@@ -19,22 +21,38 @@ type PageStat struct {
 	Home          int // final home node
 }
 
+// pageActivity is one node's share of one page's counts.
+type pageActivity struct{ fetches, inval, migrations int }
+
 // PageReport returns the top pages by fetch count (all pages with any
 // activity if top <= 0), most active first.
 func (e *Engine) PageReport(top int) []PageStat {
+	homes := e.nodes[0].table // the master's directory is authoritative
+	total := dsm.NewChunked(homes.Len(), pageActivity{})
+	for n := range e.pgStats {
+		e.pgStats[n].Each(func(pg int, a *pageActivity) {
+			if *a == (pageActivity{}) {
+				return
+			}
+			t := total.At(pg)
+			t.fetches += a.fetches
+			t.inval += a.inval
+			t.migrations += a.migrations
+		})
+	}
 	var out []PageStat
-	for pg := range e.pgFetches {
-		if e.pgFetches[pg] == 0 && e.pgInval[pg] == 0 && e.pgMigrations[pg] == 0 {
-			continue
+	total.Each(func(pg int, t *pageActivity) {
+		if *t == (pageActivity{}) {
+			return
 		}
 		out = append(out, PageStat{
 			Page:          pg,
-			Fetches:       e.pgFetches[pg],
-			Invalidations: e.pgInval[pg],
-			Migrations:    e.pgMigrations[pg],
-			Home:          e.nodes[0].table.Pages[pg].Home,
+			Fetches:       t.fetches,
+			Invalidations: t.inval,
+			Migrations:    t.migrations,
+			Home:          homes.Peek(pg).Home,
 		})
-	}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Fetches != out[j].Fetches {
 			return out[i].Fetches > out[j].Fetches

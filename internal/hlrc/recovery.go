@@ -121,9 +121,9 @@ type recoveryJob struct {
 	at    sim.Time // jobRecover: detection instant, for the latency histogram
 }
 
-// ckptTableEnt is one page's directory entry in a barrier snapshot.
-// Table permissions are static after NewTable (runtime permissions live
-// in the memory image), so state and home fully describe the entry.
+// ckptTableEnt is one page's directory entry in a barrier snapshot
+// (permissions live in the memory image, so state and home fully
+// describe the entry).
 type ckptTableEnt struct {
 	State dsm.State
 	Home  int
@@ -342,9 +342,9 @@ func (e *Engine) logBarrier(p *sim.Proc, node int, notices []dsm.WriteNotice, re
 		return
 	}
 	ns := e.nodes[node]
-	snap := make([]ckptTableEnt, len(ns.table.Pages))
-	for pg := range ns.table.Pages {
-		pi := &ns.table.Pages[pg]
+	snap := make([]ckptTableEnt, ns.table.Len())
+	for pg := range snap {
+		pi := ns.table.Peek(pg)
 		snap[pg] = ckptTableEnt{State: pi.State, Home: pi.Home}
 	}
 	ck := &ckptFlush{
@@ -470,7 +470,7 @@ func (e *Engine) crashNow(p *sim.Proc, node, evIdx int) {
 	}
 
 	// Wipe the volatile per-node state, exactly as a reboot would.
-	npages := len(e.nodes[node].table.Pages)
+	npages := e.nodes[node].table.Len()
 	gate := sim.NewGate(e.sim)
 	fresh := &nodeState{
 		table:       dsm.NewTable(node, npages),
@@ -655,7 +655,7 @@ func (e *Engine) resendStuck(p *sim.Proc, node int) {
 		ns := e.nodes[y]
 		pgs := make([]int, 0, len(ns.fetch))
 		for pg := range ns.fetch {
-			if ns.table.Pages[pg].Home == node {
+			if ns.table.Peek(pg).Home == node {
 				pgs = append(pgs, pg)
 			}
 		}
@@ -700,16 +700,19 @@ func (e *Engine) handleRecoverState(p *sim.Proc, node int, m *netsim.Message) {
 	ns := e.nodes[node]
 	e.cpus[node].Compute(p, e.cfg.Cost.PageCopy*sim.Duration(len(rs.Pages)+1))
 	// Directory first. Assignment (not Table.Set) because a snapshot
-	// state is not a legal runtime transition from the reboot state;
-	// table permissions are static and need no restore.
+	// state is not a legal runtime transition from the reboot state.
+	// Entries the reboot state already matches are left alone, so the
+	// whole-pool sweep materializes only what the node had touched.
 	for pg := range rs.Table {
 		ent := rs.Table[pg]
 		if ent.State != dsm.ReadOnly && ent.State != dsm.Invalid {
 			panic(fmt.Sprintf("hlrc: snapshot page %d in non-quiescent state %v", pg, ent.State))
 		}
-		pi := &ns.table.Pages[pg]
-		pi.State = ent.State
-		pi.Home = ent.Home
+		if cur := ns.table.Peek(pg); cur.State != ent.State || cur.Home != ent.Home {
+			pi := ns.table.At(pg)
+			pi.State = ent.State
+			pi.Home = ent.Home
+		}
 	}
 	// Home frames from the mirror.
 	for _, pc := range rs.Pages {
@@ -827,8 +830,8 @@ func (e *Engine) recoverShrink(p *sim.Proc, node int) {
 	}
 	homes := e.nodes[0].table
 	var orphans []int
-	for pg := range homes.Pages {
-		if homes.Pages[pg].Home == node {
+	for pg := 0; pg < homes.Len(); pg++ {
+		if homes.Peek(pg).Home == node {
 			orphans = append(orphans, pg)
 		}
 	}
@@ -849,7 +852,7 @@ func (e *Engine) recoverShrink(p *sim.Proc, node int) {
 				continue
 			}
 			for _, pg := range orphans {
-				e.nodes[y].table.Pages[pg].Home = newHome
+				e.nodes[y].table.At(pg).Home = newHome
 			}
 		}
 		gate := sim.NewGate(e.sim)
@@ -958,7 +961,7 @@ func (e *Engine) handleRecoverInstall(p *sim.Proc, node int, m *netsim.Message) 
 	ns := e.nodes[node]
 	e.cpus[node].Compute(p, e.cfg.Cost.PageCopy*sim.Duration(len(inst.Pages)))
 	for _, pc := range inst.Pages {
-		pi := &ns.table.Pages[pc.Page]
+		pi := ns.table.At(pc.Page)
 		pi.State = dsm.ReadOnly
 		pi.Home = node
 		if pi.Twin != nil {

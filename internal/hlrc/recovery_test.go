@@ -1,11 +1,9 @@
 package hlrc
 
 import (
-	"fmt"
 	"testing"
 
 	"parade/internal/dsm"
-	"parade/internal/netsim"
 	"parade/internal/sim"
 	"parade/internal/stats"
 )
@@ -13,30 +11,11 @@ import (
 // newCrashCluster is newTestCluster plus the crash-only fault plane and
 // a crash plan (nil plan: armed fabric, inert engine).
 func newCrashCluster(nodes int, migration, lockCaching bool, plan *CrashPlan) *testCluster {
-	s := sim.New(1)
-	cpus := make([]*sim.CPU, nodes)
-	for i := range cpus {
-		cpus[i] = sim.NewCPU(s, 2, 0)
-	}
-	c := &stats.Counters{}
-	net := netsim.New(s, nodes, netsim.VIA(), cpus, c)
-	net.EnableFaults(netsim.ProfileCrashOnly(1))
-	e := New(s, net, cpus, Config{
+	return newClusterWith(Config{
 		Nodes: nodes, ShmBytes: 1 << 20,
 		HomeMigration: migration, LockCaching: lockCaching,
 		Strategy: dsm.FileMapping, Crash: plan,
-	}, c)
-	for n := 0; n < nodes; n++ {
-		n := n
-		s.SpawnDaemon(fmt.Sprintf("comm%d", n), func(p *sim.Proc) {
-			for {
-				m := net.Inbox(n).Pop(p)
-				net.RecvCost(p, n)
-				e.Handle(p, n, m)
-			}
-		})
-	}
-	return &testCluster{s: s, e: e, c: c, cpus: cpus}
+	}, true)
 }
 
 // pageAddr gives each node a private page.
@@ -240,7 +219,7 @@ func TestShrinkRehomesAndSurvives(t *testing.T) {
 		t.Fatal("membership bookkeeping wrong after shrink")
 	}
 	for _, survivor := range []int{0, 2} {
-		if h := tc.e.nodes[survivor].table.Pages[pageAddr(1)/dsm.PageSize].Home; h != 0 {
+		if h := tc.e.nodes[survivor].table.Peek(pageAddr(1) / dsm.PageSize).Home; h != 0 {
 			t.Fatalf("node %d sees home %d for the orphaned page, want 0", survivor, h)
 		}
 	}

@@ -1,8 +1,6 @@
 package hlrc
 
 import (
-	"encoding/binary"
-	"hash/fnv"
 	"sort"
 
 	"parade/internal/dsm"
@@ -27,41 +25,70 @@ import (
 // and fault-injected runs of the same program, and the crash harness
 // between fault-free and crash-recovered runs.
 func (e *Engine) StateFingerprint() uint64 {
-	h := fnv.New64a()
-	var word [8]byte
-	writeInt := func(v int) {
-		binary.LittleEndian.PutUint64(word[:], uint64(int64(v)))
-		h.Write(word[:])
-	}
+	h := fnvOffset64
 	writeNoticePages := func(notices []dsm.WriteNotice) {
 		pages := make([]int, 0, len(notices))
 		for _, wn := range notices {
 			pages = append(pages, wn.Page)
 		}
 		sort.Ints(pages)
-		writeInt(len(pages))
+		h.int(len(pages))
 		for _, pg := range pages {
-			writeInt(pg)
+			h.int(pg)
 		}
 	}
 	for node, ns := range e.nodes {
-		writeInt(node)
-		for pg := range ns.table.Pages {
-			pi := &ns.table.Pages[pg]
-			writeInt(int(pi.State)<<16 | int(pi.Perm)<<8 | pi.Home)
-			if pi.Home != node {
-				continue
+		h.int(node)
+		// A page's directory word is state<<16 | perm<<8 | home. The perm
+		// byte is the table permission a node is born with (r-- on the
+		// master, --- elsewhere) — a per-node constant; the live
+		// permission is the memory image's and, like replica frames, not
+		// hashed. It stays in the word because pinned fingerprints
+		// (goldens, WAL, fleet cache) include it.
+		perm := dsm.PermNone
+		if node == 0 {
+			perm = dsm.PermRead
+		}
+		dirWord := func(pi dsm.PageInfo) int { return int(pi.State)<<16 | int(perm)<<8 | pi.Home }
+		npages := ns.table.Len()
+		for base := 0; base < npages; base += dsm.ChunkPages {
+			n := min(dsm.ChunkPages, npages-base)
+			if !ns.table.Materialized(base) {
+				// Every page of the chunk is the node's initial entry.
+				pi := ns.table.Peek(base)
+				w := dirWord(pi)
+				if pi.Home != node && w == 0 {
+					// Off the master the chunk is n zero words.
+					h.zeros(8 * n)
+					continue
+				}
+				if pi.Home == node && !ns.mem.Materialized(base) {
+					// On the master: the same two words per page, the
+					// second for the never-materialized home frame.
+					for i := 0; i < n; i++ {
+						h.int(w)
+						h.int(0)
+					}
+					continue
+				}
 			}
-			frame := ns.mem.FrameIfPresent(pg)
-			if frame == nil {
-				// A never-materialized home frame reads as zeroes but is
-				// distinguished from an explicit zero frame: materialization
-				// at the home is deterministic, so the distinction is stable.
-				writeInt(0)
-				continue
+			for pg := base; pg < base+n; pg++ {
+				pi := ns.table.Peek(pg)
+				h.int(dirWord(pi))
+				if pi.Home != node {
+					continue
+				}
+				frame := ns.mem.FrameIfPresent(pg)
+				if frame == nil {
+					// A never-materialized home frame reads as zeroes but is
+					// distinguished from an explicit zero frame: materialization
+					// at the home is deterministic, so the distinction is stable.
+					h.int(0)
+					continue
+				}
+				h.int(1 + len(frame))
+				h.bytes(frame)
 			}
-			writeInt(1 + len(frame))
-			h.Write(frame)
 		}
 		// Cached lock tokens resident on this node.
 		ids := make([]int, 0, len(ns.lockCache))
@@ -69,7 +96,7 @@ func (e *Engine) StateFingerprint() uint64 {
 			ids = append(ids, id)
 		}
 		sort.Ints(ids)
-		writeInt(len(ids))
+		h.int(len(ids))
 		for _, id := range ids {
 			nl := ns.lockCache[id]
 			flags := 0
@@ -82,7 +109,7 @@ func (e *Engine) StateFingerprint() uint64 {
 			if nl.revokePending {
 				flags |= 4
 			}
-			writeInt(id<<8 | flags)
+			h.int(id<<8 | flags)
 			writeNoticePages(nl.notices)
 		}
 	}
@@ -94,27 +121,27 @@ func (e *Engine) StateFingerprint() uint64 {
 		}
 	}
 	sort.Ints(lockIDs)
-	writeInt(len(lockIDs))
+	h.int(len(lockIDs))
 	for _, id := range lockIDs {
 		ls := e.locks[e.lockManager(id)][id]
 		holder := -1
 		if ls.held {
 			holder = ls.holder
 		}
-		writeInt(id)
-		writeInt(holder)
-		writeInt(len(ls.queue))
+		h.int(id)
+		h.int(holder)
+		h.int(len(ls.queue))
 		for _, q := range ls.queue {
-			writeInt(q)
+			h.int(q)
 		}
 		pages := make([]int, 0, len(ls.notices))
 		for pg := range ls.notices {
 			pages = append(pages, pg)
 		}
 		sort.Ints(pages)
-		writeInt(len(pages))
+		h.int(len(pages))
 		for _, pg := range pages {
-			writeInt(pg)
+			h.int(pg)
 		}
 		writeNoticePages(ls.reclaimed)
 	}
@@ -124,7 +151,7 @@ func (e *Engine) StateFingerprint() uint64 {
 		mbPages = append(mbPages, pg)
 	}
 	sort.Ints(mbPages)
-	writeInt(len(mbPages))
+	h.int(len(mbPages))
 	for _, pg := range mbPages {
 		set := e.master.modifiers[pg]
 		mods := make([]int, 0, len(set))
@@ -132,10 +159,10 @@ func (e *Engine) StateFingerprint() uint64 {
 			mods = append(mods, n)
 		}
 		sort.Ints(mods)
-		writeInt(pg)
-		writeInt(len(mods))
+		h.int(pg)
+		h.int(len(mods))
 		for _, n := range mods {
-			writeInt(n)
+			h.int(n)
 		}
 	}
 	// The adaptive classifier's program-order state (classes, hysteresis,
@@ -144,7 +171,7 @@ func (e *Engine) StateFingerprint() uint64 {
 	// legacy and fixed policies, whose fingerprints must stay comparable
 	// with pre-policy baselines.
 	if e.policy.observesReads() {
-		e.policy.cls.fold(writeInt)
+		e.policy.cls.fold(h.int)
 	}
-	return h.Sum64()
+	return uint64(h)
 }

@@ -1,6 +1,7 @@
 #!/bin/sh
 # Benchmark-regression harness: runs the substrate benchmark suites
-# (event kernel, lane kernel, diff engine, directive microbenchmarks,
+# (event kernel, lane kernel, diff engine, protocol-engine set-up and
+# shared-access path, directive microbenchmarks,
 # Fig 6/7) with -benchmem, comparing against the numbers recorded in
 # bench/baseline_pr6.json (regenerated after the lane-kernel PR so the
 # lane benchmarks are anchored; the pre-overhaul numbers remain in
