@@ -60,7 +60,7 @@ func main() {
 		fmt.Printf("               %s\n\n", report.Counters.String())
 	}
 	fmt.Println("Note how the hybrid run performs zero lock_requests and zero")
-	fmt.Println("page_fetches on the synchronization path, while the SDSM run")
+	fmt.Println("page_fetches_served on the synchronization path, while the SDSM run")
 	fmt.Println("pays a lock round-trip plus invalidation and page fetch per")
 	fmt.Println("critical execution — the effect behind the paper's Figs. 6-7.")
 }

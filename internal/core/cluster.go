@@ -26,16 +26,15 @@ const KindCtl netsim.Kind = 100
 
 // Cluster is one simulated SMP cluster executing a ParADE program.
 type Cluster struct {
-	cfg      Config
-	s        *sim.Simulator
-	net      *netsim.Network
-	world    *mpi.World
-	engine   *hlrc.Engine
-	counters *stats.Counters
-	stats    *stats.Sharded // counter router: base set, or per-node shards under strict lanes
-	lanes    bool           // cfg.Lanes > 0: per-node event-lane kernel (lanes.go)
-	hetero   *netsim.Hetero // nil: uniform cluster (Config.Hetero)
-	rec      *obs.Recorder  // nil when observability is disabled
+	cfg    Config
+	s      *sim.Simulator
+	net    *netsim.Network
+	world  *mpi.World
+	engine *hlrc.Engine
+	stats  *stats.Registry // the run's counter registry (created by the network)
+	lanes  bool            // cfg.Lanes > 0: per-node event-lane kernel (lanes.go)
+	hetero *netsim.Hetero  // nil: uniform cluster (Config.Hetero)
+	rec    *obs.Recorder   // nil when observability is disabled
 
 	nodes   []*node
 	threads []*Thread // all team threads in gid order
@@ -149,8 +148,9 @@ type Report struct {
 	// with identical shared memory — the chaos harness compares it across
 	// fault profiles.
 	MemHash uint64
-	// Obs is the run's observability metrics (per-node counters, latency
-	// histograms, per-region phases); nil unless Config.Obs was set.
+	// Obs is the run's observability metrics (the per-node rows behind
+	// Counters, latency histograms, per-region phases); nil unless
+	// Config.Obs was set.
 	Obs *obs.Metrics
 }
 
@@ -182,25 +182,20 @@ func Run(cfg Config, program func(master *Thread)) (Report, error) {
 		return Report{}, err
 	}
 	c := &Cluster{
-		cfg:      cfg,
-		s:        sim.New(cfg.Seed),
-		counters: &stats.Counters{},
-		scalars:  map[string]*Scalar{},
-		singles:  map[string]int{},
+		cfg:     cfg,
+		s:       sim.New(cfg.Seed),
+		scalars: map[string]*Scalar{},
+		singles: map[string]int{},
 	}
-	c.stats = stats.NewSharded(c.counters)
 	if cfg.Lanes > 0 {
-		// Configure lanes before any layer is built: netsim, mpi, hlrc, and
-		// the observability registry all size their per-node counter shards
-		// off the simulator's lane regime. A crash plan switches the kernel
-		// to the relaxed single-worker regime (recovery rewrites other
-		// nodes' timelines, which the strict window protocol forbids).
+		// Configure lanes before any layer is built: the observability
+		// registry sizes its histogram and phase shards off the simulator's
+		// lane regime. A crash plan switches the kernel to the relaxed
+		// single-worker regime (recovery rewrites other nodes' timelines,
+		// which the strict window protocol forbids).
 		c.lanes = true
 		c.s.ConfigureLanes(cfg.Nodes, cfg.Lanes, laneLookahead(cfg.Fabric), cfg.Crash.Active())
 		c.s.SetWindowChurn(laneWindowChurn)
-		if !c.s.Relaxed() {
-			c.stats.EnableShards(cfg.Nodes)
-		}
 	}
 	cpus := make([]*sim.CPU, cfg.Nodes)
 	c.nodes = make([]*node, cfg.Nodes)
@@ -231,7 +226,9 @@ func Run(cfg Config, program func(master *Thread)) (Report, error) {
 	c.taskCond = sim.NewCond(c.taskMu)
 	c.stealRot = splitmix64(uint64(cfg.Seed))
 	c.hetero = cfg.Hetero
-	c.net = netsim.New(c.s, cfg.Nodes, cfg.Fabric, cpus, c.counters)
+	counters := &stats.Counters{} // the registry's fold destination
+	c.net = netsim.New(c.s, cfg.Nodes, cfg.Fabric, cpus, counters)
+	c.stats = c.net.Counters()
 	c.net.EnableHetero(cfg.Hetero)
 	if cfg.Crash.Active() && cfg.Faults == nil {
 		// Crash detection rides the reliability sublayer's retransmit
@@ -243,13 +240,13 @@ func Run(cfg Config, program func(master *Thread)) (Report, error) {
 	if cfg.Faults != nil {
 		c.net.EnableFaults(*cfg.Faults)
 	}
-	c.world = mpi.NewWorld(c.s, c.net, c.counters)
+	c.world = mpi.NewWorld(c.s, c.net, counters)
 	c.engine = hlrc.New(c.s, c.net, cpus, hlrc.Config{
 		Nodes: cfg.Nodes, ShmBytes: cfg.ShmBytes,
 		HomeMigration: cfg.HomeMigration, LockCaching: cfg.LockCaching,
 		Strategy: cfg.Strategy, Cost: cfg.Cost, Crash: cfg.Crash,
 		Policy: cfg.Policy,
-	}, c.counters)
+	}, counters)
 	if c.lanes {
 		// Per-node allocator replicas (lanes.go): node 0's replica is the
 		// engine's allocator itself, so node 0's lane-local lazy
@@ -334,7 +331,7 @@ func Run(cfg Config, program func(master *Thread)) (Report, error) {
 			// partial report (counters, timing, utilization) alongside the
 			// typed error. Identity fields (MemHash, PageReport) are left
 			// zero: a mid-run fingerprint carries no bit-identity meaning.
-			return c.partialReport(cfg, cpus), err
+			return c.report(cfg, cpus), err
 		}
 		if pd := c.net.PeerDownErr(); pd != nil {
 			// A stalled simulation with a recorded retry exhaustion is an
@@ -344,60 +341,33 @@ func Run(cfg Config, program func(master *Thread)) (Report, error) {
 		}
 		return Report{}, err
 	}
-	busy := make([]sim.Duration, cfg.Nodes)
-	for i, cpu := range cpus {
-		busy[i] = cpu.BusyTime
-	}
-	// Fold every layer's per-lane counter and metric shards into the
-	// shared base views before snapshotting (all no-ops in legacy mode).
-	c.net.FoldCounters()
-	c.world.FoldCounters()
-	c.engine.FoldCounters()
-	c.stats.Fold()
-	if c.rec != nil {
-		c.rec.FoldLanes()
-		laneReport(c.s, c.rec)
-	}
-	rep := Report{
-		Time:       sim.Duration(c.programEnd),
-		Counters:   c.counters.Snapshot(),
-		Config:     cfg,
-		CPUBusy:    busy,
-		PageReport: c.engine.PageReport(16),
-		MemHash:    c.engine.StateFingerprint(),
-	}
-	if c.rec != nil {
-		rep.Obs = c.rec.Metrics()
-	}
+	rep := c.report(cfg, cpus)
+	rep.Time = sim.Duration(c.programEnd)
+	rep.PageReport = c.engine.PageReport(16)
+	rep.MemHash = c.engine.StateFingerprint()
 	return rep, nil
 }
 
-// partialReport folds the counters of a canceled run into a Report that
-// carries everything meaningful at the cancel point: elapsed virtual
-// time, protocol/traffic counters, per-node busy time, and observability
-// metrics. Called only after sim.Run returned — the kernel is torn down
+// report builds the Report of everything that is meaningful at any
+// stopping point — elapsed virtual time, the folded counters,
+// per-node busy time, observability metrics. A canceled run returns it
+// as is; a completed run adds the program end time and the identity
+// fields. Called only after sim.Run returned: the kernel is torn down
 // and every layer is quiescent.
-func (c *Cluster) partialReport(cfg Config, cpus []*sim.CPU) Report {
-	busy := make([]sim.Duration, cfg.Nodes)
+func (c *Cluster) report(cfg Config, cpus []*sim.CPU) Report {
+	rep := Report{Time: sim.Duration(c.s.Now()), Config: cfg, CPUBusy: make([]sim.Duration, cfg.Nodes)}
 	for i, cpu := range cpus {
-		busy[i] = cpu.BusyTime
+		rep.CPUBusy[i] = cpu.BusyTime
+		c.cnt(i).CPUWaitNs = int64(cpu.WaitTime)
 	}
-	c.net.FoldCounters()
-	c.world.FoldCounters()
-	c.engine.FoldCounters()
-	c.stats.Fold()
+	rep.Counters = *c.stats.Fold()
 	if c.rec != nil {
+		// Merge the recorder's per-lane histogram and phase shards and hand
+		// it the counter rows: its per-node view is the registry's.
 		c.rec.FoldLanes()
 		laneReport(c.s, c.rec)
-	}
-	rep := Report{
-		Time:     sim.Duration(c.s.Now()),
-		Counters: c.counters.Snapshot(),
-		Config:   cfg,
-		CPUBusy:  busy,
-	}
-	if c.rec != nil {
 		rep.Obs = c.rec.Metrics()
+		rep.Obs.SetNodeCounters(c.stats.Rows())
 	}
 	return rep
 }
@@ -485,9 +455,6 @@ func (c *Cluster) Sim() *sim.Simulator { return c.s }
 
 // Engine exposes the protocol engine (used by tests and the harness).
 func (c *Cluster) Engine() *hlrc.Engine { return c.engine }
-
-// Counters exposes the run's statistics counters.
-func (c *Cluster) Counters() *stats.Counters { return c.counters }
 
 // Config returns the cluster's (defaulted) configuration.
 func (c *Cluster) Config() Config { return c.cfg }

@@ -70,8 +70,8 @@ type Config struct {
 	Lanes    int
 	Strategy dsm.UpdateStrategy
 	Cost     hlrc.CostModel
-	// Policy selects the hlrc protocol policy: "" (legacy, byte-identical
-	// to previous releases), "invalidate", "update", or "adaptive"
+	// Policy selects the hlrc protocol policy: "" (legacy, an alias of
+	// "invalidate": the paper's protocol), "invalidate", "update", or "adaptive"
 	// (per-page online classification; see internal/hlrc/policy.go).
 	// Adaptive also derives SmallThreshold from the fabric and cost model
 	// (AutoThreshold) when the threshold is left zero.

@@ -295,7 +295,6 @@ func (c *Cluster) depSatisfy(p *sim.Proc, origin int, id uint64, notices []dsm.W
 	}
 	dn.preds--
 	c.cnt(origin).TaskDepsResolved++
-	c.rec.DepResolved(origin)
 	if dn.task != nil && len(notices) > 0 {
 		dn.task.notices = mergeNotices(dn.task.notices, notices)
 	}

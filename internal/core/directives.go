@@ -89,11 +89,12 @@ func (t *Thread) Critical(name string, scalars []*Scalar, fn func()) {
 	rec.Directive(t0, t.p.Now(), t.node.id, "critical", name)
 }
 
-// directiveStart marks the start of a directive span for this thread; it
-// returns the recorder (nil when observability is disabled) and the start
-// time. Every obs.Recorder method is a no-op on a nil receiver, so the
-// matching rec.Directive call needs no guard.
+// directiveStart counts the directive on this thread's node and marks
+// the start of its span; it returns the recorder (nil when observability
+// is disabled) and the start time. Every obs.Recorder method is a no-op
+// on a nil receiver, so the matching rec.Directive call needs no guard.
 func (t *Thread) directiveStart() (*obs.Recorder, sim.Time) {
+	t.c.cnt(t.node.id).Directives++
 	if t.c.rec == nil {
 		return nil, 0
 	}

@@ -57,9 +57,7 @@ func (e *LaneConfigError) Error() string {
 // independent across lanes.
 func laneLookahead(f netsim.Fabric) sim.Duration { return f.Latency }
 
-// cnt returns the counter set increments from node's context must
-// target (the shared base set in legacy and relaxed modes, the node's
-// shard in the strict lane regime).
+// cnt returns node's counter row.
 func (c *Cluster) cnt(node int) *stats.Counters { return c.stats.At(node) }
 
 // Registry replicas. Directive sites resolve names to ids/addresses
@@ -265,8 +263,8 @@ func (t *Thread) stealTaskLane() *task {
 		victim++ // skip self, keeping the distribution uniform
 	}
 	start := p.Now()
-	c.cnt(n.id).StealRequests++
-	c.rec.StealRequest(n.id)
+	cc := c.cnt(n.id)
+	cc.StealRequests++
 	n.stealSeq++
 	reqID := n.stealSeq
 	w := &stealWait{gate: sim.NewGate(c.s)}
@@ -277,7 +275,6 @@ func (t *Thread) stealTaskLane() *task {
 	})
 	w.gate.Wait(p)
 	hit := w.task != nil
-	cc := c.cnt(n.id)
 	if hit {
 		cc.StealHits++
 		cc.TasksStolen++

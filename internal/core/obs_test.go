@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"parade/internal/obs"
+	"parade/internal/stats"
 )
 
 // obsProgram exercises every instrumented layer: shared-array faults and
@@ -63,36 +64,42 @@ func TestTraceDeterminism(t *testing.T) {
 	}
 }
 
-// TestReportObsMetrics cross-checks the per-node observability counters
-// against the always-on cluster-wide stats counters.
+// TestReportObsMetrics checks that Report.Obs presents the run's one
+// counter registry — its per-node rows sum to Report.Counters — and that
+// the histograms, which the recorder does keep itself, agree with the
+// counters wherever both measure the same events.
 func TestReportObsMetrics(t *testing.T) {
-	cfg := Config{Nodes: 2, ThreadsPerNode: 2, Mode: SDSM}
+	for _, mode := range []Mode{Hybrid, SDSM} {
+		t.Run(mode.String(), func(t *testing.T) { checkReportObs(t, mode) })
+	}
+}
+
+func checkReportObs(t *testing.T, mode Mode) {
+	cfg := Config{Nodes: 2, ThreadsPerNode: 2, Mode: mode}
 	rec := obs.New(cfg.Nodes)
 	cfg.Obs = rec
 	rep := run(t, cfg, obsProgram)
 	if rep.Obs == nil {
 		t.Fatal("Report.Obs nil despite Config.Obs being set")
 	}
-	m := rep.Obs
-	var rf, wf, fetches, invals int64
+	m, c := rep.Obs, rep.Counters
+	if m.Nodes() != cfg.Nodes {
+		t.Fatalf("%d per-node rows, want %d", m.Nodes(), cfg.Nodes)
+	}
+	var sum stats.Counters
 	for i := 0; i < m.Nodes(); i++ {
-		nc := m.Node(i)
-		rf += nc.ReadFaults
-		wf += nc.WriteFaults
-		fetches += nc.FetchesIssued
-		invals += nc.Invalidations
+		row := m.Node(i)
+		sum.Add(&row)
+		if i > 0 && row.Barriers != 0 {
+			t.Errorf("node %d carries %d sdsm_barriers; global barriers belong to the master", i, row.Barriers)
+		}
 	}
-	if rf != rep.Counters.ReadFaults {
-		t.Errorf("per-node read faults sum to %d, stats say %d", rf, rep.Counters.ReadFaults)
+	if sum != c {
+		t.Errorf("per-node rows sum to\n%+v\nReport.Counters is\n%+v", sum, c)
 	}
-	if wf != rep.Counters.WriteFaults {
-		t.Errorf("per-node write faults sum to %d, stats say %d", wf, rep.Counters.WriteFaults)
-	}
-	if fetches != rep.Counters.PageFetches {
-		t.Errorf("per-node fetches sum to %d, stats say %d", fetches, rep.Counters.PageFetches)
-	}
-	if invals != rep.Counters.Invalidations {
-		t.Errorf("per-node invalidations sum to %d, stats say %d", invals, rep.Counters.Invalidations)
+	if c.WriteFaults == 0 || c.FetchesIssued == 0 || c.Barriers == 0 || c.Directives == 0 ||
+		(mode == Hybrid) != (c.Collectives > 0) {
+		t.Errorf("program left protocol counters at zero: %s", c.String())
 	}
 	if got := len(m.Phases()); got != 2 {
 		t.Errorf("got %d phases, want 2 (one per Parallel)", got)
@@ -102,14 +109,28 @@ func TestReportObsMetrics(t *testing.T) {
 			t.Errorf("phase %d: end %d <= start %d", i, ph.EndNs, ph.StartNs)
 		}
 	}
-	if m.Hist(obs.HistDirective).Count == 0 {
-		t.Error("directive histogram empty despite Critical/Reduce")
+	// The program has no prefetch or refresh, so every fetch issued is a
+	// demand fault the histogram timed, and every one was served.
+	for _, h := range []struct {
+		id   int
+		want int64
+	}{
+		{obs.HistPageFetch, c.FetchesIssued},
+		{obs.HistPageFetch, c.PageFetches},
+		{obs.HistDirective, c.Directives},
+		{obs.HistCollective, c.Collectives},
+		{obs.HistBarrierWait, c.Barriers * int64(cfg.Nodes)},
+		{obs.HistDiffBytes, c.DiffsCreated},
+	} {
+		if got := m.Hist(h.id); got.Count != h.want {
+			t.Errorf("%s histogram has %d observations, counters say %d", obs.HistName(h.id), got.Count, h.want)
+		}
 	}
-	if m.Hist(obs.HistBarrierWait).Count == 0 {
-		t.Error("barrier-wait histogram empty")
+	if cpu := m.Hist(obs.HistCPUWait); cpu.Sum != c.CPUWaitNs {
+		t.Errorf("cpu_wait histogram sums to %d ns, cpu_wait_ns is %d", cpu.Sum, c.CPUWaitNs)
 	}
-	if m.Hist(obs.HistPageFetch).Count != fetches {
-		t.Errorf("fetch histogram has %d observations, want %d", m.Hist(obs.HistPageFetch).Count, fetches)
+	if tot := m.Total(); tot.Msgs != c.Messages || tot.Bytes != c.Bytes || tot.Directives != c.Directives {
+		t.Errorf("phase total %+v disagrees with counters %s", tot, c.String())
 	}
 }
 

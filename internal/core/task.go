@@ -193,18 +193,15 @@ func (t *Thread) spawnTask(tk *task, cfg *taskConfig) {
 	if !held && (!tk.pinned || tk.device == n.id) {
 		n.enqueueTask(tk)
 	}
+	c.cnt(n.id).TasksSpawned++
 	if c.lanes {
 		// Lane mode (lanes.go): no cluster-wide live count or wake — the
 		// spawn tally feeds the quiescence vote instead. Held and pinned
 		// tasks tally on the spawner too: the vote sums over all nodes,
 		// so a task spawned here and executed elsewhere still balances.
 		n.taskSpawned++
-		c.cnt(n.id).TasksSpawned++
-		c.rec.TaskSpawned(n.id)
 	} else {
 		c.tasksLive++
-		c.counters.TasksSpawned++
-		c.rec.TaskSpawned(n.id)
 		c.taskWake()
 	}
 	// MapFrom pages queue for this node's barrier-time refresh batch now,
@@ -376,8 +373,8 @@ func (t *Thread) stealTask() *task {
 		return nil
 	}
 	start := c.s.Now()
-	c.counters.StealRequests++
-	c.rec.StealRequest(n.id)
+	cc := c.cnt(n.id)
+	cc.StealRequests++
 	n.stealSeq++
 	reqID := n.stealSeq
 	w := &stealWait{gate: sim.NewGate(c.s)}
@@ -389,10 +386,10 @@ func (t *Thread) stealTask() *task {
 	w.gate.Wait(p)
 	hit := w.task != nil
 	if hit {
-		c.counters.StealHits++
-		c.counters.TasksStolen++
+		cc.StealHits++
+		cc.TasksStolen++
 	} else {
-		c.counters.StealMisses++
+		cc.StealMisses++
 	}
 	c.rec.StealDone(start, c.s.Now(), n.id, victim, hit)
 	return w.task
@@ -492,13 +489,10 @@ func (t *Thread) runTask(tk *task) {
 		outgoing = mergeNotices(tk.notices, c.engine.TaskFlush(t.p, t.node.id))
 	}
 	t.node.taskResults = append(t.node.taskResults, taskResult{id: tk.id, val: v})
+	c.cnt(t.node.id).TasksExecuted++
 	if c.lanes {
 		t.node.taskExecuted++
-		c.cnt(t.node.id).TasksExecuted++
-		c.rec.TaskExecuted(t.node.id)
 	} else {
-		c.counters.TasksExecuted++
-		c.rec.TaskExecuted(t.node.id)
 		c.tasksLive--
 		c.taskWake()
 	}

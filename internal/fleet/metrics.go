@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"parade/internal/obs"
+	"parade/internal/stats"
 )
 
 // Metrics is the service-side registry behind /metrics: job and batch
@@ -36,7 +37,7 @@ type Metrics struct {
 	walReplayHist      obs.Histogram // host ns per replay
 
 	// Cumulative simulation activity across all executed jobs, folded
-	// from each run's obs registry.
+	// from each run's counters and histograms.
 	simCounters map[string]int64
 	simHists    map[string]*obs.Histogram
 	simHistUnit map[string]string
@@ -93,8 +94,9 @@ func (m *Metrics) WALReplayDone(rep WALReplay) {
 }
 
 // FoldRun folds one executed run's observability metrics into the
-// service totals: every per-node counter summed into a
-// parade_sim_<name>_total series and every non-empty latency/size
+// service totals: every counter of the run (its per-node rows, which sum
+// to Report.Counters) added to a parade_sim_<name>_total series named
+// by the stats.Counters field tags, and every non-empty latency/size
 // histogram merged into a parade_sim_<name> histogram.
 func (m *Metrics) FoldRun(run *obs.Metrics) {
 	if run == nil {
@@ -102,27 +104,12 @@ func (m *Metrics) FoldRun(run *obs.Metrics) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	var total stats.Counters
 	for n := 0; n < run.Nodes(); n++ {
-		c := run.Node(n)
-		m.simCounters["read_faults"] += c.ReadFaults
-		m.simCounters["write_faults"] += c.WriteFaults
-		m.simCounters["page_fetches"] += c.FetchesIssued
-		m.simCounters["diffs_created"] += c.DiffsCreated
-		m.simCounters["diff_bytes"] += c.DiffBytes
-		m.simCounters["sdsm_barriers"] += c.Barriers
-		m.simCounters["lock_requests"] += c.LockRequests
-		m.simCounters["msgs_sent"] += c.MsgsSent
-		m.simCounters["bytes_sent"] += c.BytesSent
-		m.simCounters["collectives"] += c.Collectives
-		m.simCounters["directives"] += c.Directives
-		m.simCounters["rel_retransmits"] += c.Retransmits
-		m.simCounters["rel_timeouts"] += c.Timeouts
-		m.simCounters["task_spawned"] += c.TasksSpawned
-		m.simCounters["task_stolen"] += c.TasksStolen
-		m.simCounters["crash_injected"] += c.Crashes
-		m.simCounters["ckpt_msgs"] += c.CkptMsgs
-		m.simCounters["recovery_runs"] += c.Recovered
+		row := run.Node(n)
+		total.Add(&row)
 	}
+	total.Each(func(name string, v int64) { m.simCounters[name] += v })
 	for id := 0; id < obs.NumHists; id++ {
 		h := run.Hist(id)
 		if h.Count == 0 {
@@ -208,10 +195,15 @@ func (m *Metrics) WritePrometheus(w io.Writer, cache *Cache, exec ExecStats, wal
 		counters = append(counters, name)
 	}
 	sort.Strings(counters)
+	const simHelp = "Cumulative simulated-cluster activity across executed jobs (internal/stats)."
 	for _, name := range counters {
-		counter("parade_sim_"+name+"_total",
-			"Cumulative simulated-cluster activity across executed jobs (internal/obs).",
-			m.simCounters[name])
+		counter("parade_sim_"+name+"_total", simHelp, m.simCounters[name])
+		if name == "page_fetches_issued" {
+			// Legacy alias: the series this counter was published under
+			// before the name table split it into issued and served.
+			counter("parade_sim_page_fetches_total", simHelp+" Legacy alias of parade_sim_page_fetches_issued_total.",
+				m.simCounters[name])
+		}
 	}
 
 	hists := make([]string, 0, len(m.simHists))

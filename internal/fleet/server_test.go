@@ -6,8 +6,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
+
+	"parade/internal/stats"
 )
 
 // postBatch posts raw JSONL to a test service and decodes the response.
@@ -237,6 +240,7 @@ func TestServiceMetricsEndpoint(t *testing.T) {
 
 	postBatch(t, ts, specLine(t, validSpec()))
 	postBatch(t, ts, specLine(t, validSpec())) // cache hit
+	postBatch(t, ts, specLine(t, JobSpec{App: "quad", Mode: "hybrid"}))
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -246,17 +250,38 @@ func TestServiceMetricsEndpoint(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	text := string(body)
 	for _, want := range []string{
-		"parade_fleet_jobs_total{status=\"ok\"} 2",
-		"parade_fleet_executions_total 1",
+		"parade_fleet_jobs_total{status=\"ok\"} 3",
+		"parade_fleet_executions_total 2",
 		"parade_fleet_jobs_cached_total 1",
 		"parade_fleet_cache_hits_total 1",
 		"parade_fleet_queue_depth 0",
-		"parade_fleet_job_latency_seconds_count 1",
+		"parade_fleet_job_latency_seconds_count 2",
 		"parade_sim_msgs_sent_total",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+	// Every counter of the one name table is a series, zeros included —
+	// the tasking tallies, which no hand-picked list ever exported, are
+	// non-zero after the quad job.
+	new(stats.Counters).Each(func(name string, _ int64) {
+		if series := "\nparade_sim_" + name + "_total "; !strings.Contains(text, series) {
+			t.Errorf("/metrics missing series %q", strings.TrimSpace(series))
+		}
+	})
+	if !regexp.MustCompile(`(?m)^parade_sim_task_executed_total [1-9]`).MatchString(text) {
+		t.Error("/metrics: parade_sim_task_executed_total is not positive after a quad job")
+	}
+	// The one series the name table spells differently from what was
+	// published before it stays as an alias with the same value.
+	series := func(name string) string {
+		return regexp.MustCompile(`(?m)^` + name + ` (\d+)$`).FindString(text)
+	}
+	legacy, issued := series("parade_sim_page_fetches_total"), series("parade_sim_page_fetches_issued_total")
+	if legacy == "" || strings.TrimPrefix(legacy, "parade_sim_page_fetches_total") !=
+		strings.TrimPrefix(issued, "parade_sim_page_fetches_issued_total") {
+		t.Errorf("/metrics legacy alias %q does not mirror %q", legacy, issued)
 	}
 }
 

@@ -1,6 +1,13 @@
 package harness
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"parade/internal/hlrc"
+	"parade/internal/obs"
+	"parade/internal/stats"
+)
 
 // TestLockmixTwoThreadsLockCaching is the regression test for the
 // INVALID -> DIRTY panic: with two threads per node and cached lock
@@ -48,6 +55,69 @@ func TestCrashSpecRoundTrip(t *testing.T) {
 	for _, spec := range []string{"1", "a@1", "1@b", "1@1;2@2"} {
 		if _, err := ParseCrash(spec); err == nil {
 			t.Errorf("ParseCrash(%q) accepted", spec)
+		}
+	}
+}
+
+// TestPerNodeSumsToCounters is the one-registry cross-check: for every
+// matrix kernel and mode, on the legacy kernel, on lanes 1 and 4, and
+// under a crash schedule (the relaxed single-worker regime), the per-node
+// rows Report.Obs presents sum field by field to Report.Counters, and a
+// run's rows do not depend on the lane worker count. It also pins the
+// attributions a second tally used to get wrong: global barriers live on
+// the master's row, and without crashes every fetch issued is served.
+func TestPerNodeSumsToCounters(t *testing.T) {
+	rows := func(c Cell) []stats.Counters {
+		t.Helper()
+		app, err := MatrixAppByName(c.App)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := c.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Obs = obs.New(cfg.Nodes)
+		_, _, rep, err := app.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s lanes=%d: %v", c, c.Lanes, err)
+		}
+		out := make([]stats.Counters, rep.Obs.Nodes())
+		var sum stats.Counters
+		for n := range out {
+			out[n] = rep.Obs.Node(n)
+			sum.Add(&out[n])
+			if n > 0 && out[n].Barriers != 0 {
+				t.Errorf("%s lanes=%d: node %d carries %d sdsm_barriers", c, c.Lanes, n, out[n].Barriers)
+			}
+		}
+		if len(out) != cfg.Nodes || sum != rep.Counters {
+			t.Errorf("%s lanes=%d: %d rows sum to\n%s\nReport.Counters is\n%s", c, c.Lanes, len(out), sum.String(), rep.Counters.String())
+		}
+		if c.Crash == nil && sum.FetchesIssued != sum.PageFetches {
+			t.Errorf("%s lanes=%d: %d fetches issued, %d served", c, c.Lanes, sum.FetchesIssued, sum.PageFetches)
+		}
+		if c.Crash != nil && sum.Crashes != int64(len(c.Crash)) {
+			t.Errorf("%s lanes=%d: %d crashes, want %d", c, c.Lanes, sum.Crashes, len(c.Crash))
+		}
+		return out
+	}
+	crash, err := ParseCrash("1@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range MatrixAppNames() {
+		for _, mode := range MatrixModes() {
+			for _, schedule := range [][]hlrc.CrashEvent{nil, crash} {
+				c := Cell{App: app, Mode: mode, Crash: schedule}
+				rows(c)
+				c.Lanes = 1
+				one := rows(c)
+				c.Lanes = 4
+				if four := rows(c); !reflect.DeepEqual(one, four) {
+					t.Errorf("%s: per-node rows differ between lanes=1 and lanes=4:\n%+v\n%+v", c, one, four)
+				}
+			}
 		}
 	}
 }

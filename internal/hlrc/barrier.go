@@ -113,10 +113,9 @@ func (e *Engine) refreshPages(p *sim.Proc, node int) {
 		ns.table.Set(pg, dsm.Transient)
 		gate := sim.NewGate(e.sim)
 		ns.fetch[pg] = gate
-		e.send(p, node, pi.Home, msgPageReq, 16, pageReq{Page: pg})
+		e.requestPage(p, node, pi.Home, pg)
 		gates = append(gates, gate)
 		e.cnt(node).PolicyRefreshes++
-		e.rec.PolicyRefresh(node)
 	}
 	for _, g := range gates {
 		g.Wait(p)

@@ -306,12 +306,13 @@ func TestPolicyNames(t *testing.T) {
 			t.Fatalf("ValidPolicy(%q) = false", name)
 		}
 		eng := newPolicyEngine(name, 4)
-		if (eng == nil) != (name == PolicyLegacy) {
-			t.Fatalf("newPolicyEngine(%q) nil-ness wrong", name)
-		}
-		if eng != nil && (eng.cls != nil) != (name == PolicyAdaptive) {
+		if (eng.cls != nil) != (name == PolicyAdaptive) {
 			t.Fatalf("newPolicyEngine(%q) classifier presence wrong", name)
 		}
+	}
+	// The empty name is an alias: it builds the invalidate engine.
+	if !reflect.DeepEqual(newPolicyEngine(PolicyLegacy, 4), newPolicyEngine(PolicyInvalidate, 4)) {
+		t.Fatal(`newPolicyEngine("") is not the invalidate engine`)
 	}
 	if ValidPolicy("bogus") {
 		t.Fatal(`ValidPolicy("bogus") = true`)

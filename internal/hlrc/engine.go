@@ -227,7 +227,7 @@ type Engine struct {
 	net      *netsim.Network
 	cpus     []*sim.CPU
 	cfg      Config
-	counters *stats.Sharded
+	counters *stats.Registry // the network's registry (one per run)
 
 	Alloc *dsm.Allocator
 
@@ -264,19 +264,24 @@ type Engine struct {
 	// without it).
 	recov *recovery
 
-	// policy is the protocol policy engine (nil for the legacy empty
-	// policy — the nil check keeps every hot path identical).
+	// policy is the protocol policy engine (never nil: the empty policy
+	// name builds the invalidate engine).
 	policy *policyEngine
 }
 
-// New creates a protocol engine for the given cluster.
+// New creates a protocol engine for the given cluster. It counts into
+// net's registry; c must be the counters net was built with (the
+// registry's fold destination).
 func New(s *sim.Simulator, net *netsim.Network, cpus []*sim.CPU, cfg Config, c *stats.Counters) *Engine {
+	if c != net.Counters().Total() {
+		panic("hlrc: New needs the *stats.Counters its network was built with")
+	}
 	if cfg.Cost == (CostModel{}) {
 		cfg.Cost = DefaultCosts()
 	}
 	npages := (cfg.ShmBytes + dsm.PageSize - 1) / dsm.PageSize
 	e := &Engine{
-		sim: s, net: net, cpus: cpus, cfg: cfg, counters: stats.NewSharded(c),
+		sim: s, net: net, cpus: cpus, cfg: cfg, counters: net.Counters(),
 		Alloc:   dsm.NewAllocator(npages * dsm.PageSize),
 		frames:  make([]dsm.FramePool, cfg.Nodes),
 		diffs:   make([]dsm.DiffPool, cfg.Nodes),
@@ -287,9 +292,6 @@ func New(s *sim.Simulator, net *netsim.Network, cpus []*sim.CPU, cfg Config, c *
 	for i := range e.locks {
 		e.locks[i] = map[int]*lockState{}
 		e.pgStats[i] = dsm.NewChunked(npages, pageActivity{})
-	}
-	if s.Lanes() > 0 && !s.Relaxed() {
-		e.counters.EnableShards(cfg.Nodes)
 	}
 	e.nodes = make([]*nodeState, cfg.Nodes)
 	for i := range e.nodes {
@@ -316,16 +318,11 @@ func New(s *sim.Simulator, net *netsim.Network, cpus []*sim.CPU, cfg Config, c *
 	return e
 }
 
-// cnt returns the counter set increments from node's context must
-// target (the shared base in legacy and relaxed modes).
+// cnt returns node's counter row.
 func (e *Engine) cnt(node int) *stats.Counters { return e.counters.At(node) }
 
 // bumpInval counts one invalidation of pg applied on node.
 func (e *Engine) bumpInval(node, pg int) { e.pgStats[node].At(pg).inval++ }
-
-// FoldCounters merges the per-node counter shards into the aggregate
-// view. The runtime calls it once after a lane-mode run.
-func (e *Engine) FoldCounters() { e.counters.Fold() }
 
 // Mem returns node's memory image (for typed accessors after EnsureRead/
 // EnsureWrite have granted access).

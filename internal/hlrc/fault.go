@@ -15,7 +15,6 @@ func (e *Engine) EnsureRead(p *sim.Proc, node, addr int) {
 	ns := e.nodes[node]
 	for !ns.mem.AppReadOK(addr) {
 		e.cnt(node).ReadFaults++
-		e.rec.ReadFault(node)
 		e.fault(p, node, dsm.PageOf(addr), false)
 	}
 }
@@ -26,7 +25,6 @@ func (e *Engine) EnsureWrite(p *sim.Proc, node, addr int) {
 	ns := e.nodes[node]
 	for !ns.mem.AppWriteOK(addr) {
 		e.cnt(node).WriteFaults++
-		e.rec.WriteFault(node)
 		e.fault(p, node, dsm.PageOf(addr), true)
 	}
 }
@@ -58,7 +56,7 @@ func (e *Engine) fault(p *sim.Proc, node, pg int, write bool) {
 		ns.table.Set(pg, dsm.Transient)
 		gate := sim.NewGate(e.sim)
 		ns.fetch[pg] = gate
-		e.send(p, node, home, msgPageReq, 16, pageReq{Page: pg})
+		e.requestPage(p, node, home, pg)
 		gate.Wait(p)
 		if e.rec != nil {
 			e.rec.FetchDone(t0, p.Now(), node, pg, home)
@@ -81,6 +79,16 @@ func (e *Engine) fault(p *sim.Proc, node, pg int, write bool) {
 	case dsm.Dirty:
 		// Valid and writable; nothing to do (permission check will pass).
 	}
+}
+
+// requestPage asks home for page pg on node's behalf and counts the
+// fetch where it is issued. Every pull goes through here — demand fault,
+// map(to) prefetch, post-barrier refresh — so the per-node issued
+// counts sum to what the homes serve; recovery's reissue of a stuck
+// request is a Refetch, not a new fetch.
+func (e *Engine) requestPage(p *sim.Proc, node, home, pg int) {
+	e.cnt(node).FetchesIssued++
+	e.send(p, node, home, msgPageReq, 16, pageReq{Page: pg})
 }
 
 // makeDirty performs the write-fault transition READ_ONLY -> DIRTY:
@@ -107,7 +115,6 @@ func (e *Engine) makeDirty(p *sim.Proc, node, pg int) {
 		copy(twin, ns.mem.Frame(pg))
 		ns.table.At(pg).Twin = twin
 		e.cnt(node).TwinsCreated++
-		e.rec.TwinCreated(node)
 	}
 	ns.table.Set(pg, dsm.Dirty)
 	ns.mem.SetAppPerm(pg, dsm.PermReadWrite)

@@ -26,7 +26,6 @@ func (e *Engine) handlePageReq(p *sim.Proc, node int, m *netsim.Message) {
 	}
 	e.cnt(node).PageFetches++
 	e.pgStats[node].At(req.Page).fetches++
-	e.rec.FetchServed(node, req.Page)
 	e.send(p, node, m.From, msgPageReply, dsm.PageSize, pageReply{Page: req.Page, Data: data})
 }
 
@@ -70,7 +69,6 @@ func (e *Engine) handleDiff(p *sim.Proc, node int, m *netsim.Message) {
 		e.cpus[node].Compute(p, e.cfg.Cost.DiffApply)
 		d.ApplyInto(ns.mem.Frame(d.Page))
 		e.cnt(node).DiffsApplied++
-		e.rec.DiffApplied(node)
 		e.forwardHomePage(p, node, d.Page)
 	}
 	e.send(p, node, m.From, msgDiffAck, 8, nil)
@@ -138,11 +136,9 @@ func (e *Engine) completeBarrier(p *sim.Proc, epoch int) {
 	if e.policy.observesReads() {
 		for _, ev := range e.policy.cls.observe(epoch, p.Now(), mb.modifiers) {
 			e.cnt(0).PolicyReclass++
-			since := ev.SinceNs
-			if ev.First {
-				since = -1
+			if !ev.First {
+				e.rec.PolicyReclass(0, ev.SinceNs)
 			}
-			e.rec.PolicyReclass(0, since)
 		}
 	}
 	entries := make([]departEntry, 0, len(mb.modifiers))
@@ -156,28 +152,22 @@ func (e *Engine) completeBarrier(p *sim.Proc, epoch int) {
 			sort.Ints(mods)
 		}
 		cur := homes.Peek(pg).Home
-		// Single modifier becomes the new home (§5.2.2). With multiple
-		// modifiers the current home keeps the highest priority, so it
-		// stays. A dead single modifier cannot take the page (its notices
-		// may reach a shrink barrier).
-		legacy := cur
-		if e.cfg.HomeMigration && len(mods) == 1 && mods[0] != cur && !e.gone(mods[0]) {
-			legacy = mods[0]
+		class := e.policy.classOf(pg)
+		// A dead candidate cannot take the page (its notices may reach a
+		// shrink barrier); the current home then keeps it.
+		elect := func(h HomeStrategy) int {
+			if cand := h.ElectHome(pg, cur, mods, class, e.cfg.HomeMigration); !e.gone(cand) {
+				return cand
+			}
+			return cur
 		}
-		newHome := legacy
-		push := false
-		if e.policy != nil {
-			class := e.policy.classOf(pg)
-			if cand := e.policy.home.ElectHome(pg, cur, mods, class, e.cfg.HomeMigration); cand == cur || !e.gone(cand) {
-				newHome = cand
-			}
-			if newHome != legacy {
-				e.cnt(0).PolicyHomeOverrides++
-			}
-			if e.policy.prop.ShouldPush(pg, class, mods, len(e.nodes)) {
-				push = true
-				e.cnt(0).PolicyPushes++
-			}
+		newHome := elect(e.policy.home)
+		if newHome != elect(legacyHome{}) {
+			e.cnt(0).PolicyHomeOverrides++
+		}
+		push := e.policy.prop.ShouldPush(pg, class, mods, len(e.nodes))
+		if push {
+			e.cnt(0).PolicyPushes++
 		}
 		entries = append(entries, departEntry{Page: pg, NewHome: newHome, Modifiers: mods, Push: push})
 	}

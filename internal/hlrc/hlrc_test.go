@@ -56,6 +56,19 @@ func newClusterWith(cfg Config, crashFabric bool) *testCluster {
 	return &testCluster{s: s, e: e, c: c, cpus: cpus}
 }
 
+// run drives the simulation to completion and folds the counter
+// registry, so tc.c reads as the run's totals.
+func (tc *testCluster) run() error {
+	err := tc.s.Run()
+	tc.live()
+	return err
+}
+
+// live folds the registry and returns the totals so far. tc.c is only
+// the fold destination: a body that reads a count while the simulation
+// is still running must go through live, or it compares 0 with 0.
+func (tc *testCluster) live() *stats.Counters { return tc.e.counters.Fold() }
+
 // spawnNodes runs body once per node on its own process and drives the
 // simulation to completion.
 func (tc *testCluster) spawnNodes(t *testing.T, body func(p *sim.Proc, node int)) {
@@ -64,7 +77,7 @@ func (tc *testCluster) spawnNodes(t *testing.T, body func(p *sim.Proc, node int)
 		n := n
 		tc.s.Spawn(fmt.Sprintf("app%d", n), func(p *sim.Proc) { body(p, n) })
 	}
-	if err := tc.s.Run(); err != nil {
+	if err := tc.run(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -109,9 +122,12 @@ func TestSecondReadHitsLocally(t *testing.T) {
 		tc.e.Barrier(p, node)
 		if node == 1 {
 			tc.read(p, 1, 0)
-			before := tc.c.ReadFaults
+			before := tc.live().ReadFaults
+			if before == 0 {
+				t.Errorf("first read did not fault")
+			}
 			tc.read(p, 1, 8) // same page
-			if tc.c.ReadFaults != before {
+			if tc.live().ReadFaults != before {
 				t.Errorf("second read faulted")
 			}
 		}
@@ -266,11 +282,11 @@ func TestSoleModifierKeepsCopyWithoutMigration(t *testing.T) {
 		}
 		tc.e.Barrier(p, node)
 		if node == 1 {
-			before := tc.c.ReadFaults
+			before := tc.live().ReadFaults
 			if v := tc.read(p, 1, 0); v != 9 {
 				t.Errorf("sole modifier lost its value: %v", v)
 			}
-			if tc.c.ReadFaults != before {
+			if tc.live().ReadFaults != before {
 				t.Errorf("sole modifier re-faulted on its own page")
 			}
 		}
@@ -319,7 +335,7 @@ func TestConcurrentFaultsOnePageOneFetch(t *testing.T) {
 	// Node 0 just parks at a barrier-free script; give node 1's threads a
 	// page to fetch by pre-seeding master memory directly (home path).
 	tc.e.Mem(0).WriteF64(0, 11)
-	if err := tc.s.Run(); err != nil {
+	if err := tc.run(); err != nil {
 		t.Fatal(err)
 	}
 	if done != 2 || vals[0] != 11 || vals[1] != 11 {
@@ -444,7 +460,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 				tc.e.Barrier(p, node)
 			}
 		})
-		return tc.s.Now(), tc.c.Snapshot()
+		return tc.s.Now(), *tc.c
 	}
 	time1, c1 := run()
 	time2, c2 := run()

@@ -59,6 +59,7 @@ func (e *Engine) acquireCentral(p *sim.Proc, node, id int) {
 	ns := e.nodes[node]
 	gate := sim.NewGate(e.sim)
 	ns.lockGate[id] = gate
+	e.cnt(node).LockRequests++
 	mgr := e.lockManager(id)
 	if mgr == node {
 		e.cpus[node].Compute(p, e.cfg.Cost.LockManage)
@@ -73,12 +74,8 @@ func (e *Engine) acquireCentral(p *sim.Proc, node, id int) {
 // a request from node `from`.
 func (e *Engine) lockRequest(p *sim.Proc, from, id int) {
 	ls := e.lockState(id)
-	mgr := e.lockManager(id)
-	e.cnt(mgr).LockRequests++
-	e.rec.LockRequest(from)
 	if ls.held {
-		e.cnt(mgr).LockWaits++
-		e.rec.LockWaited(from)
+		e.cnt(e.lockManager(id)).LockWaits++
 		ls.queue = append(ls.queue, from)
 		return
 	}

@@ -41,7 +41,6 @@ func (e *Engine) acquireCached(p *sim.Proc, node, id int) {
 	ns := e.nodes[node]
 	nl := ns.nodeLockFor(id)
 	e.cnt(node).LockRequests++
-	e.rec.LockRequest(node)
 	if nl.cached && !nl.inUse {
 		// Token resident: zero-message re-acquire. Claim it BEFORE the
 		// bookkeeping charge: the charge yields the processor and a
@@ -110,7 +109,6 @@ func (e *Engine) cachedLockReq(p *sim.Proc, from, id int) {
 		return
 	}
 	e.cnt(e.lockManager(id)).LockWaits++
-	e.rec.LockWaited(from)
 	ls.queue = append(ls.queue, from)
 	if len(ls.queue) == 1 {
 		// First waiter: recall the token from the current owner.

@@ -37,15 +37,13 @@ func (e *Engine) PrefetchPages(p *sim.Proc, node int, pages []int) {
 				// the classifier must keep seeing this node as a consumer.
 				ns.readObs[pg] = struct{}{}
 			}
-			var t0 sim.Time
 			if e.rec != nil {
-				t0 = p.Now()
-				e.rec.FetchStart(t0, node, pg, home, false)
+				e.rec.FetchStart(p.Now(), node, pg, home, false)
 			}
 			ns.table.Set(pg, dsm.Transient)
 			gate := sim.NewGate(e.sim)
 			ns.fetch[pg] = gate
-			e.send(p, node, home, msgPageReq, 16, pageReq{Page: pg})
+			e.requestPage(p, node, home, pg)
 			gates = append(gates, gate)
 		case dsm.Transient:
 			// A demand fault is already fetching; join it and mark waiters

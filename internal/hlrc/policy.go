@@ -22,15 +22,14 @@ import (
 
 // Policy names accepted by Config.Policy.
 const (
-	// PolicyLegacy is the empty string: no policy engine is built and
-	// every code path is byte-identical to the pre-policy engine
-	// (migratory home iff Config.HomeMigration, invalidate-only
-	// propagation).
+	// PolicyLegacy is the empty string, an alias of PolicyInvalidate: the
+	// paper's protocol. The spelling stays distinct in configurations
+	// and fleet fingerprints; the engine built is the same
+	// (TestFixedInvalidateMatchesLegacy guards the alias).
 	PolicyLegacy = ""
-	// PolicyInvalidate is the legacy behavior expressed as a fixed
-	// strategy: invalidate propagation, single-modifier home migration
-	// gated on Config.HomeMigration. It is provably bit-identical to
-	// PolicyLegacy (TestFixedInvalidateMatchesLegacy).
+	// PolicyInvalidate is the paper's protocol as a fixed strategy:
+	// invalidate propagation, single-modifier home migration gated on
+	// Config.HomeMigration.
 	PolicyInvalidate = "invalidate"
 	// PolicyUpdate is the fixed update protocol: every page invalidated
 	// at a barrier is eagerly refreshed (re-fetched in parallel) by the
@@ -195,12 +194,8 @@ func (s pushByClass) ShouldPush(pg int, class PageClass, mods []int, nnodes int)
 	return false
 }
 
-// policyEngine bundles one policy's strategies. A nil *policyEngine is
-// the legacy path: every call site checks for nil first, exactly like
-// the recov and rec fields, so an unset policy leaves the engine
-// byte-identical to a build without this file.
+// policyEngine bundles one policy's strategies.
 type policyEngine struct {
-	name string
 	home HomeStrategy
 	prop PropagateStrategy
 	// cls is the per-page classifier; nil for the fixed policies. Its
@@ -210,27 +205,25 @@ type policyEngine struct {
 	cls *classifier
 }
 
-// newPolicyEngine builds the policy engine for name, or nil for the
-// legacy empty name. Unknown names panic: core.Config.Validate rejects
-// them before an engine is ever constructed.
+// newPolicyEngine builds the policy engine for name. Unknown names
+// panic: core.Config.Validate rejects them before an engine is ever
+// constructed.
 func newPolicyEngine(name string, npages int) *policyEngine {
 	switch name {
-	case PolicyLegacy:
-		return nil
-	case PolicyInvalidate:
-		return &policyEngine{name: name, home: legacyHome{}, prop: pushNever{}}
+	case PolicyLegacy, PolicyInvalidate:
+		return &policyEngine{home: legacyHome{}, prop: pushNever{}}
 	case PolicyUpdate:
-		return &policyEngine{name: name, home: legacyHome{}, prop: pushAlways{}}
+		return &policyEngine{home: legacyHome{}, prop: pushAlways{}}
 	case PolicyAdaptive:
 		cls := newClassifier(npages)
-		return &policyEngine{name: name, home: adaptiveHome{}, prop: pushByClass{cls}, cls: cls}
+		return &policyEngine{home: adaptiveHome{}, prop: pushByClass{cls}, cls: cls}
 	}
 	panic(fmt.Sprintf("hlrc: unknown protocol policy %q (valid: %s)", name, policyNamesForErr()))
 }
 
 // observesReads reports whether the policy needs per-interval read
 // sets piggybacked on barrier arrivals (classifier input).
-func (pe *policyEngine) observesReads() bool { return pe != nil && pe.cls != nil }
+func (pe *policyEngine) observesReads() bool { return pe.cls != nil }
 
 // classOf returns the page's current class (ClassUnknown for fixed
 // policies, which carry no classifier).

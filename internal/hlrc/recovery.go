@@ -291,9 +291,9 @@ func (e *Engine) armRecovery(s *sim.Simulator, net *netsim.Network) {
 
 // shipCkpt sends one checkpoint message to node's buddy and tallies it.
 func (e *Engine) shipCkpt(p *sim.Proc, node, typ, bytes int, payload any) {
-	e.cnt(0).CkptMsgs++
-	e.cnt(0).CkptBytes += int64(bytes)
-	e.rec.CkptShipped(node, bytes)
+	c := e.cnt(node)
+	c.CkptMsgs++
+	c.CkptBytes += int64(bytes)
 	e.send(p, node, e.buddy(node), typ, bytes, payload)
 }
 
@@ -645,7 +645,7 @@ func (e *Engine) resendStuck(p *sim.Proc, node int) {
 			bytes += d.WireBytes()
 		}
 		e.send(p, y, node, msgDiff, bytes, diffMsg{Diffs: diffs})
-		e.cnt(0).ResentBundles++
+		e.cnt(y).ResentBundles++
 	}
 	// Page fetches stalled against the restarted home.
 	for y := 0; y < e.cfg.Nodes; y++ {
@@ -662,7 +662,7 @@ func (e *Engine) resendStuck(p *sim.Proc, node int) {
 		sort.Ints(pgs)
 		for _, pg := range pgs {
 			e.send(p, y, node, msgPageReq, 16, pageReq{Page: pg})
-			e.cnt(0).Refetches++
+			e.cnt(y).Refetches++
 		}
 	}
 	// The protected peer's own barrier log, if its ack is outstanding
@@ -745,7 +745,7 @@ func (e *Engine) handleRecoverState(p *sim.Proc, node int, m *netsim.Message) {
 		nl.revokePending = false
 		nl.notices = append([]dsm.WriteNotice(nil), tk.Notices...)
 	}
-	e.cnt(0).PagesRestored += int64(len(rs.Pages))
+	e.cnt(node).PagesRestored += int64(len(rs.Pages))
 	// Synthesize the barrier arrival the crash suppressed: the logged
 	// notices (and, under the adaptive policy, the logged interval read
 	// set) are exactly what the node would have sent.
@@ -912,7 +912,7 @@ func (e *Engine) recoverShrink(p *sim.Proc, node int) {
 		sort.Ints(pgs)
 		for _, pg := range pgs {
 			e.send(p, y, newHome, msgPageReq, 16, pageReq{Page: pg})
-			e.cnt(0).Refetches++
+			e.cnt(y).Refetches++
 		}
 	}
 
@@ -970,7 +970,7 @@ func (e *Engine) handleRecoverInstall(p *sim.Proc, node int, m *netsim.Message) 
 		}
 		ns.mem.CopyIn(pc.Page, pc.Data)
 		ns.mem.SetAppPerm(pc.Page, dsm.PermRead)
-		e.cnt(0).PagesRestored++
+		e.cnt(node).PagesRestored++
 	}
 	e.recov.restoreGate.Open()
 }

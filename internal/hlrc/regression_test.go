@@ -38,7 +38,7 @@ func TestTwinRaceBothWritesSurvive(t *testing.T) {
 	tc.s.Spawn("rep0", func(p *sim.Proc) {
 		tc.e.Barrier(p, 0)
 	})
-	if err := tc.s.Run(); err != nil {
+	if err := tc.run(); err != nil {
 		t.Fatal(err)
 	}
 	if got := tc.e.Mem(0).ReadF64(0); got != 1 {
@@ -119,7 +119,7 @@ func TestMixedReadWriteFaultsOnOnePage(t *testing.T) {
 		done.Done()
 	})
 	tc.s.Spawn("sync", func(p *sim.Proc) { done.Wait(p) })
-	if err := tc.s.Run(); err != nil {
+	if err := tc.run(); err != nil {
 		t.Fatal(err)
 	}
 	if got != 5 {

@@ -30,7 +30,7 @@ func chaosHarness(t *testing.T, n int, prof netsim.Profile, body func(p *sim.Pro
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return net.Counters().Fold()
 }
 
 // TestChaosCollectivesSurviveFaults: allreduce, bcast, and barrier

@@ -20,7 +20,7 @@ func (e *Endpoint) Allgather(p *sim.Proc, val any, bytes int) []any {
 		return out
 	}
 	tag := e.nextCollTag()
-	rec, t0 := w.collStart(p)
+	rec, t0 := w.collStart(p, e.rank)
 	idx := w.logicalOf(e.rank)
 	succ := w.phys((idx + 1) % n)
 	predIdx := (idx - 1 + n) % n
@@ -45,7 +45,7 @@ func (e *Endpoint) Scatter(p *sim.Proc, root int, vals []any, bytes int) any {
 	w := e.world
 	n := w.AliveSize()
 	tag := e.nextCollTag()
-	rec, t0 := w.collStart(p)
+	rec, t0 := w.collStart(p, e.rank)
 	if e.rank == root {
 		for i := 0; i < n; i++ {
 			r := w.phys(i)
@@ -75,7 +75,7 @@ func (e *Endpoint) Alltoall(p *sim.Proc, vals []any, bytes int) []any {
 		return out
 	}
 	tag := e.nextCollTag()
-	rec, t0 := w.collStart(p)
+	rec, t0 := w.collStart(p, e.rank)
 	idx := w.logicalOf(e.rank)
 	pow2 := n&(n-1) == 0
 	for r := 1; r < n; r++ {

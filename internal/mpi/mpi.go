@@ -38,7 +38,7 @@ type World struct {
 	s        *sim.Simulator
 	net      *netsim.Network
 	eps      []*Endpoint
-	counters *stats.Sharded
+	counters *stats.Registry // the network's registry (one per run)
 	rec      *obs.Recorder
 
 	// Crash-stop membership: removed marks shrunk ranks, alive lists the
@@ -53,30 +53,28 @@ type World struct {
 // through a collective becomes a latency span (nil detaches).
 func (w *World) SetRecorder(r *obs.Recorder) { w.rec = r }
 
-// collStart marks the start of a collective span for one rank; it
-// returns the recorder (nil when disabled) and the start time on the
-// calling process's own clock (its lane's under event lanes).
-func (w *World) collStart(p *sim.Proc) (*obs.Recorder, sim.Time) {
+// collStart counts rank's pass through a collective and marks the start
+// of its span; it returns the recorder (nil when disabled) and the start
+// time on the calling process's own clock (its lane's under event lanes).
+func (w *World) collStart(p *sim.Proc, rank int) (*obs.Recorder, sim.Time) {
+	w.cnt(rank).Collectives++
 	if w.rec == nil {
 		return nil, 0
 	}
 	return w.rec, p.Now()
 }
 
-// cnt returns the counter set rank's context must target (the shared
-// base set in legacy and relaxed modes, rank's shard under lanes).
+// cnt returns rank's counter row.
 func (w *World) cnt(rank int) *stats.Counters { return w.counters.At(rank) }
 
-// FoldCounters merges per-rank counter shards into the aggregate view.
-// The runtime calls it once after a lane-mode run.
-func (w *World) FoldCounters() { w.counters.Fold() }
-
 // NewWorld creates a communicator over net with one endpoint per node.
+// It counts into net's registry; c must be the counters net was built
+// with (the registry's fold destination).
 func NewWorld(s *sim.Simulator, net *netsim.Network, c *stats.Counters) *World {
-	w := &World{s: s, net: net, counters: stats.NewSharded(c)}
-	if s.Lanes() > 0 && !s.Relaxed() {
-		w.counters.EnableShards(net.Nodes())
+	if c != net.Counters().Total() {
+		panic("mpi: NewWorld needs the *stats.Counters its network was built with")
 	}
+	w := &World{s: s, net: net, counters: net.Counters()}
 	w.eps = make([]*Endpoint, net.Nodes())
 	for i := range w.eps {
 		w.eps[i] = &Endpoint{world: w, rank: i}
@@ -280,7 +278,7 @@ func (e *Endpoint) Bcast(p *sim.Proc, root int, payload any, bytes int) any {
 		return payload
 	}
 	w.cnt(e.rank).Bcasts++
-	rec, t0 := w.collStart(p)
+	rec, t0 := w.collStart(p, e.rank)
 	rel := (w.logicalOf(e.rank) - w.logicalOf(root) + n) % n
 	// Walk up the tree to find our parent: the first set bit of rel
 	// names the round in which we receive.
@@ -322,7 +320,7 @@ func (e *Endpoint) Allreduce(p *sim.Proc, val any, bytes int, combine CombineFun
 		return val
 	}
 	w.cnt(e.rank).Allreduces++
-	rec, t0 := w.collStart(p)
+	rec, t0 := w.collStart(p, e.rank)
 	if n&(n-1) == 0 {
 		tag := e.nextCollTag()
 		idx := w.logicalOf(e.rank)
@@ -349,7 +347,7 @@ func (e *Endpoint) Reduce(p *sim.Proc, root int, val any, bytes int, combine Com
 	if n == 1 {
 		return val
 	}
-	rec, t0 := e.world.collStart(p)
+	rec, t0 := e.world.collStart(p, e.rank)
 	v := e.reduceToRoot(p, root, val, bytes, combine)
 	rec.Collective(t0, p.Now(), e.rank, "reduce", bytes)
 	if e.rank == root {
@@ -388,7 +386,7 @@ func (e *Endpoint) Barrier(p *sim.Proc) {
 		return
 	}
 	w.cnt(e.rank).MPIBarrier++
-	rec, t0 := w.collStart(p)
+	rec, t0 := w.collStart(p, e.rank)
 	tag := e.nextCollTag()
 	idx := w.logicalOf(e.rank)
 	for round, dist := 0, 1; dist < n; round, dist = round+1, dist<<1 {
@@ -406,7 +404,7 @@ func (e *Endpoint) Gather(p *sim.Proc, root int, val any, bytes int) []any {
 	w := e.world
 	n := w.AliveSize()
 	tag := e.nextCollTag()
-	rec, t0 := w.collStart(p)
+	rec, t0 := w.collStart(p, e.rank)
 	if e.rank != root {
 		e.send(p, root, tag, val, bytes)
 		rec.Collective(t0, p.Now(), e.rank, "gather", bytes)

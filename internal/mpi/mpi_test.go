@@ -29,7 +29,7 @@ func harness(t *testing.T, n int, seed int64, body func(p *sim.Proc, ep *Endpoin
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return c, s.Now()
+	return net.Counters().Fold(), s.Now()
 }
 
 func TestSendRecv(t *testing.T) {

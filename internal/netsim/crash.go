@@ -66,7 +66,6 @@ func (n *Network) CrashNode(node int) []*Message {
 		dropped = append(dropped, m)
 	}
 	n.counters.At(node).Crashes++
-	n.rec.CrashInjected(node)
 	return dropped
 }
 
@@ -84,7 +83,6 @@ func (n *Network) RestartNode(node int) {
 	n.ResetPeerLinks(node)
 	n.nicFree[node] = n.sim.Now()
 	n.counters.At(node).NodeRestarts++
-	n.rec.NodeRestarted(node)
 }
 
 // ResetPeerLinks resets the reliability state of every link touching
@@ -149,7 +147,6 @@ func (n *Network) peerDown(from, to, attempts int) {
 		delete(lk.pending, seq)
 	}
 	n.counters.At(from).PeerDowns++
-	n.rec.PeerDown(from)
 	if n.onPeerDown != nil {
 		n.onPeerDown(from, to)
 		return

@@ -37,6 +37,7 @@ func TestCrashPeerDownTyped(t *testing.T) {
 	if pd.Attempts <= 1 {
 		t.Fatalf("peer declared down after only %d attempts", pd.Attempts)
 	}
+	net.Counters().Fold()
 	if c.PeerDowns != 1 || c.Crashes != 1 {
 		t.Fatalf("PeerDowns=%d Crashes=%d, want 1/1", c.PeerDowns, c.Crashes)
 	}
@@ -103,6 +104,7 @@ func TestCrashRestartRevivesLinks(t *testing.T) {
 	if got == nil || got.Tag != 9 {
 		t.Fatalf("post-restart delivery got %+v, want tag 9", got)
 	}
+	net.Counters().Fold()
 	if c.Crashes != 1 || c.NodeRestarts != 1 || c.PeerDowns != 1 {
 		t.Fatalf("Crashes=%d NodeRestarts=%d PeerDowns=%d, want 1/1/1",
 			c.Crashes, c.NodeRestarts, c.PeerDowns)
@@ -130,6 +132,7 @@ func TestScheduleCrashRestart(t *testing.T) {
 		t.Fatalf("NodeDown timeline before/during/after = %v/%v/%v, want false/true/false",
 			before, during, after)
 	}
+	net.Counters().Fold()
 	if c.Crashes != 1 || c.NodeRestarts != 1 {
 		t.Fatalf("Crashes=%d NodeRestarts=%d, want 1/1", c.Crashes, c.NodeRestarts)
 	}
@@ -146,6 +149,7 @@ func TestCrashOnlyProfileInert(t *testing.T) {
 		net.EnableFaults(prof)
 		got := chaosTraffic(t, net, s, 3, 80, 512)
 		checkInOrder(t, got, 3, 80)
+		net.Counters().Fold()
 		return s.Now(), c.Retransmits, c.AcksSent
 	}
 	baseT, baseR, baseA := run(Profile{Name: "none", Seed: 9})

@@ -82,6 +82,7 @@ func TestChaosExactlyOnceInOrder(t *testing.T) {
 			if net.InFlight() != 0 {
 				t.Fatalf("%d frames still unacked after the run", net.InFlight())
 			}
+			net.Counters().Fold()
 			if c.InjectedDrops > 0 && c.Retransmits == 0 {
 				t.Fatalf("%d drops injected but no retransmits", c.InjectedDrops)
 			}
@@ -104,6 +105,7 @@ func TestChaosZeroProfileNoRetransmits(t *testing.T) {
 		net.EnableFaults(Profile{Name: "none", Seed: 1})
 		got := chaosTraffic(t, net, s, n, msgs, 64<<10) // > both eager thresholds
 		checkInOrder(t, got, n, msgs)
+		net.Counters().Fold()
 		if c.Retransmits != 0 || c.Timeouts != 0 || c.DupsSuppressed != 0 {
 			t.Fatalf("%s: retransmits=%d timeouts=%d dups=%d on a zero-fault profile",
 				fabric.Name, c.Retransmits, c.Timeouts, c.DupsSuppressed)
@@ -124,6 +126,7 @@ func TestChaosDisabledCountersZero(t *testing.T) {
 	s, net, c := newNet(t, 3, VIA())
 	got := chaosTraffic(t, net, s, 3, 50, 1024)
 	checkInOrder(t, got, 3, 50)
+	net.Counters().Fold()
 	if c.AcksSent != 0 || c.Retransmits != 0 || c.Timeouts != 0 || c.DupsSuppressed != 0 ||
 		c.InjectedDrops != 0 || c.InjectedDups != 0 || c.InjectedDelays != 0 {
 		t.Fatalf("reliability/injection counters nonzero with no fault plane: %+v", *c)
@@ -141,6 +144,7 @@ func TestChaosDeterminism(t *testing.T) {
 		net.EnableFaults(ProfileChaos(42))
 		got := chaosTraffic(t, net, s, 4, 120, 512)
 		checkInOrder(t, got, 4, 120)
+		net.Counters().Fold()
 		return s.Now(), c.Retransmits, c.InjectedDrops, c.InjectedDelays
 	}
 	t1, r1, d1, j1 := run()
@@ -193,8 +197,9 @@ func TestChaosStragglerSlowsLink(t *testing.T) {
 }
 
 // TestChaosPerLinkOverride: SetLink confines injection to one directed
-// link; the per-node obs counters show only that sender retransmitting,
-// and the retry-latency histogram fills.
+// link; the per-node counter rows show only that sender retransmitting —
+// and its msgs_sent include the retransmitted frames — and the
+// retry-latency histogram fills.
 func TestChaosPerLinkOverride(t *testing.T) {
 	const msgs = 200
 	s, net, _ := newNet(t, 4, VIA())
@@ -204,16 +209,21 @@ func TestChaosPerLinkOverride(t *testing.T) {
 	fp.SetLink(0, 1, LinkFaults{DropProb: 0.2})
 	got := chaosTraffic(t, net, s, 4, msgs, 128)
 	checkInOrder(t, got, 4, msgs)
-	m := rec.Metrics()
-	if m.Node(0).Retransmits == 0 {
+	rows := net.Counters().Rows()
+	if rows[0].Retransmits == 0 {
 		t.Fatal("no retransmits on the faulted link's sender")
 	}
-	for node := 1; node < 4; node++ {
-		if r := m.Node(node).Retransmits; r != 0 {
-			t.Fatalf("node %d retransmitted %d frames without injected faults", node, r)
+	// Every node sends msgs frames to each of its 3 peers; a retransmitted
+	// frame is wire traffic and counts again at its sender.
+	for node, row := range rows {
+		if node > 0 && row.Retransmits != 0 {
+			t.Fatalf("node %d retransmitted %d frames without injected faults", node, row.Retransmits)
+		}
+		if want := 3*msgs + row.Retransmits; row.Messages != want {
+			t.Fatalf("node %d: msgs_sent = %d, want %d sends + %d retransmits", node, row.Messages, 3*msgs, row.Retransmits)
 		}
 	}
-	if h := m.Hist(obs.HistRetryLatency); h.Count == 0 {
+	if h := rec.Metrics().Hist(obs.HistRetryLatency); h.Count == 0 {
 		t.Fatal("retry-latency histogram empty despite retransmits")
 	}
 }

@@ -107,9 +107,9 @@ type Network struct {
 	fabric   Fabric
 	cpus     []*sim.CPU
 	inbox    []*sim.Queue[*Message]
-	nicFree  []sim.Time // next instant each node's send NIC is idle
-	counters *stats.Sharded
-	freeDel  [][]*delivery // pooled arrival events, one free list per node
+	nicFree  []sim.Time      // next instant each node's send NIC is idle
+	counters *stats.Registry // the run's one counter registry, created here
+	freeDel  [][]*delivery   // pooled arrival events, one free list per node
 	rec      *obs.Recorder
 	fault    *FaultPlane // nil: ideal fabric, original Send path
 	rel      *relState   // reliability sublayer state (set with fault)
@@ -121,8 +121,8 @@ type Network struct {
 	peerDownErr *PeerDownError
 }
 
-// SetRecorder attaches an observability recorder for per-node traffic
-// accounting (nil detaches).
+// SetRecorder attaches an observability recorder for message phase
+// attribution, retry latency and tracing (nil detaches).
 func (n *Network) SetRecorder(r *obs.Recorder) { n.rec = r }
 
 // delivery is a pooled message-arrival event: the closure is created
@@ -169,7 +169,8 @@ func (del *delivery) fire() {
 
 // New creates a network over the given per-node CPU pools. Send charges
 // the fabric's send overhead to the sender's CPU pool, so cpus[i] must be
-// node i's pool.
+// node i's pool. The network is the first layer built, so it creates the
+// run's counter registry: one row per node, folded into c.
 func New(s *sim.Simulator, nodes int, fabric Fabric, cpus []*sim.CPU, c *stats.Counters) *Network {
 	if len(cpus) != nodes {
 		panic(fmt.Sprintf("netsim: %d cpu pools for %d nodes", len(cpus), nodes))
@@ -180,21 +181,19 @@ func New(s *sim.Simulator, nodes int, fabric Fabric, cpus []*sim.CPU, c *stats.C
 		cpus:     cpus,
 		inbox:    make([]*sim.Queue[*Message], nodes),
 		nicFree:  make([]sim.Time, nodes),
-		counters: stats.NewSharded(c),
+		counters: stats.NewRegistry(nodes, c),
 		freeDel:  make([][]*delivery, nodes),
 	}
 	for i := range n.inbox {
 		n.inbox[i] = sim.NewQueue[*Message](s)
 	}
-	if s.Lanes() > 0 && !s.Relaxed() {
-		n.counters.EnableShards(nodes)
-	}
 	return n
 }
 
-// FoldCounters folds the per-node counter shards (if any) into the
-// shared aggregate. The runtime calls it once after the simulation.
-func (n *Network) FoldCounters() { n.counters.Fold() }
+// Counters returns the run's counter registry. The layers above count
+// into it, and Fold on it (simulation quiescent) refreshes the
+// *stats.Counters New was given.
+func (n *Network) Counters() *stats.Registry { return n.counters }
 
 // Nodes returns the number of attached nodes.
 func (n *Network) Nodes() int { return len(n.inbox) }
@@ -217,7 +216,6 @@ func (n *Network) Send(p *sim.Proc, m *Message) {
 	dst := n.inbox[m.To]
 	if m.From == m.To {
 		n.counters.At(m.From).LocalDeliver++
-		n.rec.LocalDelivered(m.From)
 		n.deliverAt(m.From, m.To, n.fabric.LocalLatency, dst, m)
 		return
 	}

@@ -36,6 +36,7 @@ func TestPointToPointLatency(t *testing.T) {
 	if arrived != want {
 		t.Fatalf("arrived at %v, want %v", arrived, want)
 	}
+	net.Counters().Fold()
 	if c.Messages != 1 {
 		t.Fatalf("Messages=%d", c.Messages)
 	}
@@ -124,6 +125,7 @@ func TestLocalDeliveryBypassesNIC(t *testing.T) {
 	if arrived != sim.Time(f.LocalLatency) {
 		t.Fatalf("local delivery at %v, want %v", arrived, f.LocalLatency)
 	}
+	net.Counters().Fold()
 	if c.Messages != 0 || c.LocalDeliver != 1 {
 		t.Fatalf("counters: %s", c.String())
 	}
@@ -173,6 +175,7 @@ func TestByteAccounting(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
+	net.Counters().Fold()
 	if want := int64(100 + f.HeaderBytes); c.Bytes != want {
 		t.Fatalf("Bytes=%d, want %d", c.Bytes, want)
 	}

@@ -210,7 +210,6 @@ func (n *Network) frameTimeout(from, to int, seq int64, ep int) {
 	}
 	pf.attempts++
 	n.counters.At(from).Timeouts++
-	n.rec.Timeout(from)
 	if pf.attempts > n.fault.prof.MaxAttempts {
 		// Retry budget exhausted: declare the peer dead instead of
 		// retransmitting forever (or panicking, as before crash support).
@@ -218,7 +217,6 @@ func (n *Network) frameTimeout(from, to int, seq int64, ep int) {
 		return
 	}
 	n.counters.At(from).Retransmits++
-	n.rec.Retransmit(from)
 	n.transmitFrame(pf)
 }
 
@@ -238,7 +236,6 @@ func (n *Network) arriveData(from, to int, seq int64, ep int, m *Message) {
 		// A late original after a retransmit already delivered, or an
 		// injected duplicate. Re-ack so the sender stops resending.
 		n.counters.At(to).DupsSuppressed++
-		n.rec.DupSuppressed(to)
 		n.sendAck(from, to)
 		return
 	}
@@ -264,7 +261,6 @@ func (n *Network) sendAck(from, to int) {
 	lk := n.rel.recvSide(from, to)
 	acked := lk.expected - 1
 	n.counters.At(to).AcksSent++
-	n.rec.AckSent(to)
 	rev := n.fault.faultsFor(to, from)
 	if rev.DropProb > 0 && n.fault.rngAt(to).Float64() < rev.DropProb {
 		n.counters.At(to).InjectedDrops++

@@ -6,6 +6,7 @@ import (
 	"reflect"
 
 	"parade/internal/sim"
+	"parade/internal/stats"
 )
 
 // Histogram identifiers. All latency histograms are in virtual
@@ -55,56 +56,6 @@ func HistName(id int) string {
 	return histDefs[id].Name
 }
 
-// NodeCounters is the per-node generalization of stats.Counters: the
-// same protocol vocabulary, attributed to the node that performed (or
-// served) each operation.
-type NodeCounters struct {
-	ReadFaults    int64 `json:"read_faults"`
-	WriteFaults   int64 `json:"write_faults"`
-	FetchesIssued int64 `json:"page_fetches_issued"`
-	FetchesServed int64 `json:"page_fetches_served"`
-	Twins         int64 `json:"twins"`
-	DiffsCreated  int64 `json:"diffs_created"`
-	DiffBytes     int64 `json:"diff_bytes"`
-	DiffsApplied  int64 `json:"diffs_applied"`
-	Invalidations int64 `json:"invalidations"`
-	Barriers      int64 `json:"sdsm_barriers"`
-	LockRequests  int64 `json:"lock_requests"`
-	LockWaits     int64 `json:"lock_waits"`
-	MsgsSent      int64 `json:"msgs_sent"`
-	BytesSent     int64 `json:"bytes_sent"`
-	LocalDeliver  int64 `json:"local_deliveries"`
-	Collectives   int64 `json:"collectives"`
-	Directives    int64 `json:"directives"`
-	CPUWaitNs     int64 `json:"cpu_wait_ns"`
-
-	// Reliability sublayer (nonzero only under fault injection).
-	Timeouts       int64 `json:"rel_timeouts,omitempty"`
-	Retransmits    int64 `json:"rel_retransmits,omitempty"`
-	DupsSuppressed int64 `json:"rel_dups_suppressed,omitempty"`
-	AcksSent       int64 `json:"rel_acks_sent,omitempty"`
-
-	// Tasking runtime (nonzero only when the program spawns tasks).
-	TasksSpawned  int64 `json:"task_spawned,omitempty"`
-	TasksExecuted int64 `json:"task_executed,omitempty"`
-	TasksStolen   int64 `json:"task_stolen,omitempty"`
-	StealRequests int64 `json:"steal_requests,omitempty"`
-	DepsResolved  int64 `json:"task_deps_resolved,omitempty"` // predecessor edges retired by the resolver
-	TasksReleased int64 `json:"task_released,omitempty"`      // held tasks released into a deque
-
-	// Protocol policy engine (nonzero only with a non-legacy policy).
-	PolicyReclass   int64 `json:"policy_reclass,omitempty"`
-	PolicyRefreshes int64 `json:"policy_refreshes,omitempty"`
-
-	// Crash faults and recovery (nonzero only with a crash plan).
-	Crashes   int64 `json:"crash_injected,omitempty"`
-	Restarts  int64 `json:"crash_restarts,omitempty"`
-	PeerDowns int64 `json:"rel_peer_downs,omitempty"`
-	CkptMsgs  int64 `json:"ckpt_msgs,omitempty"`
-	CkptBytes int64 `json:"ckpt_bytes,omitempty"`
-	Recovered int64 `json:"recovery_runs,omitempty"`
-}
-
 // PhaseCounters is the activity attributed to one parallel region (or
 // to the serial sections between regions). The *Ns fields are sums of
 // the corresponding latency spans, so e.g. BarrierWaitNs/(region
@@ -144,10 +95,11 @@ type Phase struct {
 // fold into the last slot and FoldedPhases counts how many were folded.
 const maxPhases = 512
 
-// Metrics is the registry side of a Recorder: per-node counters,
-// latency/size histograms, and per-parallel-region phase attribution.
-// Like the Recorder it is written with plain stores — the simulation
-// kernel's one-runnable-goroutine invariant is the synchronization.
+// Metrics is the registry side of a Recorder: latency/size histograms
+// and per-parallel-region phase attribution, plus the per-node counter
+// rows of the run's stats.Registry (SetNodeCounters). Like the Recorder
+// it is written with plain stores — the simulation kernel's
+// one-runnable-goroutine invariant is the synchronization.
 //
 // Under per-node event lanes (internal/sim lane mode) that invariant is
 // per lane, not global, so ShardForLanes switches the registry to
@@ -157,13 +109,12 @@ const maxPhases = 512
 // is identical whatever the lane count or host interleaving — including
 // lanes=1 — and matches what the single-loop kernel records.
 type Metrics struct {
-	perNode []NodeCounters
-	hist    [NumHists]Histogram
+	nodes []stats.Counters // the run's registry rows (set post-run via SetNodeCounters)
+	hist  [NumHists]Histogram
 
 	phases       []Phase
 	cur          *Phase // non-nil while inside a parallel region
 	serial       PhaseCounters
-	total        PhaseCounters
 	foldedPhases int
 
 	// Lane-mode shards (nil in legacy mode).
@@ -184,23 +135,6 @@ type phaseShard struct {
 	cur    int
 	slots  []PhaseCounters
 	serial PhaseCounters
-	total  PhaseCounters
-}
-
-// node returns the counters for node n, growing the slice if a recorder
-// built for fewer nodes sees a larger id. In lane mode the slice is
-// preallocated for every node and never grows (a grow would reallocate
-// the backing array under concurrent lanes).
-func (m *Metrics) node(n int) *NodeCounters {
-	if n >= len(m.perNode) {
-		if m.histSh != nil {
-			panic("obs: node id out of range in lane mode")
-		}
-		grown := make([]NodeCounters, n+1)
-		copy(grown, m.perNode)
-		m.perNode = grown
-	}
-	return &m.perNode[n]
 }
 
 // ph returns the phase-counter set node's activity should currently
@@ -229,15 +163,6 @@ func (m *Metrics) ph(node int) *PhaseCounters {
 	return &m.serial
 }
 
-// tot returns the whole-run accumulator for node's activity (the
-// node's shard in lane mode, the global total otherwise).
-func (m *Metrics) tot(node int) *PhaseCounters {
-	if m.histSh != nil {
-		return &m.phSh[node].total
-	}
-	return &m.total
-}
-
 // h returns histogram id for recording from node's context.
 func (m *Metrics) h(node, id int) *Histogram {
 	if m.histSh != nil {
@@ -246,15 +171,21 @@ func (m *Metrics) h(node, id int) *Histogram {
 	return &m.hist[id]
 }
 
-// Nodes returns the number of nodes with recorded counters.
-func (m *Metrics) Nodes() int { return len(m.perNode) }
+// SetNodeCounters attaches the run's per-node counter rows. The runtime
+// calls it once after the run with the folded stats.Registry's rows:
+// the registry counts every event, this type only presents it.
+func (m *Metrics) SetNodeCounters(rows []stats.Counters) { m.nodes = rows }
+
+// Nodes returns the number of nodes with counter rows (0 before the
+// run's hand-over).
+func (m *Metrics) Nodes() int { return len(m.nodes) }
 
 // Node returns a copy of node n's counters (zero value if out of range).
-func (m *Metrics) Node(n int) NodeCounters {
-	if n < 0 || n >= len(m.perNode) {
-		return NodeCounters{}
+func (m *Metrics) Node(n int) stats.Counters {
+	if n < 0 || n >= len(m.nodes) {
+		return stats.Counters{}
 	}
-	return m.perNode[n]
+	return m.nodes[n]
 }
 
 // Hist returns a copy of histogram id (zero value if out of range).
@@ -272,9 +203,15 @@ func (m *Metrics) Phases() []Phase { return m.phases }
 // Serial returns the activity recorded outside any parallel region.
 func (m *Metrics) Serial() PhaseCounters { return m.serial }
 
-// Total returns the whole-run phase-counter aggregate (parallel regions
-// plus serial sections).
-func (m *Metrics) Total() PhaseCounters { return m.total }
+// Total returns the whole-run phase-counter aggregate: the serial
+// sections plus every parallel region.
+func (m *Metrics) Total() PhaseCounters {
+	t := m.serial
+	for i := range m.phases {
+		t.Add(&m.phases[i].C)
+	}
+	return t
+}
 
 func (m *Metrics) beginPhase(now sim.Time, seq int) {
 	if len(m.phases) == maxPhases {
@@ -298,11 +235,6 @@ func (m *Metrics) endPhase(now sim.Time) {
 // shardForLanes switches the registry to per-node accumulation for a
 // lane-mode run over `nodes` nodes. Call before the simulation starts.
 func (m *Metrics) shardForLanes(nodes int) {
-	if len(m.perNode) < nodes {
-		grown := make([]NodeCounters, nodes)
-		copy(grown, m.perNode)
-		m.perNode = grown
-	}
 	m.histSh = make([][NumHists]Histogram, nodes)
 	m.phSh = make([]phaseShard, nodes)
 }
@@ -323,7 +255,7 @@ func (m *Metrics) regionOff(node int) {
 }
 
 // FoldLanes merges every node shard into the aggregate views (global
-// histograms, the phase list, serial, total). Call once after Run with
+// histograms, the phase list, serial). Call once after Run with
 // the kernel quiesced; safe to call in legacy mode (no-op).
 func (m *Metrics) FoldLanes() {
 	if m.histSh == nil {
@@ -337,7 +269,6 @@ func (m *Metrics) FoldLanes() {
 	for n := range m.phSh {
 		sh := &m.phSh[n]
 		m.serial.Add(&sh.serial)
-		m.total.Add(&sh.total)
 		for seq := 1; seq < len(sh.slots); seq++ {
 			// Region sequence numbers are 1-based and sequential, so the
 			// phase recorded for seq sits at index seq-1 (activity past the
@@ -428,14 +359,14 @@ func histToJSON(h *Histogram, name, unit string) histJSON {
 }
 
 type metricsJSON struct {
-	Schema       string         `json:"schema"`
-	Nodes        int            `json:"nodes"`
-	PerNode      []NodeCounters `json:"per_node"`
-	Histograms   []histJSON     `json:"histograms"`
-	Phases       []Phase        `json:"phases"`
-	FoldedPhases int            `json:"folded_phases,omitempty"`
-	Serial       PhaseCounters  `json:"serial"`
-	Total        PhaseCounters  `json:"total"`
+	Schema       string           `json:"schema"`
+	Nodes        int              `json:"nodes"`
+	PerNode      []stats.Counters `json:"per_node"`
+	Histograms   []histJSON       `json:"histograms"`
+	Phases       []Phase          `json:"phases"`
+	FoldedPhases int              `json:"folded_phases,omitempty"`
+	Serial       PhaseCounters    `json:"serial"`
+	Total        PhaseCounters    `json:"total"`
 
 	// Lane engine section (present only for lane-mode runs).
 	Lanes       []LaneStat `json:"lanes,omitempty"`
@@ -448,17 +379,17 @@ type metricsJSON struct {
 func (m *Metrics) WriteJSON(w io.Writer) error {
 	out := metricsJSON{
 		Schema:       "parade-metrics/v1",
-		Nodes:        len(m.perNode),
-		PerNode:      m.perNode,
+		Nodes:        len(m.nodes),
+		PerNode:      m.nodes,
 		Phases:       m.phases,
 		FoldedPhases: m.foldedPhases,
 		Serial:       m.serial,
-		Total:        m.total,
+		Total:        m.Total(),
 		Lanes:        m.laneStats,
 		LaneWindows:  m.laneWindows,
 	}
 	if out.PerNode == nil {
-		out.PerNode = []NodeCounters{}
+		out.PerNode = []stats.Counters{}
 	}
 	if out.Phases == nil {
 		out.Phases = []Phase{}

@@ -1,8 +1,9 @@
 // Package obs is the unified observability layer for the simulated
 // cluster: structured trace events (with text, JSONL, and Chrome
-// trace_event sinks) and a metrics registry with per-node counters,
-// virtual-time latency histograms, and per-parallel-region phase
-// attribution.
+// trace_event sinks) and a metrics registry with virtual-time latency
+// histograms and per-parallel-region phase attribution. Events are
+// counted in one place, internal/stats; the registry's per-node view is
+// the run's stats.Registry rows, handed over after the run.
 //
 // # Zero overhead when disabled
 //
@@ -44,17 +45,11 @@ type Recorder struct {
 	ev Event
 }
 
-// New creates an enabled Recorder with per-node counter slots for
-// `nodes` nodes (the slots grow on demand if a larger node id appears).
-func New(nodes int) *Recorder {
-	if nodes < 0 {
-		nodes = 0
-	}
-	return &Recorder{m: Metrics{perNode: make([]NodeCounters, nodes)}}
-}
-
-// Enabled reports whether r records anything (i.e. is non-nil).
-func (r *Recorder) Enabled() bool { return r != nil }
+// New creates an enabled Recorder. The node count is not needed to size
+// anything (the per-node counter rows are the run's stats.Registry,
+// handed over after the run); the parameter stays because callers pass
+// it.
+func New(int) *Recorder { return &Recorder{} }
 
 // Metrics returns the recorder's metrics registry (nil for a nil
 // recorder).
@@ -145,30 +140,6 @@ func (r *Recorder) emit() {
 
 // --- hlrc: faults and page movement ---
 
-// ReadFault counts a read access fault on node.
-func (r *Recorder) ReadFault(node int) {
-	if r == nil {
-		return
-	}
-	r.m.node(node).ReadFaults++
-}
-
-// WriteFault counts a write access fault on node.
-func (r *Recorder) WriteFault(node int) {
-	if r == nil {
-		return
-	}
-	r.m.node(node).WriteFaults++
-}
-
-// TwinCreated counts a twin creation on node.
-func (r *Recorder) TwinCreated(node int) {
-	if r == nil {
-		return
-	}
-	r.m.node(node).Twins++
-}
-
 // FetchStart traces the start of a remote page fetch. write says
 // whether the triggering fault was a write fault.
 func (r *Recorder) FetchStart(now sim.Time, node, page, home int, write bool) {
@@ -183,44 +154,30 @@ func (r *Recorder) FetchStart(now sim.Time, node, page, home int, write bool) {
 	r.emit()
 }
 
-// FetchDone records a completed page fetch: counter, latency histogram,
-// phase attribution, and a span event.
+// FetchDone records a completed demand fetch (a fault's wait for its
+// page): latency histogram, phase attribution, and a span event.
 func (r *Recorder) FetchDone(start, end sim.Time, node, page, home int) {
 	if r == nil {
 		return
 	}
 	d := int64(end - start)
-	r.m.node(node).FetchesIssued++
 	r.m.h(node, HistPageFetch).Observe(d)
 	p := r.m.ph(node)
 	p.Fetches++
 	p.FetchWaitNs += d
-	t := r.m.tot(node)
-	t.Fetches++
-	t.FetchWaitNs += d
 	if len(r.sinks) > 0 {
 		r.ev = Event{Kind: KindFetch, Time: end, Dur: sim.Duration(d), Node: node, Page: page, Arg: home}
 		r.emit()
 	}
 }
 
-// FetchServed counts a page request served by its home node.
-func (r *Recorder) FetchServed(home, page int) {
-	if r == nil {
-		return
-	}
-	r.m.node(home).FetchesServed++
-}
-
-// Invalidated counts one page invalidation applied on node.
+// Invalidated attributes one page invalidation applied on node to the
+// current phase.
 func (r *Recorder) Invalidated(node, page int) {
 	if r == nil {
 		return
 	}
-	r.m.node(node).Invalidations++
-	p := r.m.ph(node)
-	p.Invalidations++
-	r.m.tot(node).Invalidations++
+	r.m.ph(node).Invalidations++
 }
 
 // --- hlrc: diff flush ---
@@ -231,24 +188,10 @@ func (r *Recorder) DiffCreated(node, bytes int) {
 	if r == nil {
 		return
 	}
-	nc := r.m.node(node)
-	nc.DiffsCreated++
-	nc.DiffBytes += int64(bytes)
 	r.m.h(node, HistDiffBytes).Observe(int64(bytes))
 	p := r.m.ph(node)
 	p.DiffsCreated++
 	p.DiffBytes += int64(bytes)
-	t := r.m.tot(node)
-	t.DiffsCreated++
-	t.DiffBytes += int64(bytes)
-}
-
-// DiffApplied counts one diff applied at its home node.
-func (r *Recorder) DiffApplied(home int) {
-	if r == nil {
-		return
-	}
-	r.m.node(home).DiffsApplied++
 }
 
 // FlushStart traces the start of a diff flush (after the scan, before
@@ -271,9 +214,6 @@ func (r *Recorder) FlushDone(start, end sim.Time, node, pages, bundles int) {
 	p := r.m.ph(node)
 	p.Flushes++
 	p.FlushWaitNs += d
-	t := r.m.tot(node)
-	t.Flushes++
-	t.FlushWaitNs += d
 	if len(r.sinks) > 0 {
 		r.ev = Event{Kind: KindFlush, Time: end, Dur: sim.Duration(d), Node: node, Page: -1, Arg: pages, Arg2: bundles}
 		r.emit()
@@ -309,14 +249,10 @@ func (r *Recorder) BarrierWait(start, end sim.Time, node int) {
 		return
 	}
 	d := int64(end - start)
-	r.m.node(node).Barriers++
 	r.m.h(node, HistBarrierWait).Observe(d)
 	p := r.m.ph(node)
 	p.Barriers++
 	p.BarrierWaitNs += d
-	t := r.m.tot(node)
-	t.Barriers++
-	t.BarrierWaitNs += d
 	if len(r.sinks) > 0 {
 		r.ev = Event{Kind: KindBarrier, Time: end, Dur: sim.Duration(d), Node: node, Page: -1}
 		r.emit()
@@ -324,24 +260,6 @@ func (r *Recorder) BarrierWait(start, end sim.Time, node int) {
 }
 
 // --- hlrc: locks ---
-
-// LockRequest counts a lock request issued by a node (including cached
-// re-acquires that never reach the manager).
-func (r *Recorder) LockRequest(from int) {
-	if r == nil {
-		return
-	}
-	r.m.node(from).LockRequests++
-}
-
-// LockWaited counts a lock request that could not be granted
-// immediately and queued at the manager.
-func (r *Recorder) LockWaited(from int) {
-	if r == nil {
-		return
-	}
-	r.m.node(from).LockWaits++
-}
 
 // LockAcquired records a completed SDSM lock acquisition on node.
 func (r *Recorder) LockAcquired(start, end sim.Time, node, lock int) {
@@ -353,9 +271,6 @@ func (r *Recorder) LockAcquired(start, end sim.Time, node, lock int) {
 	p := r.m.ph(node)
 	p.Locks++
 	p.LockWaitNs += d
-	t := r.m.tot(node)
-	t.Locks++
-	t.LockWaitNs += d
 	if len(r.sinks) > 0 {
 		r.ev = Event{Kind: KindLock, Time: end, Dur: sim.Duration(d), Node: node, Page: -1, Arg: lock}
 		r.emit()
@@ -374,67 +289,23 @@ func (r *Recorder) LockReleased(now sim.Time, node, lock int) {
 
 // --- netsim ---
 
-// MsgSent records one message entering the fabric from node `from`.
+// MsgSent attributes one message entering the fabric from node `from`
+// to the current phase (first transmissions only: a retransmitted frame
+// is wire traffic, not a new message).
 func (r *Recorder) MsgSent(now sim.Time, from, to, bytes int, kind int) {
 	if r == nil {
 		return
 	}
-	nc := r.m.node(from)
-	nc.MsgsSent++
-	nc.BytesSent += int64(bytes)
 	p := r.m.ph(from)
 	p.Msgs++
 	p.Bytes += int64(bytes)
-	t := r.m.tot(from)
-	t.Msgs++
-	t.Bytes += int64(bytes)
 	if r.traceMessages && len(r.sinks) > 0 {
 		r.ev = Event{Kind: KindMsgSend, Time: now, Node: from, Page: -1, Arg: to, Arg2: bytes, Arg3: kind}
 		r.emit()
 	}
 }
 
-// LocalDelivered counts an intra-node delivery that bypassed the fabric.
-func (r *Recorder) LocalDelivered(node int) {
-	if r == nil {
-		return
-	}
-	r.m.node(node).LocalDeliver++
-}
-
 // --- netsim: reliability sublayer (active under fault injection) ---
-
-// Timeout counts a retransmit timer firing on node's still-unacked frame.
-func (r *Recorder) Timeout(node int) {
-	if r == nil {
-		return
-	}
-	r.m.node(node).Timeouts++
-}
-
-// Retransmit counts a data frame node re-injected after a timeout.
-func (r *Recorder) Retransmit(node int) {
-	if r == nil {
-		return
-	}
-	r.m.node(node).Retransmits++
-}
-
-// DupSuppressed counts an arrival node discarded as a duplicate.
-func (r *Recorder) DupSuppressed(node int) {
-	if r == nil {
-		return
-	}
-	r.m.node(node).DupsSuppressed++
-}
-
-// AckSent counts a cumulative ack node put on the control channel.
-func (r *Recorder) AckSent(node int) {
-	if r == nil {
-		return
-	}
-	r.m.node(node).AcksSent++
-}
 
 // RetrySettled records the first-send-to-ack latency of a frame from
 // node that needed at least one retransmission.
@@ -447,73 +318,26 @@ func (r *Recorder) RetrySettled(firstSent, acked sim.Time, node int) {
 
 // --- netsim + hlrc: crash faults and recovery ---
 
-// CrashInjected counts a crash-stop event on node.
-func (r *Recorder) CrashInjected(node int) {
-	if r == nil {
-		return
-	}
-	r.m.node(node).Crashes++
-}
-
-// NodeRestarted counts a crashed node coming back.
-func (r *Recorder) NodeRestarted(node int) {
-	if r == nil {
-		return
-	}
-	r.m.node(node).Restarts++
-}
-
-// PeerDown counts a retry-budget exhaustion observed by node.
-func (r *Recorder) PeerDown(node int) {
-	if r == nil {
-		return
-	}
-	r.m.node(node).PeerDowns++
-}
-
-// CkptShipped records one checkpoint message node sent to its buddy.
-func (r *Recorder) CkptShipped(node, bytes int) {
-	if r == nil {
-		return
-	}
-	nc := r.m.node(node)
-	nc.CkptMsgs++
-	nc.CkptBytes += int64(bytes)
-}
-
 // RecoveryDone records one completed recovery execution: detection
 // instant through the last repair action, attributed to the master.
 func (r *Recorder) RecoveryDone(start, end sim.Time, node int) {
 	if r == nil {
 		return
 	}
-	r.m.node(node).Recovered++
 	r.m.h(node, HistRecoveryLatency).Observe(int64(end - start))
 }
 
 // --- hlrc: protocol policy engine ---
 
-// PolicyRefresh counts one eager page refresh (update propagation)
-// issued by node after a barrier departure.
-func (r *Recorder) PolicyRefresh(node int) {
-	if r == nil {
-		return
-	}
-	r.m.node(node).PolicyRefreshes++
-}
-
-// PolicyReclass records one applied classifier class change at node
-// (the master). sinceNs is the virtual time since the page's previous
-// change and feeds the reclass_latency histogram; pass a negative value
-// for a page's first change (no previous change to measure from).
+// PolicyReclass records the virtual time between a page's previous
+// class change and the one just applied at node (the master): the
+// reclass_latency histogram. A page's first change has no interval and
+// is not recorded.
 func (r *Recorder) PolicyReclass(node int, sinceNs int64) {
 	if r == nil {
 		return
 	}
-	r.m.node(node).PolicyReclass++
-	if sinceNs >= 0 {
-		r.m.h(node, HistReclassLatency).Observe(sinceNs)
-	}
+	r.m.h(node, HistReclassLatency).Observe(sinceNs)
 }
 
 // --- mpi ---
@@ -524,14 +348,10 @@ func (r *Recorder) Collective(start, end sim.Time, node int, op string, bytes in
 		return
 	}
 	d := int64(end - start)
-	r.m.node(node).Collectives++
 	r.m.h(node, HistCollective).Observe(d)
 	p := r.m.ph(node)
 	p.Collectives++
 	p.CollectiveNs += d
-	t := r.m.tot(node)
-	t.Collectives++
-	t.CollectiveNs += d
 	if len(r.sinks) > 0 {
 		r.ev = Event{Kind: KindCollective, Time: end, Dur: sim.Duration(d), Node: node, Page: -1, Arg: bytes, Cat: op}
 		r.emit()
@@ -574,14 +394,10 @@ func (r *Recorder) Directive(start, end sim.Time, node int, cat, site string) {
 		return
 	}
 	d := int64(end - start)
-	r.m.node(node).Directives++
 	r.m.h(node, HistDirective).Observe(d)
 	p := r.m.ph(node)
 	p.Directives++
 	p.DirectiveNs += d
-	t := r.m.tot(node)
-	t.Directives++
-	t.DirectiveNs += d
 	if len(r.sinks) > 0 {
 		r.ev = Event{Kind: KindDirective, Time: end, Dur: sim.Duration(d), Node: node, Page: -1, Cat: cat, Label: site}
 		r.emit()
@@ -590,31 +406,6 @@ func (r *Recorder) Directive(start, end sim.Time, node int, cat, site string) {
 
 // --- core: tasking runtime ---
 
-// TaskSpawned counts a task pushed onto node's deque.
-func (r *Recorder) TaskSpawned(node int) {
-	if r == nil {
-		return
-	}
-	r.m.node(node).TasksSpawned++
-}
-
-// TaskExecuted counts a task run to completion by a thread of node.
-func (r *Recorder) TaskExecuted(node int) {
-	if r == nil {
-		return
-	}
-	r.m.node(node).TasksExecuted++
-}
-
-// DepResolved counts one predecessor edge retired by node's dependence
-// resolver (a completed task satisfying one successor's dependence).
-func (r *Recorder) DepResolved(node int) {
-	if r == nil {
-		return
-	}
-	r.m.node(node).DepsResolved++
-}
-
 // TaskReleased records a held task's release on its origin node once
 // its last predecessor completed; start is the spawn instant, so the
 // span is the task's dependence wait (the dep_wait_latency histogram).
@@ -622,29 +413,16 @@ func (r *Recorder) TaskReleased(start, end sim.Time, node int) {
 	if r == nil {
 		return
 	}
-	r.m.node(node).TasksReleased++
 	r.m.h(node, HistDepWait).Observe(int64(end - start))
 }
 
-// StealRequest counts a steal round trip initiated by thief.
-func (r *Recorder) StealRequest(thief int) {
-	if r == nil {
-		return
-	}
-	r.m.node(thief).StealRequests++
-}
-
 // StealDone records one completed steal round trip (request sent to
-// reply received); hit says whether a task came back. Hits also count
-// toward the thief's stolen-task tally.
+// reply received); hit says whether a task came back.
 func (r *Recorder) StealDone(start, end sim.Time, thief, victim int, hit bool) {
 	if r == nil {
 		return
 	}
 	d := int64(end - start)
-	if hit {
-		r.m.node(thief).TasksStolen++
-	}
 	r.m.h(thief, HistStealLatency).Observe(d)
 	if len(r.sinks) > 0 {
 		h := 0
@@ -664,9 +442,6 @@ func (r *Recorder) CPUWait(node int, d sim.Duration) {
 	if r == nil {
 		return
 	}
-	r.m.node(node).CPUWaitNs += int64(d)
 	r.m.h(node, HistCPUWait).Observe(int64(d))
-	p := r.m.ph(node)
-	p.CPUWaitNs += int64(d)
-	r.m.tot(node).CPUWaitNs += int64(d)
+	r.m.ph(node).CPUWaitNs += int64(d)
 }

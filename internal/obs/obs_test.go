@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"parade/internal/sim"
+	"parade/internal/stats"
 )
 
 func TestHistogramBucketBoundaries(t *testing.T) {
@@ -220,8 +221,13 @@ func TestMetricsJSONAndPhases(t *testing.T) {
 	if m.Total().Fetches != 3 {
 		t.Errorf("total fetches = %d, want 3", m.Total().Fetches)
 	}
-	if n := m.Node(0); n.FetchesIssued != 2 {
-		t.Errorf("node 0 fetches = %d, want 2", n.FetchesIssued)
+	// The per-node view is whatever registry rows the run hands over.
+	if m.Nodes() != 0 {
+		t.Errorf("%d node rows before the hand-over, want 0", m.Nodes())
+	}
+	m.SetNodeCounters([]stats.Counters{{FetchesIssued: 2}, {FetchesIssued: 1, Retransmits: 4}})
+	if n := m.Node(0); n.FetchesIssued != 2 || m.Node(7) != (stats.Counters{}) {
+		t.Errorf("node 0 = %+v, node 7 = %+v", n, m.Node(7))
 	}
 
 	var buf bytes.Buffer
@@ -229,14 +235,15 @@ func TestMetricsJSONAndPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doc struct {
-		Schema     string            `json:"schema"`
-		PerNode    []json.RawMessage `json:"per_node"`
+		Schema     string             `json:"schema"`
+		PerNode    []map[string]int64 `json:"per_node"`
 		Histograms []struct {
 			Name  string `json:"name"`
 			Unit  string `json:"unit"`
 			Count int64  `json:"count"`
 		} `json:"histograms"`
 		Phases []json.RawMessage `json:"phases"`
+		Total  PhaseCounters     `json:"total"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("metrics JSON invalid: %v\n%s", err, buf.String())
@@ -245,7 +252,17 @@ func TestMetricsJSONAndPhases(t *testing.T) {
 		t.Errorf("schema = %q", doc.Schema)
 	}
 	if len(doc.PerNode) != 2 || len(doc.Phases) != 1 {
-		t.Errorf("per_node=%d phases=%d, want 2 and 1", len(doc.PerNode), len(doc.Phases))
+		t.Fatalf("per_node=%d phases=%d, want 2 and 1", len(doc.PerNode), len(doc.Phases))
+	}
+	// Keys are the stats.Counters names; rarely non-zero groups are
+	// omitted while zero.
+	if n0, n1 := doc.PerNode[0], doc.PerNode[1]; n0["page_fetches_issued"] != 2 || n1["rel_retransmits"] != 4 {
+		t.Errorf("per_node = %v", doc.PerNode)
+	} else if _, ok := n0["rel_retransmits"]; ok {
+		t.Errorf("zero rel_retransmits not omitted: %v", n0)
+	}
+	if doc.Total != m.Total() || doc.Total.Fetches != 3 || doc.Total.FetchWaitNs != 45 {
+		t.Errorf("total = %+v, want serial + phases", doc.Total)
 	}
 	found := false
 	for _, h := range doc.Histograms {
@@ -261,24 +278,12 @@ func TestMetricsJSONAndPhases(t *testing.T) {
 	}
 }
 
-func TestNodeSlotsGrowOnDemand(t *testing.T) {
-	r := New(1)
-	r.ReadFault(5)
-	if got := r.Metrics().Nodes(); got != 6 {
-		t.Fatalf("got %d node slots, want 6", got)
-	}
-	if r.Metrics().Node(5).ReadFaults != 1 {
-		t.Error("fault not attributed to node 5")
-	}
-}
-
 // TestDisabledPathZeroAlloc pins the zero-overhead contract: every
-// recording call on a nil recorder, and the counter/histogram-only calls
+// recording call on a nil recorder, and the histogram/phase-only calls
 // on an enabled recorder without sinks, must not allocate.
 func TestDisabledPathZeroAlloc(t *testing.T) {
 	var nilRec *Recorder
 	if n := testing.AllocsPerRun(100, func() {
-		nilRec.ReadFault(0)
 		nilRec.FetchStart(1, 0, 1, 1, false)
 		nilRec.FetchDone(1, 2, 0, 1, 1)
 		nilRec.DiffCreated(0, 64)
@@ -295,7 +300,6 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 
 	rec := New(4)
 	if n := testing.AllocsPerRun(100, func() {
-		rec.ReadFault(3)
 		rec.FetchDone(1, 2, 3, 1, 1)
 		rec.DiffCreated(3, 64)
 		rec.FlushDone(1, 2, 3, 1, 1)

@@ -17,8 +17,11 @@ type CPU struct {
 	// BusyTime accumulates slot-occupancy for utilization reporting.
 	BusyTime Duration
 
-	// OnWait, when set, observes the time each process spends queued for
-	// a busy slot (the 1Thread-1CPU contention signal). It is a plain
+	// WaitTime accumulates the time processes spent queued for a busy
+	// slot (the 1Thread-1CPU contention signal).
+	WaitTime Duration
+
+	// OnWait, when set, observes each such wait as it ends. It is a plain
 	// func field rather than an interface so the disabled path is a
 	// single nil check on the already-slow queueing branch; sim cannot
 	// import internal/obs (obs uses sim's time types), so the runtime
@@ -51,14 +54,14 @@ func (c *CPU) acquire(p *Proc) {
 		return
 	}
 	c.queue = append(c.queue, p)
-	if c.OnWait != nil {
-		t0 := p.Now()
-		p.park("cpu")
-		c.OnWait(Duration(p.Now() - t0))
-		return
-	}
+	t0 := p.Now()
 	p.park("cpu")
 	// Ownership is transferred by release; busy already accounts for us.
+	d := Duration(p.Now() - t0)
+	c.WaitTime += d
+	if c.OnWait != nil {
+		c.OnWait(d)
+	}
 }
 
 // release frees a slot or hands it directly to the oldest waiter.
