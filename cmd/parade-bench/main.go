@@ -158,14 +158,10 @@ func main() {
 		return
 	}
 
-	var nodes []int
-	for _, s := range strings.Split(*nodesFlag, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "parade-bench: bad node count %q\n", s)
-			os.Exit(2)
-		}
-		nodes = append(nodes, n)
+	nodes, err := parseNodes(*nodesFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
+		os.Exit(2)
 	}
 
 	ids := []int{6, 7, 8, 9, 10, 11}

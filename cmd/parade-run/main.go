@@ -13,6 +13,7 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"time"
 
 	"parade/internal/apps"
 	"parade/internal/core"
@@ -71,6 +72,80 @@ func newSink(format string, w io.Writer) (obs.Sink, error) {
 	}
 }
 
+// clusterFlags are the flag values that shape the cluster configuration.
+type clusterFlags struct {
+	nodes, tpn, cpus      int
+	mode, fabric, policy  string
+	faults, hetero, crash string
+	faultSeed             int64
+	lanes                 string // a positive count, "auto" or "off"
+	tracing               bool   // -trace is set: the kernel must be sequential
+	timeout               time.Duration
+}
+
+// clusterConfig lowers the flags to the cluster configuration the chosen
+// application runs under. Every name is resolved by the package that owns
+// it, so an unknown value is an error naming the valid ones.
+func clusterConfig(f clusterFlags) (core.Config, error) {
+	cfg := core.Config{Nodes: f.nodes, ThreadsPerNode: f.tpn, CPUsPerNode: f.cpus,
+		Mode: core.Hybrid, HomeMigration: true, Policy: f.policy,
+		Deadline: f.timeout}
+	var err error
+	if cfg.Fabric, err = netsim.FabricByName(f.fabric); err != nil {
+		return cfg, err
+	}
+	cfg = cfg.WithDefaults()
+	switch f.mode {
+	case "parade":
+	case "kdsm":
+		cfg = kdsm.FromParade(cfg)
+	default:
+		return cfg, fmt.Errorf("unknown -mode %q (have parade, kdsm)", f.mode)
+	}
+	if f.faults != "" {
+		prof, err := netsim.ProfileByName(f.faults, f.faultSeed)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.Faults = &prof
+	}
+	if cfg.Hetero, err = netsim.HeteroByName(f.hetero, cfg.Nodes); err != nil {
+		return cfg, err
+	}
+	if f.crash != "" {
+		events, err := harness.ParseCrash(f.crash)
+		if err != nil {
+			return cfg, err
+		}
+		if len(events) == 0 {
+			return cfg, fmt.Errorf("empty -crash spec")
+		}
+		cfg.Crash = &hlrc.CrashPlan{Events: events}
+	}
+	// Resolve -lanes. Trace sinks need the sequential recorder, so 'auto'
+	// falls back to the legacy kernel when tracing; an explicit count
+	// combined with -trace is a configuration error.
+	switch f.lanes {
+	case "off", "0":
+		cfg.Lanes = 0
+	case "auto":
+		if !f.tracing {
+			cfg.Lanes = min(cfg.Nodes, runtime.GOMAXPROCS(0))
+		}
+	default:
+		n, err := strconv.Atoi(f.lanes)
+		if err != nil || n < 1 {
+			return cfg, &core.LaneConfigError{Reason: fmt.Sprintf(
+				"bad -lanes %q (want a positive count, 'auto', or 'off')", f.lanes)}
+		}
+		if f.tracing {
+			return cfg, &core.LaneConfigError{Lanes: n, Reason: "-trace needs the sequential recorder; use -lanes off (or auto) with tracing"}
+		}
+		cfg.Lanes = n
+	}
+	return cfg, nil
+}
+
 func main() {
 	app := flag.String("app", "cg", "application: cg, ep, helmholtz, md, lockmix, quad, taskdep")
 	nodes := flag.Int("nodes", 4, "cluster nodes")
@@ -93,17 +168,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "wall-clock guard: cancel the run after this host time and dump partial stats (0 disables)")
 	flag.Parse()
 
-	cfg := core.Config{Nodes: *nodes, ThreadsPerNode: *tpn, CPUsPerNode: *cpus,
-		Mode: core.Hybrid, HomeMigration: true, Policy: *policy,
-		Deadline: *timeout}
-	if *fabric == "tcp" {
-		cfg.Fabric = netsim.TCP()
-	}
-	cfg = cfg.WithDefaults()
-	if *mode == "kdsm" {
-		cfg = kdsm.FromParade(cfg)
-	}
-
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "parade-run: %v\n", err)
 		os.Exit(1)
@@ -123,31 +187,13 @@ func main() {
 		fail(err)
 	}
 
-	if *faults != "" {
-		prof, err := netsim.ProfileByName(*faults, *faultSeed)
-		if err != nil {
-			fail(err)
-		}
-		cfg.Faults = &prof
-	}
-
-	if *hetero != "" {
-		h, err := netsim.HeteroByName(*hetero, cfg.Nodes)
-		if err != nil {
-			fail(err)
-		}
-		cfg.Hetero = h
-	}
-
-	if *crash != "" {
-		events, err := harness.ParseCrash(*crash)
-		if err != nil {
-			fail(err)
-		}
-		if len(events) == 0 {
-			fail(fmt.Errorf("empty -crash spec"))
-		}
-		cfg.Crash = &hlrc.CrashPlan{Events: events}
+	cfg, err := clusterConfig(clusterFlags{
+		nodes: *nodes, tpn: *tpn, cpus: *cpus, mode: *mode, fabric: *fabric,
+		policy: *policy, faults: *faults, faultSeed: *faultSeed, hetero: *hetero,
+		crash: *crash, lanes: *lanes, tracing: *traceOut != "", timeout: *timeout,
+	})
+	if err != nil {
+		fail(err)
 	}
 
 	var rec *obs.Recorder
@@ -168,32 +214,6 @@ func main() {
 			traceFinish = finish
 		}
 		cfg.Obs = rec
-	}
-
-	// Resolve -lanes. Trace sinks need the sequential recorder, so 'auto'
-	// falls back to the legacy kernel when tracing; an explicit count
-	// combined with -trace is a configuration error.
-	tracing := *traceOut != ""
-	switch *lanes {
-	case "off", "0":
-		cfg.Lanes = 0
-	case "auto":
-		if !tracing {
-			cfg.Lanes = cfg.Nodes
-			if g := runtime.GOMAXPROCS(0); g < cfg.Lanes {
-				cfg.Lanes = g
-			}
-		}
-	default:
-		n, err := strconv.Atoi(*lanes)
-		if err != nil || n < 1 {
-			fail(&core.LaneConfigError{Reason: fmt.Sprintf(
-				"bad -lanes %q (want a positive count, 'auto', or 'off')", *lanes)})
-		}
-		if tracing {
-			fail(&core.LaneConfigError{Lanes: n, Reason: "-trace needs the sequential recorder; use -lanes off (or auto) with tracing"})
-		}
-		cfg.Lanes = n
 	}
 
 	switch *app {

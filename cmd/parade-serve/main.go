@@ -97,7 +97,7 @@ func main() {
 	}
 
 	if *replay != "" {
-		ropt := fleet.ReplayOptions{
+		ropt := fleet.SpecMatrix{
 			Apps:     splitList(*replayApps),
 			Modes:    splitList(*replayModes),
 			Profiles: splitOrNone(*replayProfiles),
@@ -105,7 +105,6 @@ func main() {
 			Nodes:    mustInts(*replayNodes, "-replay-nodes"),
 			Lanes:    mustInts(*replayLanes, "-replay-lanes"),
 			Seed:     *replaySeed,
-			Log:      os.Stderr,
 		}
 		os.Exit(runReplay(*replay, opt, ropt))
 	}
@@ -146,7 +145,7 @@ func main() {
 
 // runReplay executes the replay harness and returns the process exit
 // code. target "self" boots an in-process server on a loopback port.
-func runReplay(target string, opt fleet.ServerOptions, ropt fleet.ReplayOptions) int {
+func runReplay(target string, opt fleet.ServerOptions, ropt fleet.SpecMatrix) int {
 	baseURL := target
 	if target == "self" {
 		svc, err := fleet.NewService(opt)
@@ -167,7 +166,7 @@ func runReplay(target string, opt fleet.ServerOptions, ropt fleet.ReplayOptions)
 		}()
 		baseURL = "http://" + ln.Addr().String()
 	}
-	sum, err := fleet.Replay(baseURL, ropt)
+	sum, err := fleet.Replay(baseURL, ropt, os.Stderr)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "parade-serve: replay FAILED: %v\n", err)
 		return 1

@@ -307,37 +307,38 @@ func (e *Executor) attempt(spec JobSpec, cfg core.Config, app harness.MatrixApp,
 // errors as StatusError; deadline aborts as StatusCanceled; exhausted
 // panic retries as StatusPanic (and the fingerprint is quarantined —
 // later identical jobs get StatusQuarantined without executing). The
-// returned error is non-nil only for programming errors (a spec that
-// validated but cannot be lowered).
+// returned error is non-nil only for programming errors (a lowered spec
+// whose app is not in the kernel table).
 func (e *Executor) Run(spec JobSpec) (JobResult, error) {
-	spec = spec.Normalize()
+	return e.run(spec.Lower())
+}
+
+// run executes a spec that has already been normalized, identified,
+// validated and lowered — once, by the caller (Run for direct callers,
+// readBatch for served jobs).
+func (e *Executor) run(job *harness.Lowered) (JobResult, error) {
+	spec, fp, cfg := job.Cell, job.Fingerprint, job.Config
 	res := JobResult{
 		ID:          spec.ID,
 		App:         spec.App,
 		Mode:        spec.Mode,
-		Config:      spec.Canonical(),
-		Fingerprint: spec.FingerprintHex(),
+		Config:      job.Canonical,
+		Fingerprint: fmt.Sprintf("%016x", fp),
 	}
-	if err := spec.Validate(); err != nil {
-		se := err.(*JobSpecError)
+	if job.Invalid != nil {
 		res.Status = StatusInvalid
-		res.InvalidFields = se.Fields
+		res.InvalidFields = job.Invalid
 		return res, nil
 	}
-	fp := spec.Fingerprint()
 	if reason, ok := e.quarantineReason(fp); ok {
 		e.quarantined.Add(1)
 		res.Status = StatusQuarantined
 		res.Error = (&QuarantineError{Fingerprint: res.Fingerprint, Reason: reason}).Error()
 		return res, nil
 	}
-	cfg, err := spec.BuildConfig()
-	if err != nil {
-		return res, fmt.Errorf("fleet: lowering validated spec: %w", err)
-	}
 	app, err := harness.MatrixAppByName(spec.App)
 	if err != nil {
-		return res, fmt.Errorf("fleet: lowering validated spec: %w", err)
+		return res, fmt.Errorf("fleet: lowered spec: %w", err)
 	}
 	opt := e.options()
 	cfg.Deadline = effectiveDeadline(opt.MaxJobTime, spec.DeadlineMS)

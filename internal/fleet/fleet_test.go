@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"errors"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -327,14 +328,14 @@ func TestExecutorLockmixTwoThreads(t *testing.T) {
 }
 
 // TestReplayCoversAcceptanceMatrices: every cell the chaos and crash
-// matrices enumerate at 4 nodes is in the default replay, lowered to an
-// equal configuration — the service path and the in-process harness run
-// the same cells by construction, not by parallel lists.
+// matrices enumerate at 4 nodes is in the default replay. A matrix cell
+// and a job spec are the same type, so "the same cell" is equality of
+// canonical strings — which TestCellIdentityIsComplete (harness) ties to
+// equality of the lowered configuration.
 func TestReplayCoversAcceptanceMatrices(t *testing.T) {
-	type key struct{ app, mode, profile, crash string }
-	specs := map[key]JobSpec{}
-	for _, spec := range replaySpecs(ReplayOptions{}) {
-		specs[key{spec.App, spec.Mode, spec.FaultProfile, spec.Crash}] = spec
+	replayed := map[string]bool{}
+	for _, spec := range replaySpecs(SpecMatrix{}) {
+		replayed[spec.Canonical()] = true
 	}
 	for _, name := range []string{"chaos", "crash"} {
 		cells, err := harness.MatrixCells(name, harness.MatrixOptions{Nodes: 4})
@@ -342,22 +343,41 @@ func TestReplayCoversAcceptanceMatrices(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, cell := range cells {
-			spec, ok := specs[key{cell.App, cell.Mode, cell.Profile, harness.FormatCrash(cell.Crash)}]
-			if !ok {
+			if !replayed[cell.Canonical()] {
 				t.Errorf("%s cell %s is not in the default replay", name, cell)
-				continue
-			}
-			want, err := cell.Config()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := spec.BuildConfig()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s cell %s: served config differs from the matrix's:\n got %+v\nwant %+v", name, cell, got, want)
 			}
 		}
+	}
+}
+
+// TestServingSpecTable pins SERVING.md's job-spec table to the struct it
+// documents: one row per JSON tag of JobSpec, no row without a tag.
+func TestServingSpecTable(t *testing.T) {
+	doc, err := os.ReadFile("../../SERVING.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(doc), "## Job-spec schema")
+	if !ok {
+		t.Fatal("SERVING.md has no Job-spec schema section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	rows := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if rest, ok := strings.CutPrefix(line, "| `"); ok {
+			name, _, _ := strings.Cut(rest, "`")
+			rows[name] = true
+		}
+	}
+	typ := reflect.TypeOf(JobSpec{})
+	for i := 0; i < typ.NumField(); i++ {
+		tag, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		if !rows[tag] {
+			t.Errorf("JobSpec.%s (json %q) has no row in SERVING.md's job-spec table", typ.Field(i).Name, tag)
+		}
+		delete(rows, tag)
+	}
+	for name := range rows {
+		t.Errorf("SERVING.md's job-spec table documents %q, which is not a JobSpec field", name)
 	}
 }

@@ -15,22 +15,6 @@ import (
 	"parade/internal/harness"
 )
 
-// ReplayOptions selects the scenario subset a replay drives through the
-// service. Zero values take the SpecMatrix defaults; the default
-// profile/crash sets exercise both the chaos and crash acceptance
-// matrices so the replay proves the HTTP path serves the exact cells the
-// in-process matrices assert on.
-type ReplayOptions struct {
-	Apps     []string
-	Modes    []string
-	Profiles []string // default: "" and harness.FaultProfiles
-	Crashes  []string // default: "" and harness.CrashSchedules of each node count
-	Nodes    []int
-	Lanes    []int
-	Seed     int64
-	Log      io.Writer // progress lines; nil discards
-}
-
 // ReplaySummary reports what a replay covered and found.
 type ReplaySummary struct {
 	Cells      int // scenario cells replayed
@@ -54,16 +38,17 @@ type ReplaySummary struct {
 //  3. Cache-skip: /metrics' parade_fleet_executions_total does not move
 //     across the repeat batch — hits provably never re-run.
 //
-// baseURL is the service root (e.g. http://127.0.0.1:8080). A non-nil
-// error reports the first hard failure; mismatch counts are in the
-// summary either way.
-func Replay(baseURL string, opt ReplayOptions) (ReplaySummary, error) {
+// baseURL is the service root (e.g. http://127.0.0.1:8080). m selects
+// the scenario subset (replaySpecs has its defaults); progress lines go to
+// log, nil discards them. A non-nil error reports the first hard failure;
+// mismatch counts are in the summary either way.
+func Replay(baseURL string, m SpecMatrix, log io.Writer) (ReplaySummary, error) {
 	logf := func(format string, args ...any) {
-		if opt.Log != nil {
-			fmt.Fprintf(opt.Log, format+"\n", args...)
+		if log != nil {
+			fmt.Fprintf(log, format+"\n", args...)
 		}
 	}
-	specs := replaySpecs(opt)
+	specs := replaySpecs(m)
 	sum := ReplaySummary{Cells: len(specs)}
 	logf("replay: %d scenario cells against %s", len(specs), baseURL)
 
@@ -85,7 +70,7 @@ func Replay(baseURL string, opt ReplayOptions) (ReplaySummary, error) {
 
 	// Jitter is deterministic per replay seed so two replays of the same
 	// matrix back off identically.
-	rng := rand.New(rand.NewSource(opt.Seed + 0x9e3779b9))
+	rng := rand.New(rand.NewSource(m.Seed + 0x9e3779b9))
 	post := func() (map[string]JobResult, error) {
 		var body bytes.Buffer
 		enc := json.NewEncoder(&body)
@@ -187,34 +172,30 @@ func Replay(baseURL string, opt ReplayOptions) (ReplaySummary, error) {
 	return sum, nil
 }
 
-// replaySpecs expands the replay's scenario subset. The default fault
-// profiles and crash schedules are the chaos and crash matrices' own
-// varied axes, so a default replay covers every cell those matrices
-// assert on. The matrices pair link faults with crash-free runs and
-// crashes with the ideal fabric; the fault-free baseline cell anchors
-// both, so both dimensions always include the empty value.
-func replaySpecs(opt ReplayOptions) []JobSpec {
-	profiles := opt.Profiles
-	if len(profiles) == 0 {
-		profiles = harness.FaultProfiles()
+// replaySpecs expands the replay's scenario subset. Unselected fault
+// profiles and crash schedules default to the chaos and crash matrices'
+// own varied axes (the schedules of each node count), so a default replay
+// covers every cell those matrices assert on. The matrices pair link
+// faults with crash-free runs and crashes with the ideal fabric; the
+// fault-free baseline cell anchors both, so both dimensions always
+// include the empty value.
+func replaySpecs(m SpecMatrix) []JobSpec {
+	if len(m.Profiles) == 0 {
+		m.Profiles = harness.FaultProfiles()
 	}
-	nodes := opt.Nodes
-	if len(nodes) == 0 {
-		nodes = []int{4}
-	}
+	m.Profiles = withEmpty(m.Profiles)
 	var specs []JobSpec
-	for _, n := range nodes {
-		crashes := opt.Crashes
-		if len(crashes) == 0 {
+	for _, n := range orZero(m.Nodes) {
+		n = JobSpec{Nodes: n}.Normalize().Nodes // unselected: the spec default
+		per := m
+		per.Nodes = []int{n}
+		if len(per.Crashes) == 0 {
 			for _, events := range harness.CrashSchedules(n) {
-				crashes = append(crashes, harness.FormatCrash(events))
+				per.Crashes = append(per.Crashes, harness.FormatCrash(events))
 			}
 		}
-		specs = append(specs, SpecMatrix{
-			Apps: opt.Apps, Modes: opt.Modes,
-			Profiles: withEmpty(profiles), Crashes: withEmpty(crashes),
-			Nodes: []int{n}, Lanes: opt.Lanes, Seed: opt.Seed,
-		}.Expand()...)
+		per.Crashes = withEmpty(per.Crashes)
+		specs = append(specs, per.Expand()...)
 	}
 	return specs
 }

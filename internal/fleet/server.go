@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"parade/internal/harness"
 )
 
 // ServerOptions sizes a Service.
@@ -174,12 +176,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.WritePrometheus(w, s.cache, s.exec.Stats(), ws)
 }
 
-// batchLine is one parsed input line: a spec or its parse error.
-type batchLine struct {
-	spec    JobSpec
-	specErr *JobSpecError
-}
-
 func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
@@ -198,7 +194,7 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 	var jobs []int // indexes of lines that passed validation
 	for i := range lines {
-		if lines[i].specErr == nil {
+		if lines[i].Invalid == nil {
 			jobs = append(jobs, i)
 		}
 	}
@@ -207,10 +203,10 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 	submit := make([]Job, 0, len(jobs))
 	for _, idx := range jobs {
 		idx := idx
-		spec := lines[idx].spec
+		job := lines[idx]
 		submit = append(submit, Job{
 			Run: func() {
-				res := s.runJob(spec)
+				res := s.runJob(job)
 				res.Index = idx
 				results <- res
 			},
@@ -219,8 +215,8 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 			// leaving the client hanging.
 			Drop: func() {
 				results <- JobResult{
-					ID: spec.ID, Index: idx, Status: StatusCanceled,
-					App: spec.App, Mode: spec.Mode,
+					ID: job.Cell.ID, Index: idx, Status: StatusCanceled,
+					App: job.Cell.App, Mode: job.Cell.Mode,
 					Error: "dropped: server killed before execution",
 				}
 			},
@@ -257,12 +253,11 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// Invalid lines are answered immediately, then executed results
 	// stream in completion order (each line carries its batch index).
 	for i := range lines {
-		if se := lines[i].specErr; se != nil {
-			spec := lines[i].spec
+		if line := lines[i]; line.Invalid != nil {
 			emit(JobResult{
-				ID: spec.ID, Index: i, Status: StatusInvalid,
-				App: spec.App, Mode: spec.Mode,
-				InvalidFields: se.Fields,
+				ID: line.Cell.ID, Index: i, Status: StatusInvalid,
+				App: line.Cell.App, Mode: line.Cell.Mode,
+				InvalidFields: line.Invalid,
 			})
 		}
 	}
@@ -279,13 +274,15 @@ type httpError struct {
 
 func (e *httpError) Error() string { return e.msg }
 
-// readBatch parses the request body as JSONL job specs. Parse and
-// validation failures are recorded per line (typed *JobSpecError), not
-// fatal; only an oversized batch/line or unreadable body aborts.
-func (s *Service) readBatch(r *http.Request) ([]batchLine, error) {
+// readBatch parses the request body as JSONL job specs and takes each
+// across every spec decision once (JobSpec.Lower): the handler, the cache,
+// the WAL and the executor all use that one answer. Parse and validation
+// failures are recorded per line (Invalid), not fatal; only an oversized
+// batch/line or unreadable body aborts.
+func (s *Service) readBatch(r *http.Request) ([]*harness.Lowered, error) {
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 64<<10), s.opt.MaxLine)
-	var lines []batchLine
+	var lines []*harness.Lowered
 	for sc.Scan() {
 		raw := strings.TrimSpace(sc.Text())
 		if raw == "" {
@@ -297,20 +294,11 @@ func (s *Service) readBatch(r *http.Request) ([]batchLine, error) {
 		}
 		var spec JobSpec
 		if err := json.Unmarshal([]byte(raw), &spec); err != nil {
-			lines = append(lines, batchLine{specErr: &JobSpecError{
-				Index:  len(lines),
-				Fields: []FieldError{{Field: "(line)", Reason: fmt.Sprintf("not a JSON job spec: %v", err)}},
-			}})
+			lines = append(lines, &harness.Lowered{Invalid: []FieldError{
+				{Field: "(line)", Reason: fmt.Sprintf("not a JSON job spec: %v", err)}}})
 			continue
 		}
-		spec = spec.Normalize()
-		line := batchLine{spec: spec}
-		if err := spec.Validate(); err != nil {
-			se := err.(*JobSpecError)
-			se.Index = len(lines)
-			line.specErr = se
-		}
-		lines = append(lines, line)
+		lines = append(lines, spec.Lower())
 	}
 	if err := sc.Err(); err != nil {
 		return nil, &httpError{http.StatusBadRequest, fmt.Sprintf("reading batch: %v", err)}
@@ -345,14 +333,13 @@ func (s *Service) meanJobSeconds() float64 {
 
 // runJob serves one validated spec: dedupe cache first, then in-flight
 // coalescing, then a real execution whose StatusOK result is cached.
-func (s *Service) runJob(spec JobSpec) JobResult {
-	fp := spec.Fingerprint()
-	canon := spec.Canonical()
+func (s *Service) runJob(job *harness.Lowered) JobResult {
+	fp, canon := job.Fingerprint, job.Canonical
 	if res, ok := s.cache.Get(fp, canon); ok {
 		// A hit is provably the stored job's exact result: the canonical
 		// strings matched, and a run is a pure function of its canonical
 		// config. Never re-run.
-		res.ID = spec.ID
+		res.ID = job.Cell.ID
 		res.Cached = true
 		return res
 	}
@@ -362,7 +349,7 @@ func (s *Service) runJob(spec JobSpec) JobResult {
 		s.flightMu.Unlock()
 		<-call.done
 		res := call.res
-		res.ID = spec.ID
+		res.ID = job.Cell.ID
 		res.Cached = true
 		return res
 	}
@@ -370,7 +357,7 @@ func (s *Service) runJob(spec JobSpec) JobResult {
 	s.flight[fp] = call
 	s.flightMu.Unlock()
 
-	res, err := s.exec.Run(spec)
+	res, err := s.exec.run(job)
 	if err != nil {
 		res.Status = StatusError
 		res.Error = err.Error()

@@ -294,11 +294,11 @@ func TestReplayAgainstTestServer(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	sum, err := Replay(ts.URL, ReplayOptions{
+	sum, err := Replay(ts.URL, SpecMatrix{
 		Apps:     []string{"ep", "lockmix"},
 		Profiles: []string{"drop"},
 		Crashes:  []string{"1@1"},
-	})
+	}, nil)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}

@@ -69,7 +69,7 @@ var matrixApps = []MatrixApp{
 	}},
 	{"lockmix", true, func(cfg core.Config) (string, sim.Duration, core.Report, error) {
 		// The lock-protocol stress kernel runs with lazy-release tokens
-		// (LockCaching, applied by Cell.Config) so the cached lock path
+		// (LockCaching, applied by Cell.Normalize) so the cached lock path
 		// (lockcache.go) degrades gracefully too, not just the
 		// centralized one.
 		r, err := apps.RunLockmix(cfg, apps.LockmixTest())
@@ -103,11 +103,7 @@ func MatrixModes() []string { return []string{"hybrid", "sdsm"} }
 // MatrixModeConfig builds the cluster configuration one matrix mode uses:
 // "hybrid" is the full ParADE runtime (message-passing collectives for
 // small data, migratory home), "sdsm" is the conventional KDSM baseline.
-// threadsPerNode <= 0 selects the matrices' one thread per node.
 func MatrixModeConfig(mode string, nodes, threadsPerNode int) (core.Config, error) {
-	if threadsPerNode <= 0 {
-		threadsPerNode = 1
-	}
 	switch mode {
 	case "hybrid":
 		return core.Config{Nodes: nodes, ThreadsPerNode: threadsPerNode,

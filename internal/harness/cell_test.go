@@ -1,10 +1,10 @@
 package harness
 
 import (
+	"encoding/json"
 	"reflect"
 	"testing"
 
-	"parade/internal/hlrc"
 	"parade/internal/obs"
 	"parade/internal/stats"
 )
@@ -18,8 +18,8 @@ import (
 func TestLockmixTwoThreadsLockCaching(t *testing.T) {
 	for _, mode := range MatrixModes() {
 		cell := Cell{App: "lockmix", Mode: mode, Nodes: 8, ThreadsPerNode: 2}
-		if cfg, err := cell.Config(); err != nil || !cfg.LockCaching {
-			t.Fatalf("%s: Config() = LockCaching %v, err %v; lockmix always runs with lock caching", mode, cfg.LockCaching, err)
+		if cfg, err := cell.BuildConfig(); err != nil || !cfg.LockCaching {
+			t.Fatalf("%s: BuildConfig() = LockCaching %v, err %v; lockmix always runs with lock caching", mode, cfg.LockCaching, err)
 		}
 		run, err := cell.Run()
 		if err != nil {
@@ -73,7 +73,7 @@ func TestPerNodeSumsToCounters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg, err := c.Config()
+		cfg, err := c.BuildConfig()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,21 +94,17 @@ func TestPerNodeSumsToCounters(t *testing.T) {
 		if len(out) != cfg.Nodes || sum != rep.Counters {
 			t.Errorf("%s lanes=%d: %d rows sum to\n%s\nReport.Counters is\n%s", c, c.Lanes, len(out), sum.String(), rep.Counters.String())
 		}
-		if c.Crash == nil && sum.FetchesIssued != sum.PageFetches {
+		if cfg.Crash == nil && sum.FetchesIssued != sum.PageFetches {
 			t.Errorf("%s lanes=%d: %d fetches issued, %d served", c, c.Lanes, sum.FetchesIssued, sum.PageFetches)
 		}
-		if c.Crash != nil && sum.Crashes != int64(len(c.Crash)) {
-			t.Errorf("%s lanes=%d: %d crashes, want %d", c, c.Lanes, sum.Crashes, len(c.Crash))
+		if cfg.Crash != nil && sum.Crashes != int64(len(cfg.Crash.Events)) {
+			t.Errorf("%s lanes=%d: %d crashes, want %d", c, c.Lanes, sum.Crashes, len(cfg.Crash.Events))
 		}
 		return out
 	}
-	crash, err := ParseCrash("1@1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, app := range MatrixAppNames() {
 		for _, mode := range MatrixModes() {
-			for _, schedule := range [][]hlrc.CrashEvent{nil, crash} {
+			for _, schedule := range []string{"", "1@1"} {
 				c := Cell{App: app, Mode: mode, Crash: schedule}
 				rows(c)
 				c.Lanes = 1
@@ -117,6 +113,101 @@ func TestPerNodeSumsToCounters(t *testing.T) {
 				if four := rows(c); !reflect.DeepEqual(one, four) {
 					t.Errorf("%s: per-node rows differ between lanes=1 and lanes=4:\n%+v\n%+v", c, one, four)
 				}
+			}
+		}
+	}
+}
+
+// TestCellIdentityIsComplete pins what the fleet's cache and WAL stand
+// on — equal canonical strings mean equal configurations — against the
+// one way it can rot: a field added to Cell and forgotten in Canonical
+// or BuildConfig. Every field outside the envelope {ID, DeadlineMS},
+// set to a valid non-default value, must change the canonical string
+// (or a cache hit could return another configuration's result) and the
+// lowered configuration (or the field is dead). The envelope changes
+// neither. The base cell has a fault profile, so the fault seed is live.
+func TestCellIdentityIsComplete(t *testing.T) {
+	base := Cell{App: "cg", Mode: "hybrid", FaultProfile: "drop"}
+	// One valid non-default value per field, by Go field name. App picks
+	// the kernel the configuration runs under rather than a Config field;
+	// lockmix is the value the lowering itself reacts to (lock caching).
+	variants := map[string]any{
+		"ID": "client-7", "DeadlineMS": int64(250),
+		"App": "lockmix", "Mode": "sdsm", "Fabric": "tcp", "Nodes": 8, "ThreadsPerNode": 2,
+		"Lanes": 2, "Seed": int64(7), "FaultProfile": "chaos", "Crash": "1@2",
+		"LockCaching": true, "Policy": "adaptive", "Hetero": "slow1",
+	}
+	envelope := map[string]bool{"ID": true, "DeadlineMS": true}
+	baseCfg, err := base.BuildConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		val, ok := variants[name]
+		if !ok {
+			t.Errorf("Cell.%s has no variant here: add one, and a Validate clause and a Canonical term for the field", name)
+			continue
+		}
+		c := base
+		reflect.ValueOf(&c).Elem().Field(i).Set(reflect.ValueOf(val))
+		cfg, err := c.BuildConfig()
+		if err != nil {
+			t.Errorf("Cell.%s = %v: %v", name, val, err)
+			continue
+		}
+		sameCanon := c.Canonical() == base.Canonical() && c.Fingerprint() == base.Fingerprint()
+		sameCfg := reflect.DeepEqual(cfg, baseCfg)
+		if envelope[name] {
+			if !sameCanon || !sameCfg {
+				t.Errorf("envelope field Cell.%s changed identity (%v) or lowering (%v)", name, !sameCanon, !sameCfg)
+			}
+			continue
+		}
+		if sameCanon {
+			t.Errorf("Cell.%s = %v does not change Canonical(): %q", name, val, c.Canonical())
+		}
+		if sameCfg {
+			t.Errorf("Cell.%s = %v does not change BuildConfig(): the field is dead", name, val)
+		}
+	}
+	// The one documented collapse: every positive lane count is the same
+	// simulation, so they share an identity though their configs differ.
+	l2, l8 := base, base
+	l2.Lanes, l8.Lanes = 2, 8
+	if l2.Canonical() != l8.Canonical() {
+		t.Errorf("lanes=2 and lanes=8 are one regime, got %q and %q", l2.Canonical(), l8.Canonical())
+	}
+}
+
+// TestMatrixCellsSurviveTheWire: a matrix cell is a job spec, so every
+// cell of the three acceptance matrices round-trips through JSON equal
+// and with an equal identity — it can be POSTed to parade-serve as-is.
+// Lower's answers are the single-decision methods' answers.
+func TestMatrixCellsSurviveTheWire(t *testing.T) {
+	for _, name := range []string{"chaos", "crash", "policy"} {
+		cells, err := MatrixCells(name, MatrixOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cell := range cells {
+			line, err := json.Marshal(cell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back Cell
+			if err := json.Unmarshal(line, &back); err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			if back != cell || back.Canonical() != cell.Canonical() {
+				t.Errorf("%s cell %s came back from %s as %+v", name, cell, line, back)
+			}
+			l := cell.Lower()
+			cfg, err := cell.BuildConfig()
+			if l.Cell != cell.Normalize() || l.Canonical != cell.Canonical() || l.Fingerprint != cell.Fingerprint() ||
+				l.Invalid != nil || err != nil || !reflect.DeepEqual(l.Config, cfg) {
+				t.Errorf("%s cell %s: Lower() disagrees with the methods it bundles: %+v (BuildConfig err %v)", name, cell, l, err)
 			}
 		}
 	}

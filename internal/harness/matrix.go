@@ -102,12 +102,12 @@ var matrices = map[string]*matrix{
 	"chaos": {
 		title: "chaos matrix", axes: []string{"profiles", "seed", "policy"},
 		fabrics: []string{"via"}, vary: "profile",
-		label: func(c Cell) string { return c.Profile },
+		label: func(c Cell) string { return c.FaultProfile },
 		cells: func(o MatrixOptions, base Cell) []Cell {
 			cells := []Cell{base}
 			for _, p := range o.Profiles {
 				c := base
-				c.Profile = p
+				c.FaultProfile = p
 				cells = append(cells, c)
 			}
 			return cells
@@ -124,7 +124,7 @@ var matrices = map[string]*matrix{
 		finish: func(rep *MatrixReport) {
 			retransmits := map[string]int64{}
 			for _, run := range rep.Runs {
-				retransmits[run.Cell.Profile] += run.Counters.Retransmits
+				retransmits[run.Cell.FaultProfile] += run.Counters.Retransmits
 			}
 			for _, p := range rep.Options.Profiles {
 				if retransmits[p] == 0 {
@@ -148,12 +148,12 @@ var matrices = map[string]*matrix{
 	"crash": {
 		title: "crash matrix", axes: []string{"policy"},
 		fabrics: []string{"via"}, minNodes: 2, vary: "schedule",
-		label: func(c Cell) string { return FormatCrash(c.Crash) },
+		label: func(c Cell) string { return c.Crash },
 		cells: func(o MatrixOptions, base Cell) []Cell {
 			cells := []Cell{base}
 			for _, events := range CrashSchedules(o.Nodes) {
 				c := base
-				c.Crash = events
+				c.Crash = FormatCrash(events)
 				cells = append(cells, c)
 			}
 			return cells
@@ -161,9 +161,12 @@ var matrices = map[string]*matrix{
 		check: func(rep *MatrixReport, base MatrixRun, runs []MatrixRun) {
 			// Inertness: an empty crash plan must not change the run at
 			// all — same bits, same final state, same virtual clock.
-			inert := base.Cell
-			inert.Crash = []hlrc.CrashEvent{}
-			if run, err := inert.Run(); err != nil {
+			// No crash text lowers to a plan without events, so the empty
+			// plan is attached to the baseline's configuration (which
+			// lowered once already — the baseline ran).
+			inert, _ := base.Cell.BuildConfig()
+			inert.Crash = &hlrc.CrashPlan{Events: []hlrc.CrashEvent{}}
+			if run, err := base.Cell.run(inert); err != nil {
 				rep.failf("%s: empty-plan run: %v", base.Cell, err)
 			} else if run.Result != base.Result || run.MemHash != base.MemHash || run.Time != base.Time {
 				rep.failf("%s: empty crash plan perturbed the run (time %v vs %v)", base.Cell, run.Time, base.Time)
@@ -178,7 +181,7 @@ var matrices = map[string]*matrix{
 			ref := base
 			if base.Cell.Lanes > 0 {
 				armed := base.Cell
-				armed.Crash = []hlrc.CrashEvent{{Node: 1, Barrier: 1 << 30, Restart: true}}
+				armed.Crash = FormatCrash([]hlrc.CrashEvent{{Node: 1, Barrier: 1 << 30}})
 				var err error
 				if ref, err = armed.Run(); err != nil || ref.Counters.Crashes != 0 {
 					rep.failf("%s: armed baseline: err %v, %d crashes", base.Cell, err, ref.Counters.Crashes)
@@ -187,7 +190,7 @@ var matrices = map[string]*matrix{
 			}
 			for _, run := range runs {
 				rep.sameState(run, ref)
-				c, want := run.Counters, int64(len(run.Cell.Crash))
+				c, want := run.Counters, int64(run.Scheduled)
 				if c.Crashes != want || c.NodeRestarts != want {
 					rep.failf("%s: %d crashes, %d restarts injected, want %d each", run.Cell, c.Crashes, c.NodeRestarts, want)
 				}
@@ -357,14 +360,10 @@ func resolve(name string, o MatrixOptions) (*matrix, MatrixOptions, error) {
 			return nil, o, fmt.Errorf("harness: the %s matrix has no %s axis", name, sel.axis)
 		}
 	}
-	if o.Nodes == 0 {
-		o.Nodes = 4
-	}
+	def := Cell{Nodes: o.Nodes, Seed: o.Seed}.Normalize()
+	o.Nodes, o.Seed = def.Nodes, def.Seed
 	if minNodes := max(m.minNodes, 1); o.Nodes < minNodes {
 		return nil, o, fmt.Errorf("harness: the %s matrix needs at least %d nodes, got %d", name, minNodes, o.Nodes)
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
 	}
 	defPolicies := []string{hlrc.PolicyLegacy}
 	if m.vary == "policy" {
@@ -388,7 +387,7 @@ func resolve(name string, o MatrixOptions) (*matrix, MatrixOptions, error) {
 	}{
 		{"app", &o.Apps, MatrixAppNames(), MatrixAppNames()},
 		{"mode", &o.Modes, MatrixModes(), MatrixModes()},
-		{"fabric", &o.Fabrics, []string{"via", "tcp"}, m.fabrics},
+		{"fabric", &o.Fabrics, m.fabrics, m.fabrics},
 		{"fault profile", &o.Profiles, FaultProfiles(), FaultProfiles()},
 		{"policy", &o.Policies, hlrc.PolicyNames(), defPolicies},
 	} {
@@ -447,16 +446,22 @@ func RunMatrix(name string, opt MatrixOptions) (MatrixReport, error) {
 		rep.Runs = append(rep.Runs, base)
 		var runs []MatrixRun
 		for _, c := range cells[1:] {
-			need := 0
-			for _, ev := range c.Crash {
-				need = max(need, ev.Barrier)
+			run := MatrixRun{Cell: c}
+			cfg, err := c.BuildConfig()
+			if err == nil {
+				need := 0
+				if cfg.Crash != nil {
+					for _, ev := range cfg.Crash.Events {
+						need = max(need, ev.Barrier)
+					}
+				}
+				if int64(need) > base.Counters.Barriers {
+					rep.Skipped = append(rep.Skipped, fmt.Sprintf("%s: needs barrier %d, app runs only %d",
+						c, need, base.Counters.Barriers))
+					continue
+				}
+				run, err = c.run(cfg)
 			}
-			if int64(need) > base.Counters.Barriers {
-				rep.Skipped = append(rep.Skipped, fmt.Sprintf("%s: needs barrier %d, app runs only %d",
-					c, need, base.Counters.Barriers))
-				continue
-			}
-			run, err := c.Run()
 			if err != nil {
 				run.Err = err.Error()
 				rep.failf("%s: %v", c, err)
@@ -553,7 +558,7 @@ func (r MatrixReport) WriteJSONL(w io.Writer) error {
 			MemHash uint64 `json:"mem_hash"`
 			Kernel  int64  `json:"kernel_ns"`
 			Time    int64  `json:"time_ns"`
-		}{run.Cell.App, run.Cell.Mode, fabric.Name, run.Cell.Policy, run.Cell.Profile, FormatCrash(run.Cell.Crash),
+		}{run.Cell.App, run.Cell.Mode, fabric.Name, run.Cell.Policy, run.Cell.FaultProfile, run.Cell.Crash,
 			run.Result, run.MemHash, int64(run.Kernel), int64(run.Time)})
 		if err != nil {
 			return err

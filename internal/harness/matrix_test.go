@@ -81,7 +81,7 @@ func TestCrashMatrix(t *testing.T) {
 	}
 	crashed := 0
 	for _, run := range rep.Runs {
-		if run.Cell.Crash != nil && run.Counters.Crashes > 0 {
+		if run.Cell.Crash != "" && run.Counters.Crashes > 0 {
 			crashed++
 		}
 	}
@@ -99,7 +99,7 @@ func TestCrashMatrixReproducible(t *testing.T) {
 func TestCrashLockmixExercisesLockCaching(t *testing.T) {
 	rep := mustRunMatrix(t, "crash", MatrixOptions{Nodes: 4, Apps: []string{"lockmix"}})
 	for _, run := range rep.Runs {
-		if run.Cell.Crash != nil && run.Counters.CkptMsgs == 0 {
+		if run.Cell.Crash != "" && run.Counters.CkptMsgs == 0 {
 			t.Fatalf("lockmix %s shipped no checkpoints (token replication dead?)", run.Cell)
 		}
 	}

@@ -526,7 +526,7 @@ func TestProtocolTrace(t *testing.T) {
 	tc := newTestCluster(2, true)
 	var buf strings.Builder
 	rec := obs.New(2)
-	rec.AddSink(obs.NewLegacyTextSink(&buf))
+	rec.AddSink(obs.NewTextSink(&buf))
 	tc.e.SetRecorder(rec)
 	tc.spawnNodes(t, func(p *sim.Proc, node int) {
 		if node == 1 {

@@ -70,18 +70,19 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestLegacyTextSinkFormat(t *testing.T) {
+// TestTextSinkFormat pins the text sink's line shapes: the four protocol
+// lines every trace has carried since the printf tracer, and the
+// completion-span lines for barriers and locks.
+func TestTextSinkFormat(t *testing.T) {
 	var buf bytes.Buffer
 	r := New(2)
-	r.AddSink(NewLegacyTextSink(&buf))
+	r.AddSink(NewTextSink(&buf))
 	t1 := sim.Time(1500)
 	r.FetchStart(t1, 1, 7, 0, false)
 	r.FetchStart(t1, 1, 8, 0, true)
 	r.FlushStart(t1, 1, 3, 2)
 	r.HomeMigrate(t1, 4, 7, 0, 1)
 	r.BarrierComplete(t1, 4, 3)
-	// These kinds are not part of the historical printf trace and must
-	// not appear in legacy mode.
 	r.BarrierWait(0, t1, 1)
 	r.LockAcquired(0, t1, 1, 0)
 	if err := r.Close(); err != nil {
@@ -91,9 +92,11 @@ func TestLegacyTextSinkFormat(t *testing.T) {
 		fmt.Sprintf("[%12s] node 1: write fault on page 8, fetching from home 0\n", t1) +
 		fmt.Sprintf("[%12s] node 1: flush 3 dirty pages, 2 diff bundles\n", t1) +
 		fmt.Sprintf("[%12s] barrier 4: page 7 home migrates 0 -> 1\n", t1) +
-		fmt.Sprintf("[%12s] barrier 4: complete, 3 modified pages\n", t1)
+		fmt.Sprintf("[%12s] barrier 4: complete, 3 modified pages\n", t1) +
+		fmt.Sprintf("[%12s] node 1: barrier passed (%s)\n", t1, sim.Duration(t1)) +
+		fmt.Sprintf("[%12s] node 1: lock 0 acquired (%s)\n", t1, sim.Duration(t1))
 	if buf.String() != want {
-		t.Errorf("legacy trace mismatch:\ngot:\n%swant:\n%s", buf.String(), want)
+		t.Errorf("text trace mismatch:\ngot:\n%swant:\n%s", buf.String(), want)
 	}
 }
 

@@ -5,29 +5,20 @@ import (
 	"io"
 )
 
-// TextSink renders events as the human-readable line trace. In legacy
-// mode (NewLegacyTextSink) it renders exactly the four line shapes the
-// old fmt.Fprintf tracer produced, byte for byte, and drops every other
-// event — existing golden trace output is unchanged. In full mode
-// (NewTextSink) it additionally renders completion spans, locks,
-// collectives, regions, and directives.
+// TextSink renders events as the human-readable line trace: faults,
+// flushes, home migrations and barrier completions, plus completion
+// spans, locks, collectives, regions, directives and (when the recorder
+// traces them) message sends.
 type TextSink struct {
-	w   io.Writer
-	all bool
+	w io.Writer
 }
 
-// NewLegacyTextSink returns a sink producing byte-identical output to
-// the pre-obs Engine.SetTrace text format.
-func NewLegacyTextSink(w io.Writer) *TextSink { return &TextSink{w: w} }
-
 // NewTextSink returns a sink rendering every event kind as text.
-func NewTextSink(w io.Writer) *TextSink { return &TextSink{w: w, all: true} }
+func NewTextSink(w io.Writer) *TextSink { return &TextSink{w: w} }
 
-// Emit renders one event (or drops it, in legacy mode).
+// Emit renders one event.
 func (s *TextSink) Emit(e *Event) {
 	switch e.Kind {
-	// The four legacy line shapes, shared by both modes. Format strings
-	// must stay byte-identical to the old tracer.
 	case KindFetchStart:
 		kind := "read"
 		if e.Arg2 != 0 {
@@ -44,50 +35,28 @@ func (s *TextSink) Emit(e *Event) {
 	case KindBarrierDone:
 		fmt.Fprintf(s.w, "[%12s] barrier %d: complete, %d modified pages\n",
 			e.Time, e.Arg, e.Arg2)
-
-	// Full-mode-only kinds.
 	case KindFetch:
-		if s.all {
-			fmt.Fprintf(s.w, "[%12s] node %d: page %d installed from home %d (%s)\n",
-				e.Time, e.Node, e.Page, e.Arg, e.Dur)
-		}
+		fmt.Fprintf(s.w, "[%12s] node %d: page %d installed from home %d (%s)\n",
+			e.Time, e.Node, e.Page, e.Arg, e.Dur)
 	case KindFlush:
-		if s.all {
-			fmt.Fprintf(s.w, "[%12s] node %d: flush complete, %d pages %d bundles (%s)\n",
-				e.Time, e.Node, e.Arg, e.Arg2, e.Dur)
-		}
+		fmt.Fprintf(s.w, "[%12s] node %d: flush complete, %d pages %d bundles (%s)\n",
+			e.Time, e.Node, e.Arg, e.Arg2, e.Dur)
 	case KindBarrier:
-		if s.all {
-			fmt.Fprintf(s.w, "[%12s] node %d: barrier passed (%s)\n", e.Time, e.Node, e.Dur)
-		}
+		fmt.Fprintf(s.w, "[%12s] node %d: barrier passed (%s)\n", e.Time, e.Node, e.Dur)
 	case KindLock:
-		if s.all {
-			fmt.Fprintf(s.w, "[%12s] node %d: lock %d acquired (%s)\n", e.Time, e.Node, e.Arg, e.Dur)
-		}
+		fmt.Fprintf(s.w, "[%12s] node %d: lock %d acquired (%s)\n", e.Time, e.Node, e.Arg, e.Dur)
 	case KindLockRelease:
-		if s.all {
-			fmt.Fprintf(s.w, "[%12s] node %d: lock %d released\n", e.Time, e.Node, e.Arg)
-		}
+		fmt.Fprintf(s.w, "[%12s] node %d: lock %d released\n", e.Time, e.Node, e.Arg)
 	case KindCollective:
-		if s.all {
-			fmt.Fprintf(s.w, "[%12s] node %d: %s %d B (%s)\n", e.Time, e.Node, e.Cat, e.Arg, e.Dur)
-		}
+		fmt.Fprintf(s.w, "[%12s] node %d: %s %d B (%s)\n", e.Time, e.Node, e.Cat, e.Arg, e.Dur)
 	case KindRegionBegin:
-		if s.all {
-			fmt.Fprintf(s.w, "[%12s] region %d: fork\n", e.Time, e.Arg)
-		}
+		fmt.Fprintf(s.w, "[%12s] region %d: fork\n", e.Time, e.Arg)
 	case KindRegionEnd:
-		if s.all {
-			fmt.Fprintf(s.w, "[%12s] region %d: join (%s)\n", e.Time, e.Arg, e.Dur)
-		}
+		fmt.Fprintf(s.w, "[%12s] region %d: join (%s)\n", e.Time, e.Arg, e.Dur)
 	case KindDirective:
-		if s.all {
-			fmt.Fprintf(s.w, "[%12s] node %d: %s %q done (%s)\n", e.Time, e.Node, e.Cat, e.Label, e.Dur)
-		}
+		fmt.Fprintf(s.w, "[%12s] node %d: %s %q done (%s)\n", e.Time, e.Node, e.Cat, e.Label, e.Dur)
 	case KindMsgSend:
-		if s.all {
-			fmt.Fprintf(s.w, "[%12s] node %d: send %d B to node %d\n", e.Time, e.Node, e.Arg2, e.Arg)
-		}
+		fmt.Fprintf(s.w, "[%12s] node %d: send %d B to node %d\n", e.Time, e.Node, e.Arg2, e.Arg)
 	}
 }
 
