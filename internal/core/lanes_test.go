@@ -288,6 +288,54 @@ func TestLaneMetricsReport(t *testing.T) {
 	}
 }
 
+// TestLaneWindowStructurePinned pins the window sequence itself, not only
+// its results: the weak-scaling program of `parade-bench -scale weak`
+// (150 µs compute + barrier, 40 rounds) must execute the same number of
+// windows and lane events, and reach the same virtual time and memory
+// image, at every worker count. Results alone could survive a change to
+// how windows are formed or dispatched; these counts cannot.
+func TestLaneWindowStructurePinned(t *testing.T) {
+	want := []struct {
+		nodes   int
+		windows uint64
+		events  uint64
+		time    sim.Duration
+		memHash uint64
+	}{
+		{64, 2852, 32063, 21248132, 0x2168ce7d6734465},
+		{256, 11320, 128639, 84224132, 0x33259141a8c465},
+	}
+	for _, w := range want {
+		for _, workers := range []int{1, 2, 4} {
+			cfg := Config{
+				Nodes: w.nodes, ThreadsPerNode: 1, CPUsPerNode: 2,
+				HomeMigration: true, Lanes: workers, Seed: 11, Obs: obs.New(w.nodes),
+			}.WithDefaults()
+			rep, err := Run(cfg, func(m *Thread) {
+				m.Parallel(func(tc *Thread) {
+					for r := 0; r < 40; r++ {
+						tc.Compute(150 * sim.Microsecond)
+						tc.Barrier()
+					}
+				})
+			})
+			if err != nil {
+				t.Fatalf("%d nodes, workers=%d: %v", w.nodes, workers, err)
+			}
+			stats, windows, _ := rep.Obs.LaneReport()
+			var events uint64
+			for _, ls := range stats {
+				events += ls.Events
+			}
+			if windows != w.windows || events != w.events || rep.Time != w.time || rep.MemHash != w.memHash {
+				t.Errorf("%d nodes, workers=%d: windows=%d events=%d time=%d MemHash=%#x, want %d %d %d %#x",
+					w.nodes, workers, windows, events, rep.Time, rep.MemHash,
+					w.windows, w.events, w.time, w.memHash)
+			}
+		}
+	}
+}
+
 // TestLaneObsIdentity runs with the metrics registry attached at two
 // worker counts and compares the folded per-node counters.
 func TestLaneObsIdentity(t *testing.T) {

@@ -119,6 +119,41 @@ func TestCancelLanes(t *testing.T) {
 	}
 }
 
+// TestCancelMidWindow: a hook polled at every event fires while a window
+// is half run — some of its lanes done, others not yet claimed, batons
+// parked in processes and helpers. With one baton and with four, Run
+// must return a *CanceledError and unwind every goroutine.
+func TestCancelMidWindow(t *testing.T) {
+	const n = 64
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			s := New(11)
+			s.ConfigureLanes(n, workers, 5*Microsecond, false)
+			s.SetCancel(cancelAfter(3*n+n/2), 1)
+			for i := 0; i < n; i++ {
+				s.SpawnOn(i, fmt.Sprintf("spin%d", i), func(p *Proc) {
+					for {
+						p.Sleep(Microsecond)
+					}
+				})
+				s.SpawnDaemonOn(i, fmt.Sprintf("idle%d", i), func(p *Proc) {
+					NewQueue[int](s).Pop(p)
+				})
+			}
+			err := s.Run()
+			var ce *CanceledError
+			if !errors.As(err, &ce) || !errors.Is(err, errStop) {
+				t.Fatalf("err = %v, want *CanceledError caused by errStop", err)
+			}
+			if s.LaneWindows() == 0 {
+				t.Fatal("canceled before the first window closed")
+			}
+			waitGoroutines(t, base, fmt.Sprintf("mid-window cancel, workers=%d", workers))
+		})
+	}
+}
+
 // TestCancelHookNeverFires: an installed hook that stays nil does not
 // disturb a run's result or its timing.
 func TestCancelHookNeverFires(t *testing.T) {

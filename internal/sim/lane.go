@@ -20,35 +20,55 @@
 // order (virtual time, then source lane id, then source insertion
 // order); destination sequence numbers are assigned in that merge order,
 // so the resulting schedule is a pure function of the simulation inputs
-// — independent of GOMAXPROCS, the number of worker slots, and host
-// scheduling. lanes=1 (one worker slot) executes the identical windowed
+// — independent of GOMAXPROCS, the number of workers, and host
+// scheduling. lanes=1 (one worker) executes the identical windowed
 // schedule serially and is the degenerate case of the same algorithm,
-// which is what makes "lanes=1 vs lanes=N bit-identical" hold by
+// which is what makes "lanes=1 vs lanes=N bit-identical" holds by
 // construction.
 //
-// Within a window at most `workers` lanes execute concurrently (a
-// counting semaphore); within one lane the legacy baton discipline is
-// preserved — exactly one goroutine of that lane runs at a time, with
-// control handed through unbuffered channels. Those channel operations,
-// plus the window barrier channels, establish every happens-before edge
-// the Go memory model needs: state is either lane-confined or crosses
-// lanes through the staged merge.
+// Lanes with pending events sit in an indexed min-heap keyed by a
+// snapshot of their head time, so T_k is the heap top and a window's
+// dispatch set is the heap prefix below H_k, sorted by lane id. The
+// barrier merges only the dispatched lanes' outboxes and re-keys only
+// the lanes that ran or received merged events: window bookkeeping is
+// O(active lanes), not O(lanes).
+//
+// Windows run on batons, the sequential kernel's rule ("whichever
+// goroutine holds the baton drains the queue") applied per window. A
+// window opens with min(active lanes, workers) batons: the goroutine
+// that opened it plus up to workers-1 parked helper goroutines. A baton
+// claims the next lane from an atomic cursor and runs that lane's
+// window; a process wake hands the baton to that process, and a process
+// whose own wake is next resumes with no channel operation. When no lane
+// is left the baton retires, and the baton that retires last runs the
+// barrier on its own stack — merge, re-key, due serial events, the
+// cancellation check — and then opens the next window. There is no
+// coordinator goroutine: a window whose events end in the process that
+// started it costs no goroutine switch. Exactly one goroutine runs a
+// lane at a time, and the channel hand-offs plus the atomic claim and
+// retire operations establish every happens-before edge the Go memory
+// model needs: state is either lane-confined or crosses lanes through
+// the staged merge, which runs with every lane quiesced.
 //
 // Relaxed regime: crash-stop recovery intentionally reaches across nodes
 // (inbox drains, link resets, buddy restores), which cannot satisfy the
 // lookahead rule. When a run arms a crash plan the kernel switches to
 // the relaxed regime: the same per-lane structure and windowed clock,
-// but a single worker slot and clamped (rather than rejected) cross-lane
-// insertions. Serial execution makes the schedule deterministic for any
-// requested lane count, so the bit-identity guarantee still holds —
-// crash runs are simply not parallelized.
+// but a single baton that checks each lane's head in lane-id order when
+// it gets there, clamped (rather than rejected) cross-lane insertions,
+// and a lane heap rebuilt after every window. Serial execution makes the
+// schedule deterministic for any requested lane count, so the
+// bit-identity guarantee still holds — crash runs are simply not
+// parallelized.
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"time"
 )
@@ -133,7 +153,7 @@ type LaneStat struct {
 }
 
 // lane is one per-node event lane: a self-contained sequential kernel
-// plus the window-execution plumbing.
+// plus its entry in the pending-lane heap.
 type lane struct {
 	sim    *Simulator
 	id     int
@@ -141,10 +161,15 @@ type lane struct {
 	seq    uint64
 	queue  eventHeap
 	parked map[*Proc]string
-	rng    *rand.Rand
+	seed   int64      // seed of the lane's random stream
+	rng    *rand.Rand // built from seed on first use (see rand)
 	outbox []xev
 
-	start chan struct{} // window go-signal to the pump
+	// Pending-lane heap entry: key is the head time the lane was last
+	// re-keyed at (a snapshot, never the live head), slot its heap index
+	// (-1 while the lane has no pending event).
+	key  Time
+	slot int
 
 	cancelTick int // lane-local event count toward the next cancel poll
 
@@ -160,7 +185,7 @@ type lane struct {
 // (lane-local tick, so concurrent lanes never share the counter). It
 // reports true once the run is canceled — by this lane's poll or any
 // other's — at which point the lane abandons the rest of its window and
-// reaches the window barrier so the coordinator can tear the run down.
+// its baton moves on, so the last baton's barrier tears the run down.
 func (ln *lane) cancelCheck() bool {
 	s := ln.sim
 	if s.canceled.Load() {
@@ -189,6 +214,144 @@ func (ln *lane) push(t Time, e event) {
 	e.t = t
 	e.seq = ln.seq
 	ln.queue.push(e)
+}
+
+// rand returns the lane's random stream, built on first use: most runs
+// never draw from a lane stream, and a math/rand source is ~5 KB.
+func (ln *lane) rand() *rand.Rand {
+	if ln.rng == nil {
+		ln.rng = rand.New(rand.NewSource(ln.seed))
+	}
+	return ln.rng
+}
+
+// begin opens ln's share of the window on the calling baton. now is the
+// host time the baton finished its previous lane (zero: read the clock),
+// so a baton running lanes back to back reads the clock once per lane.
+func (ln *lane) begin(now time.Time) {
+	if now.IsZero() {
+		now = time.Now()
+	}
+	if ln.ran {
+		stall := now.Sub(ln.lastDone).Nanoseconds()
+		ln.stat.StallNs += stall
+		ln.sync.observe(stall)
+	}
+	ln.ran = true
+	ln.winStart = now
+	ln.stat.Windows++
+	s := ln.sim
+	if s.relaxed {
+		// One lane executes at a time in the relaxed regime, so the
+		// "current lane" is well-defined and legacy At/Now keep working
+		// for the crash-recovery paths that rely on them.
+		s.cur = ln
+	}
+	if s.churn {
+		for i := 0; i <= ln.id&3; i++ {
+			churnYield()
+		}
+	}
+}
+
+// finish closes ln's share of the window at host time now.
+func (ln *lane) finish(now time.Time) {
+	ln.stat.BusyNs += now.Sub(ln.winStart).Nanoseconds()
+	ln.lastDone = now
+}
+
+// laneHeap is an indexed binary min-heap of the lanes with pending
+// events, ordered by key. Keys are snapshots taken by fix and rebuild,
+// not live head reads: a lane's queue changes while it runs, and a heap
+// compared on live heads would silently lose its order — a stale key
+// must never hide an earlier head.
+type laneHeap struct {
+	ln []*lane
+}
+
+func (h *laneHeap) swap(i, j int) {
+	h.ln[i], h.ln[j] = h.ln[j], h.ln[i]
+	h.ln[i].slot = i
+	h.ln[j].slot = j
+}
+
+func (h *laneHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h.ln[parent].key <= h.ln[i].key {
+			return
+		}
+		h.swap(i, parent)
+		i = parent
+	}
+}
+
+func (h *laneHeap) down(i int) {
+	n := len(h.ln)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		m := l
+		if r := l + 1; r < n && h.ln[r].key < h.ln[l].key {
+			m = r
+		}
+		if h.ln[i].key <= h.ln[m].key {
+			return
+		}
+		h.swap(i, m)
+		i = m
+	}
+}
+
+// fix re-keys ln from its queue head: it enters, moves within, or
+// leaves the heap.
+func (h *laneHeap) fix(ln *lane) {
+	if ln.queue.len() == 0 {
+		if i := ln.slot; i >= 0 {
+			last := len(h.ln) - 1
+			h.swap(i, last)
+			h.ln[last] = nil
+			h.ln = h.ln[:last]
+			ln.slot = -1
+			if i < last {
+				moved := h.ln[i]
+				h.up(i)
+				h.down(moved.slot)
+			}
+		}
+		return
+	}
+	ln.key = ln.queue.ev[0].t
+	if ln.slot < 0 {
+		ln.slot = len(h.ln)
+		h.ln = append(h.ln, ln)
+	}
+	h.up(ln.slot)
+	h.down(ln.slot)
+}
+
+// rebuild re-keys every lane (after a serial event or a relaxed window,
+// either of which may touch any lane's queue).
+func (h *laneHeap) rebuild(lanes []*lane) {
+	clear(h.ln)
+	h.ln = h.ln[:0]
+	for _, ln := range lanes {
+		ln.slot = -1
+		h.fix(ln)
+	}
+}
+
+// below appends to dst every lane in the subtree at i keyed before H —
+// from the root, exactly the lanes with an event in the window.
+func (h *laneHeap) below(i int, H Time, dst []*lane) []*lane {
+	if i >= len(h.ln) || h.ln[i].key >= H {
+		return dst
+	}
+	dst = append(dst, h.ln[i])
+	dst = h.below(2*i+1, H, dst)
+	return h.below(2*i+2, H, dst)
 }
 
 // splitmix64 expands one root seed into independent per-lane seeds.
@@ -237,16 +400,14 @@ func (s *Simulator) ConfigureLanes(n, workers int, lookahead Duration, relaxed b
 			sim:    s,
 			id:     i,
 			parked: make(map[*Proc]string),
-			rng:    rand.New(rand.NewSource(int64(splitmix64(uint64(seed) + uint64(i))))),
-			start:  make(chan struct{}, 1),
+			seed:   int64(splitmix64(uint64(seed) + uint64(i))),
+			slot:   -1,
 		}
 		s.lanes[i].stat.Lane = i
 	}
 	s.workers = workers
 	s.lookahead = lookahead
 	s.relaxed = relaxed
-	s.laneSem = make(chan struct{}, workers)
-	s.winDone = make(chan struct{}, n)
 }
 
 // Lanes returns the number of configured lanes (0 in legacy mode).
@@ -288,9 +449,9 @@ func (s *Simulator) LaneSyncHist() SyncHist {
 	return h
 }
 
-// SetWindowChurn enables host-scheduling churn at window starts (a burst
-// of runtime.Gosched calls in every lane pump). Test hook: it perturbs
-// the host interleaving of lanes without touching virtual time, so a
+// SetWindowChurn enables host-scheduling churn at every lane window
+// start (a burst of runtime.Gosched calls). Test hook: it perturbs the
+// host interleaving of lanes without touching virtual time, so a
 // determinism test can assert that results are interleaving-independent.
 func (s *Simulator) SetWindowChurn(on bool) { s.churn = on }
 
@@ -310,7 +471,7 @@ func (s *Simulator) RandOn(ln int) *rand.Rand {
 	if s.lanes == nil {
 		return s.rng
 	}
-	return s.lanes[ln].rng
+	return s.lanes[ln].rand()
 }
 
 // Lane returns the lane id p is bound to (-1 in legacy mode).
@@ -327,7 +488,7 @@ func (p *Proc) Rand() *rand.Rand {
 	if p.lane == nil {
 		return p.sim.rng
 	}
-	return p.lane.rng
+	return p.lane.rand()
 }
 
 // SpawnOn creates a process bound to lane ln. Processes may only be
@@ -387,45 +548,29 @@ func (s *Simulator) laneInsert(src *lane, dst int, t Time, e event) {
 // clock (simulation start, or the current serial event's time when
 // called from one). Serial events execute at a window boundary with
 // every lane quiesced — the one context that may touch any lane's state
-// (crash injection, node restart, link resets). In legacy mode it is
-// equivalent to At.
+// (crash injection, node restart, link resets). Serial events live in
+// the simulator's global queue, on its global clock, so in legacy mode
+// AtSerial is At.
 func (s *Simulator) AtSerial(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	if s.lanes == nil {
-		s.schedule(s.now+Time(d), fn)
-		return
-	}
-	t := s.serialNow + Time(d)
-	if t < s.serialNow {
-		t = s.serialNow
-	}
-	s.serialSeq++
-	s.serialQ.push(event{t: t, seq: s.serialSeq, fn: fn})
+	s.schedule(s.now+Time(d), fn)
 }
-
-// laneOutcome reports why a lane schedLoop stopped.
-type laneOutcome int
-
-const (
-	laneResumed laneOutcome = iota
-	laneHandedOff
-	laneWindowDone
-)
 
 // schedLoop drains lane events with t < the current window horizon on
 // the calling goroutine, with the same baton discipline as the legacy
-// schedLoop. When the lane's window is exhausted, a nil self returns
-// laneWindowDone (the pump signals the barrier); a process self signals
-// the barrier itself and blocks until a later window resumes it.
-func (ln *lane) schedLoop(self *Proc) laneOutcome {
+// schedLoop: a wake of self returns at once, with no channel operation;
+// a wake of another process hands it the baton, after which a nil self
+// returns and a process self blocks until its own wake. It reports true
+// only when the lane's share of the window is exhausted and the baton
+// is still on this goroutine.
+func (ln *lane) schedLoop(self *Proc) (exhausted bool) {
 	s := ln.sim
 	for ln.queue.len() > 0 && ln.queue.ev[0].t < s.horizon {
 		if s.cancelFn != nil && ln.cancelCheck() {
-			// Canceled: abandon the rest of the window and fall through to
-			// the barrier below; the coordinator tears the run down once
-			// every active lane has reached it.
+			// Canceled: abandon the rest of the window; the barrier
+			// tears the run down once every baton has retired.
 			break
 		}
 		ev := ln.queue.pop()
@@ -438,99 +583,144 @@ func (ln *lane) schedLoop(self *Proc) laneOutcome {
 		q := ev.p
 		delete(ln.parked, q)
 		if q == self {
-			return laneResumed
+			return false
 		}
 		q.resume <- struct{}{}
-		if self == nil {
-			return laneHandedOff
+		if self != nil {
+			s.await(self)
 		}
-		<-self.resume
-		if s.aborting {
-			// The wake came from teardown, not a window: unwind.
-			panic(abortUnwind{})
-		}
-		return laneResumed
+		return false
 	}
-	if self == nil {
-		return laneWindowDone
-	}
-	s.laneDone(ln)
+	return true
+}
+
+// await blocks self until a baton resumes it, unwinding instead if the
+// wake came from teardown.
+func (s *Simulator) await(self *Proc) {
 	<-self.resume
 	if s.aborting {
 		panic(abortUnwind{})
 	}
-	return laneResumed
 }
 
-// pump is the per-lane window driver: it waits for the coordinator's
-// go-signal and executes the lane's share of the window. If the baton
-// hands off to one of the lane's processes mid-window, that process (not
-// the pump) reaches the window barrier.
-func (ln *lane) pump() {
-	for range ln.start {
-		now := time.Now()
-		if ln.ran {
-			stall := now.Sub(ln.lastDone).Nanoseconds()
-			ln.stat.StallNs += stall
-			ln.sync.observe(stall)
-		}
-		ln.ran = true
-		ln.winStart = now
-		ln.stat.Windows++
-		if ln.sim.relaxed {
-			// One lane executes at a time in the relaxed regime, so the
-			// "current lane" is well-defined and legacy At/Now keep
-			// working for the crash-recovery paths that rely on them.
-			ln.sim.cur = ln
-		}
-		if ln.sim.churn {
-			for i := 0; i <= ln.id&3; i++ {
-				churnYield()
+// runBaton carries a window baton on the calling goroutine: it finishes
+// ln's share of the window (nil: none yet), claims and runs further
+// lanes until none is left, and retires. The baton that retires last
+// runs the barrier and keeps a baton of the next window, so the loop
+// continues until the baton leaves this goroutine.
+//
+// self is the process the goroutine belongs to, or nil for a helper,
+// Run's goroutine, or a process that has exited. With a process self,
+// runBaton returns once self's wake event has fired. With a nil self it
+// returns when the baton moves on, reporting true if the run is over
+// (this goroutine ran the final barrier; whoever waits on s.done must
+// be told).
+func (s *Simulator) runBaton(self *Proc, ln *lane) (over bool) {
+	var end time.Time
+	for {
+		if ln != nil {
+			if !ln.schedLoop(self) {
+				return false
 			}
+			end = time.Now()
+			ln.finish(end)
 		}
-		if ln.schedLoop(nil) == laneWindowDone {
-			ln.sim.laneDone(ln)
+		if ln = s.claim(); ln != nil {
+			ln.begin(end)
+			continue
+		}
+		if s.batons.Add(-1) > 0 {
+			// Retired; a baton still out runs the barrier.
+			if self != nil {
+				s.await(self)
+			}
+			return false
+		}
+		if !s.barrier() {
+			if self == nil {
+				return true
+			}
+			// Hand control to Run; teardown's wake unwinds self.
+			s.done <- struct{}{}
+			<-self.resume
+			panic(abortUnwind{})
+		}
+		end = time.Time{} // the barrier is no lane's busy time
+	}
+}
+
+// claim takes the next lane of the open window, or nil when none is
+// left. In the relaxed regime the dispatch list is every lane and a
+// lane qualifies only if its head is inside the window when the single
+// baton gets to it: earlier lanes may have pushed into it directly.
+func (s *Simulator) claim() *lane {
+	for {
+		i := int(s.next.Add(1) - 1)
+		if i >= len(s.dispatch) {
+			return nil
+		}
+		ln := s.dispatch[i]
+		if !s.relaxed || ln.queue.len() > 0 && ln.queue.ev[0].t < s.horizon {
+			return ln
 		}
 	}
 }
 
-// laneDone marks ln's window complete: accounts busy time, releases the
-// worker slot, and signals the coordinator's barrier. Called by
-// whichever goroutine of the lane exhausted the window.
-func (s *Simulator) laneDone(ln *lane) {
-	now := time.Now()
-	ln.stat.BusyNs += now.Sub(ln.winStart).Nanoseconds()
-	ln.lastDone = now
-	<-s.laneSem
-	s.winDone <- struct{}{}
+// helper is one of the workers-1 parked goroutines that carry the extra
+// batons of a window with more than one active lane. It exits when
+// teardown closes s.helpers and reports that on s.unwound.
+func (s *Simulator) helper() {
+	for range s.helpers {
+		if s.runBaton(nil, nil) {
+			s.done <- struct{}{}
+		}
+	}
+	s.unwound <- struct{}{}
 }
 
-const maxTime = Time(int64(^uint64(0) >> 1))
-
-// runLanes is Run's body in lane mode: the window coordinator.
-func (s *Simulator) runLanes() error {
-	for i := range s.lanes {
-		go s.lanes[i].pump()
+// barrier closes the window every baton has retired from and opens the
+// next. It runs on the stack of the baton that retired last, with every
+// lane quiesced: it merges the staged cross-lane events, re-keys the
+// lanes that ran or received events, checks for cancellation, and opens
+// the next window. It reports false when the run is over.
+func (s *Simulator) barrier() bool {
+	s.windows++
+	if s.relaxed {
+		s.pending.rebuild(s.lanes)
+	} else {
+		for _, ln := range s.dispatch {
+			s.pending.fix(ln)
+		}
+		s.mergeOutboxes()
 	}
+	if s.canceled.Load() {
+		return false
+	}
+	return s.open()
+}
+
+// open runs the serial events due before the next window and opens it:
+// horizon, dispatch list, claim cursor, and batons, waking a helper for
+// each baton beyond the caller's own. It reports false when no event is
+// left anywhere.
+func (s *Simulator) open() bool {
 	for {
 		// Next window start: the minimum pending virtual time anywhere.
 		T, st := maxTime, maxTime
-		for _, ln := range s.lanes {
-			if ln.queue.len() > 0 && ln.queue.ev[0].t < T {
-				T = ln.queue.ev[0].t
-			}
+		if len(s.pending.ln) > 0 {
+			T = s.pending.ln[0].key
 		}
-		if s.serialQ.len() > 0 {
-			st = s.serialQ.ev[0].t
+		if s.queue.len() > 0 {
+			st = s.queue.ev[0].t
 		}
 		if T == maxTime && st == maxTime {
-			break // drained
+			return false // drained
 		}
 		if st <= T {
 			// Serial event: runs alone, with every lane quiesced and
 			// advanced to the serial instant.
-			ev := s.serialQ.pop()
-			s.serialNow = ev.t
+			ev := s.queue.pop()
+			s.now = ev.t
 			for _, ln := range s.lanes {
 				if ln.now < ev.t {
 					ln.now = ev.t
@@ -540,6 +730,7 @@ func (s *Simulator) runLanes() error {
 			s.serialCtx = true
 			ev.fn()
 			s.serialCtx = false
+			s.pending.rebuild(s.lanes)
 			continue
 		}
 		H := T + Time(s.lookahead)
@@ -550,43 +741,48 @@ func (s *Simulator) runLanes() error {
 			H = st
 		}
 		s.horizon = H
-		active := 0
+		batons := 1
 		if s.relaxed {
-			// A running lane may push directly into an undispatched
-			// lane's heap, so take the (single) worker token before
-			// inspecting each lane: holding it means no lane runs.
-			for _, ln := range s.lanes {
-				s.laneSem <- struct{}{}
-				if ln.queue.len() > 0 && ln.queue.ev[0].t < H {
-					active++
-					ln.start <- struct{}{}
-				} else {
-					<-s.laneSem
-				}
-			}
+			s.dispatch = s.lanes
 		} else {
-			// Strict regime: windows only mutate foreign heaps through
-			// the staged outboxes, so the scan is race-free.
-			for _, ln := range s.lanes {
-				if ln.queue.len() > 0 && ln.queue.ev[0].t < H {
-					active++
-					s.laneSem <- struct{}{} // bounds concurrent lanes to workers
-					ln.start <- struct{}{}
-				}
-			}
+			s.dispatch = s.pending.below(0, H, s.dispatch[:0])
+			slices.SortFunc(s.dispatch, func(a, b *lane) int { return a.id - b.id })
+			batons = min(len(s.dispatch), s.workers)
 		}
-		for i := 0; i < active; i++ {
-			<-s.winDone
+		s.next.Store(0)
+		s.batons.Store(int32(batons))
+		for i := 1; i < batons; i++ {
+			s.helpers <- struct{}{}
 		}
-		s.windows++
-		s.mergeOutboxes()
-		if s.canceled.Load() {
-			// A lane's poll canceled the run. All lanes are quiesced at the
-			// barrier; capture the cancel instant before teardown.
-			err := &CanceledError{Cause: s.cancelErr, At: s.maxLaneNow()}
-			s.teardownLanes()
-			return err
+		return true
+	}
+}
+
+const maxTime = Time(int64(^uint64(0) >> 1))
+
+// runLanes is Run's body in lane mode. Run's goroutine opens the first
+// window and carries its first baton; once that baton moves on, it waits
+// for whichever goroutine runs the final barrier.
+func (s *Simulator) runLanes() error {
+	if s.workers > 1 {
+		// A window hands out at most workers-1 helper batons, and every
+		// one is received before the window's barrier can run, so the
+		// opener's sends never block.
+		s.helpers = make(chan struct{}, s.workers-1)
+		for i := 1; i < s.workers; i++ {
+			go s.helper()
 		}
+	}
+	s.pending.rebuild(s.lanes)
+	if s.open() && !s.runBaton(nil, nil) {
+		<-s.done
+	}
+	if s.canceled.Load() {
+		// A lane's poll canceled the run. All lanes are quiesced at the
+		// barrier; capture the cancel instant before teardown.
+		err := &CanceledError{Cause: s.cancelErr, At: s.maxLaneNow()}
+		s.teardownLanes()
+		return err
 	}
 	var err error
 	if s.live > 0 {
@@ -609,7 +805,7 @@ func (s *Simulator) runLanes() error {
 // maxLaneNow is the maximum clock across lanes and the serial queue — the
 // natural "current time" of a quiesced lane-mode simulation.
 func (s *Simulator) maxLaneNow() Time {
-	t := s.serialNow
+	t := s.now
 	for _, ln := range s.lanes {
 		if ln.now > t {
 			t = ln.now
@@ -619,44 +815,51 @@ func (s *Simulator) maxLaneNow() Time {
 }
 
 // teardownLanes ends a lane-mode run: it marks the run finished, stops
-// the per-lane pump goroutines, and sequentially unwinds every process
-// goroutine still blocked on its resume channel (parked processes and
-// daemons alike), so a completed lane run leaks nothing. All lanes are
-// quiesced at the window barrier when it is called, so the plain-field
-// writes are ordered by the barrier receives and the per-proc resume
-// sends that follow.
+// the helper goroutines and waits for them, and sequentially unwinds
+// every process goroutine still blocked on its resume channel (parked
+// processes and daemons alike), so a completed lane run leaks nothing.
+// Every baton has retired when it is called, so the plain-field writes
+// are ordered by the s.done receive and the per-proc resume sends that
+// follow.
 func (s *Simulator) teardownLanes() {
 	s.finished = true
 	s.aborting = true
-	for _, ln := range s.lanes {
-		close(ln.start)
+	if s.helpers != nil {
+		close(s.helpers)
+		for i := 1; i < s.workers; i++ {
+			<-s.unwound
+		}
 	}
 	s.unwindAll()
 }
 
-// mergeOutboxes applies every cross-lane event staged during the window
+// mergeOutboxes applies every cross-lane event the window's lanes staged
 // in the canonical order: virtual time, then source lane id, then source
 // insertion order. Destination sequence numbers are assigned in exactly
 // this order, making the merged schedule independent of how the window's
-// lanes interleaved on the host.
+// lanes interleaved on the host; each destination is re-keyed as its
+// event lands.
 func (s *Simulator) mergeOutboxes() {
 	buf := s.mergeBuf[:0]
-	for _, ln := range s.lanes {
+	for _, ln := range s.dispatch {
 		if len(ln.outbox) > 0 {
 			buf = append(buf, ln.outbox...)
-			for i := range ln.outbox {
-				ln.outbox[i] = xev{}
-			}
+			clear(ln.outbox)
 			ln.outbox = ln.outbox[:0]
 		}
 	}
+	if len(buf) == 0 {
+		return
+	}
 	// Stable sort on t alone: entries were appended in (srcLane,
 	// insertion-order) sequence, which stability preserves within ties.
-	sort.SliceStable(buf, func(i, j int) bool { return buf[i].t < buf[j].t })
+	slices.SortStableFunc(buf, func(a, b xev) int { return cmp.Compare(a.t, b.t) })
 	for i := range buf {
 		x := &buf[i]
-		s.lanes[x.dst].push(x.t, event{p: x.p, fn: x.fn})
-		buf[i] = xev{}
+		dst := s.lanes[x.dst]
+		dst.push(x.t, event{p: x.p, fn: x.fn})
+		s.pending.fix(dst)
 	}
+	clear(buf)
 	s.mergeBuf = buf[:0]
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -198,6 +200,199 @@ func TestLaneSerialEvent(t *testing.T) {
 func TestLaneStats(t *testing.T) {
 	tr := laneRing(t, 4, 2, 5*Microsecond, false, false, 20)
 	_ = tr
+}
+
+// TestLaneRandStreamsPinned pins the per-lane random streams, which are
+// built lazily on first use, to the values of eager construction: the
+// root draw still happens in ConfigureLanes, so the global stream after
+// it and every lane stream are bit-identical to before.
+func TestLaneRandStreamsPinned(t *testing.T) {
+	s := New(42)
+	s.ConfigureLanes(8, 2, Microsecond, false)
+	want := map[int][3]int64{
+		0: {457111260072245200, 495545980768056571, 3709041367815360332},
+		1: {1918828609451830579, 1438149856002881276, 7926931530220914167},
+		7: {5951301048718421974, 9077332163497344173, 8204868132669510916},
+	}
+	for _, ln := range []int{0, 1, 7} {
+		r := s.RandOn(ln)
+		got := [3]int64{r.Int63(), r.Int63(), r.Int63()}
+		if got != want[ln] {
+			t.Errorf("lane %d draws %v, want %v", ln, got, want[ln])
+		}
+	}
+	if got := s.Rand().Int63(); got != 608747136543856411 {
+		t.Errorf("global stream after ConfigureLanes drew %d, want 608747136543856411", got)
+	}
+}
+
+// TestLaneHeapReKey drives the pending-lane heap the way the barrier
+// does: many lanes' queues change in one batch — heads moved earlier by
+// merged events, later by popped ones, lanes emptied and refilled — and
+// only then is each touched lane re-keyed, in arbitrary order. After
+// every batch the heap top must be the true minimum head and the window
+// prefix exactly the lanes with a head below the horizon: a stale key
+// must never hide an earlier head.
+func TestLaneHeapReKey(t *testing.T) {
+	const n = 64
+	rng := rand.New(rand.NewSource(5))
+	lanes := make([]*lane, n)
+	for i := range lanes {
+		lanes[i] = &lane{id: i, slot: -1}
+		for k := rng.Intn(3); k > 0; k-- {
+			lanes[i].push(Time(rng.Intn(1000)), event{})
+		}
+	}
+	var h laneHeap
+	h.rebuild(lanes)
+	for batch := 0; batch < 500; batch++ {
+		touched := rng.Perm(n)[:1+rng.Intn(n)]
+		for _, i := range touched {
+			ln := lanes[i]
+			switch rng.Intn(3) {
+			case 0: // an earlier (or any) event arrives
+				ln.push(Time(rng.Intn(1000)), event{})
+			case 1: // the lane ran: some events popped
+				for k := rng.Intn(3); k > 0 && ln.queue.len() > 0; k-- {
+					ln.queue.pop()
+				}
+			default: // both
+				ln.push(Time(rng.Intn(1000)), event{})
+				if ln.queue.len() > 0 {
+					ln.queue.pop()
+				}
+			}
+		}
+		rng.Shuffle(len(touched), func(a, b int) { touched[a], touched[b] = touched[b], touched[a] })
+		for _, i := range touched {
+			h.fix(lanes[i])
+		}
+		minHead, active := maxTime, 0
+		for _, ln := range lanes {
+			if ln.queue.len() > 0 {
+				active++
+				minHead = min(minHead, ln.queue.ev[0].t)
+			}
+		}
+		if len(h.ln) != active {
+			t.Fatalf("batch %d: heap holds %d lanes, %d have events", batch, len(h.ln), active)
+		}
+		for i, ln := range h.ln {
+			if ln.slot != i {
+				t.Fatalf("batch %d: lane %d at index %d records slot %d", batch, ln.id, i, ln.slot)
+			}
+		}
+		if active == 0 {
+			continue
+		}
+		if h.ln[0].key != minHead {
+			t.Fatalf("batch %d: heap top %v, true minimum head %v", batch, h.ln[0].key, minHead)
+		}
+		H := minHead + Time(rng.Intn(200))
+		got := map[int]bool{}
+		for _, ln := range h.below(0, H, nil) {
+			got[ln.id] = true
+		}
+		for _, ln := range lanes {
+			if in := ln.queue.len() > 0 && ln.queue.ev[0].t < H; in != got[ln.id] {
+				t.Fatalf("batch %d: lane %d (head in window: %v) dispatched=%v", batch, ln.id, in, got[ln.id])
+			}
+		}
+	}
+}
+
+// TestLaneScatterWindows: in every window many lanes' heads move at
+// once — a broadcast from lane 0 pulls every other lane's head earlier
+// than its far-future local event, and each reply pulls lane 0's back.
+// Every cross-lane event must run at exactly its scheduled time (a lane
+// dispatched late would clamp or trip the lookahead check), and the
+// trace must not depend on the worker count.
+func TestLaneScatterWindows(t *testing.T) {
+	const n, rounds = 32, 20
+	const la = 10 * Microsecond
+	run := func(workers int) string {
+		s := New(3)
+		s.ConfigureLanes(n, workers, la, false)
+		trace := make([][]string, n)
+		late := make([][]string, n) // per lane: lanes run concurrently
+		at := func(src, dst int, d Duration, what string, fn func()) {
+			want := s.NowOn(src) + Time(d)
+			s.AtFrom(src, dst, d, func() {
+				if got := s.NowOn(dst); got != want {
+					late[dst] = append(late[dst], fmt.Sprintf("%s on lane %d ran at %v, scheduled %v", what, dst, got, want))
+				}
+				trace[dst] = append(trace[dst], fmt.Sprintf("%s@%d", what, s.NowOn(dst)))
+				fn()
+			})
+		}
+		var broadcast func(r int)
+		broadcast = func(r int) {
+			if r == rounds {
+				return
+			}
+			for dst := 1; dst < n; dst++ {
+				dst := dst
+				at(0, dst, la+Duration(dst%3), fmt.Sprintf("b%d", r), func() {
+					// A far-future local event keeps the lane's old head
+					// later than the next broadcast.
+					at(dst, dst, 50*la, fmt.Sprintf("far%d", r), func() {})
+					at(dst, 0, la+Duration(dst), fmt.Sprintf("r%d.%d", r, dst), func() {
+						if dst == n-1 {
+							broadcast(r + 1)
+						}
+					})
+				})
+			}
+		}
+		s.AtFrom(0, 0, 0, func() { broadcast(0) })
+		if err := s.Run(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for _, l := range late {
+			if len(l) > 0 {
+				t.Fatalf("workers=%d: %d events ran off schedule, first: %s", workers, len(l), l[0])
+			}
+		}
+		return flatten(trace) + fmt.Sprintf("windows=%d", s.LaneWindows())
+	}
+	base := run(1)
+	for _, workers := range []int{2, 4, 8} {
+		if got := run(workers); got != base {
+			t.Fatalf("workers=%d diverged from workers=1:\n%s\nvs\n%s", workers, got, base)
+		}
+	}
+}
+
+// TestLaneGoroutineCount: during a 256-lane run the kernel holds one
+// goroutine per process plus workers-1 helpers — no goroutine per lane.
+func TestLaneGoroutineCount(t *testing.T) {
+	const n = 256
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			s := New(1)
+			s.ConfigureLanes(n, workers, 5*Microsecond, false)
+			for i := 0; i < n; i++ {
+				s.SpawnOn(i, fmt.Sprintf("w%d", i), func(p *Proc) {
+					for k := 0; k < 10; k++ {
+						p.Sleep(Duration(1+p.Lane()%7) * Microsecond)
+					}
+				})
+			}
+			var during int
+			s.AtSerial(5*Microsecond, func() { during = runtime.NumGoroutine() })
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			// ±2: goroutines of earlier tests may still be exiting when
+			// base is read.
+			if extra := during - base - n; extra < workers-1-2 || extra > workers-1+2 {
+				t.Fatalf("%d goroutines mid-run: base %d + %d processes + %d, want %d helpers ± 2",
+					during, base, n, extra, workers-1)
+			}
+			waitGoroutines(t, base, "256-lane run")
+		})
+	}
 }
 
 func TestLaneStatsCounters(t *testing.T) {

@@ -218,24 +218,32 @@ type Simulator struct {
 	unwound     chan struct{}
 
 	// Lane mode (see lane.go). lanes == nil selects the legacy
-	// single-queue kernel above; every field below is inert then.
+	// single-queue kernel above; every field below is inert then. In
+	// lane mode the queue, clock and sequence counter above carry only
+	// the serial events (AtSerial): each lane has its own.
 	lanes     []*lane
 	workers   int
 	lookahead Duration
 	relaxed   bool
-	running   bool // Run has started (lane insertions must stage)
-	finished  bool // Run has returned
-	horizon   Time // current window horizon [written only between windows]
-	serialQ   eventHeap
-	serialSeq uint64
-	serialNow Time
+	running   bool  // Run has started (lane insertions must stage)
+	finished  bool  // Run has returned
+	horizon   Time  // current window horizon [written only between windows]
 	serialCtx bool  // a serial event is executing (all lanes quiesced)
 	cur       *lane // relaxed regime only: the single executing lane
-	laneSem   chan struct{}
-	winDone   chan struct{}
 	windows   uint64
 	mergeBuf  []xev
 	churn     bool
+
+	// Window batons (see lane.go). pending holds the lanes with events,
+	// dispatch the open window's lanes in id order (every lane in the
+	// relaxed regime), next the claim cursor into it, batons the number
+	// still out, and helpers the wake-ups of the workers-1 parked helper
+	// goroutines.
+	pending  laneHeap
+	dispatch []*lane
+	next     atomic.Int32
+	batons   atomic.Int32
+	helpers  chan struct{}
 
 	// liveMu guards live for lane mode, where processes of different
 	// lanes may exit concurrently. Legacy mode is single-threaded but
@@ -282,22 +290,13 @@ func (s *Simulator) Now() Time {
 		return s.now
 	}
 	if s.serialCtx {
-		return s.serialNow
+		return s.now
 	}
 	if !s.running {
 		return 0
 	}
 	if s.finished {
-		var t Time
-		for _, ln := range s.lanes {
-			if ln.now > t {
-				t = ln.now
-			}
-		}
-		if s.serialNow > t {
-			t = s.serialNow
-		}
-		return t
+		return s.maxLaneNow()
 	}
 	if s.relaxed {
 		return s.curNow()
@@ -311,7 +310,7 @@ func (s *Simulator) curNow() Time {
 	if s.cur != nil {
 		return s.cur.now
 	}
-	return s.serialNow
+	return s.now
 }
 
 // Rand returns the simulator's deterministic random source. It must only
@@ -537,11 +536,11 @@ func (s *Simulator) spawnOn(ln int, name string, fn func(p *Proc), daemon bool) 
 			s.live--
 			s.liveMu.Unlock()
 		}
-		// The exiting process holds its lane's baton; keep draining the
-		// lane's window on this goroutine and reach the window barrier
-		// if the lane is finished.
-		if lane.schedLoop(nil) == laneWindowDone {
-			s.laneDone(lane)
+		// The exiting process holds a window baton; carry it on this
+		// goroutine until it moves on, reporting the end of the run if
+		// this goroutine ran the last barrier.
+		if s.runBaton(nil, lane) {
+			s.done <- struct{}{}
 		}
 	}()
 	lane.push(lane.now, event{p: p})
@@ -613,7 +612,7 @@ func (p *Proc) park(reason string) {
 	}
 	if p.lane != nil {
 		p.lane.parked[p] = reason
-		p.lane.schedLoop(p) // blocks until a later event resumes p
+		s.runBaton(p, p.lane) // returns once a later event resumes p
 		return
 	}
 	s.parked[p] = reason
