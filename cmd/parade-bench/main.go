@@ -66,12 +66,23 @@ func splitList(s string) []string {
 	return out
 }
 
+// parseNodes parses the -nodes list of positive node counts.
+func parseNodes(s string) ([]int, error) {
+	var nodes []int
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n < 1 {
+			return nil, fmt.Errorf("bad node count %q", part)
+		}
+		nodes = append(nodes, n)
+	}
+	return nodes, nil
+}
+
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 6..11 or 'all'")
 	nodesFlag := flag.String("nodes", "1,2,4,8", "comma-separated node counts")
-	scale := flag.String("scale", "bench", "workload scale for figures: bench or paper; 'weak' runs the weak-scaling lane sweep instead")
-	scaleLanes := flag.Int("scale-lanes", 0, "weak-scaling: lane worker count for the parallel series (0 = GOMAXPROCS)")
-	scaleRounds := flag.Int("scale-rounds", 40, "weak-scaling: compute+barrier rounds per node")
+	scale := flag.String("scale", "bench", "workload scale for figures: bench or paper")
 	regress := flag.Bool("regress", false, "run benchmark suites and emit a JSON report instead of figures")
 	out := flag.String("out", "-", "regress: report output path ('-' for stdout)")
 	baseline := flag.String("baseline", "", "regress: prior report (JSON) or raw 'go test -bench' output to compare against")
@@ -80,7 +91,6 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write per-figure observability metrics JSON to this file ('-' for stdout)")
 	matrix := flag.String("matrix", "", "run an acceptance matrix instead of figures: chaos, crash or policy")
 	matrixNodes := flag.Int("matrix-nodes", 4, "matrix: cluster size")
-	matrixLanes := flag.Int("matrix-lanes", 0, "matrix: event-lane workers (0 = legacy kernel)")
 	matrixSeed := flag.Int64("matrix-seed", 0, "matrix chaos: fault-plane seed (0 = the default, 1)")
 	matrixApps := flag.String("matrix-apps", "", "matrix: comma-separated subset of helmholtz,ep,cg,md,quad,taskdep,lockmix (empty = all)")
 	matrixModes := flag.String("matrix-modes", "", "matrix policy: comma-separated subset of hybrid,sdsm (empty = both)")
@@ -92,7 +102,7 @@ func main() {
 
 	if *matrix != "" {
 		rep, err := harness.RunMatrix(*matrix, harness.MatrixOptions{
-			Nodes: *matrixNodes, Lanes: *matrixLanes, Seed: *matrixSeed,
+			Nodes: *matrixNodes, Seed: *matrixSeed,
 			Apps: splitList(*matrixApps), Modes: splitList(*matrixModes), Fabrics: splitList(*matrixFabrics),
 			Profiles: splitList(*matrixProfiles), Policies: splitList(*matrixPolicy),
 		})
@@ -131,28 +141,6 @@ func main() {
 		}
 		if n > 0 {
 			fmt.Fprintf(os.Stderr, "parade-bench: %d benchmark(s) regressed\n", n)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *scale == "weak" {
-		// The sweep's default node list is the 8->1024 weak-scaling ladder;
-		// an explicit -nodes overrides it (the figure default would not
-		// exercise lane parallelism).
-		list := "8,16,32,64,128,256,512,1024"
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "nodes" {
-				list = *nodesFlag
-			}
-		})
-		nodes, err := parseNodes(list)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-			os.Exit(2)
-		}
-		if err := runScaleSweep(nodes, *scaleLanes, *scaleRounds, *out); err != nil {
-			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
 			os.Exit(1)
 		}
 		return

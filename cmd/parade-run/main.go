@@ -11,8 +11,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
-	"strconv"
 	"time"
 
 	"parade/internal/apps"
@@ -78,8 +76,6 @@ type clusterFlags struct {
 	mode, fabric, policy  string
 	faults, hetero, crash string
 	faultSeed             int64
-	lanes                 string // a positive count, "auto" or "off"
-	tracing               bool   // -trace is set: the kernel must be sequential
 	timeout               time.Duration
 }
 
@@ -122,27 +118,6 @@ func clusterConfig(f clusterFlags) (core.Config, error) {
 		}
 		cfg.Crash = &hlrc.CrashPlan{Events: events}
 	}
-	// Resolve -lanes. Trace sinks need the sequential recorder, so 'auto'
-	// falls back to the legacy kernel when tracing; an explicit count
-	// combined with -trace is a configuration error.
-	switch f.lanes {
-	case "off", "0":
-		cfg.Lanes = 0
-	case "auto":
-		if !f.tracing {
-			cfg.Lanes = min(cfg.Nodes, runtime.GOMAXPROCS(0))
-		}
-	default:
-		n, err := strconv.Atoi(f.lanes)
-		if err != nil || n < 1 {
-			return cfg, &core.LaneConfigError{Reason: fmt.Sprintf(
-				"bad -lanes %q (want a positive count, 'auto', or 'off')", f.lanes)}
-		}
-		if f.tracing {
-			return cfg, &core.LaneConfigError{Lanes: n, Reason: "-trace needs the sequential recorder; use -lanes off (or auto) with tracing"}
-		}
-		cfg.Lanes = n
-	}
 	return cfg, nil
 }
 
@@ -159,7 +134,6 @@ func main() {
 	traceFormat := flag.String("trace-format", "text", "trace format: text, jsonl, or chrome")
 	traceMsgs := flag.Bool("trace-msgs", false, "include per-message send events in the trace (verbose)")
 	metricsOut := flag.String("metrics", "", "write observability metrics JSON to this file ('-' for stdout)")
-	lanes := flag.String("lanes", "auto", "event-lane workers: a positive count, 'auto' (min(nodes, GOMAXPROCS)), or 'off' (legacy single-loop kernel)")
 	faults := flag.String("faults", "", "inject faults: profile name (drop, dup, reorder, straggler, chaos)")
 	faultSeed := flag.Int64("fault-seed", 1, "fault-plane seed (with -faults)")
 	crash := flag.String("crash", "", "crash-and-restart events: node@barrier[,node@barrier...], e.g. 1@2")
@@ -190,7 +164,7 @@ func main() {
 	cfg, err := clusterConfig(clusterFlags{
 		nodes: *nodes, tpn: *tpn, cpus: *cpus, mode: *mode, fabric: *fabric,
 		policy: *policy, faults: *faults, faultSeed: *faultSeed, hetero: *hetero,
-		crash: *crash, lanes: *lanes, tracing: *traceOut != "", timeout: *timeout,
+		crash: *crash, timeout: *timeout,
 	})
 	if err != nil {
 		fail(err)
@@ -281,10 +255,9 @@ func main() {
 		fmt.Println(r.Report.Counters.String())
 		printPages(r.Report, *pages)
 	case "taskdep":
-		// Result bits and the DSM fingerprint print as raw hex so a lane
-		// or steal-schedule divergence is a one-line diff, not a rounding
-		// question — the CI deps smoke compares -lanes 1 against -lanes 4
-		// on exactly this output.
+		// Result bits and the DSM fingerprint print as raw hex so a
+		// steal-schedule divergence is a one-line diff, not a rounding
+		// question.
 		r, err := apps.RunTaskdep(cfg, apps.TaskdepDefault())
 		if err != nil {
 			failRun(err, r.Report)

@@ -12,7 +12,7 @@ import (
 
 // defaults are the flag defaults of main.
 func defaults() clusterFlags {
-	return clusterFlags{nodes: 4, tpn: 1, cpus: 2, mode: "parade", fabric: "via", faultSeed: 1, lanes: "off"}
+	return clusterFlags{nodes: 4, tpn: 1, cpus: 2, mode: "parade", fabric: "via", faultSeed: 1}
 }
 
 // TestClusterConfigResolvesNames: -mode and -fabric select exactly the
@@ -51,7 +51,6 @@ func TestClusterConfigResolvesNames(t *testing.T) {
 		{"-faults bogus", func(f *clusterFlags) { f.faults = "bogus" }, []string{`"bogus"`, "drop"}},
 		{"-hetero bogus", func(f *clusterFlags) { f.hetero = "bogus" }, []string{`"bogus"`, "fasthalf"}},
 		{"-crash bogus", func(f *clusterFlags) { f.crash = "bogus" }, []string{`"bogus"`, "node@barrier"}},
-		{"-lanes bogus", func(f *clusterFlags) { f.lanes = "bogus" }, []string{`"bogus"`, "auto"}},
 	} {
 		f := defaults()
 		tc.set(&f)

@@ -64,7 +64,6 @@ func main() {
 		replayProfiles = flag.String("replay-profiles", "", "comma-separated fault-profile subset for -replay ('none' for ideal fabric only)")
 		replayCrashes  = flag.String("replay-crashes", "", "comma-separated crash-schedule subset for -replay ('none' for crash-free only)")
 		replayNodes    = flag.String("replay-nodes", "", "comma-separated node counts for -replay (default: 4)")
-		replayLanes    = flag.String("replay-lanes", "", "comma-separated lane counts for -replay (default: 0)")
 		replaySeed     = flag.Int64("replay-seed", 0, "fault-plane seed for -replay (default: 1)")
 	)
 	flag.Parse()
@@ -103,7 +102,6 @@ func main() {
 			Profiles: splitOrNone(*replayProfiles),
 			Crashes:  splitOrNone(*replayCrashes),
 			Nodes:    mustInts(*replayNodes, "-replay-nodes"),
-			Lanes:    mustInts(*replayLanes, "-replay-lanes"),
 			Seed:     *replaySeed,
 		}
 		os.Exit(runReplay(*replay, opt, ropt))

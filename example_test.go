@@ -127,7 +127,7 @@ func ExampleThread_Task() {
 // producer -> transformer -> consumer pipeline without intermediate
 // taskwaits. The edges follow spawn order in the spawning context, so
 // the graph — and the joined result — is bit-identical across steal
-// schedules, fault profiles, and lane counts.
+// schedules and fault profiles.
 func ExampleWithDepend() {
 	cfg := parade.Config{Nodes: 2, ThreadsPerNode: 1}
 	_, err := parade.Run(cfg, func(m *parade.Thread) {

@@ -29,8 +29,8 @@ import (
 // returned pages. A Taskloop sweep and a static rewrite pass close the
 // run; the rewrite makes every page's final writer schedule-independent
 // (the quad/lockmix determinization precedent), so MemHash is
-// bit-identical across steal orders, fault profiles, crash schedules,
-// and lane counts.
+// bit-identical across steal orders, fault profiles and crash
+// schedules.
 
 // TaskdepParams sizes the kernel.
 type TaskdepParams struct {

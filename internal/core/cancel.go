@@ -31,9 +31,7 @@ func (e *DeadlineError) Error() string {
 // cancelHook combines Config.Cancel and Config.Deadline into the single
 // check the kernel polls, or returns nil when neither is set. The
 // deadline clock starts when the hook is built (immediately before
-// sim.Run). Both closures must be concurrency-safe: lane mode polls from
-// every lane (time.Since is; the user hook is required to be by the
-// Config.Cancel contract).
+// sim.Run).
 func cancelHook(cfg Config) func() error {
 	user := cfg.Cancel
 	if cfg.Deadline <= 0 {

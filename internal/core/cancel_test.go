@@ -21,36 +21,34 @@ func spinForever(m *Thread) {
 // TestDeadlineAbortsRun: a run over its wall-clock budget returns an
 // error matching ErrCanceled, carrying a *DeadlineError cause, plus a
 // partial report with the counters accumulated so far — and unwinds all
-// simulation goroutines.
+// simulation goroutines. The subtest is named for the sequential kernel,
+// the only one the runtime has.
 func TestDeadlineAbortsRun(t *testing.T) {
-	for _, lanes := range []int{0, 2} {
-		lanes := lanes
-		t.Run(map[int]string{0: "legacy", 2: "lanes"}[lanes], func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			cfg := Config{Nodes: 2, ThreadsPerNode: 1, Deadline: 50 * time.Millisecond, Lanes: lanes}
-			rep, err := Run(cfg, spinForever)
-			if !errors.Is(err, ErrCanceled) {
-				t.Fatalf("err = %v, want ErrCanceled match", err)
+	t.Run("legacy", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		cfg := Config{Nodes: 2, ThreadsPerNode: 1, Deadline: 50 * time.Millisecond}
+		rep, err := Run(cfg, spinForever)
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("err = %v, want ErrCanceled match", err)
+		}
+		var de *DeadlineError
+		if !errors.As(err, &de) || de.Limit != 50*time.Millisecond {
+			t.Fatalf("err = %v, want *DeadlineError{Limit: 50ms}", err)
+		}
+		if rep.Time <= 0 {
+			t.Fatalf("partial report Time = %v, want > 0", rep.Time)
+		}
+		if rep.Counters.Barriers+rep.Counters.MPIBarrier == 0 {
+			t.Fatalf("partial report has no barrier counters: %+v", rep.Counters)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("goroutines leaked: %d live, want <= %d", runtime.NumGoroutine(), base)
 			}
-			var de *DeadlineError
-			if !errors.As(err, &de) || de.Limit != 50*time.Millisecond {
-				t.Fatalf("err = %v, want *DeadlineError{Limit: 50ms}", err)
-			}
-			if rep.Time <= 0 {
-				t.Fatalf("partial report Time = %v, want > 0", rep.Time)
-			}
-			if rep.Counters.Barriers+rep.Counters.MPIBarrier == 0 {
-				t.Fatalf("partial report has no barrier counters: %+v", rep.Counters)
-			}
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > base {
-				if time.Now().After(deadline) {
-					t.Fatalf("goroutines leaked: %d live, want <= %d", runtime.NumGoroutine(), base)
-				}
-				time.Sleep(time.Millisecond)
-			}
-		})
-	}
+			time.Sleep(time.Millisecond)
+		}
+	})
 }
 
 // TestCancelHookAbortsRun: an external cancellation hook cancels the run

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"parade/internal/dsm"
 	"parade/internal/hlrc"
@@ -32,7 +31,6 @@ type Cluster struct {
 	world  *mpi.World
 	engine *hlrc.Engine
 	stats  *stats.Registry // the run's counter registry (created by the network)
-	lanes  bool            // cfg.Lanes > 0: per-node event-lane kernel (lanes.go)
 	hetero *netsim.Hetero  // nil: uniform cluster (Config.Hetero)
 	rec    *obs.Recorder   // nil when observability is disabled
 
@@ -62,8 +60,7 @@ type Cluster struct {
 
 	// abortErr is the first runtime error a thread aborted the run with
 	// (depend.go); the always-installed cancellation hook polls it.
-	// Atomic because lane mode polls from every lane concurrently.
-	abortErr atomic.Pointer[runAbort]
+	abortErr error
 
 	programEnd sim.Time
 }
@@ -109,18 +106,6 @@ type node struct {
 	// are deleted at completion; held tasks sit in their entry until
 	// their predecessor count drains.
 	depGraph map[uint64]*depNode
-
-	// Event-lane mode (lanes.go): per-node replicas of the directive-site
-	// registries and the shared-memory allocator (kept in lockstep by SPMD
-	// first-use order), the spawn/execute tallies behind the tasking
-	// quiescence vote, and the node's seeded steal rotation.
-	lockIDs      map[string]int
-	singles      map[string]int
-	slotArrays   map[string]F64Array
-	alloc        *dsm.Allocator
-	taskSpawned  int64
-	taskExecuted int64
-	stealRot     uint64
 }
 
 // localPthreadOp approximates the cost of an uncontended pthread
@@ -187,16 +172,6 @@ func Run(cfg Config, program func(master *Thread)) (Report, error) {
 		scalars: map[string]*Scalar{},
 		singles: map[string]int{},
 	}
-	if cfg.Lanes > 0 {
-		// Configure lanes before any layer is built: the observability
-		// registry sizes its histogram and phase shards off the simulator's
-		// lane regime. A crash plan switches the kernel to the relaxed
-		// single-worker regime (recovery rewrites other nodes' timelines,
-		// which the strict window protocol forbids).
-		c.lanes = true
-		c.s.ConfigureLanes(cfg.Nodes, cfg.Lanes, laneLookahead(cfg.Fabric), cfg.Crash.Active())
-		c.s.SetWindowChurn(laneWindowChurn)
-	}
 	cpus := make([]*sim.CPU, cfg.Nodes)
 	c.nodes = make([]*node, cfg.Nodes)
 	for i := range c.nodes {
@@ -214,12 +189,6 @@ func Run(cfg Config, program func(master *Thread)) (Report, error) {
 		n.workCond = sim.NewCond(n.workMu)
 		n.barMu = sim.NewMutex(c.s)
 		n.barCond = sim.NewCond(n.barMu)
-		n.stealRot = splitmix64(uint64(cfg.Seed) + uint64(i)*0x9e3779b97f4a7c15)
-		if c.lanes {
-			n.lockIDs = map[string]int{}
-			n.singles = map[string]int{}
-			n.slotArrays = map[string]F64Array{}
-		}
 		c.nodes[i] = n
 	}
 	c.taskMu = sim.NewMutex(c.s)
@@ -247,20 +216,6 @@ func Run(cfg Config, program func(master *Thread)) (Report, error) {
 		Strategy: cfg.Strategy, Cost: cfg.Cost, Crash: cfg.Crash,
 		Policy: cfg.Policy,
 	}, counters)
-	if c.lanes {
-		// Per-node allocator replicas (lanes.go): node 0's replica is the
-		// engine's allocator itself, so node 0's lane-local lazy
-		// allocations and the master's serial-context allocations both
-		// advance the real pool; the other replicas track it in SPMD
-		// lockstep.
-		for _, n := range c.nodes {
-			if n.id == 0 {
-				n.alloc = c.engine.Alloc
-			} else {
-				n.alloc = dsm.NewAllocator(cfg.ShmBytes)
-			}
-		}
-	}
 
 	if cfg.Obs != nil {
 		// One recorder observes every layer. The simulation kernel runs
@@ -271,9 +226,6 @@ func Run(cfg Config, program func(master *Thread)) (Report, error) {
 		c.engine.SetRecorder(rec)
 		c.net.SetRecorder(rec)
 		c.world.SetRecorder(rec)
-		if c.lanes && !c.s.Relaxed() {
-			rec.ShardForLanes(cfg.Nodes)
-		}
 		for i, cpu := range cpus {
 			i := i
 			cpu.OnWait = func(d sim.Duration) { rec.CPUWait(i, d) }
@@ -285,7 +237,7 @@ func Run(cfg Config, program func(master *Thread)) (Report, error) {
 	// handler, and control traffic to the fork-join machinery.
 	for i := range c.nodes {
 		i := i
-		c.s.SpawnOn(i, fmt.Sprintf("comm%d", i), func(p *sim.Proc) { c.commLoop(p, i) })
+		c.s.Spawn(fmt.Sprintf("comm%d", i), func(p *sim.Proc) { c.commLoop(p, i) })
 	}
 
 	// Team threads: gid = node*ThreadsPerNode + lid. Thread 0 is the
@@ -297,7 +249,7 @@ func Run(cfg Config, program func(master *Thread)) (Report, error) {
 		t := &Thread{c: c, gid: gid, node: c.nodes[gid/cfg.ThreadsPerNode]}
 		c.threads[gid] = t
 		name := fmt.Sprintf("n%dt%d", t.node.id, gid%cfg.ThreadsPerNode)
-		c.s.SpawnOn(t.node.id, name, func(p *sim.Proc) {
+		c.s.Spawn(name, func(p *sim.Proc) {
 			t.p = p
 			if gid == 0 {
 				program(t)
@@ -316,8 +268,8 @@ func Run(cfg Config, program func(master *Thread)) (Report, error) {
 	// own cancel/deadline hook, when configured, is checked second.
 	userHook := cancelHook(cfg)
 	c.s.SetCancel(func() error {
-		if a := c.abortErr.Load(); a != nil {
-			return a.err
+		if c.abortErr != nil {
+			return c.abortErr
 		}
 		if userHook != nil {
 			return userHook()
@@ -362,10 +314,8 @@ func (c *Cluster) report(cfg Config, cpus []*sim.CPU) Report {
 	}
 	rep.Counters = *c.stats.Fold()
 	if c.rec != nil {
-		// Merge the recorder's per-lane histogram and phase shards and hand
-		// it the counter rows: its per-node view is the registry's.
-		c.rec.FoldLanes()
-		laneReport(c.s, c.rec)
+		// Hand the recorder the counter rows: its per-node view is the
+		// registry's.
 		rep.Obs = c.rec.Metrics()
 		rep.Obs.SetNodeCounters(c.stats.Rows())
 	}
@@ -417,13 +367,6 @@ func (c *Cluster) commLoop(p *sim.Proc, nodeID int) {
 
 // startRegionLocal wakes the node's team threads for a new region.
 func (c *Cluster) startRegionLocal(p *sim.Proc, nodeID int) {
-	if c.lanes {
-		// Reading regionSeq from another node's lane is safe and exact:
-		// the ctlStartRegion message carries the happens-before edge, and
-		// the master cannot advance to the next region until this node
-		// joins the current one's barrier.
-		c.rec.RegionBeginOn(nodeID, c.regionSeq)
-	}
 	n := c.nodes[nodeID]
 	n.workMu.Lock(p)
 	n.workSeq++
@@ -449,6 +392,9 @@ func (c *Cluster) shutdown(p *sim.Proc) {
 		c.net.Send(p, &netsim.Message{From: 0, To: i, Kind: KindCtl, Type: ctlStop, Bytes: 8})
 	}
 }
+
+// cnt returns node's counter row.
+func (c *Cluster) cnt(node int) *stats.Counters { return c.stats.At(node) }
 
 // Sim exposes the simulator (used by apps to read the virtual clock).
 func (c *Cluster) Sim() *sim.Simulator { return c.s }

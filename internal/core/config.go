@@ -60,13 +60,8 @@ type Config struct {
 	ShmBytes       int  // shared memory pool size
 	Seed           int64
 	Quantum        sim.Duration
-	// Lanes, when positive, runs the simulation kernel in per-node event
-	// lane mode: one lane per simulated node, up to Lanes lanes executing
-	// concurrently on host goroutines under conservative lookahead
-	// (internal/sim). The event schedule is identical for every positive
-	// value — Lanes only caps host parallelism — so results match at any
-	// GOMAXPROCS and any lane count. 0 (the default) is the legacy
-	// single-loop kernel with its original byte-identical timing.
+	// Lanes has no effect; kept only because bench/e2e names it;
+	// ROADMAP 1(a) deletes it.
 	Lanes    int
 	Strategy dsm.UpdateStrategy
 	Cost     hlrc.CostModel
@@ -116,9 +111,7 @@ type Config struct {
 	// periodically from the event loop (sim.DefaultCancelEvery events). A
 	// non-nil return cancels the run: Run returns an error matching
 	// ErrCanceled that wraps the hook's cause, alongside a partial Report
-	// (counters and timing up to the cancel point). Lane-mode runs poll
-	// the hook concurrently from every lane, so it must be safe for
-	// concurrent use.
+	// (counters and timing up to the cancel point).
 	Cancel func() error
 }
 
@@ -189,13 +182,6 @@ func (c Config) Validate() error {
 		return &PolicyConfigError{Policy: c.Policy, Reason: fmt.Sprintf(
 			"unknown protocol policy (valid: %q, %q, %q, or empty for legacy)",
 			hlrc.PolicyInvalidate, hlrc.PolicyUpdate, hlrc.PolicyAdaptive)}
-	}
-	if c.Lanes < 0 {
-		return &LaneConfigError{Lanes: c.Lanes, Reason: "Lanes must be >= 0 (0 disables event lanes)"}
-	}
-	if c.Lanes > 0 && c.Fabric.Latency <= 0 {
-		return &LaneConfigError{Lanes: c.Lanes, Reason: fmt.Sprintf(
-			"fabric %q has non-positive link latency; the conservative lookahead bound requires Fabric.Latency > 0", c.Fabric.Name)}
 	}
 	if c.Deadline < 0 {
 		return fmt.Errorf("core: Deadline = %v (must be >= 0; 0 disables the wall-clock guard)", c.Deadline)

@@ -19,17 +19,15 @@ import (
 // Determinism. Edges depend only on spawn order within one context
 // (one thread's root tasks between joins, or one parent task's
 // children), never on which node executed anything, so the graph is
-// identical across steal schedules, fault profiles, crash schedules,
-// and lane counts. Release bookkeeping lives on the spawning context's
-// node (the origin): all siblings of a context are spawned from one
-// thread, which runs on one node, so edge computation and release are
-// lane-confined. A task executed remotely (stolen, or pinned to a
+// identical across steal schedules, fault profiles and crash schedules.
+// Release bookkeeping lives on the spawning context's node (the origin):
+// all siblings of a context are spawned from one thread, which runs on
+// one node, so edge computation and release stay on that node. A task executed remotely (stolen, or pinned to a
 // device) reports completion to its origin with a control message; the
 // origin's communication thread propagates the completion through the
 // graph and releases newly-ready tasks into the origin's deque. Held
-// tasks are counted live/spawned from the moment of spawn, so both
-// termination machineries — the legacy live count and the lane-mode
-// quiescence vote — wait for them with no extra state.
+// tasks are counted live from the moment of spawn, so the termination
+// live count waits for them with no extra state.
 //
 // Cycles. Pure data dependences cannot form a cycle (every edge points
 // from an earlier spawn to a later one). DepTask references can: a
@@ -65,11 +63,6 @@ type TaskCycleError struct {
 
 func (e *TaskCycleError) Error() string {
 	return fmt.Sprintf("core: task dependence cycle through task name %q", e.Name)
-}
-
-// runAbort carries the cause a thread aborted the run with.
-type runAbort struct {
-	err error
 }
 
 // depState is one spawning context's dependence bookkeeping: the handle
@@ -364,9 +357,7 @@ func (c *Cluster) dispatchTask(p *sim.Proc, from int, tk *task) {
 		return
 	}
 	c.nodes[from].enqueueTask(tk)
-	if !c.lanes {
-		c.taskWake()
-	}
+	c.taskWake()
 }
 
 // handleTaskPush runs on the device's communication thread: enqueue the
@@ -376,9 +367,7 @@ func (c *Cluster) handleTaskPush(p *sim.Proc, nodeID int, m *netsim.Message) {
 	n := c.nodes[nodeID]
 	n.cpu.Compute(p, serveCost)
 	n.enqueueTask(tk)
-	if !c.lanes {
-		c.taskWake()
-	}
+	c.taskWake()
 }
 
 // taskDoneMsg is the completion notification a remotely-executed
@@ -419,7 +408,9 @@ func (n *node) enqueueTask(tk *task) {
 // the run. core.Run returns an error matching ErrCanceled whose cause
 // (errors.As) is err, alongside the partial report.
 func (t *Thread) abortRun(err error) {
-	t.c.abortErr.CompareAndSwap(nil, &runAbort{err: err})
+	if t.c.abortErr == nil {
+		t.c.abortErr = err
+	}
 	for {
 		t.Compute(100 * sim.Microsecond)
 	}

@@ -3,23 +3,21 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"parade/internal/netsim"
 	"parade/internal/sim"
 )
 
-// orderLog records task completion order; the atomic is for lane mode,
-// where tasks of different nodes execute from concurrent goroutines.
+// orderLog records task completion order.
 type orderLog struct {
-	seq  atomic.Int64
+	seq  int64
 	slot []int64
 }
 
 func newOrderLog(n int) *orderLog { return &orderLog{slot: make([]int64, n)} }
 
-func (l *orderLog) mark(i int) { l.slot[i] = l.seq.Add(1) }
+func (l *orderLog) mark(i int) { l.seq++; l.slot[i] = l.seq }
 
 func (l *orderLog) before(a, b int) bool { return l.slot[a] < l.slot[b] }
 
@@ -332,7 +330,7 @@ func TestTargetPinsToDevice(t *testing.T) {
 			tc.For(0, 512, func(i int) { a.Set(tc, i, float64(i)) })
 			gid := tc.GID()
 			tc.Target(2, func(ex *Thread) float64 {
-				atomic.StoreInt64(&execNode[gid], int64(ex.NodeID()))
+				execNode[gid] = int64(ex.NodeID())
 				return a.Get(ex, gid)
 			}, WithMap(MapTo, a))
 			if got := tc.Taskwait(); got != 0+1+2+3 {
@@ -370,55 +368,6 @@ func TestTargetInvalidDevicePanics(t *testing.T) {
 			tc.Taskwait()
 		})
 	})
-}
-
-// TestDependBitIdenticalAcrossLanes runs the same dependence program in
-// legacy and lane mode at several lane-relevant shapes and requires
-// bit-identical Taskwait sums.
-func TestDependBitIdenticalAcrossLanes(t *testing.T) {
-	program := func(cfg Config) float64 {
-		var got float64
-		run2 := func() (Report, error) {
-			return Run(cfg, func(m *Thread) {
-				c := m.Cluster()
-				a := c.AllocF64(256)
-				m.Parallel(func(tc *Thread) {
-					lo, hi := tc.StaticRange(0, 8)
-					for s := lo; s < hi; s++ {
-						s := s
-						h := DepName(fmt.Sprintf("s%d", s))
-						tc.Task(func(ex *Thread) float64 {
-							for i := 0; i < 32; i++ {
-								a.Set(ex, s*32+i, float64(s*32+i)*0.5)
-							}
-							return 0
-						}, WithDepend(Out, h))
-						tc.Task(func(ex *Thread) float64 {
-							var sum float64
-							for i := 0; i < 32; i++ {
-								sum += a.Get(ex, s*32+i)
-							}
-							return sum
-						}, WithDepend(In, h), WithPriority(1))
-					}
-					v := tc.Taskwait()
-					tc.Master(func() { got = v })
-				})
-			})
-		}
-		if _, err := run2(); err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	base := program(Config{Nodes: 4, ThreadsPerNode: 1})
-	for _, lanes := range []int{1, 4} {
-		lanes := lanes
-		got := program(Config{Nodes: 4, ThreadsPerNode: 1, Lanes: lanes})
-		if got != base {
-			t.Fatalf("lanes=%d sum %v != legacy %v", lanes, got, base)
-		}
-	}
 }
 
 // TestHeteroScalesCompute checks the per-node cost multiplier end to

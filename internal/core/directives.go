@@ -172,7 +172,7 @@ func (t *Thread) criticalSDSM(name string, fn func()) {
 	t.Compute(localPthreadOp)
 	mu := n.mutex("crit:" + name)
 	mu.Lock(p)
-	id := t.lockID("crit:" + name)
+	id := t.c.lockID("crit:" + name)
 	t.c.engine.AcquireLock(p, n.id, id)
 	fn()
 	t.c.engine.ReleaseLock(p, n.id, id)
@@ -285,7 +285,7 @@ func (t *Thread) reduceHybrid(name string, op Op, v float64) float64 {
 }
 
 func (t *Thread) reduceSDSM(name string, op Op, v float64) float64 {
-	slots := t.reduceSlots(name)
+	slots := t.c.reduceSlotsN(name, t.c.TotalThreads())
 	slots.Set(t, t.gid, v)
 	t.Barrier()
 	acc := slots.Get(t, 0)
@@ -364,7 +364,7 @@ func (t *Thread) reduceVecHybrid(name string, op Op, v []float64) []float64 {
 
 func (t *Thread) reduceVecSDSM(name string, op Op, v []float64) []float64 {
 	nt := t.NumThreads()
-	slots := t.reduceSlotsN(name, nt*len(v))
+	slots := t.c.reduceSlotsN(name, nt*len(v))
 	for i, x := range v {
 		slots.Set(t, t.gid*len(v)+i, x)
 	}
@@ -395,20 +395,6 @@ func (c *Cluster) reduceSlotsN(name string, n int) F64Array {
 		c.slotArrays = map[string]F64Array{}
 	}
 	a := c.AllocF64(n)
-	c.slotArrays[name] = a
-	return a
-}
-
-// reduceSlots returns the named shared slot array (one float64 per team
-// thread), creating it on first use.
-func (c *Cluster) reduceSlots(name string) F64Array {
-	if a, ok := c.slotArrays[name]; ok {
-		return a
-	}
-	if c.slotArrays == nil {
-		c.slotArrays = map[string]F64Array{}
-	}
-	a := c.AllocF64(c.TotalThreads())
 	c.slotArrays[name] = a
 	return a
 }
@@ -489,8 +475,8 @@ func (t *Thread) singleHybrid(name string, s *Scalar, fn func()) {
 func (t *Thread) singleSDSM(name string, fn func()) {
 	c, n, p := t.c, t.node, t.p
 	r := t.round("single:" + name)
-	flagAddr := t.singleFlag(name)
-	id := t.lockID("single:" + name)
+	flagAddr := c.singleFlag(name)
+	id := c.lockID("single:" + name)
 	t.Compute(localPthreadOp)
 	mu := n.mutex("single:" + name)
 	mu.Lock(p)

@@ -212,8 +212,8 @@ func DepTask(name string) DepHandle { return DepHandle{kind: depHandleTask, name
 // handles (the depend clause). Repeat the option to mix kinds. Duplicate
 // handles within one task are deduplicated; ordering between tasks
 // follows their spawn order in the spawning context (OpenMP sibling-task
-// semantics), so the graph is identical across steal schedules, fault
-// profiles, and lane counts.
+// semantics), so the graph is identical across steal schedules and
+// fault profiles.
 func WithDepend(kind DepKind, handles ...DepHandle) TaskOption {
 	return taskOption(func(c *taskConfig) {
 		for _, h := range handles {

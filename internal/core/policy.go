@@ -3,7 +3,7 @@ package core
 import "fmt"
 
 // PolicyConfigError is the typed error returned for an invalid protocol
-// policy configuration (errors.As-matchable, like LaneConfigError).
+// policy configuration (errors.As-matchable).
 type PolicyConfigError struct {
 	Policy string
 	Reason string

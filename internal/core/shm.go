@@ -19,7 +19,7 @@ type F64Array struct {
 // AllocF64 reserves a page-aligned shared float64 array. Page alignment
 // follows the paper's §7 guideline: unrelated arrays never share a page.
 func (c *Cluster) AllocF64(n int) F64Array {
-	return F64Array{c: c, base: c.allocShared(8*n, 0, true), n: n}
+	return F64Array{c: c, base: c.engine.Alloc.AllocPage(8 * n), n: n}
 }
 
 // Len returns the number of elements.
@@ -56,7 +56,7 @@ type I64Array struct {
 
 // AllocI64 reserves a page-aligned shared int64 array.
 func (c *Cluster) AllocI64(n int) I64Array {
-	return I64Array{c: c, base: c.allocShared(8*n, 0, true), n: n}
+	return I64Array{c: c, base: c.engine.Alloc.AllocPage(8 * n), n: n}
 }
 
 // Len returns the number of elements.
@@ -118,7 +118,7 @@ func (c *Cluster) ScalarVar(name string) *Scalar {
 	}
 	s := &Scalar{
 		c: c, name: name,
-		addr: c.allocShared(8, 8, false),
+		addr: c.engine.Alloc.Alloc(8, 8),
 		vals: make([]float64, c.cfg.Nodes),
 		base: make([]float64, c.cfg.Nodes),
 	}

@@ -194,16 +194,8 @@ func (t *Thread) spawnTask(tk *task, cfg *taskConfig) {
 		n.enqueueTask(tk)
 	}
 	c.cnt(n.id).TasksSpawned++
-	if c.lanes {
-		// Lane mode (lanes.go): no cluster-wide live count or wake — the
-		// spawn tally feeds the quiescence vote instead. Held and pinned
-		// tasks tally on the spawner too: the vote sums over all nodes,
-		// so a task spawned here and executed elsewhere still balances.
-		n.taskSpawned++
-	} else {
-		c.tasksLive++
-		c.taskWake()
-	}
+	c.tasksLive++
+	c.taskWake()
 	// MapFrom pages queue for this node's barrier-time refresh batch now,
 	// at spawn, in program order — not when the remote completion lands,
 	// whose timing depends on the fault schedule.
@@ -235,18 +227,13 @@ func (t *Thread) Taskwait() float64 {
 	// names anymore, so dangling DepTask references resolve vacuously and
 	// the tasks they held become runnable.
 	t.c.resolvePending(t.p, t.node.id, t.depState)
-	if t.c.lanes {
-		t.drainTasksLane()
-	} else {
-		// Register this thread's arrival before draining: the join may
-		// only terminate once every team thread has arrived (and thus
-		// finished spawning for this region). The lane path needs no
-		// equivalent — its quiescence vote is itself team-collective.
-		t.joinEpoch++
-		t.c.taskArrived++
-		t.c.taskWake()
-		t.drainTasks(t.joinEpoch * uint64(t.c.TotalThreads()))
-	}
+	// Register this thread's arrival before draining: the join may only
+	// terminate once every team thread has arrived (and thus finished
+	// spawning for this region).
+	t.joinEpoch++
+	t.c.taskArrived++
+	t.c.taskWake()
+	t.drainTasks(t.joinEpoch * uint64(t.c.TotalThreads()))
 	out := t.mergeTaskResults()
 	t.Barrier()
 	t.depState = nil // next task region starts a fresh dependence context
@@ -490,12 +477,8 @@ func (t *Thread) runTask(tk *task) {
 	}
 	t.node.taskResults = append(t.node.taskResults, taskResult{id: tk.id, val: v})
 	c.cnt(t.node.id).TasksExecuted++
-	if c.lanes {
-		t.node.taskExecuted++
-	} else {
-		c.tasksLive--
-		c.taskWake()
-	}
+	c.tasksLive--
+	c.taskWake()
 	if tk.tracked {
 		if tk.origin == t.node.id {
 			c.taskDone(t.p, tk.origin, tk.id, outgoing)

@@ -56,8 +56,7 @@ func (t *Thread) NumThreads() int { return t.c.TotalThreads() }
 // Cluster returns the owning cluster.
 func (t *Thread) Cluster() *Cluster { return t.c }
 
-// Now returns the current virtual time (of this thread's lane, in lane
-// mode).
+// Now returns the current virtual time.
 func (t *Thread) Now() sim.Time { return t.p.Now() }
 
 // Compute charges d of processor time to this thread (the mechanism by
@@ -86,9 +85,6 @@ func (t *Thread) workerLoop(p *sim.Proc) {
 		}
 		t.c.region(t)
 		t.Barrier() // implicit barrier at the end of a parallel region
-		if t.c.lanes {
-			t.c.rec.RegionEndOn(n.id) // idempotent across the node's threads
-		}
 	}
 }
 
@@ -123,9 +119,6 @@ func (t *Thread) Parallel(fn func(tc *Thread)) {
 	c.startRegionLocal(t.p, 0)
 	fn(t)
 	t.Barrier()
-	if c.lanes {
-		c.rec.RegionEndOn(0)
-	}
 	if c.rec != nil {
 		c.rec.RegionEnd(t0, t.p.Now(), seq)
 	}
@@ -137,16 +130,7 @@ func (t *Thread) Parallel(fn func(tc *Thread)) {
 // migration, invalidations).
 func (t *Thread) Barrier() {
 	c, n, p := t.c, t.node, t.p
-	if c.lanes {
-		// Lane-mode barriers drain the node's own deque. Every node's
-		// threads do the same before the node's last arrival enters the
-		// global SDSM barrier, so all pre-barrier tasks complete
-		// cluster-wide without any cross-lane queue inspection (steals
-		// happen only inside Taskwait's vote loop).
-		if len(n.taskq) > 0 {
-			t.drainLocalTasks()
-		}
-	} else if c.tasksLive > 0 {
+	if c.tasksLive > 0 {
 		// Barriers are task scheduling points: all outstanding tasks
 		// complete before any thread passes (OpenMP §task scheduling).
 		// One integer compare when no tasks exist, so task-free programs

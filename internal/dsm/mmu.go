@@ -287,15 +287,3 @@ func (a *Allocator) AllocPage(n int) int { return a.Alloc(n, PageSize) }
 
 // Used returns the number of bytes allocated so far.
 func (a *Allocator) Used() int { return a.next }
-
-// AdvanceTo moves the bump pointer forward to off if it is behind it.
-// Replicated allocators (one per event lane) use this to stay in
-// lockstep after an allocation performed against one replica only.
-func (a *Allocator) AdvanceTo(off int) {
-	if off > a.size {
-		panic("dsm: shared memory pool exhausted")
-	}
-	if off > a.next {
-		a.next = off
-	}
-}

@@ -1,6 +1,6 @@
 // Package fleet is the long-running sweep service behind parade-serve:
 // batches of simulation jobs (a scenario matrix of app × mode × fabric ×
-// fault profile × crash schedule × node count × lanes) arrive over
+// fault profile × crash schedule × node count × policy) arrive over
 // HTTP/JSONL, are validated into typed JobSpecs, deduplicated by a
 // canonical config fingerprint against an LRU result cache, and executed
 // on a bounded worker pool with work-stealing admission. Results stream
@@ -9,8 +9,7 @@
 //
 // The dedupe cache leans on the determinism the rest of the repo
 // enforces: a run is a pure function of its configuration (bit-identical
-// at any lane count, GOMAXPROCS, fault interleaving, or host schedule —
-// DESIGN.md §6h), so two jobs whose canonical configurations are equal
+// at any GOMAXPROCS and host schedule — DESIGN.md §6h), so two jobs whose canonical configurations are equal
 // provably have equal results, and a cache hit can return the stored
 // report without re-execution. See SERVING.md for the serving surface.
 package fleet
@@ -46,7 +45,6 @@ type SpecMatrix struct {
 	Profiles []string // default: "" (ideal fabric) only
 	Crashes  []string // default: "" (no crashes) only
 	Nodes    []int    // default: the spec default only
-	Lanes    []int    // default: 0 (legacy kernel) only
 	Policies []string // default: "" (legacy) only
 	Seed     int64    // default: the spec default
 }
@@ -73,15 +71,12 @@ func (m SpecMatrix) Expand() []JobSpec {
 							continue
 						}
 						for _, n := range orZero(m.Nodes) {
-							for _, l := range orZero(m.Lanes) {
-								for _, pol := range orZero(m.Policies) {
-									specs = append(specs, JobSpec{
-										App: app, Mode: mode, Fabric: fabric,
-										FaultProfile: prof, Crash: crash,
-										Nodes: n, Lanes: l, Seed: m.Seed,
-										Policy: pol,
-									}.Normalize())
-								}
+							for _, pol := range orZero(m.Policies) {
+								specs = append(specs, JobSpec{
+									App: app, Mode: mode, Fabric: fabric,
+									FaultProfile: prof, Crash: crash,
+									Nodes: n, Seed: m.Seed, Policy: pol,
+								}.Normalize())
 							}
 						}
 					}

@@ -26,7 +26,7 @@ func TestJobSpecValidationTable(t *testing.T) {
 		{name: "valid defaults", spec: JobSpec{App: "ep", Mode: "hybrid"}},
 		{name: "valid sdsm with everything", spec: JobSpec{
 			App: "lockmix", Mode: "sdsm", Fabric: "tcp", Nodes: 8,
-			ThreadsPerNode: 2, Lanes: 4, Seed: 7, FaultProfile: "chaos",
+			ThreadsPerNode: 2, Seed: 7, FaultProfile: "chaos",
 		}},
 		{name: "valid crash schedule", spec: JobSpec{App: "cg", Mode: "hybrid", Crash: "1@1,1@3"}},
 		{name: "two distinct crash nodes", spec: JobSpec{App: "cg", Mode: "hybrid", Crash: "1@1,2@3"},
@@ -46,7 +46,9 @@ func TestJobSpecValidationTable(t *testing.T) {
 		{name: "negative threads", spec: JobSpec{App: "ep", Mode: "hybrid", ThreadsPerNode: -1},
 			fields: []string{"threads_per_node"}, reason: ">= 1"},
 		{name: "negative lanes", spec: JobSpec{App: "ep", Mode: "hybrid", Lanes: -3},
-			fields: []string{"lanes"}, reason: ">= 0"},
+			fields: []string{"lanes"}, reason: "must be 0 or absent"},
+		{name: "positive lanes", spec: JobSpec{App: "ep", Mode: "hybrid", Lanes: 2},
+			fields: []string{"lanes"}, reason: "must be 0 or absent"},
 		{name: "negative seed", spec: JobSpec{App: "ep", Mode: "hybrid", Seed: -1},
 			fields: []string{"seed"}, reason: "positive"},
 		{name: "unknown profile", spec: JobSpec{App: "ep", Mode: "hybrid", FaultProfile: "meteor"},
@@ -110,17 +112,6 @@ func TestJobSpecCanonicalization(t *testing.T) {
 		t.Errorf("explicit defaults fingerprint differently:\n%s\n%s", explicit.Canonical(), base.Canonical())
 	}
 
-	// All positive lane counts are the same simulation (bit-identical
-	// event schedule); the legacy kernel is its own regime.
-	l1, l8, l0 := base, base, base
-	l1.Lanes, l8.Lanes, l0.Lanes = 1, 8, 0
-	if l1.Fingerprint() != l8.Fingerprint() {
-		t.Errorf("lanes=1 and lanes=8 should share a fingerprint")
-	}
-	if l1.Fingerprint() == l0.Fingerprint() {
-		t.Errorf("lanes=0 and lanes=1 are distinct regimes, got equal fingerprints")
-	}
-
 	// lockmix always runs with lock caching, however the spec spells it.
 	lm := JobSpec{App: "lockmix", Mode: "hybrid"}
 	if !lm.Normalize().LockCaching {
@@ -155,9 +146,9 @@ func TestJobSpecCanonicalization(t *testing.T) {
 		{JobSpec{App: "cg", Mode: "hybrid"},
 			"parade-fleet/v1 app=cg mode=hybrid fabric=via nodes=4 threads=1 lanes=0 seed=1 lockcache=false faults= crash= policy=",
 			"0c4ea5efdb6d3e5f"},
-		{JobSpec{App: "md", Mode: "sdsm", Fabric: "tcp", Nodes: 8, Lanes: 4, Seed: 7, FaultProfile: "chaos", Policy: "adaptive"},
-			"parade-fleet/v1 app=md mode=sdsm fabric=tcp nodes=8 threads=1 lanes=1 seed=7 lockcache=false faults=chaos crash= policy=adaptive",
-			"42da031112008a45"},
+		{JobSpec{App: "md", Mode: "sdsm", Fabric: "tcp", Nodes: 8, Seed: 7, FaultProfile: "chaos", Policy: "adaptive"},
+			"parade-fleet/v1 app=md mode=sdsm fabric=tcp nodes=8 threads=1 lanes=0 seed=7 lockcache=false faults=chaos crash= policy=adaptive",
+			"1aa9a492bd5aafe4"},
 		{JobSpec{App: "lockmix", Mode: "hybrid", ThreadsPerNode: 2, Crash: " 1@1 , 1@3 ", Hetero: "slow1"},
 			"parade-fleet/v1 app=lockmix mode=hybrid fabric=via nodes=4 threads=2 lanes=0 seed=1 lockcache=true faults= crash=1@1,1@3 policy= hetero=slow1",
 			"3a577daee78bf662"},
@@ -178,7 +169,6 @@ func TestJobSpecCanonicalization(t *testing.T) {
 		{App: "ep", Mode: "hybrid", Fabric: "tcp"},
 		{App: "ep", Mode: "hybrid", Nodes: 8},
 		{App: "ep", Mode: "hybrid", ThreadsPerNode: 2},
-		{App: "ep", Mode: "hybrid", Lanes: 2},
 		{App: "ep", Mode: "hybrid", Seed: 2},
 		{App: "ep", Mode: "hybrid", FaultProfile: "drop"},
 		{App: "ep", Mode: "hybrid", Crash: "1@1"},
@@ -362,17 +352,21 @@ func TestServingSpecTable(t *testing.T) {
 		t.Fatal("SERVING.md has no Job-spec schema section")
 	}
 	section, _, _ = strings.Cut(section, "\n## ")
-	rows := map[string]bool{}
+	rows := map[string]string{}
 	for _, line := range strings.Split(section, "\n") {
 		if rest, ok := strings.CutPrefix(line, "| `"); ok {
 			name, _, _ := strings.Cut(rest, "`")
-			rows[name] = true
+			rows[name] = line
 		}
+	}
+	// The retired lanes key is still parsed, only to be rejected.
+	if !strings.Contains(rows["lanes"], "must be 0 or absent") {
+		t.Errorf("SERVING.md's lanes row does not say the key must be 0 or absent: %q", rows["lanes"])
 	}
 	typ := reflect.TypeOf(JobSpec{})
 	for i := 0; i < typ.NumField(); i++ {
 		tag, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
-		if !rows[tag] {
+		if _, ok := rows[tag]; !ok {
 			t.Errorf("JobSpec.%s (json %q) has no row in SERVING.md's job-spec table", typ.Field(i).Name, tag)
 		}
 		delete(rows, tag)

@@ -24,8 +24,9 @@ import (
 // selects the default noted on it.
 //
 // ID and DeadlineMS are the envelope: execution control that rides with
-// the cell but takes part in neither its identity nor its lowering. Every
-// other field must change both (TestCellIdentityIsComplete).
+// the cell but takes part in neither its identity nor its lowering.
+// Lanes is a retired key that only Validate reads. Every other field must
+// change both identity and lowering (TestCellIdentityIsComplete).
 type Cell struct {
 	// ID is an optional client handle echoed verbatim on the result line.
 	ID string `json:"id,omitempty"`
@@ -41,10 +42,9 @@ type Cell struct {
 	Nodes int `json:"nodes,omitempty"`
 	// ThreadsPerNode is the computational thread count per node (default 1).
 	ThreadsPerNode int `json:"threads_per_node,omitempty"`
-	// Lanes selects the simulation kernel: 0 (default) is the legacy
-	// single-loop kernel, N > 0 runs per-node event lanes with at most N
-	// lane workers. Any N > 0 produces bit-identical results, so the
-	// identity collapses all positive values.
+	// Lanes is the retired event-lane count, read only to reject it: it
+	// must be 0 or absent, so a request that asks for lanes is answered
+	// invalid rather than run on the one event kernel.
 	Lanes int `json:"lanes,omitempty"`
 	// Seed drives the fault plane (default 1). The simulation's own seed
 	// stays at the configuration default so fault-free runs are comparable
@@ -83,7 +83,7 @@ type FieldError struct {
 }
 
 // CellError is the typed validation error for a Cell, with one entry per
-// invalid field (errors.As-matchable, mirroring core.LaneConfigError).
+// invalid field (errors.As-matchable).
 type CellError struct {
 	Fields []FieldError
 }
@@ -167,8 +167,8 @@ func (c Cell) lower() (core.Config, []FieldError) {
 	if c.ThreadsPerNode < 1 {
 		fail("threads_per_node", fmt.Errorf("must be >= 1, got %d", c.ThreadsPerNode))
 	}
-	if c.Lanes < 0 {
-		fail("lanes", fmt.Errorf("must be >= 0 (0 disables event lanes), got %d", c.Lanes))
+	if c.Lanes != 0 {
+		fail("lanes", fmt.Errorf("must be 0 or absent (the event-lane kernel was removed), got %d", c.Lanes))
 	}
 	if c.Seed < 0 {
 		fail("seed", fmt.Errorf("must be positive, got %d", c.Seed))
@@ -207,7 +207,6 @@ func (c Cell) lower() (core.Config, []FieldError) {
 	if bad != nil {
 		return core.Config{}, bad
 	}
-	cfg.Lanes = c.Lanes
 	cfg.Policy = c.Policy
 	// MatrixModeConfig applied defaults, which froze the threshold at the
 	// paper's constant for the default fabric; derive it again.
@@ -238,13 +237,11 @@ func (c Cell) Validate() error {
 
 // canonical is Canonical for a normalized cell.
 func (c Cell) canonical() string {
-	laneRegime := 0
-	if c.Lanes > 0 {
-		laneRegime = 1
-	}
+	// lanes=0 is a literal: it keeps every fingerprint written before the
+	// event-lane kernel was removed.
 	s := fmt.Sprintf(
-		"parade-fleet/v1 app=%s mode=%s fabric=%s nodes=%d threads=%d lanes=%d seed=%d lockcache=%t faults=%s crash=%s policy=%s",
-		c.App, c.Mode, c.Fabric, c.Nodes, c.ThreadsPerNode, laneRegime,
+		"parade-fleet/v1 app=%s mode=%s fabric=%s nodes=%d threads=%d lanes=0 seed=%d lockcache=%t faults=%s crash=%s policy=%s",
+		c.App, c.Mode, c.Fabric, c.Nodes, c.ThreadsPerNode,
 		c.Seed, c.LockCaching, c.FaultProfile, c.Crash, c.Policy)
 	if c.Hetero != "" {
 		// Appended only when set, so pre-hetero fingerprints (and cached
@@ -255,10 +252,7 @@ func (c Cell) canonical() string {
 }
 
 // Canonical returns the cell's identity string: the normalized fields in
-// fixed order, with the lane count collapsed to its regime (legacy vs
-// event lanes — every positive lane count executes the identical event
-// schedule, DESIGN.md §6h, so cells differing only in worker count are
-// the same simulation). Equal canonical strings mean equal lowered
+// fixed order. Equal canonical strings mean equal lowered
 // configurations; the fleet's cache and WAL are keyed by the string's
 // fingerprint and compare the full string on every hit, so a 64-bit hash
 // collision can never alias two cells.

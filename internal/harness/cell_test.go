@@ -2,6 +2,7 @@ package harness
 
 import (
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -60,14 +61,13 @@ func TestCrashSpecRoundTrip(t *testing.T) {
 }
 
 // TestPerNodeSumsToCounters is the one-registry cross-check: for every
-// matrix kernel and mode, on the legacy kernel, on lanes 1 and 4, and
-// under a crash schedule (the relaxed single-worker regime), the per-node
-// rows Report.Obs presents sum field by field to Report.Counters, and a
-// run's rows do not depend on the lane worker count. It also pins the
+// matrix kernel and mode, with and without a crash schedule, the
+// per-node rows Report.Obs presents sum field by field to
+// Report.Counters. It also pins the
 // attributions a second tally used to get wrong: global barriers live on
 // the master's row, and without crashes every fetch issued is served.
 func TestPerNodeSumsToCounters(t *testing.T) {
-	rows := func(c Cell) []stats.Counters {
+	rows := func(c Cell) {
 		t.Helper()
 		app, err := MatrixAppByName(c.App)
 		if err != nil {
@@ -80,7 +80,7 @@ func TestPerNodeSumsToCounters(t *testing.T) {
 		cfg.Obs = obs.New(cfg.Nodes)
 		_, _, rep, err := app.Run(cfg)
 		if err != nil {
-			t.Fatalf("%s lanes=%d: %v", c, c.Lanes, err)
+			t.Fatalf("%s: %v", c, err)
 		}
 		out := make([]stats.Counters, rep.Obs.Nodes())
 		var sum stats.Counters
@@ -88,31 +88,23 @@ func TestPerNodeSumsToCounters(t *testing.T) {
 			out[n] = rep.Obs.Node(n)
 			sum.Add(&out[n])
 			if n > 0 && out[n].Barriers != 0 {
-				t.Errorf("%s lanes=%d: node %d carries %d sdsm_barriers", c, c.Lanes, n, out[n].Barriers)
+				t.Errorf("%s: node %d carries %d sdsm_barriers", c, n, out[n].Barriers)
 			}
 		}
 		if len(out) != cfg.Nodes || sum != rep.Counters {
-			t.Errorf("%s lanes=%d: %d rows sum to\n%s\nReport.Counters is\n%s", c, c.Lanes, len(out), sum.String(), rep.Counters.String())
+			t.Errorf("%s: %d rows sum to\n%s\nReport.Counters is\n%s", c, len(out), sum.String(), rep.Counters.String())
 		}
 		if cfg.Crash == nil && sum.FetchesIssued != sum.PageFetches {
-			t.Errorf("%s lanes=%d: %d fetches issued, %d served", c, c.Lanes, sum.FetchesIssued, sum.PageFetches)
+			t.Errorf("%s: %d fetches issued, %d served", c, sum.FetchesIssued, sum.PageFetches)
 		}
 		if cfg.Crash != nil && sum.Crashes != int64(len(cfg.Crash.Events)) {
-			t.Errorf("%s lanes=%d: %d crashes, want %d", c, c.Lanes, sum.Crashes, len(cfg.Crash.Events))
+			t.Errorf("%s: %d crashes, want %d", c, sum.Crashes, len(cfg.Crash.Events))
 		}
-		return out
 	}
 	for _, app := range MatrixAppNames() {
 		for _, mode := range MatrixModes() {
 			for _, schedule := range []string{"", "1@1"} {
-				c := Cell{App: app, Mode: mode, Crash: schedule}
-				rows(c)
-				c.Lanes = 1
-				one := rows(c)
-				c.Lanes = 4
-				if four := rows(c); !reflect.DeepEqual(one, four) {
-					t.Errorf("%s: per-node rows differ between lanes=1 and lanes=4:\n%+v\n%+v", c, one, four)
-				}
+				rows(Cell{App: app, Mode: mode, Crash: schedule})
 			}
 		}
 	}
@@ -125,7 +117,9 @@ func TestPerNodeSumsToCounters(t *testing.T) {
 // set to a valid non-default value, must change the canonical string
 // (or a cache hit could return another configuration's result) and the
 // lowered configuration (or the field is dead). The envelope changes
-// neither. The base cell has a fault profile, so the fault seed is live.
+// neither. The retired lanes key changes neither and any non-zero value
+// is invalid on that key. The base cell has a fault profile, so the
+// fault seed is live.
 func TestCellIdentityIsComplete(t *testing.T) {
 	base := Cell{App: "cg", Mode: "hybrid", FaultProfile: "drop"}
 	// One valid non-default value per field, by Go field name. App picks
@@ -138,6 +132,7 @@ func TestCellIdentityIsComplete(t *testing.T) {
 		"LockCaching": true, "Policy": "adaptive", "Hetero": "slow1",
 	}
 	envelope := map[string]bool{"ID": true, "DeadlineMS": true}
+	retired := map[string]string{"Lanes": "lanes"}
 	baseCfg, err := base.BuildConfig()
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +148,16 @@ func TestCellIdentityIsComplete(t *testing.T) {
 		c := base
 		reflect.ValueOf(&c).Elem().Field(i).Set(reflect.ValueOf(val))
 		cfg, err := c.BuildConfig()
+		if key, ok := retired[name]; ok {
+			var ce *CellError
+			if !errors.As(err, &ce) || len(ce.Fields) != 1 || ce.Fields[0].Field != key {
+				t.Errorf("retired field Cell.%s = %v: err %v, want a *CellError on %q", name, val, err, key)
+			}
+			if c.Canonical() != base.Canonical() {
+				t.Errorf("retired field Cell.%s changed Canonical(): %q", name, c.Canonical())
+			}
+			continue
+		}
 		if err != nil {
 			t.Errorf("Cell.%s = %v: %v", name, val, err)
 			continue
@@ -171,13 +176,6 @@ func TestCellIdentityIsComplete(t *testing.T) {
 		if sameCfg {
 			t.Errorf("Cell.%s = %v does not change BuildConfig(): the field is dead", name, val)
 		}
-	}
-	// The one documented collapse: every positive lane count is the same
-	// simulation, so they share an identity though their configs differ.
-	l2, l8 := base, base
-	l2.Lanes, l8.Lanes = 2, 8
-	if l2.Canonical() != l8.Canonical() {
-		t.Errorf("lanes=2 and lanes=8 are one regime, got %q and %q", l2.Canonical(), l8.Canonical())
 	}
 }
 

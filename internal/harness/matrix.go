@@ -24,7 +24,6 @@ import (
 // have is an error.
 type MatrixOptions struct {
 	Nodes    int      // cluster size (default 4)
-	Lanes    int      // event-lane workers (0 = legacy kernel)
 	Seed     int64    // fault-plane seed (chaos; default 1)
 	Apps     []string // subset of MatrixAppNames
 	Modes    []string // subset of MatrixModes (policy)
@@ -34,11 +33,6 @@ type MatrixOptions struct {
 	// runs under (default legacy); for policy, the set compared (default
 	// hlrc.PolicyNames).
 	Policies []string
-	// VerifyLanes (policy) re-runs every adaptive cell at these event-lane
-	// counts and requires bit-identical virtual time and memory
-	// fingerprint across them (default 1, 4). Lane counts must be
-	// positive: the legacy lanes=0 kernel has its own historical timing.
-	VerifyLanes []int
 }
 
 // MatrixReport is the outcome of one matrix.
@@ -79,7 +73,7 @@ type column struct {
 // matrix declares one acceptance matrix.
 type matrix struct {
 	title    string
-	axes     []string // selections accepted besides nodes, lanes and apps
+	axes     []string // selections accepted besides nodes and apps
 	fabrics  []string // default fabric selection
 	minNodes int
 	vary     string            // heading of the varied-axis column
@@ -171,25 +165,8 @@ var matrices = map[string]*matrix{
 			} else if run.Result != base.Result || run.MemHash != base.MemHash || run.Time != base.Time {
 				rep.failf("%s: empty crash plan perturbed the run (time %v vs %v)", base.Cell, run.Time, base.Time)
 			}
-			// In lane mode an armed crash plan switches the kernel to the
-			// serialized relaxed regime, which is its own deterministic
-			// schedule — different from the strict parallel one. The
-			// recovery contract is "bit-identical to the crash-free run of
-			// the same schedule", so crash runs compare against a baseline
-			// armed with a never-firing plan (same regime, zero crashes).
-			// In legacy mode the kernels coincide and base is used as-is.
-			ref := base
-			if base.Cell.Lanes > 0 {
-				armed := base.Cell
-				armed.Crash = FormatCrash([]hlrc.CrashEvent{{Node: 1, Barrier: 1 << 30}})
-				var err error
-				if ref, err = armed.Run(); err != nil || ref.Counters.Crashes != 0 {
-					rep.failf("%s: armed baseline: err %v, %d crashes", base.Cell, err, ref.Counters.Crashes)
-					return
-				}
-			}
 			for _, run := range runs {
-				rep.sameState(run, ref)
+				rep.sameState(run, base)
 				c, want := run.Counters, int64(run.Scheduled)
 				if c.Crashes != want || c.NodeRestarts != want {
 					rep.failf("%s: %d crashes, %d restarts injected, want %d each", run.Cell, c.Crashes, c.NodeRestarts, want)
@@ -217,7 +194,7 @@ var matrices = map[string]*matrix{
 	// Fixed protocol policies against the adaptive per-page engine: the
 	// protocol may move data differently, never compute differently.
 	"policy": {
-		title: "policy sweep", axes: []string{"modes", "fabrics", "policy", "verify-lanes"},
+		title: "policy sweep", axes: []string{"modes", "fabrics", "policy"},
 		fabrics: []string{"via", "tcp"}, vary: "policy",
 		label: func(c Cell) string {
 			if c.Policy == hlrc.PolicyLegacy {
@@ -243,7 +220,7 @@ var matrices = map[string]*matrix{
 			{"recl", "policy_reclass", func(r MatrixRun) int64 { return r.Counters.PolicyReclass }},
 			{"override", "policy_overrides", func(r MatrixRun) int64 { return r.Counters.PolicyHomeOverrides }},
 		},
-		verdict: "result bits policy-invariant, invalidate byte-identical to legacy, adaptive lane-deterministic",
+		verdict: "result bits policy-invariant, invalidate byte-identical to legacy",
 	},
 }
 
@@ -269,35 +246,6 @@ func checkPolicyGroup(rep *MatrixReport, base MatrixRun, runs []MatrixRun) {
 	adp, ok := byPolicy[hlrc.PolicyAdaptive]
 	if !ok {
 		return
-	}
-	// The adaptive engine must be deterministic across event-lane
-	// counts: the classifier folds into the state fingerprint, so any
-	// schedule-dependence would show up here. Result bits must match the
-	// comparison run unconditionally; full bit-identity (virtual time and
-	// fingerprint) is required among the positive-lane runs, and against
-	// the comparison run only when it used positive lanes itself — the
-	// legacy lanes=0 kernel is its own timing regime, and lock-heavy
-	// kernels legitimately resolve contention in a different order there.
-	var prev *MatrixRun
-	for _, lanes := range rep.Options.VerifyLanes {
-		c := adp.Cell
-		c.Lanes = lanes
-		run, err := c.Run()
-		if err != nil {
-			rep.failf("%s: verify at %d lanes: %v", adp.Cell, lanes, err)
-			continue
-		}
-		if run.Result != adp.Result {
-			rep.failf("%s: %d lanes changed result bits vs the comparison run", adp.Cell, lanes)
-		}
-		if adp.Cell.Lanes > 0 && (run.MemHash != adp.MemHash || run.Time != adp.Time) {
-			rep.failf("%s: %d lanes diverged from the %d-lane comparison run", adp.Cell, lanes, adp.Cell.Lanes)
-		}
-		if prev != nil && (run.Time != prev.Time || run.MemHash != prev.MemHash) {
-			rep.failf("%s: not bit-identical across lane counts %d and %d (time %d vs %d)",
-				adp.Cell, prev.Cell.Lanes, lanes, prev.Time, run.Time)
-		}
-		prev = &run
 	}
 	timeWin, bytesWin := len(byPolicy) > 1, len(byPolicy) > 1
 	for pol, fixed := range byPolicy {
@@ -354,7 +302,7 @@ func resolve(name string, o MatrixOptions) (*matrix, MatrixOptions, error) {
 		set  bool
 	}{
 		{"modes", len(o.Modes) > 0}, {"fabrics", len(o.Fabrics) > 0}, {"profiles", len(o.Profiles) > 0},
-		{"seed", o.Seed != 0}, {"policy", len(o.Policies) > 0}, {"verify-lanes", len(o.VerifyLanes) > 0},
+		{"seed", o.Seed != 0}, {"policy", len(o.Policies) > 0},
 	} {
 		if sel.set && !slices.Contains(m.axes, sel.axis) {
 			return nil, o, fmt.Errorf("harness: the %s matrix has no %s axis", name, sel.axis)
@@ -370,14 +318,6 @@ func resolve(name string, o MatrixOptions) (*matrix, MatrixOptions, error) {
 		defPolicies = hlrc.PolicyNames()
 	} else if len(o.Policies) > 1 {
 		return nil, o, fmt.Errorf("harness: the %s matrix runs every cell under one policy, got %q", name, o.Policies)
-	}
-	if len(o.VerifyLanes) == 0 && m.vary == "policy" {
-		o.VerifyLanes = []int{1, 4}
-	}
-	for _, lanes := range o.VerifyLanes {
-		if lanes <= 0 {
-			return nil, o, fmt.Errorf("harness: VerifyLanes entry %d; lane counts must be positive", lanes)
-		}
 	}
 	var err error
 	for _, ax := range []struct {
@@ -406,7 +346,7 @@ func (m *matrix) groups(o MatrixOptions) [][]Cell {
 		for _, mode := range o.Modes {
 			for _, fabric := range o.Fabrics {
 				groups = append(groups, m.cells(o, Cell{App: app, Mode: mode, Fabric: fabric,
-					Nodes: o.Nodes, Lanes: o.Lanes, Seed: o.Seed, Policy: o.Policies[0]}))
+					Nodes: o.Nodes, Seed: o.Seed, Policy: o.Policies[0]}))
 			}
 		}
 	}
@@ -489,9 +429,6 @@ func (r MatrixReport) Render() string {
 	if slices.Contains(m.axes, "seed") {
 		fmt.Fprintf(&b, ", fault seed %d", o.Seed)
 	}
-	if o.Lanes > 0 {
-		fmt.Fprintf(&b, ", %d event lanes", o.Lanes)
-	}
 	if m.vary != "policy" && o.Policies[0] != "" {
 		fmt.Fprintf(&b, ", policy %s", o.Policies[0])
 	}
@@ -541,8 +478,8 @@ func (r MatrixReport) WriteJSONL(w io.Writer) error {
 	if err := enc.Encode(struct {
 		Schema string `json:"schema"`
 		Nodes  int    `json:"nodes"`
-		Lanes  int    `json:"lanes"`
-	}{"parade-" + r.Matrix + "/v1", r.Options.Nodes, r.Options.Lanes}); err != nil {
+		Lanes  int    `json:"lanes"` // always 0: the key stays so the schema does not move
+	}{"parade-" + r.Matrix + "/v1", r.Options.Nodes, 0}); err != nil {
 		return err
 	}
 	for _, run := range r.Runs {

@@ -4,11 +4,52 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
 	"strings"
 	"testing"
 
 	"parade/internal/hlrc"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/matrix_*.jsonl from this run")
+
+// requireGolden compares the matrix's JSONL byte for byte against
+// testdata/matrix_<name>.jsonl, or rewrites the file under -update. The
+// goldens pin every cell's result bits, memory fingerprint, virtual
+// times and counters; regenerate one with `go test ./internal/harness
+// -run <Test> -update` only for a change meant to move them.
+func requireGolden(t *testing.T, rep MatrixReport) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rep.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	path := "testdata/matrix_" + rep.Matrix + ".jsonl"
+	if *update {
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantLines := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(got), len(wantLines)) {
+		g, w := "(none)", "(none)"
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("%s: line %d differs\n got %s\nwant %s", path, i+1, g, w)
+		}
+	}
+}
 
 // mustRunMatrix runs a matrix and requires every invariant to hold.
 func mustRunMatrix(t *testing.T, name string, opt MatrixOptions) MatrixReport {
@@ -37,14 +78,16 @@ func requireReproducible(t *testing.T, name string, opt MatrixOptions) {
 // directive modes under every built-in fault profile must produce
 // results bit-identical to the fault-free baselines, converge to the
 // same final DSM state, and exercise at least one retransmit per
-// profile. (~1s; CI runs the same sweep via `go test -run Chaos ./...`
-// and `parade-bench -matrix chaos`.)
+// profile. Every cell matches testdata/matrix_chaos.jsonl. (~1s; CI runs
+// the same sweep via `go test -run Chaos ./...` and `parade-bench
+// -matrix chaos`.)
 func TestChaosMatrix(t *testing.T) {
 	rep := mustRunMatrix(t, "chaos", MatrixOptions{Nodes: 4, Seed: 1})
 	// 7 apps x 2 modes x (baseline + 5 profiles).
 	if len(rep.Runs) != 84 || len(rep.Skipped) != 0 {
 		t.Fatalf("matrix ran %d cells with %d skips, want 84 and 0", len(rep.Runs), len(rep.Skipped))
 	}
+	requireGolden(t, rep)
 }
 
 func TestChaosMatrixReproducible(t *testing.T) {
@@ -71,7 +114,8 @@ func TestChaosFilters(t *testing.T) {
 // TestCrashMatrix is the acceptance gate for crash-stop recovery: every
 // app, both modes, every applicable crash schedule — recovered runs
 // bit-identical to their fault-free baselines, recovery machinery
-// demonstrably exercised, and the empty crash plan provably inert.
+// demonstrably exercised, and the empty crash plan provably inert. Every
+// cell matches testdata/matrix_crash.jsonl.
 func TestCrashMatrix(t *testing.T) {
 	rep := mustRunMatrix(t, "crash", MatrixOptions{Nodes: 4})
 	// 7 apps x 2 modes x (baseline + 3 schedules), less ep/hybrid's two
@@ -88,6 +132,7 @@ func TestCrashMatrix(t *testing.T) {
 	if crashed != 40 {
 		t.Fatalf("%d crash cells ran, want 40:\n%s", crashed, rep.Render())
 	}
+	requireGolden(t, rep)
 }
 
 func TestCrashMatrixReproducible(t *testing.T) {
@@ -115,7 +160,8 @@ func TestCrashNeedsTwoNodes(t *testing.T) {
 // TestPolicySweepInvariants runs one full group known to be an adaptive
 // win and checks everything the sweep promises: all four policies run,
 // the internal identity checks pass, the classifier actually
-// reclassified pages, and the group is reported as a win.
+// reclassified pages, and the group is reported as a win. Every cell
+// matches testdata/matrix_policy.jsonl.
 func TestPolicySweepInvariants(t *testing.T) {
 	rep := mustRunMatrix(t, "policy", MatrixOptions{
 		Apps: []string{"helmholtz"}, Modes: []string{"sdsm"}, Fabrics: []string{"via"},
@@ -136,6 +182,7 @@ func TestPolicySweepInvariants(t *testing.T) {
 	if len(rep.Wins) == 0 {
 		t.Fatalf("helmholtz/sdsm/via should be an adaptive win cell:\n%s", rep.Render())
 	}
+	requireGolden(t, rep)
 }
 
 // TestPolicyMatrixDefaultCells pins the default sweep's size: 7 apps x
@@ -190,7 +237,6 @@ func TestPolicySweepRejectsBadInput(t *testing.T) {
 		{"unknown mode", "policy", MatrixOptions{Modes: []string{"nope"}}, []string{`unknown mode "nope"`, "sdsm"}},
 		{"unknown policy", "policy", MatrixOptions{Policies: []string{"nope"}}, []string{`unknown policy "nope"`, "adaptive"}},
 		{"unknown fabric", "policy", MatrixOptions{Fabrics: []string{"nope"}}, []string{`unknown fabric "nope"`, "tcp"}},
-		{"non-positive verify lanes", "policy", MatrixOptions{VerifyLanes: []int{0}}, []string{"positive"}},
 		{"chaos unknown profile", "chaos", MatrixOptions{Profiles: []string{"nope"}}, []string{`unknown fault profile "nope"`, "drop"}},
 		{"chaos unknown profile among valid", "chaos", MatrixOptions{Profiles: []string{"drop", "nope"}}, []string{`unknown fault profile "nope"`}},
 		{"chaos unknown app among valid", "chaos", MatrixOptions{Apps: []string{"helmholtz", "nosuch"}}, []string{`unknown app "nosuch"`, "lockmix"}},

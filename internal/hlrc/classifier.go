@@ -14,8 +14,8 @@ import (
 // adaptive policy is active. All inputs are pure functions of program
 // order (sets, folded commutatively, of which nodes touched which pages
 // between two barriers), so the classifier's evolution — and therefore
-// every election it drives — is bit-identical across lane counts, fault
-// profiles, and crash schedules. The only timing-dependent field,
+// every election it drives — is bit-identical across fault profiles and
+// crash schedules. The only timing-dependent field,
 // lastChangeTime, feeds the reclass_latency histogram and is excluded
 // from the fingerprint fold.
 type classifier struct {
@@ -24,7 +24,8 @@ type classifier struct {
 	pages dsm.Chunked[pageObs]
 	// readers accumulates the current interval's read sets as arrivals
 	// come in (page -> set of reading nodes). Folding is commutative, so
-	// arrival order — which differs across lane counts — cannot matter.
+	// arrival order — which differs across fault schedules — cannot
+	// matter.
 	readers map[int]map[int]bool
 	// pending carries reader evidence across read-only intervals to the
 	// next modified interval. Producer-consumer sharing is inherently

@@ -232,25 +232,22 @@ type Engine struct {
 	Alloc *dsm.Allocator
 
 	// frames recycles twins and fetch-reply page snapshots; diffs
-	// recycles flush diffs. One free list per node: each list is touched
-	// only from its own node's (lane's) context. Fetch-reply frames
-	// migrate between nodes strictly inside protocol messages, which
-	// carry the happens-before edge under event lanes; diffs return to
-	// their creator's list. In legacy mode the split is behavior-neutral
-	// (a free list is a free list).
+	// recycles flush diffs. One free list per node, touched only from its
+	// own node's context: fetch-reply frames migrate between nodes inside
+	// protocol messages, and diffs return to their creator's list.
 	frames []dsm.FramePool
 	diffs  []dsm.DiffPool
 
 	nodes []*nodeState
 	// locks holds the manager-side lock state, sharded by manager node
-	// (lockManager(id)) so each shard map is confined to one lane.
+	// (lockManager(id)), so each shard map belongs to one node.
 	locks  []map[int]*lockState
 	master masterBarrier
 	epoch  int
 
 	// pgStats is the per-page activity behind PageReport, one lazily
 	// chunked table per node: each is touched only from its own node's
-	// (lane's) context — fetches counted where they are served,
+	// context — fetches counted where they are served,
 	// invalidations where they are applied, migrations at the master —
 	// and PageReport sums them.
 	pgStats []dsm.Chunked[pageActivity]

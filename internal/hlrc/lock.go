@@ -27,7 +27,7 @@ func (e *Engine) lockManager(id int) int {
 }
 
 // lockState returns lock id's manager-side state. The state lives in
-// the manager node's shard, so only the manager's lane touches it.
+// the manager node's shard, so only the manager node touches it.
 func (e *Engine) lockState(id int) *lockState {
 	shard := e.locks[e.lockManager(id)]
 	ls := shard[id]

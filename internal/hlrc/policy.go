@@ -16,7 +16,7 @@ import (
 // Every decision is taken at the master inside completeBarrier, from
 // inputs that are a pure function of program order (the interval's
 // modifier and reader sets), so adaptive runs stay bit-identical across
-// lane counts, fault profiles, and crash schedules. The classifier's
+// fault profiles and crash schedules. The classifier's
 // state folds into StateFingerprint (state.go) so two runs that agree
 // on the fingerprint also agree on every protocol election they made.
 

@@ -55,7 +55,7 @@ func (w *World) SetRecorder(r *obs.Recorder) { w.rec = r }
 
 // collStart counts rank's pass through a collective and marks the start
 // of its span; it returns the recorder (nil when disabled) and the start
-// time on the calling process's own clock (its lane's under event lanes).
+// time.
 func (w *World) collStart(p *sim.Proc, rank int) (*obs.Recorder, sim.Time) {
 	w.cnt(rank).Collectives++
 	if w.rec == nil {
@@ -181,7 +181,7 @@ func (w *World) logicalOf(rank int) int {
 func (w *World) Serve() {
 	for r := range w.eps {
 		r := r
-		w.s.SpawnDaemonOn(r, fmt.Sprintf("mpi-comm%d", r), func(p *sim.Proc) {
+		w.s.SpawnDaemon(fmt.Sprintf("mpi-comm%d", r), func(p *sim.Proc) {
 			for {
 				m := w.net.Inbox(r).Pop(p)
 				w.net.RecvCost(p, r)

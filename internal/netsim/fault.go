@@ -162,9 +162,8 @@ func ProfileByName(name string, seed int64) (Profile, error) {
 //
 // Injection draws come from per-node random streams, each seeded from
 // the profile seed by a splitmix64 step. A node's draws therefore depend
-// only on its own deterministic event sequence — never on how lanes
-// interleave on the host — so a chaos run injects the identical fault
-// schedule at lanes=1 and lanes=N.
+// only on its own deterministic event sequence, not on the order in
+// which other nodes' traffic interleaves with it.
 type FaultPlane struct {
 	prof  Profile
 	rngs  []*rand.Rand          // per-node injection streams
@@ -180,8 +179,7 @@ func mixSeed(seed int64, node int) int64 {
 	return int64(z ^ (z >> 31))
 }
 
-// rngAt returns node's injection stream. Lane-confined: call only from
-// node's own context.
+// rngAt returns node's injection stream.
 func (fp *FaultPlane) rngAt(node int) *rand.Rand { return fp.rngs[node] }
 
 // EnableFaults attaches a fault plane (and with it the reliability

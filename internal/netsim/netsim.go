@@ -109,7 +109,7 @@ type Network struct {
 	inbox    []*sim.Queue[*Message]
 	nicFree  []sim.Time      // next instant each node's send NIC is idle
 	counters *stats.Registry // the run's one counter registry, created here
-	freeDel  [][]*delivery   // pooled arrival events, one free list per node
+	freeDel  []*delivery     // pooled arrival events
 	rec      *obs.Recorder
 	fault    *FaultPlane // nil: ideal fabric, original Send path
 	rel      *relState   // reliability sublayer state (set with fault)
@@ -127,43 +127,35 @@ func (n *Network) SetRecorder(r *obs.Recorder) { n.rec = r }
 
 // delivery is a pooled message-arrival event: the closure is created
 // once per pooled object (bound to the delivery itself), so the
-// steady-state Send path schedules arrivals without allocating. Free
-// lists are per node: a delivery is acquired from the sender's list and
-// recycled into the destination's, so each list is only ever touched by
-// its own lane and objects migrate between lanes strictly through the
-// window-barrier merge (which establishes the happens-before edge).
+// steady-state Send path schedules arrivals without allocating.
 type delivery struct {
 	net *Network
 	dst *sim.Queue[*Message]
 	m   *Message
-	to  int // recycle target: the node (lane) the arrival fires on
 	fn  func()
 }
 
 // deliverAt schedules m to be pushed onto dst after d of virtual time.
-// from and to are the sending and firing nodes, routing the event
-// through the lane kernel's cross-lane staging when lanes are active.
-func (n *Network) deliverAt(from, to int, d sim.Duration, dst *sim.Queue[*Message], m *Message) {
+func (n *Network) deliverAt(d sim.Duration, dst *sim.Queue[*Message], m *Message) {
 	var del *delivery
-	pool := n.freeDel[from]
-	if k := len(pool) - 1; k >= 0 {
-		del = pool[k]
-		pool[k] = nil
-		n.freeDel[from] = pool[:k]
+	if k := len(n.freeDel) - 1; k >= 0 {
+		del = n.freeDel[k]
+		n.freeDel[k] = nil
+		n.freeDel = n.freeDel[:k]
 	} else {
 		del = &delivery{net: n}
 		del.fn = del.fire
 	}
-	del.dst, del.m, del.to = dst, m, to
-	n.sim.AtFrom(from, to, d, del.fn)
+	del.dst, del.m = dst, m
+	n.sim.At(d, del.fn)
 }
 
 // fire runs as the arrival event: recycle first, then push (a Push may
 // wake a consumer whose next Send wants a delivery from the pool).
 func (del *delivery) fire() {
-	dst, m, to := del.dst, del.m, del.to
+	dst, m := del.dst, del.m
 	del.dst, del.m = nil, nil
-	del.net.freeDel[to] = append(del.net.freeDel[to], del)
+	del.net.freeDel = append(del.net.freeDel, del)
 	dst.Push(m)
 }
 
@@ -182,7 +174,6 @@ func New(s *sim.Simulator, nodes int, fabric Fabric, cpus []*sim.CPU, c *stats.C
 		inbox:    make([]*sim.Queue[*Message], nodes),
 		nicFree:  make([]sim.Time, nodes),
 		counters: stats.NewRegistry(nodes, c),
-		freeDel:  make([][]*delivery, nodes),
 	}
 	for i := range n.inbox {
 		n.inbox[i] = sim.NewQueue[*Message](s)
@@ -216,7 +207,7 @@ func (n *Network) Send(p *sim.Proc, m *Message) {
 	dst := n.inbox[m.To]
 	if m.From == m.To {
 		n.counters.At(m.From).LocalDeliver++
-		n.deliverAt(m.From, m.To, n.fabric.LocalLatency, dst, m)
+		n.deliverAt(n.fabric.LocalLatency, dst, m)
 		return
 	}
 	if n.fault != nil {
@@ -242,7 +233,7 @@ func (n *Network) Send(p *sim.Proc, m *Message) {
 		// Rendezvous: an RTS/CTS handshake precedes the payload.
 		arrive += sim.Time(2 * n.fabric.Latency)
 	}
-	n.deliverAt(m.From, m.To, sim.Duration(arrive-now), dst, m)
+	n.deliverAt(sim.Duration(arrive-now), dst, m)
 }
 
 // RecvCost charges the per-message receive overhead to node's CPU from

@@ -60,11 +60,9 @@ func newRelState(nodes int) *relState {
 	return &relState{nodes: nodes, links: make([]relLink, nodes*nodes)}
 }
 
-// link initializes both sides of a directed link. Only safe where the
-// kernel is serialized (setup, serial crash/restart events, tests):
-// under event lanes the sender and receiver sides of one link belong to
-// different lanes, so the running paths use sendSide / recvSide, each of
-// which lazily initializes only the map its own lane owns.
+// link initializes both sides of a directed link; the running paths use
+// sendSide / recvSide, each of which lazily initializes only its own
+// side's map.
 func (r *relState) link(from, to int) *relLink {
 	lk := &r.links[from*r.nodes+to]
 	if lk.pending == nil {
@@ -128,7 +126,7 @@ func (n *Network) transmitFrame(pf *pendingFrame) {
 		return // a dead node puts nothing on the wire
 	}
 	fp := n.fault
-	now := n.sim.NowOn(from)
+	now := n.sim.Now()
 	c := n.counters.At(from)
 	if pf.attempts > 0 {
 		// Retransmitted frames are real wire traffic.
@@ -162,10 +160,10 @@ func (n *Network) transmitFrame(pf *pendingFrame) {
 			hold = sim.Duration(rng.Int63n(int64(maxHold) + 1))
 			c.InjectedDelays++
 		}
-		n.sim.AtFrom(from, to, sim.Duration(arrive-now)+hold, func() { n.arriveData(from, to, seq, ep, m) })
+		n.sim.At(sim.Duration(arrive-now)+hold, func() { n.arriveData(from, to, seq, ep, m) })
 		if lf.DupProb > 0 && rng.Float64() < lf.DupProb {
 			c.InjectedDups++
-			n.sim.AtFrom(from, to, sim.Duration(arrive-now)+hold+frameTime, func() { n.arriveData(from, to, seq, ep, m) })
+			n.sim.At(sim.Duration(arrive-now)+hold+frameTime, func() { n.arriveData(from, to, seq, ep, m) })
 		}
 	}
 
@@ -184,7 +182,7 @@ func (n *Network) transmitFrame(pf *pendingFrame) {
 		slack = fp.prof.RTOCap
 	}
 	timeout := sim.Duration(arrive-now) + maxHold + n.ackReturnTime() + slack
-	n.sim.AtFrom(from, from, timeout, func() { n.frameTimeout(from, to, seq, ep) })
+	n.sim.At(timeout, func() { n.frameTimeout(from, to, seq, ep) })
 }
 
 // ackReturnTime is the modeled latency of an ack control frame.
@@ -267,7 +265,7 @@ func (n *Network) sendAck(from, to int) {
 		return
 	}
 	ep := lk.epoch
-	n.sim.AtFrom(to, from, n.ackReturnTime(), func() { n.arriveAck(from, to, acked, ep) })
+	n.sim.At(n.ackReturnTime(), func() { n.arriveAck(from, to, acked, ep) })
 }
 
 // arriveAck clears every pending frame the cumulative ack covers and
@@ -278,7 +276,7 @@ func (n *Network) arriveAck(from, to int, acked int64, ep int) {
 	if lk.epoch != ep {
 		return
 	}
-	now := n.sim.NowOn(from)
+	now := n.sim.Now()
 	for seq, pf := range lk.pending {
 		if seq > acked {
 			continue

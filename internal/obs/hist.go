@@ -35,8 +35,8 @@ func (h *Histogram) Observe(v int64) {
 }
 
 // Merge folds o into h bucket-wise. Histogram contents are sums and
-// extrema, so a merge of per-lane shards equals the histogram a single
-// loop would have recorded, whatever order the shards are folded in.
+// extrema, so a merge of shards equals the histogram a single recorder
+// would have recorded, whatever order the shards are folded in.
 func (h *Histogram) Merge(o *Histogram) {
 	if o.Count == 0 {
 		return

@@ -100,14 +100,6 @@ const maxPhases = 512
 // rows of the run's stats.Registry (SetNodeCounters). Like the Recorder
 // it is written with plain stores — the simulation kernel's
 // one-runnable-goroutine invariant is the synchronization.
-//
-// Under per-node event lanes (internal/sim lane mode) that invariant is
-// per lane, not global, so ShardForLanes switches the registry to
-// per-node shards: histograms and phase counters accumulate into the
-// recording node's private shard and FoldLanes merges them after the
-// run. Merging is pure summation (and min/max), so the folded registry
-// is identical whatever the lane count or host interleaving — including
-// lanes=1 — and matches what the single-loop kernel records.
 type Metrics struct {
 	nodes []stats.Counters // the run's registry rows (set post-run via SetNodeCounters)
 	hist  [NumHists]Histogram
@@ -116,59 +108,16 @@ type Metrics struct {
 	cur          *Phase // non-nil while inside a parallel region
 	serial       PhaseCounters
 	foldedPhases int
-
-	// Lane-mode shards (nil in legacy mode).
-	histSh [][NumHists]Histogram
-	phSh   []phaseShard
-
-	// Lane engine report (set post-run via SetLaneReport).
-	laneStats   []LaneStat
-	laneWindows uint64
-	laneSync    Histogram
 }
 
-// phaseShard is one node's private phase-attribution state in lane mode.
-// cur is the region sequence number the node is currently inside (0 =
-// serial); slots is indexed by capped sequence number and grown lazily
-// by the owning lane only.
-type phaseShard struct {
-	cur    int
-	slots  []PhaseCounters
-	serial PhaseCounters
-}
-
-// ph returns the phase-counter set node's activity should currently
-// charge to: the open parallel region (node-local in lane mode), or the
-// serial accumulator between regions.
-func (m *Metrics) ph(node int) *PhaseCounters {
-	if m.histSh != nil {
-		sh := &m.phSh[node]
-		if sh.cur == 0 {
-			return &sh.serial
-		}
-		slot := sh.cur
-		if slot > maxPhases {
-			slot = maxPhases // mirror the legacy folding cap
-		}
-		if slot >= len(sh.slots) {
-			grown := make([]PhaseCounters, slot+1)
-			copy(grown, sh.slots)
-			sh.slots = grown
-		}
-		return &sh.slots[slot]
-	}
+// ph returns the phase-counter set activity should currently charge
+// to: the open parallel region, or the serial accumulator between
+// regions.
+func (m *Metrics) ph() *PhaseCounters {
 	if m.cur != nil {
 		return &m.cur.C
 	}
 	return &m.serial
-}
-
-// h returns histogram id for recording from node's context.
-func (m *Metrics) h(node, id int) *Histogram {
-	if m.histSh != nil {
-		return &m.histSh[node][id]
-	}
-	return &m.hist[id]
 }
 
 // SetNodeCounters attaches the run's per-node counter rows. The runtime
@@ -232,62 +181,6 @@ func (m *Metrics) endPhase(now sim.Time) {
 	}
 }
 
-// shardForLanes switches the registry to per-node accumulation for a
-// lane-mode run over `nodes` nodes. Call before the simulation starts.
-func (m *Metrics) shardForLanes(nodes int) {
-	m.histSh = make([][NumHists]Histogram, nodes)
-	m.phSh = make([]phaseShard, nodes)
-}
-
-// regionOn marks node as inside parallel region seq; its subsequent
-// activity charges to that region's shard slot. Lane-confined to node.
-func (m *Metrics) regionOn(node, seq int) {
-	if m.histSh != nil {
-		m.phSh[node].cur = seq
-	}
-}
-
-// regionOff reverts node to the serial accumulator.
-func (m *Metrics) regionOff(node int) {
-	if m.histSh != nil {
-		m.phSh[node].cur = 0
-	}
-}
-
-// FoldLanes merges every node shard into the aggregate views (global
-// histograms, the phase list, serial). Call once after Run with
-// the kernel quiesced; safe to call in legacy mode (no-op).
-func (m *Metrics) FoldLanes() {
-	if m.histSh == nil {
-		return
-	}
-	for n := range m.histSh {
-		for id := 0; id < NumHists; id++ {
-			m.hist[id].Merge(&m.histSh[n][id])
-		}
-	}
-	for n := range m.phSh {
-		sh := &m.phSh[n]
-		m.serial.Add(&sh.serial)
-		for seq := 1; seq < len(sh.slots); seq++ {
-			// Region sequence numbers are 1-based and sequential, so the
-			// phase recorded for seq sits at index seq-1 (activity past the
-			// fold cap lands in the last slot, matching beginPhase).
-			idx := seq - 1
-			if idx >= len(m.phases) {
-				idx = len(m.phases) - 1
-			}
-			if idx < 0 {
-				m.serial.Add(&sh.slots[seq])
-				continue
-			}
-			m.phases[idx].C.Add(&sh.slots[seq])
-		}
-	}
-	m.histSh = nil
-	m.phSh = nil
-}
-
 // Add accumulates o into p field-wise (every field is an int64 tally).
 func (p *PhaseCounters) Add(o *PhaseCounters) {
 	pv := reflect.ValueOf(p).Elem()
@@ -297,30 +190,16 @@ func (p *PhaseCounters) Add(o *PhaseCounters) {
 	}
 }
 
-// LaneStat mirrors sim.LaneStat for the metrics dump: host-time
-// utilization of one event lane.
+// LaneStat is the record type of LaneReport: no effect; kept only
+// because bench/e2e names it; ROADMAP 1(a) deletes it.
 type LaneStat struct {
-	Lane    int    `json:"lane"`
-	Windows uint64 `json:"windows"`
-	Events  uint64 `json:"events"`
-	BusyNs  int64  `json:"busy_ns"`
-	StallNs int64  `json:"stall_ns"`
+	Events          uint64
+	BusyNs, StallNs int64
 }
 
-// SetLaneReport attaches the lane engine's post-run report: per-lane
-// utilization/stall counters, the total window count, and the
-// lane_sync_latency histogram (host nanoseconds each lane spent waiting
-// between finishing a window and being dispatched into the next).
-func (m *Metrics) SetLaneReport(stats []LaneStat, windows uint64, sync Histogram) {
-	m.laneStats = stats
-	m.laneWindows = windows
-	m.laneSync = sync
-}
-
-// LaneReport returns the attached lane report (nil stats in legacy mode).
-func (m *Metrics) LaneReport() ([]LaneStat, uint64, Histogram) {
-	return m.laneStats, m.laneWindows, m.laneSync
-}
+// LaneReport returns nothing: no effect; kept only because bench/e2e
+// names it; ROADMAP 1(a) deletes it.
+func (m *Metrics) LaneReport() ([]LaneStat, uint64, Histogram) { return nil, 0, Histogram{} }
 
 // JSON schema for the metrics dump.
 
@@ -367,10 +246,6 @@ type metricsJSON struct {
 	FoldedPhases int              `json:"folded_phases,omitempty"`
 	Serial       PhaseCounters    `json:"serial"`
 	Total        PhaseCounters    `json:"total"`
-
-	// Lane engine section (present only for lane-mode runs).
-	Lanes       []LaneStat `json:"lanes,omitempty"`
-	LaneWindows uint64     `json:"lane_windows,omitempty"`
 }
 
 // WriteJSON writes the full metrics dump (schema "parade-metrics/v1").
@@ -385,8 +260,6 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 		FoldedPhases: m.foldedPhases,
 		Serial:       m.serial,
 		Total:        m.Total(),
-		Lanes:        m.laneStats,
-		LaneWindows:  m.laneWindows,
 	}
 	if out.PerNode == nil {
 		out.PerNode = []stats.Counters{}
@@ -396,11 +269,6 @@ func (m *Metrics) WriteJSON(w io.Writer) error {
 	}
 	for id := 0; id < NumHists; id++ {
 		out.Histograms = append(out.Histograms, histToJSON(&m.hist[id], histDefs[id].Name, histDefs[id].Unit))
-	}
-	if m.laneStats != nil {
-		// Lane sync latency is host time, not virtual time: it measures the
-		// engine's own barrier cost, so it rides along only for lane runs.
-		out.Histograms = append(out.Histograms, histToJSON(&m.laneSync, "lane_sync_latency", "host_ns"))
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

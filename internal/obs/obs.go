@@ -60,52 +60,10 @@ func (r *Recorder) Metrics() *Metrics {
 	return &r.m
 }
 
-// ShardForLanes switches the recorder to per-node metric shards for a
-// lane-mode run (see Metrics). Trace sinks are incompatible with lanes:
-// the scratch-event/synchronous-emit design leans on the global
-// one-runnable-goroutine invariant, and deterministic traces are a
-// legacy-mode artifact — lane runs keep the full metrics registry only.
-func (r *Recorder) ShardForLanes(nodes int) {
-	if r == nil {
-		return
-	}
-	if len(r.sinks) > 0 {
-		panic("obs: trace sinks are not supported with event lanes (use lanes=0 for tracing)")
-	}
-	r.m.shardForLanes(nodes)
-}
-
-// FoldLanes merges the per-node shards after a lane-mode run (no-op
-// otherwise).
-func (r *Recorder) FoldLanes() {
-	if r != nil {
-		r.m.FoldLanes()
-	}
-}
-
-// RegionBeginOn marks node as entering parallel region seq: the node's
-// subsequent activity is attributed to that region. Only meaningful in
-// lane mode (legacy attribution follows the master's RegionBegin/End).
-func (r *Recorder) RegionBeginOn(node, seq int) {
-	if r != nil {
-		r.m.regionOn(node, seq)
-	}
-}
-
-// RegionEndOn reverts node to serial attribution.
-func (r *Recorder) RegionEndOn(node int) {
-	if r != nil {
-		r.m.regionOff(node)
-	}
-}
-
 // AddSink attaches a trace sink. No-op on a nil recorder.
 func (r *Recorder) AddSink(s Sink) {
 	if r == nil || s == nil {
 		return
-	}
-	if r.m.histSh != nil {
-		panic("obs: trace sinks are not supported with event lanes (use lanes=0 for tracing)")
 	}
 	r.sinks = append(r.sinks, s)
 }
@@ -161,8 +119,8 @@ func (r *Recorder) FetchDone(start, end sim.Time, node, page, home int) {
 		return
 	}
 	d := int64(end - start)
-	r.m.h(node, HistPageFetch).Observe(d)
-	p := r.m.ph(node)
+	r.m.hist[HistPageFetch].Observe(d)
+	p := r.m.ph()
 	p.Fetches++
 	p.FetchWaitNs += d
 	if len(r.sinks) > 0 {
@@ -177,7 +135,7 @@ func (r *Recorder) Invalidated(node, page int) {
 	if r == nil {
 		return
 	}
-	r.m.ph(node).Invalidations++
+	r.m.ph().Invalidations++
 }
 
 // --- hlrc: diff flush ---
@@ -188,8 +146,8 @@ func (r *Recorder) DiffCreated(node, bytes int) {
 	if r == nil {
 		return
 	}
-	r.m.h(node, HistDiffBytes).Observe(int64(bytes))
-	p := r.m.ph(node)
+	r.m.hist[HistDiffBytes].Observe(int64(bytes))
+	p := r.m.ph()
 	p.DiffsCreated++
 	p.DiffBytes += int64(bytes)
 }
@@ -210,8 +168,8 @@ func (r *Recorder) FlushDone(start, end sim.Time, node, pages, bundles int) {
 		return
 	}
 	d := int64(end - start)
-	r.m.h(node, HistDiffFlush).Observe(d)
-	p := r.m.ph(node)
+	r.m.hist[HistDiffFlush].Observe(d)
+	p := r.m.ph()
 	p.Flushes++
 	p.FlushWaitNs += d
 	if len(r.sinks) > 0 {
@@ -249,8 +207,8 @@ func (r *Recorder) BarrierWait(start, end sim.Time, node int) {
 		return
 	}
 	d := int64(end - start)
-	r.m.h(node, HistBarrierWait).Observe(d)
-	p := r.m.ph(node)
+	r.m.hist[HistBarrierWait].Observe(d)
+	p := r.m.ph()
 	p.Barriers++
 	p.BarrierWaitNs += d
 	if len(r.sinks) > 0 {
@@ -267,8 +225,8 @@ func (r *Recorder) LockAcquired(start, end sim.Time, node, lock int) {
 		return
 	}
 	d := int64(end - start)
-	r.m.h(node, HistLockAcquire).Observe(d)
-	p := r.m.ph(node)
+	r.m.hist[HistLockAcquire].Observe(d)
+	p := r.m.ph()
 	p.Locks++
 	p.LockWaitNs += d
 	if len(r.sinks) > 0 {
@@ -296,7 +254,7 @@ func (r *Recorder) MsgSent(now sim.Time, from, to, bytes int, kind int) {
 	if r == nil {
 		return
 	}
-	p := r.m.ph(from)
+	p := r.m.ph()
 	p.Msgs++
 	p.Bytes += int64(bytes)
 	if r.traceMessages && len(r.sinks) > 0 {
@@ -313,7 +271,7 @@ func (r *Recorder) RetrySettled(firstSent, acked sim.Time, node int) {
 	if r == nil {
 		return
 	}
-	r.m.h(node, HistRetryLatency).Observe(int64(acked - firstSent))
+	r.m.hist[HistRetryLatency].Observe(int64(acked - firstSent))
 }
 
 // --- netsim + hlrc: crash faults and recovery ---
@@ -324,7 +282,7 @@ func (r *Recorder) RecoveryDone(start, end sim.Time, node int) {
 	if r == nil {
 		return
 	}
-	r.m.h(node, HistRecoveryLatency).Observe(int64(end - start))
+	r.m.hist[HistRecoveryLatency].Observe(int64(end - start))
 }
 
 // --- hlrc: protocol policy engine ---
@@ -337,7 +295,7 @@ func (r *Recorder) PolicyReclass(node int, sinceNs int64) {
 	if r == nil {
 		return
 	}
-	r.m.h(node, HistReclassLatency).Observe(sinceNs)
+	r.m.hist[HistReclassLatency].Observe(sinceNs)
 }
 
 // --- mpi ---
@@ -348,8 +306,8 @@ func (r *Recorder) Collective(start, end sim.Time, node int, op string, bytes in
 		return
 	}
 	d := int64(end - start)
-	r.m.h(node, HistCollective).Observe(d)
-	p := r.m.ph(node)
+	r.m.hist[HistCollective].Observe(d)
+	p := r.m.ph()
 	p.Collectives++
 	p.CollectiveNs += d
 	if len(r.sinks) > 0 {
@@ -394,8 +352,8 @@ func (r *Recorder) Directive(start, end sim.Time, node int, cat, site string) {
 		return
 	}
 	d := int64(end - start)
-	r.m.h(node, HistDirective).Observe(d)
-	p := r.m.ph(node)
+	r.m.hist[HistDirective].Observe(d)
+	p := r.m.ph()
 	p.Directives++
 	p.DirectiveNs += d
 	if len(r.sinks) > 0 {
@@ -413,7 +371,7 @@ func (r *Recorder) TaskReleased(start, end sim.Time, node int) {
 	if r == nil {
 		return
 	}
-	r.m.h(node, HistDepWait).Observe(int64(end - start))
+	r.m.hist[HistDepWait].Observe(int64(end - start))
 }
 
 // StealDone records one completed steal round trip (request sent to
@@ -423,7 +381,7 @@ func (r *Recorder) StealDone(start, end sim.Time, thief, victim int, hit bool) {
 		return
 	}
 	d := int64(end - start)
-	r.m.h(thief, HistStealLatency).Observe(d)
+	r.m.hist[HistStealLatency].Observe(d)
 	if len(r.sinks) > 0 {
 		h := 0
 		if hit {
@@ -442,6 +400,6 @@ func (r *Recorder) CPUWait(node int, d sim.Duration) {
 	if r == nil {
 		return
 	}
-	r.m.h(node, HistCPUWait).Observe(int64(d))
-	r.m.ph(node).CPUWaitNs += int64(d)
+	r.m.hist[HistCPUWait].Observe(int64(d))
+	r.m.ph().CPUWaitNs += int64(d)
 }

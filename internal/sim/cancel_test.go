@@ -33,9 +33,7 @@ func waitGoroutines(t *testing.T, base int, what string) {
 // errStop is the cause injected by the cancel hooks below.
 var errStop = errors.New("stop requested")
 
-// cancelAfter returns a hook that fires on its nth poll. The counter is
-// atomic because lane mode polls the hook concurrently from every lane
-// (the SetCancel contract).
+// cancelAfter returns a hook that fires on its nth poll.
 func cancelAfter(n int64) func() error {
 	var polls atomic.Int64
 	return func() error {
@@ -85,75 +83,6 @@ func TestCancelLegacy(t *testing.T) {
 	waitGoroutines(t, base, "legacy cancel")
 }
 
-// TestCancelLanes: cancellation in the strict parallel regime — polled
-// concurrently from every lane — tears down cleanly and reports the
-// maximum lane clock.
-func TestCancelLanes(t *testing.T) {
-	for _, relaxed := range []bool{false, true} {
-		t.Run(fmt.Sprintf("relaxed=%v", relaxed), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			s := New(7)
-			s.ConfigureLanes(4, 4, 5*Microsecond, relaxed)
-			s.SetCancel(cancelAfter(5), 8)
-			for i := 0; i < 4; i++ {
-				i := i
-				s.SpawnOn(i, fmt.Sprintf("spin%d", i), func(p *Proc) {
-					for {
-						p.Sleep(Microsecond)
-					}
-				})
-				s.SpawnDaemonOn(i, fmt.Sprintf("idle%d", i), func(p *Proc) {
-					NewQueue[int](s).Pop(p)
-				})
-			}
-			err := s.Run()
-			if !errors.Is(err, ErrCanceled) {
-				t.Fatalf("err = %v, want ErrCanceled match", err)
-			}
-			var ce *CanceledError
-			if !errors.As(err, &ce) || ce.At <= 0 {
-				t.Fatalf("err = %#v, want *CanceledError with positive At", err)
-			}
-			waitGoroutines(t, base, "lane cancel")
-		})
-	}
-}
-
-// TestCancelMidWindow: a hook polled at every event fires while a window
-// is half run — some of its lanes done, others not yet claimed, batons
-// parked in processes and helpers. With one baton and with four, Run
-// must return a *CanceledError and unwind every goroutine.
-func TestCancelMidWindow(t *testing.T) {
-	const n = 64
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			s := New(11)
-			s.ConfigureLanes(n, workers, 5*Microsecond, false)
-			s.SetCancel(cancelAfter(3*n+n/2), 1)
-			for i := 0; i < n; i++ {
-				s.SpawnOn(i, fmt.Sprintf("spin%d", i), func(p *Proc) {
-					for {
-						p.Sleep(Microsecond)
-					}
-				})
-				s.SpawnDaemonOn(i, fmt.Sprintf("idle%d", i), func(p *Proc) {
-					NewQueue[int](s).Pop(p)
-				})
-			}
-			err := s.Run()
-			var ce *CanceledError
-			if !errors.As(err, &ce) || !errors.Is(err, errStop) {
-				t.Fatalf("err = %v, want *CanceledError caused by errStop", err)
-			}
-			if s.LaneWindows() == 0 {
-				t.Fatal("canceled before the first window closed")
-			}
-			waitGoroutines(t, base, fmt.Sprintf("mid-window cancel, workers=%d", workers))
-		})
-	}
-}
-
 // TestCancelHookNeverFires: an installed hook that stays nil does not
 // disturb a run's result or its timing.
 func TestCancelHookNeverFires(t *testing.T) {
@@ -189,46 +118,26 @@ func TestSetCancelAfterRunPanics(t *testing.T) {
 }
 
 // TestNoGoroutineLeakAfterNormalRun: a completed run unwinds parked
-// daemons (legacy and lane mode) — nothing outlives Run.
+// daemons — nothing outlives Run. The subtest is named for the
+// sequential kernel, the only one the simulator has.
 func TestNoGoroutineLeakAfterNormalRun(t *testing.T) {
-	for _, lanes := range []int{0, 4} {
-		t.Run(fmt.Sprintf("lanes=%d", lanes), func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			s := New(3)
-			if lanes > 0 {
-				s.ConfigureLanes(lanes, lanes, 5*Microsecond, false)
-			}
-			spawn := func(ln int, name string, fn func(p *Proc), daemon bool) {
-				switch {
-				case lanes == 0 && daemon:
-					s.SpawnDaemon(name, fn)
-				case lanes == 0:
-					s.Spawn(name, fn)
-				case daemon:
-					s.SpawnDaemonOn(ln, name, fn)
-				default:
-					s.SpawnOn(ln, name, fn)
-				}
-			}
-			n := lanes
-			if n == 0 {
-				n = 4
-			}
-			for i := 0; i < n; i++ {
-				i := i
-				spawn(i%max(lanes, 1), fmt.Sprintf("w%d", i), func(p *Proc) {
-					p.Sleep(Duration(i+1) * Microsecond)
-				}, false)
-				spawn(i%max(lanes, 1), fmt.Sprintf("d%d", i), func(p *Proc) {
-					NewQueue[int](s).Pop(p) // daemon parked forever
-				}, true)
-			}
-			if err := s.Run(); err != nil {
-				t.Fatal(err)
-			}
-			waitGoroutines(t, base, "normal run")
-		})
-	}
+	t.Run("lanes=0", func(t *testing.T) {
+		base := runtime.NumGoroutine()
+		s := New(3)
+		for i := 0; i < 4; i++ {
+			i := i
+			s.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
+				p.Sleep(Duration(i+1) * Microsecond)
+			})
+			s.SpawnDaemon(fmt.Sprintf("d%d", i), func(p *Proc) {
+				NewQueue[int](s).Pop(p) // daemon parked forever
+			})
+		}
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		waitGoroutines(t, base, "normal run")
+	})
 }
 
 // TestNoGoroutineLeakAfterDeadlock: a deadlocked run still reports the

@@ -30,8 +30,6 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Time is an absolute instant in virtual nanoseconds since simulation start.
@@ -166,8 +164,7 @@ var ErrCanceled = errors.New("sim: run canceled")
 type CanceledError struct {
 	// Cause is the non-nil error the cancel hook returned.
 	Cause error
-	// At is the virtual time the cancellation was detected (the maximum
-	// lane clock in lane mode).
+	// At is the virtual time the cancellation was detected.
 	At Time
 }
 
@@ -210,45 +207,10 @@ type Simulator struct {
 	cancelFn    func() error
 	cancelEvery int
 	cancelTick  int
-	cancelErr   error
-	cancelOnce  sync.Once
-	canceled    atomic.Bool
+	cancelErr   error // the hook's cause; non-nil once the run is canceled
 	aborting    bool
 	procs       []*Proc
 	unwound     chan struct{}
-
-	// Lane mode (see lane.go). lanes == nil selects the legacy
-	// single-queue kernel above; every field below is inert then. In
-	// lane mode the queue, clock and sequence counter above carry only
-	// the serial events (AtSerial): each lane has its own.
-	lanes     []*lane
-	workers   int
-	lookahead Duration
-	relaxed   bool
-	running   bool  // Run has started (lane insertions must stage)
-	finished  bool  // Run has returned
-	horizon   Time  // current window horizon [written only between windows]
-	serialCtx bool  // a serial event is executing (all lanes quiesced)
-	cur       *lane // relaxed regime only: the single executing lane
-	windows   uint64
-	mergeBuf  []xev
-	churn     bool
-
-	// Window batons (see lane.go). pending holds the lanes with events,
-	// dispatch the open window's lanes in id order (every lane in the
-	// relaxed regime), next the claim cursor into it, batons the number
-	// still out, and helpers the wake-ups of the workers-1 parked helper
-	// goroutines.
-	pending  laneHeap
-	dispatch []*lane
-	next     atomic.Int32
-	batons   atomic.Int32
-	helpers  chan struct{}
-
-	// liveMu guards live for lane mode, where processes of different
-	// lanes may exit concurrently. Legacy mode is single-threaded but
-	// takes the (uncontended) lock too, keeping one code path.
-	liveMu sync.Mutex
 }
 
 // New creates a simulator whose random source is seeded with seed.
@@ -266,11 +228,9 @@ func New(seed int64) *Simulator {
 // every <= 0). A non-nil return cancels the run: the kernel stops at the
 // poll point, unwinds every process goroutine, and Run returns a
 // *CanceledError (errors.Is-matchable against ErrCanceled) wrapping the
-// hook's cause. Must be called before Run. In lane mode the hook is
-// polled concurrently from every lane, so check must be safe for
-// concurrent use (a deadline comparison or an atomic flag read).
+// hook's cause. Must be called before Run.
 func (s *Simulator) SetCancel(check func() error, every int) {
-	if s.ran || s.running {
+	if s.ran {
 		panic("sim: SetCancel after Run")
 	}
 	if every <= 0 {
@@ -280,48 +240,12 @@ func (s *Simulator) SetCancel(check func() error, every int) {
 	s.cancelEvery = every
 }
 
-// Now returns the current virtual time. In lane mode the global clock
-// only exists while no lanes run concurrently: before Run, during a
-// serial event, in the relaxed (serialized) regime, and after Run (the
-// maximum lane clock). In the strict parallel regime a running lane must
-// use Proc.Now or NowOn instead; calling Now there panics.
-func (s *Simulator) Now() Time {
-	if s.lanes == nil {
-		return s.now
-	}
-	if s.serialCtx {
-		return s.now
-	}
-	if !s.running {
-		return 0
-	}
-	if s.finished {
-		return s.maxLaneNow()
-	}
-	if s.relaxed {
-		return s.curNow()
-	}
-	panic("sim: Now is ambiguous while lanes run in parallel; use Proc.Now or NowOn")
-}
-
-// curNow is the clock of the single currently-executing lane in the
-// relaxed regime (the serialized execution makes it well-defined).
-func (s *Simulator) curNow() Time {
-	if s.cur != nil {
-		return s.cur.now
-	}
-	return s.now
-}
+// Now returns the current virtual time.
+func (s *Simulator) Now() Time { return s.now }
 
 // Rand returns the simulator's deterministic random source. It must only
 // be used from simulation context (a running Proc or an event callback).
-// In the strict lane regime use Proc.Rand or RandOn (per-lane streams).
-func (s *Simulator) Rand() *rand.Rand {
-	if s.lanes != nil && s.running && !s.finished && !s.relaxed && !s.serialCtx {
-		panic("sim: Rand is lane-ambiguous in the parallel regime; use Proc.Rand or RandOn")
-	}
-	return s.rng
-}
+func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // push enqueues e at absolute time t (clamped to now), assigning the
 // FIFO tie-break sequence number.
@@ -342,32 +266,20 @@ func (s *Simulator) schedule(t Time, fn func()) {
 
 // At schedules fn to run d from now on the baton holder's goroutine.
 // fn must not block; use Spawn for blocking activities.
-//
-// In lane mode the "current time" needs a context: before Run, At is
-// equivalent to AtSerial (the natural meaning for pre-run schedules like
-// crash plans); during a serial event or in the relaxed regime it
-// schedules onto the current execution context; in the strict parallel
-// regime it panics — use AtFrom with an explicit lane.
 func (s *Simulator) At(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	if s.lanes != nil {
-		if !s.running || s.serialCtx {
-			s.AtSerial(d, fn)
-			return
-		}
-		if s.relaxed && s.cur != nil {
-			s.cur.push(s.cur.now+Time(d), event{fn: fn})
-			return
-		}
-		if s.finished {
-			panic("sim: At after Run")
-		}
-		panic("sim: At is lane-ambiguous in the parallel regime; use AtFrom")
-	}
 	s.schedule(s.now+Time(d), fn)
 }
+
+// ConfigureLanes has no effect; kept only because bench/e2e names it;
+// ROADMAP 1(a) deletes it.
+func (s *Simulator) ConfigureLanes(n, workers int, lookahead Duration, relaxed bool) {}
+
+// AtFrom is At, and src and dst have no effect; kept only because
+// bench/e2e names it; ROADMAP 1(a) deletes it.
+func (s *Simulator) AtFrom(src, dst int, d Duration, fn func()) { s.At(d, fn) }
 
 // Proc is a simulated process: a goroutine that runs only when the
 // scheduler hands it control and blocks only through sim primitives.
@@ -378,7 +290,6 @@ type Proc struct {
 	resume chan struct{}
 	exited bool
 	daemon bool
-	lane   *lane // nil in legacy mode
 }
 
 // Name returns the process name given at Spawn time.
@@ -390,13 +301,8 @@ func (p *Proc) ID() int { return p.id }
 // Sim returns the owning simulator.
 func (p *Proc) Sim() *Simulator { return p.sim }
 
-// Now returns the current virtual time (p's lane clock in lane mode).
-func (p *Proc) Now() Time {
-	if p.lane != nil {
-		return p.lane.now
-	}
-	return p.sim.now
-}
+// Now returns the current virtual time.
+func (p *Proc) Now() Time { return p.sim.now }
 
 // Spawn creates a process and schedules it to start at the current
 // virtual time. It may be called before Run or from simulation context.
@@ -413,10 +319,6 @@ func (s *Simulator) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 }
 
 func (s *Simulator) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
-	if s.lanes != nil {
-		// Lane mode: an unqualified spawn binds to lane 0.
-		return s.spawnOn(0, name, fn, daemon)
-	}
 	s.nextID++
 	p := &Proc{sim: s, name: name, id: s.nextID, resume: make(chan struct{}), daemon: daemon}
 	if !daemon {
@@ -466,14 +368,14 @@ func (s *Simulator) procExit(p *Proc) {
 	s.unwound <- struct{}{}
 }
 
-// checkCancel polls the cancellation hook on the legacy kernel's event
-// loop (single-threaded, so the plain tick counter is safe). It reports
-// true once the run is canceled.
+// checkCancel polls the cancellation hook on the event loop
+// (single-threaded, so plain fields are safe). It reports true once the
+// run is canceled.
 func (s *Simulator) checkCancel() bool {
 	if s.cancelFn == nil {
 		return false
 	}
-	if s.canceled.Load() {
+	if s.cancelErr != nil {
 		return true
 	}
 	s.cancelTick++
@@ -482,8 +384,7 @@ func (s *Simulator) checkCancel() bool {
 	}
 	s.cancelTick = 0
 	if err := s.cancelFn(); err != nil {
-		s.cancelOnce.Do(func() { s.cancelErr = err })
-		s.canceled.Store(true)
+		s.cancelErr = err
 		return true
 	}
 	return false
@@ -504,47 +405,6 @@ func (s *Simulator) unwindAll() {
 		p.resume <- struct{}{}
 		<-s.unwound
 	}
-}
-
-// spawnOn is spawn's lane-mode body: the process is bound to lane ln and
-// its start event, exit drain, and window-barrier participation all
-// happen within that lane.
-func (s *Simulator) spawnOn(ln int, name string, fn func(p *Proc), daemon bool) *Proc {
-	if s.lanes == nil {
-		return s.spawn(name, fn, daemon) // legacy: lane hint ignored
-	}
-	lane := s.lanes[ln]
-	s.liveMu.Lock()
-	s.nextID++
-	id := s.nextID
-	if !daemon {
-		s.live++
-	}
-	p := &Proc{sim: s, name: name, id: id, resume: make(chan struct{}), daemon: daemon, lane: lane}
-	s.procs = append(s.procs, p)
-	s.liveMu.Unlock()
-	go func() {
-		defer s.procExit(p)
-		<-p.resume
-		if s.aborting {
-			panic(abortUnwind{})
-		}
-		fn(p)
-		p.exited = true
-		if !p.daemon {
-			s.liveMu.Lock()
-			s.live--
-			s.liveMu.Unlock()
-		}
-		// The exiting process holds a window baton; carry it on this
-		// goroutine until it moves on, reporting the end of the run if
-		// this goroutine ran the last barrier.
-		if s.runBaton(nil, lane) {
-			s.done <- struct{}{}
-		}
-	}()
-	lane.push(lane.now, event{p: p})
-	return p
 }
 
 // loopOutcome reports why schedLoop stopped draining events.
@@ -610,11 +470,6 @@ func (p *Proc) park(reason string) {
 		// unwind path itself) re-entered the kernel: keep unwinding.
 		panic(abortUnwind{})
 	}
-	if p.lane != nil {
-		p.lane.parked[p] = reason
-		s.runBaton(p, p.lane) // returns once a later event resumes p
-		return
-	}
 	s.parked[p] = reason
 	switch s.schedLoop(p) {
 	case loopDrained:
@@ -633,24 +488,13 @@ func (p *Proc) park(reason string) {
 }
 
 // wakeAt schedules p to be resumed at time t. Exactly one wakeAt must be
-// issued per park. In lane mode the wake lands on p's own lane: waking a
-// process of another lane is a lane-confinement violation in the strict
-// regime (the race detector flags the heap access) and a clamped
-// same-heap insertion in the relaxed one.
+// issued per park.
 func (s *Simulator) wakeAt(t Time, p *Proc) {
-	if p.lane != nil {
-		p.lane.push(t, event{p: p})
-		return
-	}
 	s.push(t, event{p: p})
 }
 
 // wake schedules p to be resumed at the current time.
 func (s *Simulator) wake(p *Proc) {
-	if p.lane != nil {
-		p.lane.push(p.lane.now, event{p: p})
-		return
-	}
 	s.wakeAt(s.now, p)
 }
 
@@ -681,10 +525,6 @@ func (s *Simulator) Run() error {
 		return fmt.Errorf("sim: Run called twice")
 	}
 	s.ran = true
-	if s.lanes != nil {
-		s.running = true
-		return s.runLanes()
-	}
 	if s.schedLoop(nil) == loopHandedOff {
 		// The baton is circulating among process goroutines; whichever
 		// one drains the queue (or detects cancellation) signals

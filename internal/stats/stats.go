@@ -7,8 +7,7 @@
 // OBSERVABILITY.md — is generated from the rows and the field tags
 // below, so a new counter is one field and one increment.
 //
-// The simulation kernel runs one simulated process at a time (one per
-// lane under event lanes, and a lane owns its nodes' rows), so plain
+// The simulation kernel runs one simulated process at a time, so plain
 // integer fields are safe without atomics.
 package stats
 
@@ -177,8 +176,8 @@ func NewRegistry(nodes int, total *Counters) *Registry {
 	return &Registry{total: total, rows: make([]Counters, nodes)}
 }
 
-// At returns node's row. Under event lanes only the lane that owns node
-// may touch it; a node out of range is a bug at the calling site.
+// At returns node's row; a node out of range is a bug at the calling
+// site.
 func (r *Registry) At(node int) *Counters { return &r.rows[node] }
 
 // Rows returns the per-node rows (the live slice, not a copy).

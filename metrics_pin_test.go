@@ -23,16 +23,18 @@ type metricsDoc struct {
 	Phases     json.RawMessage    `json:"phases"`
 	Serial     json.RawMessage    `json:"serial"`
 	Total      json.RawMessage    `json:"total"`
-	Lanes      []json.RawMessage  `json:"lanes"`
 }
 
 // TestMetricsJSONSupersetOfParent pins the -metrics document across the
-// move to one counter registry. testdata/metrics_*.json were captured at
-// the parent commit (f935593) with
+// move to one counter registry. testdata/metrics_*.json were captured on
+// the one event kernel at commit 6c7bd3b with
 //
-//	parade-run -app helmholtz -metrics F
-//	parade-run -app taskdep -hetero fasthalf -metrics F
-//	parade-run -app lockmix -mode kdsm -metrics F
+//	parade-run -app helmholtz -lanes off -metrics F
+//	parade-run -app taskdep -hetero fasthalf -lanes off -metrics F
+//	parade-run -app lockmix -mode kdsm -lanes off -metrics F
+//
+// (-lanes off selected that commit's single-loop kernel, the only one
+// there is now).
 //
 // Every per-node key/value of the capture must still be present and
 // equal, histograms, phases, serial and total byte for byte; new keys
@@ -40,12 +42,10 @@ type metricsDoc struct {
 // was wrong: page_fetches_issued missed prefetch and refresh pulls (it
 // may only grow, and now sums to page_fetches_served), and sdsm_barriers
 // repeated the global barrier count on every node (now the master's row
-// only). A third counter moved for lane safety rather than correctness:
-// lock_waits is tallied where the wait is seen, in the queue at the
-// lock's manager, because the requester's row belongs to another lane;
-// its sum over the nodes is pinned (the lockmix cell is the one that
-// takes SDSM locks). The lane sections are host time and are not
-// compared.
+// only). A third counter is pinned by its sum: lock_waits is tallied
+// where the wait is seen, in the queue at the lock's manager, so its sum
+// over the nodes is compared (the lockmix cell is the one that takes
+// SDSM locks).
 func TestMetricsJSONSupersetOfParent(t *testing.T) {
 	run := map[string]func(core.Config) (core.Report, error){
 		"testdata/metrics_helmholtz.json": func(cfg core.Config) (core.Report, error) {
@@ -74,9 +74,9 @@ func TestMetricsJSONSupersetOfParent(t *testing.T) {
 		if err := json.Unmarshal(raw, &want); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		// parade-run's defaults; the capture's lane count (-lanes auto).
+		// parade-run's defaults.
 		cfg := core.Config{Nodes: want.Nodes, ThreadsPerNode: 1, CPUsPerNode: 2,
-			Mode: core.Hybrid, HomeMigration: true, Lanes: len(want.Lanes)}.WithDefaults()
+			Mode: core.Hybrid, HomeMigration: true}.WithDefaults()
 		cfg.Obs = obs.New(cfg.Nodes)
 		rep, err := app(cfg)
 		if err != nil {
@@ -130,12 +130,11 @@ func TestMetricsJSONSupersetOfParent(t *testing.T) {
 				t.Errorf("%s: %s differs from the parent's:\n%s\n--- now\n%s", path, name, pair[0], pair[1])
 			}
 		}
-		// The last histogram of a lane run is lane_sync_latency (host time).
 		hw, hg := want.Histograms, got.Histograms
 		if len(hw) != len(hg) {
 			t.Fatalf("%s: %d histograms, parent had %d", path, len(hg), len(hw))
 		}
-		for i := range hw[:len(hw)-1] {
+		for i := range hw {
 			if !bytes.Equal(hw[i], hg[i]) {
 				t.Errorf("%s: histogram %d differs from the parent's:\n%s\n--- now\n%s", path, i, hw[i], hg[i])
 			}

@@ -44,7 +44,7 @@
 // (DepName), or named sibling tasks (DepTask, registered with
 // WithTaskName) order tasks by the spawning context's program order, so
 // the graph — and every result bit — is identical across steal
-// schedules, fault profiles, crash schedules, and lane counts. Circular
+// schedules, fault profiles and crash schedules. Circular
 // depend sets are rejected with *TaskCycleError. Thread.Target pins a
 // task to a device node, with WithMap moving its pages eagerly (map to:
 // one batched prefetch before the body; map from: queued for the
@@ -206,8 +206,8 @@ func DepTask(name string) DepHandle { return core.DepTask(name) }
 // WithDepend declares a task's dependences of one kind on the given
 // handles (the depend clause); repeat the option to mix kinds. Ordering
 // between tasks follows their spawn order in the spawning context, so
-// the graph is identical across steal schedules, fault profiles, crash
-// schedules, and lane counts.
+// the graph is identical across steal schedules, fault profiles and
+// crash schedules.
 func WithDepend(kind DepKind, handles ...DepHandle) TaskOption {
 	return core.WithDepend(kind, handles...)
 }

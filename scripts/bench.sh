@@ -1,12 +1,11 @@
 #!/bin/sh
 # Benchmark-regression harness: runs the substrate benchmark suites
-# (event kernel, lane kernel, diff engine, protocol-engine set-up and
-# shared-access path, directive microbenchmarks,
-# Fig 6/7) with -benchmem, comparing against the numbers recorded in
-# bench/baseline_pr6.json (regenerated after the lane-kernel PR so the
-# lane benchmarks are anchored; the pre-overhaul numbers remain in
-# bench/baseline_pr0.txt). Benchmarks absent from the baseline are
-# reported as "new". The first argument is the PR number the report is
+# (event kernel, diff engine, protocol-engine set-up and shared-access
+# path, directive microbenchmarks, Fig 6/7) with -benchmem, comparing
+# against the numbers recorded in bench/baseline_pr6.json (the
+# pre-overhaul numbers remain in bench/baseline_pr0.txt; its entries for
+# benchmarks that no longer exist are ignored). Benchmarks absent from
+# the baseline are reported as "new". The first argument is the PR number the report is
 # for: the report goes to BENCH_PR<n>.json unless the caller picks
 # another -out; `-out -` streams the report to stdout and creates no
 # file at all. With an explicit -out the PR number may be left out.
