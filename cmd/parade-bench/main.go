@@ -11,7 +11,12 @@
 // profile, under crash/restart schedules at barrier points, or across
 // hlrc protocol policies, each cell checked against its group's
 // baseline. The -matrix-* flags select the cells; -matrix-out writes the
-// matrix as JSONL.
+// matrix as JSONL. With -via, a matrix that passed is then served
+// through the fleet service (internal/fleet.Replay): every completed run
+// is posted twice and must come back identical to the matrix's own run,
+// all cached on the repeat, with no new execution. "-via self" boots an
+// in-process service; "-via http://host:port" targets a running
+// parade-serve.
 package main
 
 import (
@@ -23,6 +28,7 @@ import (
 	"strconv"
 	"strings"
 
+	"parade/internal/fleet"
 	"parade/internal/harness"
 	"parade/internal/obs"
 )
@@ -98,8 +104,13 @@ func main() {
 	matrixProfiles := flag.String("matrix-profiles", "", "matrix chaos: comma-separated subset of drop,dup,reorder,straggler,chaos (empty = all)")
 	matrixPolicy := flag.String("matrix-policy", "", "matrix chaos, crash: hlrc policy for every run (empty = legacy); matrix policy: comma-separated subset to compare (empty = all)")
 	matrixOut := flag.String("matrix-out", "", "matrix: write the runs as JSONL to this file ('-' for stdout)")
+	via := flag.String("via", "", "matrix: then serve every completed run through the fleet service and require identical, cached-on-repeat results: 'self' boots an in-process service, otherwise the base URL of a running parade-serve")
 	flag.Parse()
 
+	if *via != "" && *matrix == "" {
+		fmt.Fprintln(os.Stderr, "parade-bench: -via needs -matrix")
+		os.Exit(2)
+	}
 	if *matrix != "" {
 		rep, err := harness.RunMatrix(*matrix, harness.MatrixOptions{
 			Nodes: *matrixNodes, Seed: *matrixSeed,
@@ -129,6 +140,15 @@ func main() {
 		}
 		if !rep.OK() {
 			os.Exit(1)
+		}
+		if *via != "" {
+			sum, err := serveMatrix(*via, rep)
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "parade-bench: replay FAILED: %v\n", err)
+				os.Exit(1)
+			}
+			fmt.Printf("replay OK: %d cells identical via service path, %d cache hits on repeat, executions delta %d\n",
+				sum.Cells, sum.CacheHits, sum.ExecDelta)
 		}
 		return
 	}
@@ -191,4 +211,26 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// serveMatrix replays a passed matrix through the fleet service at
+// target: "self" boots an in-process service whose queue admits the
+// whole batch, anything else is a running service's base URL.
+func serveMatrix(target string, rep harness.MatrixReport) (fleet.ReplaySummary, error) {
+	if target != "self" {
+		return fleet.Replay(target, rep, os.Stderr)
+	}
+	svc, err := fleet.NewService(fleet.ServerOptions{Queue: len(rep.Runs)})
+	if err != nil {
+		return fleet.ReplaySummary{}, err
+	}
+	url, stop, err := fleet.ServeLoopback(svc)
+	if err != nil {
+		return fleet.ReplaySummary{}, err
+	}
+	defer func() {
+		svc.Drain()
+		stop()
+	}()
+	return fleet.Replay(url, rep, os.Stderr)
 }

@@ -1,14 +1,9 @@
 package fleet
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"strings"
+	"math/rand"
 	"time"
 )
 
@@ -45,7 +40,7 @@ type ChaosSummary struct {
 // RunServeChaos is the service-chaos harness: it proves the crash-safety
 // contract end to end, over real HTTP, against real simulations.
 //
-//  1. Reference: every cell runs in-process on a fresh executor.
+//  1. Reference: every cell runs in process (harness.Cell.Run).
 //  2. Crash: a WAL-backed server is killed (Service.Kill — the
 //     in-process SIGKILL analogue: queued jobs discarded, in-flight
 //     finished, WAL closed) in the middle of the full batch.
@@ -107,34 +102,35 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 	// must not be in the WAL).
 	freshSeed := opt.Seed + int64(len(specs))
 
-	// Phase 1: in-process reference.
+	// Phase 1: in-process reference, the harness's own run of each cell.
 	ref := make(map[uint64]JobResult, len(specs))
-	refExec := &Executor{}
 	for _, spec := range specs {
-		res, err := refExec.Run(spec)
+		run, err := spec.Run()
 		if err != nil {
 			return sum, fmt.Errorf("chaos: reference run %s: %w", spec.Canonical(), err)
 		}
-		if res.Status != StatusOK {
-			return sum, fmt.Errorf("chaos: reference run %s: status %s: %s", spec.Canonical(), res.Status, res.Error)
-		}
-		ref[spec.Fingerprint()] = res
+		ref[spec.Fingerprint()] = runResult(run)
 	}
 	logf("chaos: reference complete (%d cells)", len(specs))
+	// Backoff jitter is deterministic per seed, like Replay's.
+	rng := rand.New(rand.NewSource(opt.Seed + 0x9e3779b9))
+	post := func(url string, specs []JobSpec) ([]JobResult, error) {
+		return postJobs(url, specs, rng, logf)
+	}
 
 	// Phase 2: WAL-backed server killed mid-batch.
 	svcA, err := NewService(ServerOptions{Workers: opt.Workers, Queue: len(specs) + 16, WALPath: opt.WALPath})
 	if err != nil {
 		return sum, fmt.Errorf("chaos: starting server A: %w", err)
 	}
-	urlA, stopA, err := serveLoopback(svcA)
+	urlA, stopA, err := ServeLoopback(svcA)
 	if err != nil {
 		return sum, err
 	}
 	clientDone := make(chan error, 1)
 	var killedResults []JobResult
 	go func() {
-		results, err := postSpecs(urlA, specs)
+		results, err := post(urlA, specs)
 		killedResults = results
 		clientDone <- err
 	}()
@@ -196,7 +192,7 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 	if err != nil {
 		return sum, fmt.Errorf("chaos: restarting server over the WAL: %w", err)
 	}
-	urlB, stopB, err := serveLoopback(svcB)
+	urlB, stopB, err := ServeLoopback(svcB)
 	if err != nil {
 		return sum, err
 	}
@@ -211,7 +207,7 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 			recoverSpecs = append(recoverSpecs, spec)
 		}
 	}
-	results, err := postSpecs(urlB, recoverSpecs)
+	results, err := post(urlB, recoverSpecs)
 	if err != nil {
 		return sum, fmt.Errorf("chaos: recovery resubmit: %w", err)
 	}
@@ -238,7 +234,7 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 
 	// The full sweep finishes on the restarted server; every cell must
 	// match the reference.
-	results, err = postSpecs(urlB, specs)
+	results, err = post(urlB, specs)
 	if err != nil {
 		return sum, fmt.Errorf("chaos: completing sweep after restart: %w", err)
 	}
@@ -265,7 +261,7 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 			panic(fmt.Sprintf("chaos: injected fault (attempt %d)", attempt))
 		}
 	}
-	results, err = postSpecs(urlB, []JobSpec{panicSpec, specs[0]})
+	results, err = post(urlB, []JobSpec{panicSpec, specs[0]})
 	if err != nil {
 		return sum, fmt.Errorf("chaos: panic-injection batch: %w", err)
 	}
@@ -279,7 +275,7 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 		return sum, fmt.Errorf("chaos: server stopped serving after an injected panic: %q", results[1].Status)
 	}
 	sum.Panics++
-	results, err = postSpecs(urlB, []JobSpec{panicSpec})
+	results, err = post(urlB, []JobSpec{panicSpec})
 	if err != nil {
 		return sum, fmt.Errorf("chaos: quarantine resubmit: %w", err)
 	}
@@ -293,7 +289,7 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 	// Phase 5: a 1ms deadline on a deliberately large cell cancels
 	// instead of hanging a worker. (nodes=8 cg runs far longer than 1ms.)
 	slow := JobSpec{ID: "chaos-deadline", App: "cg", Mode: "sdsm", Nodes: 8, Seed: freshSeed, DeadlineMS: 1}
-	results, err = postSpecs(urlB, []JobSpec{slow})
+	results, err = post(urlB, []JobSpec{slow})
 	if err != nil {
 		return sum, fmt.Errorf("chaos: deadline batch: %w", err)
 	}
@@ -304,64 +300,4 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 	sum.Canceled++
 	logf("chaos: deadline_ms=1 cell canceled with typed result (%s)", results[0].Error)
 	return sum, nil
-}
-
-// serveLoopback exposes a service over real HTTP on an ephemeral
-// loopback port. stop closes the listener (it does not drain).
-func serveLoopback(svc *Service) (baseURL string, stop func(), err error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, fmt.Errorf("chaos: listen: %w", err)
-	}
-	server := &http.Server{Handler: svc.Handler()}
-	go server.Serve(ln)
-	return "http://" + ln.Addr().String(), func() { server.Close() }, nil
-}
-
-// postSpecs posts one batch and returns the results ordered by batch
-// index (errors if any line is missing).
-func postSpecs(baseURL string, specs []JobSpec) ([]JobResult, error) {
-	var body bytes.Buffer
-	enc := json.NewEncoder(&body)
-	for _, spec := range specs {
-		if err := enc.Encode(spec); err != nil {
-			return nil, err
-		}
-	}
-	resp, err := http.Post(baseURL+"/v1/jobs", "application/x-ndjson", &body)
-	if err != nil {
-		return nil, fmt.Errorf("POST /v1/jobs: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("POST /v1/jobs: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	results := make([]JobResult, len(specs))
-	seen := make([]bool, len(specs))
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		if strings.TrimSpace(sc.Text()) == "" {
-			continue
-		}
-		var res JobResult
-		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
-			return nil, fmt.Errorf("parsing result line: %w", err)
-		}
-		if res.Index < 0 || res.Index >= len(specs) || seen[res.Index] {
-			return nil, fmt.Errorf("bad result index %d", res.Index)
-		}
-		results[res.Index] = res
-		seen[res.Index] = true
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("reading results: %w", err)
-	}
-	for i, ok := range seen {
-		if !ok {
-			return nil, fmt.Errorf("missing result line for batch index %d", i)
-		}
-	}
-	return results, nil
 }

@@ -100,6 +100,18 @@ func foldState(resultBits, memHash string, timeNs int64) string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
+// completed records a finished run's observables as a StatusOK result —
+// the one translation from a run to the identity fields diffResults
+// compares, shared by the executor and the harnesses' references.
+func (r *JobResult) completed(bits string, memHash uint64, timeNs, kernelNs int64) {
+	r.Status = StatusOK
+	r.ResultBits = bits
+	r.MemHash = fmt.Sprintf("%016x", memHash)
+	r.TimeNs = timeNs
+	r.KernelNs = kernelNs
+	r.StateFingerprint = foldState(r.ResultBits, r.MemHash, r.TimeNs)
+}
+
 // PanicError is the typed per-job error a recovered worker panic becomes:
 // the recovered value and the goroutine stack at the panic site. One
 // poisoned cell surfaces as a StatusPanic result; it cannot kill the
@@ -372,12 +384,7 @@ func (e *Executor) run(job *harness.Lowered) (JobResult, error) {
 			res.Error = out.runErr.Error()
 			return res, nil
 		}
-		res.Status = StatusOK
-		res.ResultBits = out.bits
-		res.MemHash = fmt.Sprintf("%016x", out.report.MemHash)
-		res.TimeNs = int64(out.report.Time)
-		res.KernelNs = int64(out.kernel)
-		res.StateFingerprint = foldState(res.ResultBits, res.MemHash, res.TimeNs)
+		res.completed(out.bits, out.report.MemHash, int64(out.report.Time), int64(out.kernel))
 		if e.Obs != nil && out.metrics != nil {
 			e.Obs(out.metrics)
 		}

@@ -9,9 +9,12 @@
 //
 // The dedupe cache leans on the determinism the rest of the repo
 // enforces: a run is a pure function of its configuration (bit-identical
-// at any GOMAXPROCS and host schedule — DESIGN.md §6h), so two jobs whose canonical configurations are equal
+// at any GOMAXPROCS and host schedule — the single event loop of
+// DESIGN.md §6c), so two jobs whose canonical configurations are equal
 // provably have equal results, and a cache hit can return the stored
-// report without re-execution. See SERVING.md for the serving surface.
+// report without re-execution. parade-bench -matrix ... -via serves the
+// acceptance matrices through the service and checks exactly that
+// (Replay). See SERVING.md for the serving surface.
 package fleet
 
 import (

@@ -317,29 +317,6 @@ func TestExecutorLockmixTwoThreads(t *testing.T) {
 	}
 }
 
-// TestReplayCoversAcceptanceMatrices: every cell the chaos and crash
-// matrices enumerate at 4 nodes is in the default replay. A matrix cell
-// and a job spec are the same type, so "the same cell" is equality of
-// canonical strings — which TestCellIdentityIsComplete (harness) ties to
-// equality of the lowered configuration.
-func TestReplayCoversAcceptanceMatrices(t *testing.T) {
-	replayed := map[string]bool{}
-	for _, spec := range replaySpecs(SpecMatrix{}) {
-		replayed[spec.Canonical()] = true
-	}
-	for _, name := range []string{"chaos", "crash"} {
-		cells, err := harness.MatrixCells(name, harness.MatrixOptions{Nodes: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cell := range cells {
-			if !replayed[cell.Canonical()] {
-				t.Errorf("%s cell %s is not in the default replay", name, cell)
-			}
-		}
-	}
-}
-
 // TestServingSpecTable pins SERVING.md's job-spec table to the struct it
 // documents: one row per JSON tag of JobSpec, no row without a tag.
 func TestServingSpecTable(t *testing.T) {

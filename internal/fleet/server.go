@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"strings"
 	"sync"
@@ -145,6 +146,19 @@ func (s *Service) Kill() {
 	}
 }
 
+// ServeLoopback exposes a service over real HTTP on an ephemeral
+// loopback port. stop closes the listener; it does not drain the
+// service.
+func ServeLoopback(svc *Service) (baseURL string, stop func(), err error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, fmt.Errorf("fleet: listen: %w", err)
+	}
+	server := &http.Server{Handler: svc.Handler()}
+	go server.Serve(ln)
+	return "http://" + ln.Addr().String(), func() { server.Close() }, nil
+}
+
 // Handler returns the HTTP serving surface:
 //
 //	POST /v1/jobs  — JSONL batch in, JSONL results out (stream)
@@ -197,6 +211,13 @@ func (s *Service) handleJobs(w http.ResponseWriter, r *http.Request) {
 		if lines[i].Invalid == nil {
 			jobs = append(jobs, i)
 		}
+	}
+	// A batch larger than the whole queue can never be admitted, however
+	// long the client waits: refuse it outright instead of inviting a retry.
+	if len(jobs) > s.pool.Capacity() {
+		http.Error(w, fmt.Sprintf("batch of %d jobs exceeds the %d-job queue bound (parade-serve -queue); split the batch or raise the bound",
+			len(jobs), s.pool.Capacity()), http.StatusRequestEntityTooLarge)
+		return
 	}
 
 	results := make(chan JobResult, len(jobs))

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"parade/internal/harness"
 	"parade/internal/stats"
 )
 
@@ -119,7 +120,75 @@ func TestServiceDedupeSkipsExecution(t *testing.T) {
 }
 
 func TestServiceBackpressure429(t *testing.T) {
-	// Queue bound 1: a 2-job batch cannot be admitted atomically.
+	// One worker held inside its first job keeps a 2-slot queue
+	// genuinely full: a second batch that would fit an empty queue must
+	// wait.
+	svc := mustService(t, ServerOptions{Workers: 1, Queue: 2})
+	defer svc.Drain()
+	entered, release := make(chan struct{}, 4), make(chan struct{})
+	svc.Executor().BeforeRun = func(JobSpec, int) {
+		entered <- struct{}{}
+		<-release
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	spec := func(seed int64) string {
+		s := validSpec()
+		s.Seed = seed
+		return specLine(t, s)
+	}
+	type batch struct {
+		results []JobResult
+		err     error
+	}
+	first := make(chan batch, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/x-ndjson", strings.NewReader(spec(1)+spec(2)))
+		if err != nil {
+			first <- batch{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		results, err := readResults(resp, 2)
+		first <- batch{results, err}
+	}()
+	<-entered // seed 1 in flight, seed 2 queued
+	code, hdr, _ := postBatch(t, ts, spec(3)+spec(4))
+	if code != http.StatusTooManyRequests {
+		t.Fatalf("batch against a full queue got %d, want 429", code)
+	}
+	if hdr.Get("Retry-After") == "" {
+		t.Fatalf("429 missing Retry-After header")
+	}
+	// Nothing of the rejected batch was admitted: only the held job has
+	// entered a worker, and it has not executed yet.
+	if n := svc.Executor().Executions(); n != 0 {
+		t.Fatalf("%d executions while the worker is held, want 0", n)
+	}
+	close(release)
+	b := <-first
+	if b.err != nil {
+		t.Fatalf("admitted batch: %v", b.err)
+	}
+	for _, r := range b.results {
+		if r.Status != StatusOK {
+			t.Fatalf("admitted batch result %+v not ok", r)
+		}
+	}
+	// Once the queue drains, the same batch is admitted.
+	code, _, results := postBatch(t, ts, spec(3)+spec(4))
+	if code != http.StatusOK || len(results) != 2 {
+		t.Fatalf("post-rejection batch failed: code=%d %+v", code, results)
+	}
+	if n := svc.Executor().Executions(); n != 4 {
+		t.Fatalf("%d executions, want 4 (the rejected batch ran only once admitted)", n)
+	}
+}
+
+func TestServiceBatchOverQueue413(t *testing.T) {
+	// A batch with more valid jobs than the whole queue bound can never
+	// be admitted: 413 with no Retry-After, not a 429 inviting a retry.
 	svc := mustService(t, ServerOptions{Workers: 1, Queue: 1})
 	defer svc.Drain()
 	ts := httptest.NewServer(svc.Handler())
@@ -127,21 +196,23 @@ func TestServiceBackpressure429(t *testing.T) {
 
 	a, b := validSpec(), validSpec()
 	b.Seed = 2
-	code, hdr, _ := postBatch(t, ts, specLine(t, a)+specLine(t, b))
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("oversized batch got %d, want 429", code)
+	code, hdr, res := postBatch(t, ts, specLine(t, a)+specLine(t, b))
+	if code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("2-job batch against a 1-job queue got %d, want 413", code)
 	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatalf("429 missing Retry-After header")
+	if hdr.Get("Retry-After") != "" {
+		t.Fatalf("413 carries Retry-After %q; no wait can admit the batch", hdr.Get("Retry-After"))
 	}
-	// Nothing was admitted: the pool never ran either job.
+	if msg := res[0].Error; !strings.Contains(msg, "1-job queue bound") || !strings.Contains(msg, "-queue") {
+		t.Fatalf("413 message %q does not name the bound and -queue", msg)
+	}
 	if n := svc.Executor().Executions(); n != 0 {
-		t.Fatalf("rejected batch still executed %d jobs", n)
+		t.Fatalf("refused batch executed %d jobs", n)
 	}
 	// A batch that fits still succeeds afterwards.
 	code, _, results := postBatch(t, ts, specLine(t, a))
 	if code != http.StatusOK || results[0].Status != StatusOK {
-		t.Fatalf("post-rejection batch failed: code=%d %+v", code, results)
+		t.Fatalf("post-refusal batch failed: code=%d %+v", code, results)
 	}
 }
 
@@ -287,26 +358,69 @@ func TestServiceMetricsEndpoint(t *testing.T) {
 
 func TestReplayAgainstTestServer(t *testing.T) {
 	if testing.Short() {
-		t.Skip("replay matrix in -short mode")
+		t.Skip("served matrices in -short mode")
 	}
 	svc := mustService(t, ServerOptions{Workers: 2, Queue: 64})
 	defer svc.Drain()
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	sum, err := Replay(ts.URL, SpecMatrix{
-		Apps:     []string{"ep", "lockmix"},
-		Profiles: []string{"drop"},
-		Crashes:  []string{"1@1"},
-	}, nil)
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
+	for _, tc := range []struct {
+		matrix string
+		opt    harness.MatrixOptions
+	}{
+		{"chaos", harness.MatrixOptions{Apps: []string{"ep", "lockmix"}, Profiles: []string{"drop"}}},
+		{"crash", harness.MatrixOptions{Apps: []string{"ep", "lockmix"}}},
+		{"policy", harness.MatrixOptions{Apps: []string{"ep"}, Modes: []string{"hybrid"}}},
+	} {
+		t.Run(tc.matrix, func(t *testing.T) {
+			rep, err := harness.RunMatrix(tc.matrix, tc.opt)
+			if err != nil || !rep.OK() {
+				t.Fatalf("RunMatrix: %v %q", err, rep.Failures)
+			}
+			completed := 0
+			for _, run := range rep.Runs {
+				if run.Err == "" {
+					completed++
+				}
+			}
+			sum, err := Replay(ts.URL, rep, nil)
+			if err != nil {
+				t.Fatalf("Replay: %v", err)
+			}
+			if sum.Cells != completed || sum.Mismatches != 0 {
+				t.Fatalf("summary %+v, want %d cells and 0 mismatches", sum, completed)
+			}
+			if sum.ExecDelta != 0 || sum.CacheHits != sum.Cells {
+				t.Fatalf("repeat batch not fully cached: %+v", sum)
+			}
+		})
 	}
-	// 2 apps × 2 modes × (baseline + drop + 1@1) = 12 cells.
-	if sum.Cells != 12 || sum.Mismatches != 0 {
-		t.Fatalf("summary %+v, want 12 cells and 0 mismatches", sum)
+}
+
+// TestReplayDetectsMismatch: the comparator is live — a report whose run
+// disagrees with what the service computes fails the replay, naming the
+// cell.
+func TestReplayDetectsMismatch(t *testing.T) {
+	rep, err := harness.RunMatrix("chaos", harness.MatrixOptions{Apps: []string{"ep"}, Profiles: []string{"drop"}})
+	if err != nil || !rep.OK() {
+		t.Fatalf("RunMatrix: %v %q", err, rep.Failures)
 	}
-	if sum.ExecDelta != 0 || sum.CacheHits != sum.Cells {
-		t.Fatalf("repeat batch not fully cached: %+v", sum)
+	bad := rep.Runs[1]
+	rep.Runs[1].MemHash ^= 1
+	svc := mustService(t, ServerOptions{Workers: 2})
+	defer svc.Drain()
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+
+	sum, err := Replay(ts.URL, rep, nil)
+	if err == nil {
+		t.Fatalf("Replay accepted a corrupted mem_hash: %+v", sum)
+	}
+	if !strings.Contains(err.Error(), bad.Cell.String()+": mem_hash") {
+		t.Fatalf("error %q does not name %s", err, bad.Cell)
+	}
+	if sum.Mismatches != 1 {
+		t.Fatalf("%d mismatches, want 1", sum.Mismatches)
 	}
 }

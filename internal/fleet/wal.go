@@ -23,7 +23,7 @@ import (
 // survives a crash.
 //
 // Determinism makes replayed results exact, not approximate: a run is a
-// pure function of its canonical config (DESIGN.md §6h), so the stored
+// pure function of its canonical config (DESIGN.md §6c), so the stored
 // result of a fingerprint is bit-identical to what a re-execution would
 // produce, and a restarted server can serve it from cache without ever
 // re-running the cell.
