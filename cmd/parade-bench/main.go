@@ -105,11 +105,33 @@ func main() {
 	matrixPolicy := flag.String("matrix-policy", "", "matrix chaos, crash: hlrc policy for every run (empty = legacy); matrix policy: comma-separated subset to compare (empty = all)")
 	matrixOut := flag.String("matrix-out", "", "matrix: write the runs as JSONL to this file ('-' for stdout)")
 	via := flag.String("via", "", "matrix: then serve every completed run through the fleet service and require identical, cached-on-repeat results: 'self' boots an in-process service, otherwise the base URL of a running parade-serve")
+	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
 	flag.Parse()
+
+	// stopProfile completes the -cpuprofile capture, which os.Exit alone
+	// would leave truncated; exit runs it first.
+	stopProfile := func() {}
+	exit := func(code int) {
+		stopProfile()
+		os.Exit(code)
+	}
+	if *cpuprofile != "" {
+		stop, err := obs.StartCPUProfile(*cpuprofile)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
+			exit(1)
+		}
+		stopProfile = func() {
+			if err := stop(); err != nil {
+				fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
+			}
+		}
+		defer stopProfile()
+	}
 
 	if *via != "" && *matrix == "" {
 		fmt.Fprintln(os.Stderr, "parade-bench: -via needs -matrix")
-		os.Exit(2)
+		exit(2)
 	}
 	if *matrix != "" {
 		rep, err := harness.RunMatrix(*matrix, harness.MatrixOptions{
@@ -119,7 +141,7 @@ func main() {
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Print(rep.Render())
 		if *matrixOut != "" {
@@ -128,24 +150,24 @@ func main() {
 				f, err := os.Create(*matrixOut)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-					os.Exit(1)
+					exit(1)
 				}
 				defer f.Close()
 				w = f
 			}
 			if err := rep.WriteJSONL(w); err != nil {
 				fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-				os.Exit(1)
+				exit(1)
 			}
 		}
 		if !rep.OK() {
-			os.Exit(1)
+			exit(1)
 		}
 		if *via != "" {
 			sum, err := serveMatrix(*via, rep)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "parade-bench: replay FAILED: %v\n", err)
-				os.Exit(1)
+				exit(1)
 			}
 			fmt.Printf("replay OK: %d cells identical via service path, %d cache hits on repeat, executions delta %d\n",
 				sum.Cells, sum.CacheHits, sum.ExecDelta)
@@ -157,11 +179,11 @@ func main() {
 		n, err := runRegress(*out, *baseline, *benchtime, *maxRegress)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		if n > 0 {
 			fmt.Fprintf(os.Stderr, "parade-bench: %d benchmark(s) regressed\n", n)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -169,7 +191,7 @@ func main() {
 	nodes, err := parseNodes(*nodesFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-		os.Exit(2)
+		exit(2)
 	}
 
 	ids := []int{6, 7, 8, 9, 10, 11}
@@ -177,7 +199,7 @@ func main() {
 		id, err := strconv.Atoi(*fig)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "parade-bench: bad figure %q\n", *fig)
-			os.Exit(2)
+			exit(2)
 		}
 		ids = []int{id}
 	}
@@ -190,7 +212,7 @@ func main() {
 				var buf bytes.Buffer
 				if err := m.WriteJSON(&buf); err != nil {
 					fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-					os.Exit(1)
+					exit(1)
 				}
 				points = append(points, metricsPoint{
 					Figure: figID, Series: series, Nodes: n,
@@ -201,14 +223,14 @@ func main() {
 		f, err := harness.ByIDObserved(id, nodes, harness.Scale(*scale), obsFn)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Println(f.Render())
 	}
 	if *metricsOut != "" {
 		if err := writeMetrics(*metricsOut, points); err != nil {
 			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 	}
 }

@@ -140,11 +140,31 @@ func main() {
 	policy := flag.String("policy", "", "hlrc protocol policy: invalidate, update, or adaptive (empty = legacy)")
 	hetero := flag.String("hetero", "", "heterogeneous machine profile: uniform, fasthalf, or slow1 (empty = uniform)")
 	timeout := flag.Duration("timeout", 0, "wall-clock guard: cancel the run after this host time and dump partial stats (0 disables)")
+	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
 	flag.Parse()
 
+	// stopProfile completes the -cpuprofile capture, which os.Exit alone
+	// would leave truncated; every exit path runs it first.
+	stopProfile := func() {}
+	exit := func() {
+		stopProfile()
+		os.Exit(1)
+	}
 	fail := func(err error) {
 		fmt.Fprintf(os.Stderr, "parade-run: %v\n", err)
-		os.Exit(1)
+		exit()
+	}
+	if *cpuprofile != "" {
+		stop, err := obs.StartCPUProfile(*cpuprofile)
+		if err != nil {
+			fail(err)
+		}
+		stopProfile = func() {
+			if err := stop(); err != nil {
+				fmt.Fprintf(os.Stderr, "parade-run: %v\n", err)
+			}
+		}
+		defer stopProfile()
 	}
 
 	// failRun handles an application error. A -timeout abort is the typed
@@ -156,7 +176,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "parade-run: %v\n", err)
 			fmt.Fprintf(os.Stderr, "parade-run: partial stats at abort (virtual time %v, host budget %v):\n%s\n",
 				rep.Time, *timeout, rep.Counters.String())
-			os.Exit(1)
+			exit()
 		}
 		fail(err)
 	}

@@ -1,6 +1,10 @@
 package core
 
-import "parade/internal/dsm"
+import (
+	"math"
+
+	"parade/internal/dsm"
+)
 
 // Shared memory objects. Large data (arrays) lives in the SDSM pool and
 // is kept consistent by the HLRC protocol; small named scalars are the
@@ -8,7 +12,8 @@ import "parade/internal/dsm"
 // over message-passing collectives (entry-consistency style, §5.2.1).
 
 // F64Array is a shared array of float64 in the SDSM pool. Every access
-// goes through the page permission check; misses trigger the simulated
+// goes through the node's software TLB (hlrc's Engine.Load/Store); a
+// miss takes the page permission check, which may trigger the simulated
 // page fault handler.
 type F64Array struct {
 	c    *Cluster
@@ -33,18 +38,17 @@ func (a F64Array) Addr(i int) int { return a.base + 8*i }
 func (a F64Array) Pages() []int { return pageSpan(a.base, 8*a.n) }
 
 // Get loads element i from t's node, faulting the page in if needed.
+// Get and Set are one engine call each, written (a.base+8*i rather than
+// Addr) to fit the compiler's inlining budget, so an app's inner loop
+// pays one call per element.
 func (a F64Array) Get(t *Thread, i int) float64 {
-	addr := a.Addr(i)
-	t.c.engine.EnsureRead(t.p, t.node.id, addr)
-	return t.c.engine.Mem(t.node.id).ReadF64(addr)
+	return math.Float64frombits(t.c.engine.Load(t.p, t.node.id, a.base+8*i))
 }
 
 // Set stores element i on t's node, twinning the page on the first
 // write of an interval.
 func (a F64Array) Set(t *Thread, i int, v float64) {
-	addr := a.Addr(i)
-	t.c.engine.EnsureWrite(t.p, t.node.id, addr)
-	t.c.engine.Mem(t.node.id).WriteF64(addr, v)
+	t.c.engine.Store(t.p, t.node.id, a.base+8*i, math.Float64bits(v))
 }
 
 // I64Array is a shared array of int64 in the SDSM pool.
@@ -84,16 +88,12 @@ func pageSpan(base, bytes int) []int {
 
 // Get loads element i from t's node.
 func (a I64Array) Get(t *Thread, i int) int64 {
-	addr := a.Addr(i)
-	t.c.engine.EnsureRead(t.p, t.node.id, addr)
-	return t.c.engine.Mem(t.node.id).ReadI64(addr)
+	return int64(t.c.engine.Load(t.p, t.node.id, a.base+8*i))
 }
 
 // Set stores element i on t's node.
 func (a I64Array) Set(t *Thread, i int, v int64) {
-	addr := a.Addr(i)
-	t.c.engine.EnsureWrite(t.p, t.node.id, addr)
-	t.c.engine.Mem(t.node.id).WriteI64(addr, v)
+	t.c.engine.Store(t.p, t.node.id, a.base+8*i, uint64(v))
 }
 
 // Scalar is a small shared variable. It has two representations: an

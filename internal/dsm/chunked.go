@@ -24,7 +24,7 @@ type Chunked[T any] struct {
 	// it is the page-range check, compiled to the same compare-and-panic
 	// a dense per-page slice gets ("index out of range [page] with length
 	// pages"), which keeps the lookups below small enough to inline into
-	// the shared-access fast path.
+	// the permission check of a TLB miss.
 	bounds []struct{}
 	init   T
 	chunks []*[ChunkPages]T

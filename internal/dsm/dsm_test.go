@@ -2,6 +2,7 @@ package dsm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -233,17 +234,59 @@ func TestDualMappingKeepsAppProtectedDuringUpdate(t *testing.T) {
 	}
 }
 
+// appRead is an application read of the word at addr as hlrc's
+// Engine.Load makes it, minus the fault handler: a TLB hit, or else the
+// permission check and a fill. ok is false where the access would fault.
+func appRead(m *Memory, addr int) (w uint64, ok bool) {
+	if w, ok := m.AppLoad(addr); ok {
+		return w, true
+	}
+	if !m.AppReadOK(addr) {
+		return 0, false
+	}
+	m.Fill(PageOf(addr))
+	return uint64(m.ReadI64(addr)), true
+}
+
 func TestSingleMappingExposesMidUpdateRead(t *testing.T) {
 	// The atomic-page-update problem (paper Fig. 4): with one mapping the
 	// update must open the application permission, so a concurrent
-	// application read succeeds while the page is half-written.
-	m := NewMemory(1, SingleMapping)
-	m.SetAppPerm(0, PermNone)
-	_ = m.BeginSystemUpdate(0)
-	if !m.AppReadOK(0) {
-		t.Fatal("single mapping should have opened the app mapping")
+	// application read succeeds while the page is half-written. The page
+	// sits in the TLB from an earlier read when a write notice
+	// invalidates it; the cached translation must not let a read through
+	// under a dual mapping, nor survive the update under a single one.
+	for _, strat := range []UpdateStrategy{SingleMapping, FileMapping, SysVShm, Mdup, ChildProcess} {
+		m := NewMemory(1, strat)
+		m.WriteI64(0, 1)
+		m.WriteI64(8, 1)
+		m.SetAppPerm(0, PermRead)
+		if w, ok := appRead(m, 0); !ok || w != 1 {
+			t.Fatalf("%v: first read = %d, %v", strat, w, ok)
+		}
+		if _, hit := m.AppLoad(8); !hit {
+			t.Fatalf("%v: a read did not fill the TLB", strat)
+		}
+		m.SetAppPerm(0, PermNone) // the write notice
+		frame := m.BeginSystemUpdate(0)
+		binary.LittleEndian.PutUint64(frame[0:], 2) // first half of the update
+		w0, ok0 := appRead(m, 0)
+		w8, ok8 := appRead(m, 8)
+		if strat.Dual() {
+			if ok0 || ok8 {
+				t.Errorf("%v: application read mid-update (%d, %d)", strat, w0, w8)
+			}
+		} else if !ok0 || !ok8 || w0 != 2 || w8 != 1 {
+			t.Errorf("%v: mid-update reads = (%d, %v), (%d, %v); want the torn page (2, 1)", strat, w0, ok0, w8, ok8)
+		}
+		binary.LittleEndian.PutUint64(frame[8:], 2)
+		m.EndSystemUpdate(0, PermRead)
+		if m.AppStore(0, 3) {
+			t.Errorf("%v: the update's writable mapping outlived it in the TLB", strat)
+		}
+		if w, ok := appRead(m, 8); !ok || w != 2 {
+			t.Errorf("%v: read after the update = %d, %v; want 2", strat, w, ok)
+		}
 	}
-	m.EndSystemUpdate(0, PermRead)
 }
 
 func TestStrategyProperties(t *testing.T) {

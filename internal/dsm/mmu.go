@@ -105,8 +105,8 @@ func (u UpdateStrategy) UpdateCost() sim.Duration {
 
 // memPage is one page of a node's memory image: its frame (nil until
 // first touched through the system path) and its application address
-// space permission, side by side so the access fast path — permission
-// check, then load — stays within one entry.
+// space permission, side by side so a TLB fill — permission check, then
+// frame — stays within one entry.
 type memPage struct {
 	frame []byte
 	perm  Perm
@@ -116,9 +116,35 @@ type memPage struct {
 // plus the application address space permissions, in lazily
 // materialized chunks. Frames double as the "physical memory"; the
 // system path writes them directly.
+//
+// tlb is the node's software TLB: a direct-mapped cache of the pages
+// the application path may access, so an access that hits pays neither
+// chunk lookup. It is allocated on the first Fill, so a node whose
+// application never touches shared memory pays nothing for it.
 type Memory struct {
 	strategy UpdateStrategy
 	pages    Chunked[memPage]
+	tlb      *[tlbSlots]tlbEntry
+}
+
+// tlbSlots is the number of TLB entries; page pg maps to slot
+// pg&(tlbSlots-1). tlbEmpty is the page number of an empty slot: no
+// address maps to it, since a negative page compares as a uint above
+// every uint32 and Fill caches no page at or beyond it.
+const (
+	tlbSlots = 64
+	tlbEmpty = ^uint32(0)
+)
+
+// tlbEntry caches one page's frame and whether the application may
+// write it. An entry is valid exactly as long as the page's application
+// permission is the one it was filled under: SetAppPerm evicts the page
+// on a change and FillPerm empties the table, and a frame, once
+// allocated, never moves.
+type tlbEntry struct {
+	frame    *[PageSize]byte
+	pg       uint32
+	writable bool
 }
 
 // NewMemory creates a node memory image of npages pages, all protected.
@@ -163,23 +189,84 @@ func (m *Memory) AppPerm(pg int) Perm {
 	return m.pages.init.perm
 }
 
-// SetAppPerm changes the application mapping's permission (mprotect).
-// Re-stating the permission a page already has touches nothing.
+// SetAppPerm changes the application mapping's permission (mprotect),
+// evicting the page from the TLB. Re-stating the permission a page
+// already has touches nothing.
 func (m *Memory) SetAppPerm(pg int, p Perm) {
 	if m.AppPerm(pg) != p {
 		m.pages.At(pg).perm = p
+		if m.tlb != nil && uint(m.tlb[pg&(tlbSlots-1)].pg) == uint(pg) {
+			m.tlb[pg&(tlbSlots-1)] = tlbEntry{pg: tlbEmpty}
+		}
 	}
 }
 
 // FillPerm sets the application permission of every page of the pool,
-// including those in chunks not yet materialized.
+// including those in chunks not yet materialized, and empties the TLB.
 func (m *Memory) FillPerm(p Perm) {
 	m.pages.init.perm = p
 	m.pages.Each(func(_ int, mp *memPage) { mp.perm = p })
+	if m.tlb != nil {
+		m.flushTLB()
+	}
+}
+
+// flushTLB empties every TLB slot.
+func (m *Memory) flushTLB() {
+	for i := range m.tlb {
+		m.tlb[i] = tlbEntry{pg: tlbEmpty}
+	}
+}
+
+// AppLoad is the application read path's TLB probe: the word at addr and
+// true if the TLB maps addr's page, false on a miss. After a miss the
+// protocol grants access (hlrc's EnsureRead), Fill caches the page and
+// ReadI64 loads the word.
+func (m *Memory) AppLoad(addr int) (uint64, bool) {
+	if m.tlb != nil {
+		if e := &m.tlb[addr>>pageShift&(tlbSlots-1)]; uint(e.pg) == uint(addr>>pageShift) {
+			return binary.LittleEndian.Uint64(e.frame[addr&(PageSize-1):]), true
+		}
+	}
+	return 0, false
+}
+
+// AppStore is the application write path's TLB probe: it stores w at
+// addr and reports true if the TLB maps addr's page writable, and does
+// nothing on a miss.
+func (m *Memory) AppStore(addr int, w uint64) bool {
+	if m.tlb != nil {
+		if e := &m.tlb[addr>>pageShift&(tlbSlots-1)]; uint(e.pg) == uint(addr>>pageShift) && e.writable {
+			binary.LittleEndian.PutUint64(e.frame[addr&(PageSize-1):], w)
+			return true
+		}
+	}
+	return false
+}
+
+// Fill caches page pg in the TLB under its current application
+// permission, replacing whatever page shared its slot. A page the
+// application may not read is not cached, and neither is one without a
+// frame: it reads as zero through ReadI64, and caching it would allocate
+// its frame.
+func (m *Memory) Fill(pg int) {
+	ch := m.pages.chunk(pg)
+	if ch == nil || uint(pg) >= uint(tlbEmpty) {
+		return // an absent chunk holds no frame
+	}
+	mp := &ch[pg&chunkMask]
+	if mp.perm < PermRead || mp.frame == nil {
+		return
+	}
+	if m.tlb == nil {
+		m.tlb = new([tlbSlots]tlbEntry)
+		m.flushTLB()
+	}
+	m.tlb[pg&(tlbSlots-1)] = tlbEntry{frame: (*[PageSize]byte)(mp.frame), pg: uint32(pg), writable: mp.perm == PermReadWrite}
 }
 
 // AppReadOK reports whether an application-path read of addr would
-// succeed, i.e. whether the access faults. The DSM fast path.
+// succeed, i.e. whether the access faults: the check a TLB miss takes.
 func (m *Memory) AppReadOK(addr int) bool { return m.AppPerm(PageOf(addr)) >= PermRead }
 
 // AppWriteOK reports whether an application-path write of addr would
@@ -206,13 +293,13 @@ func (m *Memory) EndSystemUpdate(pg int, finalPerm Perm) {
 
 // Typed accessors over the pool. Addresses are byte offsets into the
 // shared address space; 8-byte values must be 8-byte aligned so they
-// never straddle a page boundary. These perform NO permission check —
-// the protocol layer's EnsureRead/EnsureWrite runs first.
+// never straddle a page boundary. These perform NO permission check and
+// bypass the TLB — the protocol layer's EnsureRead/EnsureWrite runs
+// first.
 
 // load returns the 8-byte word at addr; a page never touched through the
-// system path reads as zero without allocating its frame. It is written
-// to fit, with ReadF64 around it, the compiler's inlining budget exactly
-// (hence the bare shift for PageOf): every F64Array.Get ends here.
+// system path reads as zero without allocating its frame. An application
+// read that misses the TLB ends here, as do the protocol's own reads.
 func (m *Memory) load(addr int) uint64 {
 	if f := m.FrameIfPresent(addr >> pageShift); f != nil {
 		return binary.LittleEndian.Uint64(f[addr&(PageSize-1):])

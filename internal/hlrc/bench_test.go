@@ -87,11 +87,12 @@ func BenchmarkStateFingerprint(b *testing.B) {
 	}
 }
 
-// BenchmarkSharedAccess is the shared-access fast path on valid pages —
-// EnsureRead + ReadF64 and EnsureWrite + WriteF64, four reads per write
-// — which every F64Array.Get/Set of every kernel rides on. The chunk
-// lookups in it are sized to inline (dsm.Chunked); this is the number
-// that moves if they stop doing so.
+// BenchmarkSharedAccess is the application access path on valid pages
+// — Engine.Load and Engine.Store, four reads per write — which every
+// F64Array.Get/Set of every kernel is one call to. The 32 pages fit the
+// node's TLB, so after the first pass every access is a hit; this is the
+// number that moves if the hit path grows or stops inlining the TLB
+// probe.
 func BenchmarkSharedAccess(b *testing.B) {
 	tc := newTestCluster(2, true)
 	const elems = 32 * dsm.PageSize / 8

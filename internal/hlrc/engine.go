@@ -8,8 +8,8 @@
 // (KDSM-style) configuration uses for critical/single directives.
 //
 // The engine's methods run in two kinds of simulated-process context:
-// application threads call EnsureRead/EnsureWrite/Barrier/AcquireLock/
-// ReleaseLock, and each node's communication thread calls Handle for
+// application threads call Load/Store/EnsureRead/EnsureWrite/Barrier/
+// AcquireLock/ReleaseLock, and each node's communication thread calls Handle for
 // every incoming protocol message. The simulation kernel runs one
 // process at a time, so the engine needs no host-level locking — the
 // same invariant lets the optional internal/obs recorder (SetRecorder)
@@ -321,8 +321,12 @@ func (e *Engine) cnt(node int) *stats.Counters { return e.counters.At(node) }
 // bumpInval counts one invalidation of pg applied on node.
 func (e *Engine) bumpInval(node, pg int) { e.pgStats[node].At(pg).inval++ }
 
-// Mem returns node's memory image (for typed accessors after EnsureRead/
-// EnsureWrite have granted access).
+// Mem returns node's memory image, for typed accessors after EnsureRead/
+// EnsureWrite have granted access. The application arrays go through
+// Load/Store instead; Mem's remaining callers are core's Scalar on the
+// SDSM path and the SDSM lowering of single (its round flag), both on
+// the lock path where every acquire invalidates the page anyway, and
+// tests that inspect a node's memory.
 func (e *Engine) Mem(node int) *dsm.Memory { return e.nodes[node].mem }
 
 // Table exposes node's page table (used by tests and the stats report).

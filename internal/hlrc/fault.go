@@ -8,9 +8,10 @@ import (
 )
 
 // EnsureRead guarantees that node may read addr: the fast path is a
-// permission check (free, as on real hardware); a miss simulates the
-// SIGSEGV fault handler, fetching the page from its home and blocking p
-// until the atomic page update completes.
+// permission check (free, as on real hardware; Load skips even that on
+// a TLB hit); a miss simulates the SIGSEGV fault handler, fetching the
+// page from its home and blocking p until the atomic page update
+// completes.
 func (e *Engine) EnsureRead(p *sim.Proc, node, addr int) {
 	ns := e.nodes[node]
 	for !ns.mem.AppReadOK(addr) {
@@ -27,6 +28,41 @@ func (e *Engine) EnsureWrite(p *sim.Proc, node, addr int) {
 		e.cnt(node).WriteFaults++
 		e.fault(p, node, dsm.PageOf(addr), true)
 	}
+}
+
+// Load is the application read of the 8-byte word at addr on node: a
+// hit in the node's software TLB reads the frame directly; a miss runs
+// EnsureRead, so faults, fetches and virtual time are exactly those of
+// an uncached access, and then caches the page.
+func (e *Engine) Load(p *sim.Proc, node, addr int) uint64 {
+	if w, ok := e.nodes[node].mem.AppLoad(addr); ok {
+		return w
+	}
+	return e.loadMiss(p, node, addr)
+}
+
+// Store is the application write of w at addr on node: a hit on a page
+// the TLB holds writable stores directly; a miss runs EnsureWrite
+// (twinning the page on the first write of an interval) and then
+// caches the page.
+func (e *Engine) Store(p *sim.Proc, node, addr int, w uint64) {
+	if !e.nodes[node].mem.AppStore(addr, w) {
+		e.storeMiss(p, node, addr, w)
+	}
+}
+
+func (e *Engine) loadMiss(p *sim.Proc, node, addr int) uint64 {
+	e.EnsureRead(p, node, addr)
+	m := e.nodes[node].mem
+	m.Fill(dsm.PageOf(addr))
+	return uint64(m.ReadI64(addr))
+}
+
+func (e *Engine) storeMiss(p *sim.Proc, node, addr int, w uint64) {
+	e.EnsureWrite(p, node, addr)
+	m := e.nodes[node].mem
+	m.WriteI64(addr, int64(w))
+	m.Fill(dsm.PageOf(addr))
 }
 
 // fault runs one iteration of the page fault handler for page pg.

@@ -2,6 +2,7 @@ package hlrc
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -82,14 +83,13 @@ func (tc *testCluster) spawnNodes(t *testing.T, body func(p *sim.Proc, node int)
 	}
 }
 
+// write and read are application accesses, through the node's TLB.
 func (tc *testCluster) write(p *sim.Proc, node, addr int, v float64) {
-	tc.e.EnsureWrite(p, node, addr)
-	tc.e.Mem(node).WriteF64(addr, v)
+	tc.e.Store(p, node, addr, math.Float64bits(v))
 }
 
 func (tc *testCluster) read(p *sim.Proc, node, addr int) float64 {
-	tc.e.EnsureRead(p, node, addr)
-	return tc.e.Mem(node).ReadF64(addr)
+	return math.Float64frombits(tc.e.Load(p, node, addr))
 }
 
 func TestRemoteReadFetchesFromHome(t *testing.T) {

@@ -187,6 +187,55 @@ func TestRestartReissuesStuckFetch(t *testing.T) {
 	}
 }
 
+// TestRestartDropsCachedPages: a restart replaces the node's memory,
+// software TLB included. Node 1 reads node 0's page until the read hits
+// its TLB, then crashes at the next barrier. The restored node holds the
+// page as the checkpoint recorded it (a clean replica, readable again),
+// so the first read after the restart misses the empty TLB, takes the
+// permission path with the fault-free run's fault count, returns the
+// home's value and caches the page anew.
+func TestRestartDropsCachedPages(t *testing.T) {
+	addr := pageAddr(2)
+	type obs struct {
+		cachedBefore, cachedAfter bool
+		faults                    int64
+		got                       float64
+	}
+	run := func(plan *CrashPlan) (o obs) {
+		tc := newCrashCluster(3, false, false, plan)
+		tc.spawnNodes(t, func(p *sim.Proc, node int) {
+			if node == 0 {
+				tc.write(p, 0, addr, 21)
+			}
+			tc.e.Barrier(p, node) // 1
+			if node == 1 {
+				for {
+					tc.read(p, 1, addr)
+					if _, hit := tc.e.Mem(1).AppLoad(addr); hit {
+						break
+					}
+				}
+			}
+			tc.e.Barrier(p, node) // 2: node 1 crashes and restarts
+			if node == 1 {
+				_, o.cachedBefore = tc.e.Mem(1).AppLoad(addr)
+				before := tc.e.cnt(1).ReadFaults
+				o.got = tc.read(p, 1, addr)
+				o.faults = tc.e.cnt(1).ReadFaults - before
+				_, o.cachedAfter = tc.e.Mem(1).AppLoad(addr)
+			}
+			tc.e.Barrier(p, node) // 3
+		})
+		return o
+	}
+	if o := run(nil); o != (obs{true, true, 0, 21}) {
+		t.Fatalf("fault-free: %+v, want the page still cached and read as 21", o)
+	}
+	if o := run(&CrashPlan{Events: []CrashEvent{{Node: 1, Barrier: 2, Restart: true}}}); o != (obs{false, true, 0, 21}) {
+		t.Fatalf("after restart: %+v, want an empty TLB, 21 read without a fault, then cached", o)
+	}
+}
+
 // TestShrinkRehomesAndSurvives: with Restart=false the dead member is
 // removed; its pages re-home to the smallest survivor with their
 // checkpointed contents intact, the barrier completes over the smaller
