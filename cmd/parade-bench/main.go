@@ -1,10 +1,8 @@
 // Command parade-bench regenerates the paper's evaluation figures
-// (Figs. 6-11) as text tables. See EXPERIMENTS.md for the recorded
-// paper-vs-measured comparison.
-//
-// With -regress it instead runs the substrate benchmark suites (event
-// kernel, diff engine, directive microbenchmarks, Fig 6/7 sweeps) and
-// writes a JSON report; see scripts/bench.sh.
+// (Figs. 6-11) as text tables. Every point of a figure is a harness.Cell
+// (-scale picks the cells' problem size), run by the same cell runner as
+// the matrices and the fleet service. See EXPERIMENTS.md for the
+// recorded paper-vs-measured comparison.
 //
 // With -matrix chaos|crash|policy it runs one of the acceptance matrices
 // (internal/harness.RunMatrix): the app kernels under every fault
@@ -88,12 +86,7 @@ func parseNodes(s string) ([]int, error) {
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: 6..11 or 'all'")
 	nodesFlag := flag.String("nodes", "1,2,4,8", "comma-separated node counts")
-	scale := flag.String("scale", "bench", "workload scale for figures: bench or paper")
-	regress := flag.Bool("regress", false, "run benchmark suites and emit a JSON report instead of figures")
-	out := flag.String("out", "-", "regress: report output path ('-' for stdout)")
-	baseline := flag.String("baseline", "", "regress: prior report (JSON) or raw 'go test -bench' output to compare against")
-	benchtime := flag.String("benchtime", "1s", "regress: -benchtime passed to go test")
-	maxRegress := flag.Float64("max-regress", 0, "regress: exit non-zero if any benchmark slows more than this factor vs baseline (0 disables)")
+	scale := flag.String("scale", "bench", "problem size of Figs. 8-11: bench or paper")
 	metricsOut := flag.String("metrics", "", "write per-figure observability metrics JSON to this file ('-' for stdout)")
 	matrix := flag.String("matrix", "", "run an acceptance matrix instead of figures: chaos, crash or policy")
 	matrixNodes := flag.Int("matrix-nodes", 4, "matrix: cluster size")
@@ -175,19 +168,6 @@ func main() {
 		return
 	}
 
-	if *regress {
-		n, err := runRegress(*out, *baseline, *benchtime, *maxRegress)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-			exit(1)
-		}
-		if n > 0 {
-			fmt.Fprintf(os.Stderr, "parade-bench: %d benchmark(s) regressed\n", n)
-			exit(1)
-		}
-		return
-	}
-
 	nodes, err := parseNodes(*nodesFlag)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
@@ -220,7 +200,7 @@ func main() {
 				})
 			}
 		}
-		f, err := harness.ByIDObserved(id, nodes, harness.Scale(*scale), obsFn)
+		f, err := harness.ByIDObserved(id, nodes, *scale, obsFn)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
 			exit(1)

@@ -11,8 +11,7 @@ import (
 	"strconv"
 	"strings"
 
-	"parade/internal/core"
-	"parade/internal/kdsm"
+	"parade/internal/harness"
 	"parade/internal/microbench"
 )
 
@@ -46,18 +45,15 @@ func main() {
 			fmt.Fprintf(os.Stderr, "parade-micro: %v\n", err)
 			os.Exit(1)
 		}
-		for _, sys := range []struct {
-			label string
-			cfg   func(n int) core.Config
-		}{
-			{"ParADE", func(n int) core.Config {
-				return core.Config{Nodes: n, ThreadsPerNode: *tpn, Mode: core.Hybrid, HomeMigration: true}.WithDefaults()
-			}},
-			{"KDSM", func(n int) core.Config { return kdsm.Config(n, *tpn, 2) }},
-		} {
+		for _, sys := range []struct{ label, mode string }{{"ParADE", "hybrid"}, {"KDSM", "sdsm"}} {
 			fmt.Printf("%-10s %-8s", name, sys.label)
 			for _, n := range nodes {
-				r, err := bench(sys.cfg(n), *reps)
+				cfg, err := harness.MatrixModeConfig(sys.mode, n, *tpn)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "parade-micro: %v\n", err)
+					os.Exit(1)
+				}
+				r, err := bench(cfg, *reps)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "parade-micro: %s/%s: %v\n", name, sys.label, err)
 					os.Exit(1)

@@ -13,7 +13,6 @@ import (
 	"parade/internal/core"
 	"parade/internal/harness"
 	"parade/internal/obs"
-	"parade/internal/sim"
 )
 
 // Job result statuses.
@@ -281,18 +280,17 @@ func (e *Executor) backoff(opt ExecOptions, attempt int) time.Duration {
 
 // attemptOutcome is one execution attempt's result.
 type attemptOutcome struct {
-	bits    string
-	kernel  sim.Duration
-	report  core.Report
+	run     harness.MatrixRun
 	runErr  error
 	metrics *obs.Metrics
 	pan     *PanicError
 }
 
 // attempt executes one try of the spec inside the panic-isolation
-// envelope. A panic anywhere under app.Run (or the BeforeRun hook) is
-// recovered into out.pan with the stack captured at the panic site.
-func (e *Executor) attempt(spec JobSpec, cfg core.Config, app harness.MatrixApp, attempt int) (out attemptOutcome) {
+// envelope. A panic anywhere under the cell's run (or the BeforeRun
+// hook) is recovered into out.pan with the stack captured at the panic
+// site.
+func (e *Executor) attempt(spec JobSpec, cfg core.Config, attempt int) (out attemptOutcome) {
 	defer func() {
 		if v := recover(); v != nil {
 			out.pan = &PanicError{Value: v, Stack: string(debug.Stack()), Attempts: attempt}
@@ -307,7 +305,7 @@ func (e *Executor) attempt(spec JobSpec, cfg core.Config, app harness.MatrixApp,
 		cfg.Obs = rec
 	}
 	e.executions.Add(1)
-	out.bits, out.kernel, out.report, out.runErr = app.Run(cfg)
+	out.run, out.runErr = spec.RunWith(cfg)
 	if rec != nil {
 		out.metrics = rec.Metrics()
 	}
@@ -319,16 +317,15 @@ func (e *Executor) attempt(spec JobSpec, cfg core.Config, app harness.MatrixApp,
 // errors as StatusError; deadline aborts as StatusCanceled; exhausted
 // panic retries as StatusPanic (and the fingerprint is quarantined —
 // later identical jobs get StatusQuarantined without executing). The
-// returned error is non-nil only for programming errors (a lowered spec
-// whose app is not in the kernel table).
+// returned error is always nil.
 func (e *Executor) Run(spec JobSpec) (JobResult, error) {
-	return e.run(spec.Lower())
+	return e.run(spec.Lower()), nil
 }
 
 // run executes a spec that has already been normalized, identified,
 // validated and lowered — once, by the caller (Run for direct callers,
 // readBatch for served jobs).
-func (e *Executor) run(job *harness.Lowered) (JobResult, error) {
+func (e *Executor) run(job *harness.Lowered) JobResult {
 	spec, fp, cfg := job.Cell, job.Fingerprint, job.Config
 	res := JobResult{
 		ID:          spec.ID,
@@ -340,24 +337,20 @@ func (e *Executor) run(job *harness.Lowered) (JobResult, error) {
 	if job.Invalid != nil {
 		res.Status = StatusInvalid
 		res.InvalidFields = job.Invalid
-		return res, nil
+		return res
 	}
 	if reason, ok := e.quarantineReason(fp); ok {
 		e.quarantined.Add(1)
 		res.Status = StatusQuarantined
 		res.Error = (&QuarantineError{Fingerprint: res.Fingerprint, Reason: reason}).Error()
-		return res, nil
-	}
-	app, err := harness.MatrixAppByName(spec.App)
-	if err != nil {
-		return res, fmt.Errorf("fleet: lowered spec: %w", err)
+		return res
 	}
 	opt := e.options()
 	cfg.Deadline = effectiveDeadline(opt.MaxJobTime, spec.DeadlineMS)
 
 	start := time.Now()
 	for attempt := 1; ; attempt++ {
-		out := e.attempt(spec, cfg, app, attempt)
+		out := e.attempt(spec, cfg, attempt)
 		res.HostNs = time.Since(start).Nanoseconds()
 		res.Attempts = attempt
 		if out.pan != nil {
@@ -370,25 +363,25 @@ func (e *Executor) run(job *harness.Lowered) (JobResult, error) {
 			e.setQuarantine(fp, out.pan)
 			res.Status = StatusPanic
 			res.Error = out.pan.Error()
-			return res, nil
+			return res
 		}
 		if out.runErr != nil {
 			if errors.Is(out.runErr, core.ErrCanceled) {
 				e.cancels.Add(1)
 				res.Status = StatusCanceled
 				res.Error = out.runErr.Error()
-				res.TimeNs = int64(out.report.Time) // partial: virtual time reached
-				return res, nil
+				res.TimeNs = int64(out.run.Time) // partial: virtual time reached
+				return res
 			}
 			res.Status = StatusError
 			res.Error = out.runErr.Error()
-			return res, nil
+			return res
 		}
-		res.completed(out.bits, out.report.MemHash, int64(out.report.Time), int64(out.kernel))
+		res.completed(out.run.Result, out.run.MemHash, int64(out.run.Time), int64(out.run.Kernel))
 		if e.Obs != nil && out.metrics != nil {
 			e.Obs(out.metrics)
 		}
-		return res, nil
+		return res
 	}
 }
 

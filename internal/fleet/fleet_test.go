@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"parade/internal/harness"
+	"parade/internal/sim"
 )
 
 // validSpec is the cheapest valid job: one cell of the matrix.
@@ -45,6 +46,14 @@ func TestJobSpecValidationTable(t *testing.T) {
 			fields: []string{"nodes"}, reason: ">= 1"},
 		{name: "negative threads", spec: JobSpec{App: "ep", Mode: "hybrid", ThreadsPerNode: -1},
 			fields: []string{"threads_per_node"}, reason: ">= 1"},
+		{name: "negative cpus", spec: JobSpec{App: "ep", Mode: "hybrid", CPUsPerNode: -1},
+			fields: []string{"cpus_per_node"}, reason: ">= 1"},
+		{name: "valid figure point", spec: JobSpec{App: "md", Mode: "hybrid", CPUsPerNode: 1, Scale: "paper"}},
+		{name: "valid directive", spec: JobSpec{App: "critical", Mode: "sdsm"}},
+		{name: "unknown scale", spec: JobSpec{App: "cg", Mode: "hybrid", Scale: "papr"},
+			fields: []string{"scale"}, reason: `unknown scale "papr" (valid: bench, paper`},
+		{name: "scale without figure sizes", spec: JobSpec{App: "quad", Mode: "hybrid", Scale: "bench"},
+			fields: []string{"scale"}, reason: "no figure sizes"},
 		{name: "negative lanes", spec: JobSpec{App: "ep", Mode: "hybrid", Lanes: -3},
 			fields: []string{"lanes"}, reason: "must be 0 or absent"},
 		{name: "positive lanes", spec: JobSpec{App: "ep", Mode: "hybrid", Lanes: 2},
@@ -107,7 +116,7 @@ func TestJobSpecCanonicalization(t *testing.T) {
 	}
 
 	// Explicit defaults fingerprint like omitted ones.
-	explicit := JobSpec{App: "ep", Mode: "hybrid", Fabric: "via", Nodes: 4, ThreadsPerNode: 1, Seed: 1}
+	explicit := JobSpec{App: "ep", Mode: "hybrid", Fabric: "via", Nodes: 4, ThreadsPerNode: 1, CPUsPerNode: 2, Seed: 1}
 	if explicit.Fingerprint() != base.Fingerprint() {
 		t.Errorf("explicit defaults fingerprint differently:\n%s\n%s", explicit.Canonical(), base.Canonical())
 	}
@@ -272,6 +281,26 @@ func TestExecutorInvalidSpecNeverExecutes(t *testing.T) {
 	}
 	if exec.Executions() != 0 {
 		t.Fatalf("invalid spec executed (%d executions)", exec.Executions())
+	}
+}
+
+// TestExecutorRunsFigurePoints: a figure point is a cell, so the fleet
+// runs it at the figure's problem size through the same cell runner the
+// figures use — Fig. 11's 1Thread-1CPU point at two nodes, served.
+func TestExecutorRunsFigurePoints(t *testing.T) {
+	res, err := (&Executor{}).Run(JobSpec{App: "md", Mode: "hybrid", Nodes: 2, CPUsPerNode: 1, Scale: harness.ScaleBench})
+	if err != nil || res.Status != StatusOK {
+		t.Fatalf("Run() = %+v, %v", res, err)
+	}
+	fig, err := harness.ByID(11, []int{2}, harness.ScaleBench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := fig.Series[0]; s.Label != "1Thread-1CPU" || s.Y[0] != sim.Duration(res.KernelNs).Seconds() {
+		t.Fatalf("served kernel time %d ns, Fig. 11 %s at 2 nodes %v s", res.KernelNs, s.Label, s.Y[0])
+	}
+	if !strings.HasSuffix(res.Config, " cpus=1 scale=bench") {
+		t.Errorf("canonical %q does not name the figure axes", res.Config)
 	}
 }
 

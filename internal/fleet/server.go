@@ -378,11 +378,7 @@ func (s *Service) runJob(job *harness.Lowered) JobResult {
 	s.flight[fp] = call
 	s.flightMu.Unlock()
 
-	res, err := s.exec.run(job)
-	if err != nil {
-		res.Status = StatusError
-		res.Error = err.Error()
-	}
+	res := s.exec.run(job)
 	if res.Status == StatusOK {
 		s.cache.Put(fp, canon, res)
 		if s.wal != nil {

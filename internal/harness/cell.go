@@ -13,11 +13,12 @@ import (
 	"parade/internal/stats"
 )
 
-// Cell is one scenario: a value on every axis a run of a matrix kernel
-// can vary along. It is the only declaration of a scenario in the repo —
-// the chaos, crash and policy matrices (matrix.go) enumerate Cells, and a
-// Cell is the fleet service's job spec on the wire (fleet.JobSpec is an
-// alias; SERVING.md documents the JSON keys). Every decision about a
+// Cell is one scenario: a value on every axis a run of a kernel can vary
+// along. It is the only declaration of a scenario in the repo — the
+// chaos, crash and policy matrices (matrix.go) enumerate Cells, every
+// point of the paper's figures (harness.go) is a Cell, and a Cell is the
+// fleet service's job spec on the wire (fleet.JobSpec is an alias;
+// SERVING.md documents the JSON keys). Every decision about a
 // cell is one method here: Normalize fills the defaults, Validate checks
 // names and ranges, BuildConfig lowers it to a core.Config, Canonical and
 // Fingerprint are its identity. The zero value of an optional axis
@@ -30,8 +31,9 @@ import (
 type Cell struct {
 	// ID is an optional client handle echoed verbatim on the result line.
 	ID string `json:"id,omitempty"`
-	// App names the matrix kernel: helmholtz, ep, cg, md, quad, taskdep or
-	// lockmix (MatrixAppNames).
+	// App names the kernel: a matrix kernel (helmholtz, ep, cg, md, quad,
+	// taskdep or lockmix; MatrixAppNames) or a directive microbenchmark
+	// (critical, single, atomic, reduction, barrier, for or parallel).
 	App string `json:"app"`
 	// Mode is the directive-execution mode: "hybrid" (the ParADE model) or
 	// "sdsm" (the conventional KDSM baseline).
@@ -42,6 +44,13 @@ type Cell struct {
 	Nodes int `json:"nodes,omitempty"`
 	// ThreadsPerNode is the computational thread count per node (default 1).
 	ThreadsPerNode int `json:"threads_per_node,omitempty"`
+	// CPUsPerNode is the processor count per node (default 2): the paper's
+	// 1Thread-1CPU configuration is 1, its 1Thread-2CPU and 2Thread-2CPU
+	// the default.
+	CPUsPerNode int `json:"cpus_per_node,omitempty"`
+	// Scale picks the kernel's problem size: empty is the matrix size,
+	// "bench" or "paper" a figure size (valid for cg, ep, helmholtz and md).
+	Scale string `json:"scale,omitempty"`
 	// Lanes is the retired event-lane count, read only to reject it: it
 	// must be 0 or absent, so a request that asks for lanes is answered
 	// invalid rather than run on the one event kernel.
@@ -118,6 +127,9 @@ func (c Cell) Normalize() Cell {
 	if c.Hetero == "uniform" {
 		c.Hetero = "" // the explicit name for the default machine
 	}
+	if c.CPUsPerNode == 2 {
+		c.CPUsPerNode = 0 // the explicit value of the default
+	}
 	// Canonical crash text: events trimmed, empty ones dropped, joined with
 	// single commas. Only whitespace is rewritten — the events themselves
 	// are parsed by the lowering, which reports malformed ones.
@@ -146,11 +158,13 @@ func (c Cell) lower() (core.Config, []FieldError) {
 	fail := func(field string, err error) {
 		bad = append(bad, FieldError{Field: field, Reason: err.Error()})
 	}
-	_, err := MatrixAppByName(c.App)
+	app, err := MatrixAppByName(c.App)
 	if c.App == "" {
 		fail("app", fmt.Errorf("required (valid: %s)", strings.Join(MatrixAppNames(), ", ")))
 	} else if err != nil {
 		fail("app", err)
+	} else if _, err := app.Problem(c.Scale); err != nil {
+		fail("scale", err)
 	}
 	cfg, err := MatrixModeConfig(c.Mode, c.Nodes, c.ThreadsPerNode)
 	if c.Mode == "" {
@@ -166,6 +180,11 @@ func (c Cell) lower() (core.Config, []FieldError) {
 	}
 	if c.ThreadsPerNode < 1 {
 		fail("threads_per_node", fmt.Errorf("must be >= 1, got %d", c.ThreadsPerNode))
+	}
+	if c.CPUsPerNode < 0 {
+		fail("cpus_per_node", fmt.Errorf("must be >= 1, got %d", c.CPUsPerNode))
+	} else if c.CPUsPerNode > 0 {
+		cfg.CPUsPerNode = c.CPUsPerNode
 	}
 	if c.Lanes != 0 {
 		fail("lanes", fmt.Errorf("must be 0 or absent (the event-lane kernel was removed), got %d", c.Lanes))
@@ -243,10 +262,17 @@ func (c Cell) canonical() string {
 		"parade-fleet/v1 app=%s mode=%s fabric=%s nodes=%d threads=%d lanes=0 seed=%d lockcache=%t faults=%s crash=%s policy=%s",
 		c.App, c.Mode, c.Fabric, c.Nodes, c.ThreadsPerNode,
 		c.Seed, c.LockCaching, c.FaultProfile, c.Crash, c.Policy)
+	// The later axes are appended only when set, so fingerprints written
+	// before they existed (and cached results keyed by them) stay valid
+	// for the default.
 	if c.Hetero != "" {
-		// Appended only when set, so pre-hetero fingerprints (and cached
-		// results keyed by them) stay valid for the uniform cluster.
 		s += " hetero=" + c.Hetero
+	}
+	if c.CPUsPerNode != 0 {
+		s += " cpus=" + strconv.Itoa(c.CPUsPerNode)
+	}
+	if c.Scale != "" {
+		s += " scale=" + c.Scale
 	}
 	return s
 }
@@ -315,13 +341,17 @@ func (c Cell) Run() (MatrixRun, error) {
 	if err != nil {
 		return MatrixRun{Cell: c}, err
 	}
-	return c.run(cfg)
+	return c.RunWith(cfg)
 }
 
-// run executes the cell's kernel under cfg, the cell's lowered
-// configuration (or, for the crash matrix's inertness check, that
-// configuration with an empty crash plan attached).
-func (c Cell) run(cfg core.Config) (MatrixRun, error) {
+// RunWith executes the cell's kernel, at the cell's scale, under cfg: the
+// cell's lowered configuration, with execution control attached by the
+// caller (an obs recorder, a deadline) or, for the crash matrix's
+// inertness check, an empty crash plan. It is the one cell runner the
+// matrices, the figures and the fleet executor share. The run's times
+// and counters are filled in even when it fails, so a canceled run
+// reports the virtual time it reached.
+func (c Cell) RunWith(cfg core.Config) (MatrixRun, error) {
 	run := MatrixRun{Cell: c, Threshold: cfg.SmallThreshold}
 	if cfg.Crash != nil {
 		run.Scheduled = len(cfg.Crash.Events)
@@ -330,8 +360,12 @@ func (c Cell) run(cfg core.Config) (MatrixRun, error) {
 	if err != nil {
 		return run, err
 	}
+	prob, err := app.Problem(c.Scale)
+	if err != nil {
+		return run, err
+	}
 	var report core.Report
-	run.Result, run.Kernel, report, err = app.Run(cfg)
+	run.Result, run.Kernel, report, err = prob.Run(cfg)
 	run.Time, run.MemHash, run.Counters = report.Time, report.MemHash, report.Counters
 	return run, err
 }

@@ -118,8 +118,10 @@ func TestPerNodeSumsToCounters(t *testing.T) {
 // (or a cache hit could return another configuration's result) and the
 // lowered configuration (or the field is dead). The envelope changes
 // neither. The retired lanes key changes neither and any non-zero value
-// is invalid on that key. The base cell has a fault profile, so the
-// fault seed is live.
+// is invalid on that key. Scale, like App, picks the problem the
+// configuration runs rather than a Config field: it must change the
+// canonical string and the problem. The base cell has a fault profile,
+// so the fault seed is live.
 func TestCellIdentityIsComplete(t *testing.T) {
 	base := Cell{App: "cg", Mode: "hybrid", FaultProfile: "drop"}
 	// One valid non-default value per field, by Go field name. App picks
@@ -130,8 +132,20 @@ func TestCellIdentityIsComplete(t *testing.T) {
 		"App": "lockmix", "Mode": "sdsm", "Fabric": "tcp", "Nodes": 8, "ThreadsPerNode": 2,
 		"Lanes": 2, "Seed": int64(7), "FaultProfile": "chaos", "Crash": "1@2",
 		"LockCaching": true, "Policy": "adaptive", "Hetero": "slow1",
+		"CPUsPerNode": 1, "Scale": ScaleBench,
 	}
 	envelope := map[string]bool{"ID": true, "DeadlineMS": true}
+	problem := func(c Cell) string {
+		app, err := MatrixAppByName(c.App)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := app.Problem(c.Scale)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Desc
+	}
 	retired := map[string]string{"Lanes": "lanes"}
 	baseCfg, err := base.BuildConfig()
 	if err != nil {
@@ -172,6 +186,12 @@ func TestCellIdentityIsComplete(t *testing.T) {
 		}
 		if sameCanon {
 			t.Errorf("Cell.%s = %v does not change Canonical(): %q", name, val, c.Canonical())
+		}
+		if name == "Scale" {
+			if problem(c) == problem(base) {
+				t.Errorf("Cell.Scale = %v does not change the problem (%q)", val, problem(c))
+			}
+			continue
 		}
 		if sameCfg {
 			t.Errorf("Cell.%s = %v does not change BuildConfig(): the field is dead", name, val)

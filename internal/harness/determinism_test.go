@@ -4,8 +4,8 @@ import "testing"
 
 // The simulation substrate must be deterministic: the same configuration
 // must replay the same event order and produce byte-identical figures.
-// This is what lets the benchmark-regression harness compare virtual-time
-// results across PRs, and what the event kernel's (time, seq) total order
+// This is what lets the figure pins (testdata/fig*.txt) compare virtual-time
+// results across changes, and what the event kernel's (time, seq) total order
 // guarantees. The test renders each figure twice in the same process; a
 // stray map-iteration dependency, pooled-buffer aliasing bug, or
 // tie-break regression in the event heap shows up as a diff here.
@@ -28,7 +28,7 @@ func renderTwice(t *testing.T, name string, run func() (Figure, error)) {
 
 func TestFig6Deterministic(t *testing.T) {
 	nodes := []int{1, 2, 4}
-	renderTwice(t, "Fig6Critical", func() (Figure, error) { return Fig6Critical(nodes) })
+	renderTwice(t, "Fig6", func() (Figure, error) { return ByID(6, nodes, ScaleBench) })
 }
 
 func TestAppFigureDeterministic(t *testing.T) {
@@ -36,5 +36,5 @@ func TestAppFigureDeterministic(t *testing.T) {
 		t.Skip("app figure replay is slow")
 	}
 	nodes := []int{1, 4}
-	renderTwice(t, "Fig10Helmholtz", func() (Figure, error) { return Fig10Helmholtz(nodes, ScaleBench) })
+	renderTwice(t, "Fig10", func() (Figure, error) { return ByID(10, nodes, ScaleBench) })
 }

@@ -1,19 +1,45 @@
 package harness
 
 import (
-	"errors"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
-
-	"parade/internal/core"
-	"parade/internal/sim"
 )
 
-func TestFig6ShapeMatchesPaper(t *testing.T) {
-	fig, err := Fig6Critical([]int{1, 2, 4})
+// pinnedFigures are the figures cheap enough for tier-1 at bench scale
+// over DefaultNodes (Fig. 8 takes ~35 s, Fig. 10 ~4 s); each is computed
+// once and shared by its pin and its shape test.
+var pinnedFigures = map[int]func() (Figure, error){}
+
+func init() {
+	for _, id := range []int{6, 7, 9, 11} {
+		pinnedFigures[id] = sync.OnceValues(func() (Figure, error) {
+			return ByID(id, DefaultNodes, ScaleBench)
+		})
+	}
+}
+
+func pinnedFigure(t *testing.T, id int) Figure {
+	t.Helper()
+	fig, err := pinnedFigures[id]()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return fig
+}
+
+// TestFigurePins compares Render() of every pinned figure byte for byte
+// with testdata/fig<N>.txt (regenerate with -update, like the matrix
+// goldens, only for a change meant to move a figure).
+func TestFigurePins(t *testing.T) {
+	for _, id := range []int{6, 7, 9, 11} {
+		requirePinned(t, fmt.Sprintf("testdata/fig%d.txt", id), pinnedFigure(t, id).Render())
+	}
+}
+
+func TestFig6ShapeMatchesPaper(t *testing.T) {
+	fig := pinnedFigure(t, 6)
 	if len(fig.Series) != 2 || fig.Series[0].Label != "ParADE" || fig.Series[1].Label != "KDSM" {
 		t.Fatalf("series %+v", fig.Series)
 	}
@@ -31,10 +57,7 @@ func TestFig6ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig7ShapeMatchesPaper(t *testing.T) {
-	fig, err := Fig7Single([]int{2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := pinnedFigure(t, 7)
 	p, k := fig.Series[0].Y, fig.Series[1].Y
 	for i := range p {
 		if p[i] >= k[i] {
@@ -44,10 +67,7 @@ func TestFig7ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig9EPShape(t *testing.T) {
-	fig, err := Fig9EP([]int{1, 2, 4}, ScaleBench)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fig := pinnedFigure(t, 9)
 	for _, s := range fig.Series {
 		// EP scales near-linearly for every configuration (§6.2).
 		if s.Y[2] >= s.Y[0]/3 {
@@ -62,7 +82,7 @@ func TestFig9EPShape(t *testing.T) {
 }
 
 func TestFig10HelmholtzShape(t *testing.T) {
-	fig, err := Fig10Helmholtz([]int{1, 2, 4}, ScaleBench)
+	fig, err := ByID(10, []int{1, 2, 4}, ScaleBench)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +106,14 @@ func TestByIDValidation(t *testing.T) {
 	if _, err := ByID(12, DefaultNodes, ScaleBench); err == nil {
 		t.Fatal("figure 12 does not exist")
 	}
+	// A bad scale is a cell error on the scale axis, for every figure
+	// (Figs. 6–7 included), before anything runs.
+	for _, id := range []int{6, 9} {
+		_, err := ByID(id, []int{1}, "papr")
+		if err == nil || !strings.Contains(err.Error(), "scale: unknown scale \"papr\" (valid: bench, paper") {
+			t.Errorf("Fig%d at scale papr: err %v, want a scale field error naming bench, paper", id, err)
+		}
+	}
 }
 
 func TestRenderFormat(t *testing.T) {
@@ -101,51 +129,3 @@ func TestRenderFormat(t *testing.T) {
 		}
 	}
 }
-
-func TestAutoTuneFindsFastest(t *testing.T) {
-	calls := 0
-	res, err := AutoTune(func(cfg core.Config) (sim.Duration, error) {
-		calls++
-		// Synthetic model: work/nodes + per-node overhead; 2T2C halves work.
-		work := 80.0
-		if cfg.ThreadsPerNode == 2 {
-			work /= 2
-		}
-		if cfg.CPUsPerNode == 1 {
-			work *= 1.3
-		}
-		return sim.Duration((work/float64(cfg.Nodes) + 3*float64(cfg.Nodes)) * float64(sim.Millisecond)), nil
-	}, []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 9 {
-		t.Fatalf("measured %d trials, want 9", calls)
-	}
-	for _, tr := range res.Trials {
-		if tr.Time < res.Best.Time {
-			t.Fatalf("best %v is not minimal (%v is faster)", res.Best, tr)
-		}
-	}
-	// The synthetic model's optimum: 2T2C at 4 nodes (10+12=22ms).
-	if res.Best.Config.ThreadsPerNode != 2 || res.Best.Config.Nodes != 4 {
-		t.Fatalf("best = %+v", res.Best)
-	}
-	out := res.Render()
-	if !strings.Contains(out, "*") {
-		t.Fatal("render does not mark the winner")
-	}
-}
-
-func TestAutoTunePropagatesErrors(t *testing.T) {
-	wantErr := false
-	_, err := AutoTune(func(cfg core.Config) (sim.Duration, error) {
-		wantErr = true
-		return 0, errTest
-	}, []int{1})
-	if err == nil || !wantErr {
-		t.Fatal("error not propagated")
-	}
-}
-
-var errTest = errors.New("boom")

@@ -160,7 +160,7 @@ var matrices = map[string]*matrix{
 			// lowered once already — the baseline ran).
 			inert, _ := base.Cell.BuildConfig()
 			inert.Crash = &hlrc.CrashPlan{Events: []hlrc.CrashEvent{}}
-			if run, err := base.Cell.run(inert); err != nil {
+			if run, err := base.Cell.RunWith(inert); err != nil {
 				rep.failf("%s: empty-plan run: %v", base.Cell, err)
 			} else if run.Result != base.Result || run.MemHash != base.MemHash || run.Time != base.Time {
 				rep.failf("%s: empty crash plan perturbed the run (time %v vs %v)", base.Cell, run.Time, base.Time)
@@ -400,7 +400,7 @@ func RunMatrix(name string, opt MatrixOptions) (MatrixReport, error) {
 						c, need, base.Counters.Barriers))
 					continue
 				}
-				run, err = c.run(cfg)
+				run, err = c.RunWith(cfg)
 			}
 			if err != nil {
 				run.Err = err.Error()

@@ -12,7 +12,7 @@ import (
 	"parade/internal/hlrc"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/matrix_*.jsonl from this run")
+var update = flag.Bool("update", false, "rewrite testdata/matrix_*.jsonl and testdata/fig*.txt from this run")
 
 // requireGolden compares the matrix's JSONL byte for byte against
 // testdata/matrix_<name>.jsonl, or rewrites the file under -update. The
@@ -25,9 +25,15 @@ func requireGolden(t *testing.T, rep MatrixReport) {
 	if err := rep.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	path := "testdata/matrix_" + rep.Matrix + ".jsonl"
+	requirePinned(t, "testdata/matrix_"+rep.Matrix+".jsonl", buf.String())
+}
+
+// requirePinned compares got line by line with the file at path, or
+// rewrites the file under -update.
+func requirePinned(t *testing.T, path, got string) {
+	t.Helper()
 	if *update {
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -36,11 +42,11 @@ func requireGolden(t *testing.T, rep MatrixReport) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, wantLines := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
-	for i := range max(len(got), len(wantLines)) {
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+	for i := range max(len(gotLines), len(wantLines)) {
 		g, w := "(none)", "(none)"
-		if i < len(got) {
-			g = got[i]
+		if i < len(gotLines) {
+			g = gotLines[i]
 		}
 		if i < len(wantLines) {
 			w = wantLines[i]

@@ -224,7 +224,7 @@ func (e *Engine) flush(p *sim.Proc, node int) []dsm.WriteNotice {
 			continue
 		}
 		e.cpus[node].Compute(p, e.cfg.Cost.DiffScan)
-		d := e.diffs[node].Get()
+		d := e.diffs.Get()
 		dsm.DiffInto(d, pg, pi.Twin, ns.mem.Frame(pg))
 		c := e.cnt(node)
 		c.DiffsCreated++
@@ -238,9 +238,9 @@ func (e *Engine) flush(p *sim.Proc, node int) []dsm.WriteNotice {
 			}
 			bundles[pi.Home] = append(bundles[pi.Home], d)
 		} else {
-			e.diffs[node].Put(d)
+			e.diffs.Put(d)
 		}
-		e.frames[node].Put(pi.Twin)
+		e.frames.Put(pi.Twin)
 		pi.Twin = nil
 		ns.table.Set(pg, dsm.ReadOnly)
 		ns.mem.SetAppPerm(pg, dsm.PermRead)
@@ -272,12 +272,12 @@ func (e *Engine) flush(p *sim.Proc, node int) []dsm.WriteNotice {
 		}
 		ns.flushGate.Wait(p)
 		// Every home has applied its diffs, so the acks returned their
-		// ownership: the diffs go back to this node's pool (until here an
+		// ownership: the diffs go back to the pool (until here an
 		// unacked bundle may still need a resend after a crash) and the
 		// bundle slices back the next flush.
 		for _, h := range homes {
 			for _, d := range bundles[h] {
-				e.diffs[node].Put(d)
+				e.diffs.Put(d)
 			}
 			bundles[h] = bundles[h][:0]
 		}

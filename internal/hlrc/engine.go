@@ -99,7 +99,7 @@ type pageReply struct {
 
 // diffMsg bundles the diffs one node flushes to one home. The diffs are
 // pooled and stay the flusher's: the home only applies them, and the
-// flusher returns them (and the bundle slice) to its own DiffPool once
+// flusher returns them (and the bundle slice) to the engine's DiffPool once
 // all acks are in — the ack hands ownership back.
 type diffMsg struct{ Diffs []*dsm.Diff }
 
@@ -232,11 +232,12 @@ type Engine struct {
 	Alloc *dsm.Allocator
 
 	// frames recycles twins and fetch-reply page snapshots; diffs
-	// recycles flush diffs. One free list per node, touched only from its
-	// own node's context: fetch-reply frames migrate between nodes inside
-	// protocol messages, and diffs return to their creator's list.
-	frames []dsm.FramePool
-	diffs  []dsm.DiffPool
+	// recycles flush diffs. One free list each for the whole cluster (the
+	// one event kernel runs one process at a time): a fetch-reply frame
+	// taken at the home is released at the requester, so per-node lists
+	// would starve every node that mostly serves pages.
+	frames dsm.FramePool
+	diffs  dsm.DiffPool
 
 	nodes []*nodeState
 	// locks holds the manager-side lock state, sharded by manager node
@@ -280,8 +281,6 @@ func New(s *sim.Simulator, net *netsim.Network, cpus []*sim.CPU, cfg Config, c *
 	e := &Engine{
 		sim: s, net: net, cpus: cpus, cfg: cfg, counters: net.Counters(),
 		Alloc:   dsm.NewAllocator(npages * dsm.PageSize),
-		frames:  make([]dsm.FramePool, cfg.Nodes),
-		diffs:   make([]dsm.DiffPool, cfg.Nodes),
 		locks:   make([]map[int]*lockState, cfg.Nodes),
 		pgStats: make([]dsm.Chunked[pageActivity], cfg.Nodes),
 		policy:  newPolicyEngine(cfg.Policy, npages),

@@ -147,7 +147,7 @@ func (e *Engine) makeDirty(p *sim.Proc, node, pg int) {
 		if ns.table.Peek(pg).State != dsm.ReadOnly {
 			return
 		}
-		twin := e.frames[node].Get()
+		twin := e.frames.Get()
 		copy(twin, ns.mem.Frame(pg))
 		ns.table.At(pg).Twin = twin
 		e.cnt(node).TwinsCreated++

@@ -21,7 +21,7 @@ func (e *Engine) handlePageReq(p *sim.Proc, node int, m *netsim.Message) {
 	e.cpus[node].Compute(p, e.cfg.Cost.PageCopy)
 	var data []byte
 	if f := ns.mem.FrameIfPresent(req.Page); f != nil {
-		data = e.frames[node].Get() // released by handlePageReply after CopyIn
+		data = e.frames.Get() // released by handlePageReply after CopyIn
 		copy(data, f)
 	}
 	e.cnt(node).PageFetches++
@@ -39,7 +39,7 @@ func (e *Engine) handlePageReply(p *sim.Proc, node int, m *netsim.Message) {
 	ns.mem.BeginSystemUpdate(pg)
 	ns.mem.CopyIn(pg, rep.Data)
 	if rep.Data != nil {
-		e.frames[node].Put(rep.Data)
+		e.frames.Put(rep.Data)
 	}
 	ns.table.Set(pg, dsm.ReadOnly)
 	ns.mem.EndSystemUpdate(pg, dsm.PermRead)
@@ -244,7 +244,7 @@ func (e *Engine) handleBarrierDepart(p *sim.Proc, node int, m *netsim.Message) {
 				ns.table.Set(ent.Page, dsm.ReadOnly)
 			}
 			if pi.Twin != nil {
-				e.frames[node].Put(pi.Twin)
+				e.frames.Put(pi.Twin)
 				pi.Twin = nil
 			}
 			ns.mem.SetAppPerm(ent.Page, dsm.PermRead)
@@ -263,7 +263,7 @@ func (e *Engine) handleBarrierDepart(p *sim.Proc, node int, m *netsim.Message) {
 			ns.table.Set(ent.Page, dsm.Invalid)
 			ns.mem.SetAppPerm(ent.Page, dsm.PermNone)
 			if pi.Twin != nil {
-				e.frames[node].Put(pi.Twin)
+				e.frames.Put(pi.Twin)
 				pi.Twin = nil
 			}
 			e.cnt(node).Invalidations++

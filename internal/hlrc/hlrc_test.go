@@ -319,6 +319,36 @@ func TestInvalidationOnCoherenceMiss(t *testing.T) {
 	}
 }
 
+// A fetch-reply frame is taken at the home and released at the
+// requester, so a home that only serves pages must still get frames
+// back: fresh frames are bounded by the fetches in flight, not by the
+// fetches served.
+func TestServedFetchesRecycleFrames(t *testing.T) {
+	const nodes, rounds = 4, 50
+	tc := newTestCluster(nodes, false)
+	tc.spawnNodes(t, func(p *sim.Proc, node int) {
+		for r := 0; r < rounds; r++ {
+			if node == 0 {
+				tc.write(p, 0, 0, float64(r)) // the home writes in place
+			}
+			tc.e.Barrier(p, node) // the write notice invalidates the readers
+			if node != 0 {
+				if got := tc.read(p, node, 0); got != float64(r) {
+					t.Errorf("round %d node %d read %v", r, node, got)
+				}
+			}
+			tc.e.Barrier(p, node)
+		}
+	})
+	if want := int64(rounds * (nodes - 1)); tc.c.PageFetches != want {
+		t.Fatalf("PageFetches = %d, want %d", tc.c.PageFetches, want)
+	}
+	if fresh := tc.e.frames.Gets - tc.e.frames.Hits; fresh > nodes-1 {
+		t.Fatalf("%d fresh frames for %d fetches, want at most %d (the fetches in flight)",
+			fresh, tc.c.PageFetches, nodes-1)
+	}
+}
+
 func TestConcurrentFaultsOnePageOneFetch(t *testing.T) {
 	// The atomic-page-update scenario: two threads of one node fault on
 	// the same page; TRANSIENT/BLOCKED must funnel them into one fetch.

@@ -965,7 +965,7 @@ func (e *Engine) handleRecoverInstall(p *sim.Proc, node int, m *netsim.Message) 
 		pi.State = dsm.ReadOnly
 		pi.Home = node
 		if pi.Twin != nil {
-			e.frames[node].Put(pi.Twin)
+			e.frames.Put(pi.Twin)
 			pi.Twin = nil
 		}
 		ns.mem.CopyIn(pc.Page, pc.Data)
