@@ -1,67 +1,108 @@
 package main
 
 import (
-	"reflect"
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 
-	"parade/internal/core"
-	"parade/internal/kdsm"
-	"parade/internal/netsim"
+	"parade/internal/microbench"
 )
 
-// defaults are the flag defaults of main.
-func defaults() clusterFlags {
-	return clusterFlags{nodes: 4, tpn: 1, cpus: 2, mode: "parade", fabric: "via", faultSeed: 1}
+// runArgs runs the command in process and returns its exit status and
+// output.
+func runArgs(args ...string) (int, string, string) {
+	var stdout, stderr bytes.Buffer
+	code := run(args, &stdout, &stderr)
+	return code, stdout.String(), stderr.String()
 }
 
-// TestClusterConfigResolvesNames: -mode and -fabric select exactly the
-// configurations their documented values name, and anything else is an
-// error naming the valid values — not a silent run of the default
-// (-mode sdsm used to run hybrid, -fabric tpc used to run VIA).
-func TestClusterConfigResolvesNames(t *testing.T) {
-	base := core.Config{Nodes: 4, ThreadsPerNode: 1, CPUsPerNode: 2,
-		Mode: core.Hybrid, HomeMigration: true}.WithDefaults()
-	tcp := base
-	tcp.Fabric = netsim.TCP()
+// TestStdoutMatchesPins: every invocation prints, byte for byte, the
+// stdout pinned in testdata. All pins but lockmix.txt were captured from
+// the command's own app switch before it ran a harness.Cell; lockmix.txt
+// is newer because every lockmix cell runs with lock caching, which the
+// switch did not.
+func TestStdoutMatchesPins(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		set  func(*clusterFlags)
-		want core.Config
+		pin  string
+		args string
 	}{
-		{"defaults", func(*clusterFlags) {}, base},
-		{"-mode kdsm", func(f *clusterFlags) { f.mode = "kdsm" }, kdsm.FromParade(base)},
-		{"-fabric tcp", func(f *clusterFlags) { f.fabric = "tcp" }, tcp},
+		{"cg", "-app cg"},
+		{"ep", "-app ep"},
+		{"cg_S", "-app cg -scale S"},
+		{"ep_S", "-app ep -scale S"},
+		{"helmholtz", "-app helmholtz -scale bench"},
+		{"md", "-app md -scale bench"},
+		{"quad", "-app quad -scale bench"},
+		{"taskdep", "-app taskdep -scale bench"},
+		{"lockmix", "-app lockmix -scale bench"},
+		{"cg_sdsm_tcp_pages", "-app cg -nodes 2 -mode sdsm -fabric tcp -pages 4"},
+		{"cg_chaos", "-app cg -faults chaos -fault-seed 3"},
+		{"cg_crash", "-app cg -crash 1@2"},
+		{"md_adaptive", "-app md -policy adaptive -cpus 1 -tpn 2 -scale bench"},
+		{"cg_trace", "-app cg -nodes 2 -trace - -trace-format jsonl"},
+		{"helmholtz_metrics", "-app helmholtz -metrics - -scale bench"},
 	} {
-		f := defaults()
-		tc.set(&f)
-		got, err := clusterConfig(f)
-		if err != nil || !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: clusterConfig = %+v, %v; want %+v", tc.name, got, err, tc.want)
+		want, err := os.ReadFile("testdata/" + tc.pin + ".txt")
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, got, stderr := runArgs(strings.Fields(tc.args)...)
+		if code != 0 {
+			t.Errorf("%s: exit %d: %s", tc.args, code, stderr)
+			continue
+		}
+		if got != string(want) {
+			t.Errorf("%s: stdout differs from testdata/%s.txt:\n--- got ---\n%.2000s\n--- want ---\n%.2000s", tc.args, tc.pin, got, want)
 		}
 	}
+}
+
+// TestEveryDirectiveRuns: -app takes every app a cell can name, the
+// directive microbenchmarks included, and prints its one-line report
+// and the counter line.
+func TestEveryDirectiveRuns(t *testing.T) {
+	for _, name := range microbench.Directives() {
+		code, out, stderr := runArgs("-app", name, "-nodes", "2")
+		lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+		if code != 0 || len(lines) != 2 || !strings.HasPrefix(lines[0], name+": per-directive=") {
+			t.Errorf("-app %s: exit %d, stdout %q, stderr %q", name, code, out, stderr)
+		}
+	}
+}
+
+// TestClusterConfigResolvesNames: every name a flag carries is resolved
+// by the cell's lowering, so an unknown value is an error naming the
+// valid ones — not a silent run of the default (-mode sdsm used to run
+// hybrid, -fabric tpc used to run VIA). The retired mode word kdsm is
+// unknown too, and taskdep, which always runs on the fasthalf machine,
+// rejects any other profile rather than ignoring it.
+func TestClusterConfigResolvesNames(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		set     func(*clusterFlags)
+		args    string
 		mention []string
 	}{
-		{"-mode sdsm", func(f *clusterFlags) { f.mode = "sdsm" }, []string{`"sdsm"`, "parade", "kdsm"}},
-		{"-mode bogus", func(f *clusterFlags) { f.mode = "bogus" }, []string{`"bogus"`, "parade", "kdsm"}},
-		{"-fabric tpc", func(f *clusterFlags) { f.fabric = "tpc" }, []string{`"tpc"`, "via", "tcp"}},
-		{"-faults bogus", func(f *clusterFlags) { f.faults = "bogus" }, []string{`"bogus"`, "drop"}},
-		{"-hetero bogus", func(f *clusterFlags) { f.hetero = "bogus" }, []string{`"bogus"`, "fasthalf"}},
-		{"-crash bogus", func(f *clusterFlags) { f.crash = "bogus" }, []string{`"bogus"`, "node@barrier"}},
+		{"-app bogus", []string{"app:", `"bogus"`, "cg", "critical"}},
+		{"-mode bogus", []string{"mode:", `"bogus"`, "hybrid", "sdsm"}},
+		{"-mode kdsm", []string{"mode:", `"kdsm"`, "hybrid", "sdsm"}},
+		{"-mode parade", []string{"mode:", `"parade"`, "hybrid", "sdsm"}},
+		{"-fabric tpc", []string{"fabric:", `"tpc"`, "via", "tcp"}},
+		{"-scale bogus", []string{"scale:", `"bogus"`, "bench", "paper", "S, W, A"}},
+		{"-class S", []string{"-class"}},
+		{"-faults bogus", []string{"fault_profile:", `"bogus"`, "drop"}},
+		{"-hetero bogus", []string{"hetero:", `"bogus"`, "fasthalf"}},
+		{"-app taskdep -hetero slow1", []string{"hetero:", `"slow1"`, "fasthalf"}},
+		{"-crash bogus", []string{"crash:", `"bogus"`, "node@barrier"}},
+		{"-policy bogus", []string{"policy:", `"bogus"`, "adaptive"}},
 	} {
-		f := defaults()
-		tc.set(&f)
-		_, err := clusterConfig(f)
-		if err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		code, out, stderr := runArgs(strings.Fields(tc.args)...)
+		if code == 0 || out != "" {
+			t.Errorf("%s: exit %d, stdout %q; want a failure", tc.args, code, out)
 			continue
 		}
 		for _, m := range tc.mention {
-			if !strings.Contains(err.Error(), m) {
-				t.Errorf("%s: error %q does not mention %s", tc.name, err, m)
+			if !strings.Contains(stderr, m) {
+				t.Errorf("%s: error %q does not mention %s", tc.args, stderr, m)
 			}
 		}
 	}

@@ -308,21 +308,6 @@ func TestMDLessTrafficThanHelmholtz(t *testing.T) {
 	}
 }
 
-func TestClassResolvers(t *testing.T) {
-	if c, err := CGClassByName("S"); err != nil || c.N != 1400 {
-		t.Fatalf("CG class S: %+v %v", c, err)
-	}
-	if _, err := CGClassByName("Z"); err == nil {
-		t.Fatal("bogus CG class accepted")
-	}
-	if c, err := EPClassByName("A"); err != nil || c.M != 28 {
-		t.Fatalf("EP class A: %+v %v", c, err)
-	}
-	if _, err := EPClassByName("Z"); err == nil {
-		t.Fatal("bogus EP class accepted")
-	}
-}
-
 func TestLockmixSumMatchesExpectedAcrossShapes(t *testing.T) {
 	for _, cfg := range []core.Config{
 		{Nodes: 1, ThreadsPerNode: 2},

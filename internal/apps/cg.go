@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -43,21 +42,6 @@ var (
 	CGClassW = CGClass{Name: "W", N: 7000, NonZer: 8, NIter: 15, Shift: 12, CGIter: 25, PerNZ: 40 * sim.Nanosecond, PerVec: 20 * sim.Nanosecond}
 	CGClassA = CGClass{Name: "A", N: 14000, NonZer: 11, NIter: 15, Shift: 20, CGIter: 25, PerNZ: 40 * sim.Nanosecond, PerVec: 20 * sim.Nanosecond}
 )
-
-// CGClassByName resolves a class letter.
-func CGClassByName(name string) (CGClass, error) {
-	switch name {
-	case "T":
-		return CGClassT, nil
-	case "S":
-		return CGClassS, nil
-	case "W":
-		return CGClassW, nil
-	case "A":
-		return CGClassA, nil
-	}
-	return CGClass{}, fmt.Errorf("apps: unknown CG class %q", name)
-}
 
 // CGResult is the outcome of one CG run.
 type CGResult struct {

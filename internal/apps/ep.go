@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"fmt"
 	"math"
 
 	"parade/internal/core"
@@ -30,21 +29,6 @@ var (
 	EPClassW = EPClass{Name: "W", M: 25, PerPair: 200 * sim.Nanosecond}
 	EPClassA = EPClass{Name: "A", M: 28, PerPair: 200 * sim.Nanosecond}
 )
-
-// EPClassByName resolves a class letter.
-func EPClassByName(name string) (EPClass, error) {
-	switch name {
-	case "T":
-		return EPClassT, nil
-	case "S":
-		return EPClassS, nil
-	case "W":
-		return EPClassW, nil
-	case "A":
-		return EPClassA, nil
-	}
-	return EPClass{}, fmt.Errorf("apps: unknown EP class %q", name)
-}
 
 // epBlockBits is the log2 of pairs per work block (NPB's MK).
 const epBlockBits = 12

@@ -52,8 +52,13 @@ func TestJobSpecValidationTable(t *testing.T) {
 		{name: "valid directive", spec: JobSpec{App: "critical", Mode: "sdsm"}},
 		{name: "unknown scale", spec: JobSpec{App: "cg", Mode: "hybrid", Scale: "papr"},
 			fields: []string{"scale"}, reason: `unknown scale "papr" (valid: bench, paper`},
-		{name: "scale without figure sizes", spec: JobSpec{App: "quad", Mode: "hybrid", Scale: "bench"},
+		{name: "scale without figure sizes", spec: JobSpec{App: "critical", Mode: "hybrid", Scale: "bench"},
 			fields: []string{"scale"}, reason: "no figure sizes"},
+		{name: "valid bench size of a tasking kernel", spec: JobSpec{App: "quad", Mode: "hybrid", Scale: "bench"}},
+		{name: "valid NPB class", spec: JobSpec{App: "cg", Mode: "sdsm", Scale: "W"}},
+		{name: "taskdep on its own machine", spec: JobSpec{App: "taskdep", Mode: "hybrid", Hetero: "fasthalf"}},
+		{name: "taskdep on another machine", spec: JobSpec{App: "taskdep", Mode: "hybrid", Hetero: "slow1"},
+			fields: []string{"hetero"}, reason: `always runs on the "fasthalf" machine, got "slow1"`},
 		{name: "negative lanes", spec: JobSpec{App: "ep", Mode: "hybrid", Lanes: -3},
 			fields: []string{"lanes"}, reason: "must be 0 or absent"},
 		{name: "positive lanes", spec: JobSpec{App: "ep", Mode: "hybrid", Lanes: 2},

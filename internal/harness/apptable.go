@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"parade/internal/apps"
@@ -19,50 +20,60 @@ import (
 // run report.
 type RunFunc func(cfg core.Config) (string, sim.Duration, core.Report, error)
 
-// Problem is one workload size of a kernel: the words a figure title
-// prints for it, and its run.
+// Problem is one workload size of a kernel: the Cell.Scale that selects
+// it, the words a figure title prints for it, and its run.
 type Problem struct {
-	Desc string
-	Run  RunFunc
+	Scale string
+	Desc  string
+	Run   RunFunc
 }
 
 // MatrixApp is one kernel of the app table, the app axis of Cell. Run
-// executes the kernel at its matrix workload size. Bench and Paper are
-// its figure sizes (Cell.Scale "bench" and "paper"); their Run is nil
-// for kernels no application figure plots. LockCaching marks the
-// lock-protocol stress kernel, which runs with lazy-release tokens so
-// the cached lock path gets coverage.
+// executes the kernel at its matrix workload size (Cell.Scale ""), which
+// Desc names where a size has a name (NPB class T). Sizes are its other
+// workload sizes, each selected by its Scale: the figure sizes
+// ScaleBench and ScalePaper of the kernels Figs. 8–11 plot, the NPB
+// classes S, W and A of cg and ep, and ScaleBench for the tasking and
+// lock kernels. LockCaching marks the lock-protocol stress kernel, which
+// runs with lazy-release tokens so the cached lock path gets coverage.
+// Hetero names the machine profile a kernel always runs on; a cell that
+// names another is invalid. summary formats a run's one-line report.
 type MatrixApp struct {
-	Name         string
-	LockCaching  bool
-	Run          RunFunc
-	Bench, Paper Problem
+	Name        string
+	LockCaching bool
+	Hetero      string
+	Desc        string
+	Run         RunFunc
+	Sizes       []Problem
+	summary     func(p Problem, v []float64, run MatrixRun) string
 }
 
-// Figure scales: the values of Cell.Scale besides "" (matrix size).
+// Figure scales: the values of Cell.Scale every figure kernel has
+// besides "" (matrix size).
 const (
 	ScaleBench = "bench" // simulator-friendly figure sizes
 	ScalePaper = "paper" // the paper's problem sizes (slow)
 )
 
 // Problem returns the kernel's problem at scale: "" is the matrix size,
-// ScaleBench and ScalePaper the figure sizes.
+// any other value one of Sizes.
 func (a MatrixApp) Problem(scale string) (Problem, error) {
-	var p Problem
-	switch scale {
-	case "":
-		return Problem{Run: a.Run}, nil
-	case ScaleBench:
-		p = a.Bench
-	case ScalePaper:
-		p = a.Paper
-	default:
-		return p, fmt.Errorf("unknown scale %q (valid: %s, %s, or empty for the matrix size)", scale, ScaleBench, ScalePaper)
+	if scale == "" {
+		return Problem{Desc: a.Desc, Run: a.Run}, nil
 	}
-	if p.Run == nil {
-		return p, fmt.Errorf("app %q has no figure sizes (scale is valid for cg, ep, helmholtz, md)", a.Name)
+	for _, p := range a.Sizes {
+		if p.Scale == scale {
+			return p, nil
+		}
 	}
-	return p, nil
+	if len(a.Sizes) == 0 {
+		return Problem{}, fmt.Errorf("app %q has no figure sizes (scale must be empty)", a.Name)
+	}
+	scales := make([]string, len(a.Sizes))
+	for i, p := range a.Sizes {
+		scales[i] = p.Scale
+	}
+	return Problem{}, fmt.Errorf("unknown scale %q (valid: %s, or empty for the matrix size)", scale, strings.Join(scales, ", "))
 }
 
 func cgRun(class apps.CGClass) RunFunc {
@@ -72,11 +83,11 @@ func cgRun(class apps.CGClass) RunFunc {
 	}
 }
 
-// cgProblem is a CG figure size. The bench size is class W, not S:
-// class S's vectors span so few pages that eight nodes degenerate into
-// pure false sharing, which class A's 64 MB problem does not suffer.
-func cgProblem(class apps.CGClass) Problem {
-	return Problem{"class " + class.Name, cgRun(class)}
+// cgProblem is a CG size. The bench size is class W, not S: class S's
+// vectors span so few pages that eight nodes degenerate into pure false
+// sharing, which class A's 64 MB problem does not suffer.
+func cgProblem(scale string, class apps.CGClass) Problem {
+	return Problem{scale, "class " + class.Name, cgRun(class)}
 }
 
 func epRun(class apps.EPClass) RunFunc {
@@ -88,8 +99,8 @@ func epRun(class apps.EPClass) RunFunc {
 	}
 }
 
-func epProblem(class apps.EPClass) Problem {
-	return Problem{"class " + class.Name, epRun(class)}
+func epProblem(scale string, class apps.EPClass) Problem {
+	return Problem{scale, "class " + class.Name, epRun(class)}
 }
 
 func helmholtzRun(prm apps.HelmholtzParams) RunFunc {
@@ -99,10 +110,10 @@ func helmholtzRun(prm apps.HelmholtzParams) RunFunc {
 	}
 }
 
-func helmholtzProblem(n, maxIter int) Problem {
+func helmholtzProblem(scale string, n, maxIter int) Problem {
 	prm := apps.HelmholtzDefault()
 	prm.N, prm.M, prm.MaxIter = n, n, maxIter
-	return Problem{fmt.Sprintf("%dx%d, %d iters", prm.N, prm.M, prm.MaxIter), helmholtzRun(prm)}
+	return Problem{scale, fmt.Sprintf("%dx%d, %d iters", prm.N, prm.M, prm.MaxIter), helmholtzRun(prm)}
 }
 
 func mdRun(prm apps.MDParams) RunFunc {
@@ -112,54 +123,108 @@ func mdRun(prm apps.MDParams) RunFunc {
 	}
 }
 
-func mdProblem(np, steps int) Problem {
+func mdProblem(scale string, np, steps int) Problem {
 	prm := apps.MDDefault()
 	prm.NP, prm.Steps = np, steps
-	return Problem{fmt.Sprintf("%d particles, %d steps", prm.NP, prm.Steps), mdRun(prm)}
+	return Problem{scale, fmt.Sprintf("%d particles, %d steps", prm.NP, prm.Steps), mdRun(prm)}
 }
 
-// matrixApps is the kernel table: the app axis the acceptance matrices
-// and internal/fleet enumerate (MatrixAppNames), with the figure sizes
-// of the four kernels Figs. 8–11 plot.
-var matrixApps = []MatrixApp{
-	{Name: "helmholtz", Run: helmholtzRun(apps.HelmholtzTest()),
-		Bench: helmholtzProblem(192, 100), Paper: helmholtzProblem(512, 1000)},
-	{Name: "ep", Run: epRun(apps.EPClassT),
-		Bench: epProblem(apps.EPClass{Name: "bench", M: 20, PerPair: apps.EPClassA.PerPair}),
-		Paper: epProblem(apps.EPClassA)},
-	{Name: "cg", Run: cgRun(apps.CGClassT),
-		Bench: cgProblem(apps.CGClassW), Paper: cgProblem(apps.CGClassA)},
-	{Name: "md", Run: mdRun(apps.MDTest()),
-		Bench: mdProblem(256, 20), Paper: mdProblem(512, 1000)},
-	{Name: "quad", Run: func(cfg core.Config) (string, sim.Duration, core.Report, error) {
-		// The irregular tasking kernel: adaptive-quadrature tasks with
-		// cross-node stealing, so steal traffic degrades gracefully under
-		// injected faults like every other protocol.
-		r, err := apps.RunQuad(cfg, apps.QuadTest())
+// quadRun is the irregular tasking kernel: adaptive-quadrature tasks with
+// cross-node stealing, so steal traffic degrades gracefully under
+// injected faults like every other protocol.
+func quadRun(prm apps.QuadParams) RunFunc {
+	return func(cfg core.Config) (string, sim.Duration, core.Report, error) {
+		r, err := apps.RunQuad(cfg, prm)
 		return fpBits(r.Integral, r.TableSum), r.KernelTime, r.Report, err
-	}},
-	{Name: "taskdep", Run: func(cfg core.Config) (string, sim.Duration, core.Report, error) {
-		// The dependence-graph and offload kernel always runs on the
-		// "fasthalf" heterogeneous machine so device placement is
-		// observable in its matrices. Applied here — constant across
-		// every cell — so the bit-identity invariants still compare
-		// like with like.
-		h, err := netsim.HeteroByName("fasthalf", cfg.Nodes)
+	}
+}
+
+// taskdepHetero is the machine the dependence-graph and offload kernel
+// always runs on, so device placement is observable in its matrices.
+const taskdepHetero = "fasthalf"
+
+// taskdepRun applies taskdepHetero itself — constant across every cell,
+// so the bit-identity invariants still compare like with like, and also
+// for callers that run MatrixApp.Run on a configuration of their own.
+func taskdepRun(prm apps.TaskdepParams) RunFunc {
+	return func(cfg core.Config) (string, sim.Duration, core.Report, error) {
+		h, err := netsim.HeteroByName(taskdepHetero, cfg.Nodes)
 		if err != nil {
 			return "", 0, core.Report{}, err
 		}
 		cfg.Hetero = h
-		r, err := apps.RunTaskdep(cfg, apps.TaskdepTest())
+		r, err := apps.RunTaskdep(cfg, prm)
 		return fpBits(r.PipeSum, r.OffloadSum, r.CheckSum), r.KernelTime, r.Report, err
-	}},
-	{Name: "lockmix", LockCaching: true, Run: func(cfg core.Config) (string, sim.Duration, core.Report, error) {
-		// The lock-protocol stress kernel runs with lazy-release tokens
-		// (LockCaching, applied by Cell.Normalize) so the cached lock path
-		// (lockcache.go) degrades gracefully too, not just the
-		// centralized one.
-		r, err := apps.RunLockmix(cfg, apps.LockmixTest())
+	}
+}
+
+// lockmixRun is the lock-protocol stress kernel. It runs with
+// lazy-release tokens (LockCaching, applied by Cell.Normalize) so the
+// cached lock path (lockcache.go) degrades gracefully too, not just the
+// centralized one.
+func lockmixRun(prm apps.LockmixParams) RunFunc {
+	return func(cfg core.Config) (string, sim.Duration, core.Report, error) {
+		r, err := apps.RunLockmix(cfg, prm)
 		return fpBits(r.Sum, r.Expected), r.Report.Time, r.Report, err
-	}},
+	}
+}
+
+// matrixApps is the kernel table: the app axis the acceptance matrices
+// and internal/fleet enumerate (MatrixAppNames), with each kernel's
+// other sizes and its one-line report. A report reads the result values
+// back from the result bits, so the runs themselves format nothing.
+var matrixApps = []MatrixApp{
+	{Name: "helmholtz", Run: helmholtzRun(apps.HelmholtzTest()),
+		Sizes: []Problem{helmholtzProblem(ScaleBench, 192, 100), helmholtzProblem(ScalePaper, 512, 1000)},
+		summary: func(_ Problem, v []float64, run MatrixRun) string {
+			return fmt.Sprintf("Helmholtz: err=%.3e iters=%d kernel=%v util=%.2f",
+				v[0], int(v[1]), run.Kernel, run.Utilization())
+		}},
+	{Name: "ep", Desc: "class T", Run: epRun(apps.EPClassT),
+		Sizes: []Problem{
+			epProblem(ScaleBench, apps.EPClass{Name: "bench", M: 20, PerPair: apps.EPClassA.PerPair}),
+			epProblem(ScalePaper, apps.EPClassA),
+			epProblem("S", apps.EPClassS), epProblem("W", apps.EPClassW), epProblem("A", apps.EPClassA)},
+		summary: func(p Problem, v []float64, run MatrixRun) string {
+			return fmt.Sprintf("EP %s: sx=%.6f sy=%.6f accepted=%.0f kernel=%v util=%.2f",
+				p.Desc, v[0], v[1], v[2], run.Kernel, run.Utilization())
+		}},
+	{Name: "cg", Desc: "class T", Run: cgRun(apps.CGClassT),
+		Sizes: []Problem{
+			cgProblem(ScaleBench, apps.CGClassW), cgProblem(ScalePaper, apps.CGClassA),
+			cgProblem("S", apps.CGClassS), cgProblem("W", apps.CGClassW), cgProblem("A", apps.CGClassA)},
+		summary: func(p Problem, v []float64, run MatrixRun) string {
+			return fmt.Sprintf("CG %s: zeta=%.12f rnorm=%.3e nz=%d kernel=%v util=%.2f",
+				p.Desc, v[0], v[1], int(v[2]), run.Kernel, run.Utilization())
+		}},
+	{Name: "md", Run: mdRun(apps.MDTest()),
+		Sizes: []Problem{mdProblem(ScaleBench, 256, 20), mdProblem(ScalePaper, 512, 1000)},
+		summary: func(_ Problem, v []float64, run MatrixRun) string {
+			return fmt.Sprintf("MD: e0=%.6f efinal=%.6f drift=%.3e kernel=%v util=%.2f",
+				v[0], v[1], v[2], run.Kernel, run.Utilization())
+		}},
+	{Name: "quad", Run: quadRun(apps.QuadTest()),
+		Sizes: []Problem{{ScaleBench, "tol 1e-8", quadRun(apps.QuadDefault())}},
+		summary: func(_ Problem, v []float64, run MatrixRun) string {
+			return fmt.Sprintf("Quad: integral=%x tablesum=%x kernel=%v util=%.2f",
+				math.Float64bits(v[0]), math.Float64bits(v[1]), run.Kernel, run.Utilization())
+		}},
+	{Name: "taskdep", Hetero: taskdepHetero, Run: taskdepRun(apps.TaskdepTest()),
+		Sizes: []Problem{{ScaleBench, "16 segments", taskdepRun(apps.TaskdepDefault())}},
+		// Result bits and the DSM fingerprint print as raw hex so a
+		// steal-schedule divergence is a one-line diff, not a rounding
+		// question.
+		summary: func(_ Problem, v []float64, run MatrixRun) string {
+			return fmt.Sprintf("Taskdep: pipe=%x offload=%x check=%x memhash=%016x kernel=%v util=%.2f",
+				math.Float64bits(v[0]), math.Float64bits(v[1]), math.Float64bits(v[2]),
+				run.MemHash, run.Kernel, run.Utilization())
+		}},
+	{Name: "lockmix", LockCaching: true, Run: lockmixRun(apps.LockmixTest()),
+		Sizes: []Problem{{ScaleBench, "3 locks", lockmixRun(apps.LockmixDefault())}},
+		summary: func(_ Problem, v []float64, run MatrixRun) string {
+			return fmt.Sprintf("Lockmix: sum=%.0f expected=%.0f time=%v util=%.2f",
+				v[0], v[1], run.Time, run.Utilization())
+		}},
 }
 
 // MicroReps is the directive repetition count (the paper ran "over 100").
@@ -177,6 +242,8 @@ var directiveApps = func() []MatrixApp {
 		out = append(out, MatrixApp{Name: name, Run: func(cfg core.Config) (string, sim.Duration, core.Report, error) {
 			r, err := bench(cfg, MicroReps)
 			return fmt.Sprintf("%016x", uint64(r.PerOp)), r.PerOp, r.Report, err
+		}, summary: func(_ Problem, _ []float64, run MatrixRun) string {
+			return fmt.Sprintf("%s: per-directive=%v reps=%d util=%.2f", name, run.Kernel, MicroReps, run.Utilization())
 		}})
 	}
 	return out
@@ -185,14 +252,14 @@ var directiveApps = func() []MatrixApp {
 // MatrixAppByName resolves one app of the table: a matrix kernel or a
 // directive microbenchmark.
 func MatrixAppByName(name string) (MatrixApp, error) {
-	for _, a := range matrixApps {
-		if a.Name == name {
-			return a, nil
+	for i := range matrixApps {
+		if matrixApps[i].Name == name {
+			return matrixApps[i], nil
 		}
 	}
-	for _, a := range directiveApps {
-		if a.Name == name {
-			return a, nil
+	for i := range directiveApps {
+		if directiveApps[i].Name == name {
+			return directiveApps[i], nil
 		}
 	}
 	return MatrixApp{}, fmt.Errorf("harness: unknown app %q (valid: %s; directives: %s)",
@@ -233,4 +300,31 @@ func fpBits(vs ...float64) string {
 		fmt.Fprintf(&b, "%016x", math.Float64bits(v))
 	}
 	return b.String()
+}
+
+// resultValues reads result bits written by fpBits back as the float64
+// results they fingerprint. fpBits writes only 16-digit hex words, so
+// ParseUint cannot fail.
+func resultValues(bits string) []float64 {
+	v := make([]float64, len(bits)/16)
+	for i := range v {
+		u, _ := strconv.ParseUint(bits[16*i:16*(i+1)], 16, 64)
+		v[i] = math.Float64frombits(u)
+	}
+	return v
+}
+
+// Summary is the run's one-line report — its kernel's result values,
+// kernel time and utilization — as parade-run prints it. It is formatted
+// on request only; no cell run formats one.
+func (r MatrixRun) Summary() string {
+	app, err := MatrixAppByName(r.Cell.App)
+	if err != nil {
+		return err.Error()
+	}
+	p, err := app.Problem(r.Cell.Scale)
+	if err != nil {
+		return err.Error()
+	}
+	return app.summary(p, resultValues(r.Result), r)
 }

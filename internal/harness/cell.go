@@ -10,7 +10,6 @@ import (
 	"parade/internal/hlrc"
 	"parade/internal/netsim"
 	"parade/internal/sim"
-	"parade/internal/stats"
 )
 
 // Cell is one scenario: a value on every axis a run of a kernel can vary
@@ -48,8 +47,10 @@ type Cell struct {
 	// 1Thread-1CPU configuration is 1, its 1Thread-2CPU and 2Thread-2CPU
 	// the default.
 	CPUsPerNode int `json:"cpus_per_node,omitempty"`
-	// Scale picks the kernel's problem size: empty is the matrix size,
-	// "bench" or "paper" a figure size (valid for cg, ep, helmholtz and md).
+	// Scale picks the kernel's problem size (MatrixApp.Sizes): empty is
+	// the matrix size, "bench" the bench size of every matrix kernel,
+	// "paper" the paper's size of cg, ep, helmholtz and md, and "S", "W"
+	// or "A" an NPB class of cg and ep.
 	Scale string `json:"scale,omitempty"`
 	// Lanes is the retired event-lane count, read only to reject it: it
 	// must be 0 or absent, so a request that asks for lanes is answered
@@ -76,7 +77,8 @@ type Cell struct {
 	// fabric).
 	Policy string `json:"policy,omitempty"`
 	// Hetero names a heterogeneous cluster profile (netsim.HeteroByName):
-	// "uniform" (or empty, the default), "fasthalf", or "slow1".
+	// "uniform" (or empty, the default), "fasthalf", or "slow1". taskdep
+	// always runs on "fasthalf", so it accepts no other profile.
 	Hetero string `json:"hetero,omitempty"`
 	// DeadlineMS, when positive, bounds the job's host wall-clock execution
 	// time in milliseconds when the cell runs as a fleet job: a run over
@@ -211,6 +213,8 @@ func (c Cell) lower() (core.Config, []FieldError) {
 	if c.Nodes >= 1 {
 		if cfg.Hetero, err = netsim.HeteroByName(c.Hetero, c.Nodes); err != nil {
 			fail("hetero", err)
+		} else if app.Hetero != "" && c.Hetero != "" && c.Hetero != app.Hetero {
+			fail("hetero", fmt.Errorf("app %q always runs on the %q machine, got %q", c.App, app.Hetero, c.Hetero))
 		}
 	}
 	if c.Crash != "" {
@@ -321,18 +325,18 @@ func (c Cell) Lower() *Lowered {
 	return l
 }
 
-// MatrixRun is one executed Cell with its observables.
+// MatrixRun is one executed Cell with its observables: the run's
+// core.Report (virtual time, counters, final DSM state fingerprint, …)
+// and what the cell runner and the matrices add to it.
 type MatrixRun struct {
+	core.Report
 	Cell      Cell
 	Result    string // result-bits fingerprint
-	MemHash   uint64 // final DSM state fingerprint
 	Kernel    sim.Duration
-	Time      sim.Duration // full-run virtual time
-	Slowdown  float64      // kernel time / the baseline cell's (set by RunMatrix)
-	Threshold int          // the directive threshold the run used
-	Scheduled int          // crash events in the plan the run was armed with
-	Counters  stats.Counters
-	Err       string // run error, if any
+	Slowdown  float64 // kernel time / the baseline cell's (set by RunMatrix)
+	Threshold int     // the directive threshold the run used
+	Scheduled int     // crash events in the plan the run was armed with
+	Err       string  // run error, if any
 }
 
 // Run lowers the cell, executes its kernel and collects the observables.
@@ -364,9 +368,7 @@ func (c Cell) RunWith(cfg core.Config) (MatrixRun, error) {
 	if err != nil {
 		return run, err
 	}
-	var report core.Report
-	run.Result, run.Kernel, report, err = prob.Run(cfg)
-	run.Time, run.MemHash, run.Counters = report.Time, report.MemHash, report.Counters
+	run.Result, run.Kernel, run.Report, err = prob.Run(cfg)
 	return run, err
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -228,5 +229,49 @@ func TestMatrixCellsSurviveTheWire(t *testing.T) {
 				t.Errorf("%s cell %s: Lower() disagrees with the methods it bundles: %+v (BuildConfig err %v)", name, cell, l, err)
 			}
 		}
+	}
+}
+
+// TestNPBClasses: the NPB class letters are scales of cg and ep, and EP
+// at class S reproduces NPB's own verification sums. The constants are
+// NPB 2.3's (ep.f) for class S; the comparison is at NPB's relative
+// tolerance, 1e-8, on sx and sy read back from the cell's result bits.
+func TestNPBClasses(t *testing.T) {
+	for _, name := range []string{"cg", "ep"} {
+		app, err := MatrixAppByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, class := range []string{"S", "W", "A"} {
+			if p, err := app.Problem(class); err != nil || p.Desc != "class "+class {
+				t.Errorf("%s at scale %s: problem %q, %v", name, class, p.Desc, err)
+			}
+		}
+		if _, err := app.Problem("Z"); err == nil {
+			t.Errorf("%s accepted class Z", name)
+		}
+	}
+	const (
+		npbSxS = -3.247834652034740e3 // NPB EP class S sx
+		npbSyS = -6.958407078382297e3 // NPB EP class S sy
+	)
+	run, err := Cell{App: "ep", Mode: "hybrid", Nodes: 1, Scale: "S"}.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := resultValues(run.Result)
+	for i, want := range []float64{npbSxS, npbSyS} {
+		if rel := math.Abs(v[i]-want) / math.Abs(want); rel > 1e-8 {
+			t.Errorf("EP class S result %d = %.15e, NPB %.15e (relative error %.1e)", i, v[i], want, rel)
+		}
+	}
+}
+
+// TestNormalizeAllocationFree: Normalize resolves the app on every
+// served request, so the table lookup must not allocate.
+func TestNormalizeAllocationFree(t *testing.T) {
+	c := Cell{App: "parallel", Mode: "hybrid", Scale: "S"}
+	if n := testing.AllocsPerRun(100, func() { c = c.Normalize() }); n != 0 {
+		t.Errorf("Normalize allocates %v times per call", n)
 	}
 }

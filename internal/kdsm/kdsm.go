@@ -23,14 +23,6 @@ func Config(nodes, threadsPerNode, cpusPerNode int) core.Config {
 	return cfg.WithDefaults()
 }
 
-// FromParade converts a ParADE configuration into its KDSM counterpart,
-// keeping every hardware parameter identical.
-func FromParade(cfg core.Config) core.Config {
-	cfg.Mode = core.SDSM
-	cfg.HomeMigration = false
-	return cfg
-}
-
 // ConfigCached returns KDSM with its efficient lazy-release lock
 // protocol (the contribution of the KDSM paper itself): lock tokens stay
 // cached at the releasing node until another node asks.

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"parade/internal/core"
-	"parade/internal/netsim"
 )
 
 func TestConfigIsConventionalSDSM(t *testing.T) {
@@ -20,18 +19,6 @@ func TestConfigIsConventionalSDSM(t *testing.T) {
 	}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFromParadeKeepsHardware(t *testing.T) {
-	p := core.Config{Nodes: 8, ThreadsPerNode: 2, Fabric: netsim.TCP(),
-		Mode: core.Hybrid, HomeMigration: true}.WithDefaults()
-	k := FromParade(p)
-	if k.Mode != core.SDSM || k.HomeMigration {
-		t.Fatalf("conversion wrong: %+v", k)
-	}
-	if k.Fabric.Name != p.Fabric.Name || k.Nodes != p.Nodes || k.ShmBytes != p.ShmBytes {
-		t.Fatal("hardware parameters changed")
 	}
 }
 

@@ -27,14 +27,15 @@ type metricsDoc struct {
 
 // TestMetricsJSONSupersetOfParent pins the -metrics document across the
 // move to one counter registry. testdata/metrics_*.json were captured on
-// the one event kernel at commit 6c7bd3b with
+// the one event kernel at commit 6c7bd3b; in today's words the first two
+// are
 //
-//	parade-run -app helmholtz -lanes off -metrics F
-//	parade-run -app taskdep -hetero fasthalf -lanes off -metrics F
-//	parade-run -app lockmix -mode kdsm -lanes off -metrics F
+//	parade-run -app helmholtz -scale bench -metrics F
+//	parade-run -app taskdep -scale bench -metrics F
 //
-// (-lanes off selected that commit's single-loop kernel, the only one
-// there is now).
+// and the third is lockmix at its bench size in SDSM mode without lock
+// caching, which no cell runs (every lockmix cell caches lock tokens), so
+// the test builds that configuration with kdsm.Config.
 //
 // Every per-node key/value of the capture must still be present and
 // equal, histograms, phases, serial and total byte for byte; new keys
@@ -61,7 +62,9 @@ func TestMetricsJSONSupersetOfParent(t *testing.T) {
 			return r.Report, err
 		},
 		"testdata/metrics_lockmix_kdsm.json": func(cfg core.Config) (core.Report, error) {
-			r, err := apps.RunLockmix(kdsm.FromParade(cfg), apps.LockmixDefault())
+			sdsm := kdsm.Config(cfg.Nodes, cfg.ThreadsPerNode, cfg.CPUsPerNode)
+			sdsm.Obs = cfg.Obs
+			r, err := apps.RunLockmix(sdsm, apps.LockmixDefault())
 			return r.Report, err
 		},
 	}
@@ -74,7 +77,7 @@ func TestMetricsJSONSupersetOfParent(t *testing.T) {
 		if err := json.Unmarshal(raw, &want); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		// parade-run's defaults.
+		// The default cell's configuration.
 		cfg := core.Config{Nodes: want.Nodes, ThreadsPerNode: 1, CPUsPerNode: 2,
 			Mode: core.Hybrid, HomeMigration: true}.WithDefaults()
 		cfg.Obs = obs.New(cfg.Nodes)
