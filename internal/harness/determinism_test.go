@@ -10,14 +10,19 @@ import "testing"
 // stray map-iteration dependency, pooled-buffer aliasing bug, or
 // tie-break regression in the event heap shows up as a diff here.
 
-// renderTwice renders a figure in two independent runs, fails unless the
-// renders are identical, and returns the first run's figure.
-func renderTwice(t *testing.T, name string, run func() (Figure, error)) Figure {
+func renderTwice(t *testing.T, name string, run func() (Figure, error)) {
 	t.Helper()
 	first, err := run()
 	if err != nil {
 		t.Fatalf("%s first run: %v", name, err)
 	}
+	requireSameRender(t, name, first, run)
+}
+
+// requireSameRender fails unless a further, independent run of a figure
+// renders byte for byte the same as first.
+func requireSameRender(t *testing.T, name string, first Figure, run func() (Figure, error)) {
+	t.Helper()
 	second, err := run()
 	if err != nil {
 		t.Fatalf("%s second run: %v", name, err)
@@ -26,7 +31,6 @@ func renderTwice(t *testing.T, name string, run func() (Figure, error)) Figure {
 	if a != b {
 		t.Errorf("%s is not deterministic:\n--- first ---\n%s\n--- second ---\n%s", name, a, b)
 	}
-	return first
 }
 
 func TestFig6Deterministic(t *testing.T) {
@@ -34,22 +38,11 @@ func TestFig6Deterministic(t *testing.T) {
 	renderTwice(t, "Fig6", func() (Figure, error) { return ByID(6, nodes, ScaleBench) })
 }
 
-// TestAppFigureDeterministic renders Fig. 10 (Helmholtz) twice, and
-// checks the first render's shape against the paper: the overlapped
-// 1Thread-2CPU configuration scales with nodes, and 1Thread-1CPU is the
-// slowest configuration on several nodes (§6.2).
+// TestAppFigureDeterministic renders Fig. 10 (Helmholtz) once more and
+// compares it with the render TestFig10HelmholtzShape checks.
 func TestAppFigureDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("app figure replay is slow")
 	}
-	fig := renderTwice(t, "Fig10", func() (Figure, error) { return ByID(10, []int{1, 2, 4}, ScaleBench) })
-	oneT1C, oneT2C := fig.Series[0], fig.Series[1]
-	if oneT2C.Y[2] >= oneT2C.Y[0] {
-		t.Errorf("1T2C not scaling: %v", oneT2C.Y)
-	}
-	for i := 1; i < 3; i++ {
-		if oneT1C.Y[i] < oneT2C.Y[i] {
-			t.Errorf("at %d nodes 1T1C (%v) beat 1T2C (%v)", oneT1C.X[i], oneT1C.Y[i], oneT2C.Y[i])
-		}
-	}
+	requireSameRender(t, "Fig10", helmholtzFigure(t), runHelmholtzFigure)
 }

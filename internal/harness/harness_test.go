@@ -81,6 +81,36 @@ func TestFig9EPShape(t *testing.T) {
 	}
 }
 
+func runHelmholtzFigure() (Figure, error) { return ByID(10, []int{1, 2, 4}, ScaleBench) }
+
+// sharedHelmholtzFigure is Fig. 10 at {1, 2, 4} nodes, computed once and
+// shared by its shape test and its determinism test (~3 s a run).
+var sharedHelmholtzFigure = sync.OnceValues(runHelmholtzFigure)
+
+func helmholtzFigure(t *testing.T) Figure {
+	t.Helper()
+	fig, err := sharedHelmholtzFigure()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fig
+}
+
+func TestFig10HelmholtzShape(t *testing.T) {
+	fig := helmholtzFigure(t)
+	oneT1C, oneT2C := fig.Series[0], fig.Series[1]
+	// Times decrease with nodes for the overlapped configurations.
+	if oneT2C.Y[2] >= oneT2C.Y[0] {
+		t.Fatalf("1T2C not scaling: %v", oneT2C.Y)
+	}
+	// 1T1C is the slowest configuration on multiple nodes (§6.2).
+	for i := 1; i < 3; i++ {
+		if oneT1C.Y[i] < oneT2C.Y[i] {
+			t.Fatalf("at %d nodes 1T1C (%v) beat 1T2C (%v)", fig.Series[0].X[i], oneT1C.Y[i], oneT2C.Y[i])
+		}
+	}
+}
+
 func TestByIDValidation(t *testing.T) {
 	if _, err := ByID(5, DefaultNodes, ScaleBench); err == nil {
 		t.Fatal("figure 5 has no data series; ByID should reject it")
