@@ -183,6 +183,13 @@ func main() {
 		}
 		ids = []int{id}
 	}
+	// Check every requested figure's scale before the first one prints.
+	for _, id := range ids {
+		if _, err := harness.ByID(id, nil, *scale); err != nil {
+			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
+			exit(1)
+		}
+	}
 	var points []metricsPoint
 	for _, id := range ids {
 		var obsFn harness.ObsFunc

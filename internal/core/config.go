@@ -96,9 +96,8 @@ type Config struct {
 	// failures at barrier points and arms the engine's
 	// checkpoint/recovery protocol (see internal/hlrc). Requires a fault
 	// plane for failure detection; when Faults is nil, Run attaches the
-	// zero-link-fault crash-only plane automatically. The full runtime
-	// only supports Restart events — a shrunken node would leave its
-	// team threads unjoinable at shutdown.
+	// zero-link-fault crash-only plane automatically. Every crashed node
+	// restarts from its buddy checkpoint.
 	Crash *hlrc.CrashPlan
 	// Deadline, when positive, bounds the run's host wall-clock time: the
 	// event loop polls a monotonic clock and, once the budget is spent,
@@ -192,15 +191,8 @@ func (c Config) Validate() error {
 	if c.Hetero != nil && len(c.Hetero.Factors) > c.Nodes {
 		return fmt.Errorf("core: Hetero has %d factors for %d nodes", len(c.Hetero.Factors), c.Nodes)
 	}
-	if c.Crash.Active() {
-		if err := c.Crash.Validate(c.Nodes); err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		for _, ev := range c.Crash.Events {
-			if !ev.Restart {
-				return fmt.Errorf("core: crash event for node %d has Restart=false; the runtime requires restart recovery (a shrunken node's team threads never rejoin the shutdown)", ev.Node)
-			}
-		}
+	if err := c.Crash.Validate(c.Nodes); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
 	return nil
 }

@@ -65,8 +65,8 @@ type Cell struct {
 	FaultProfile string `json:"fault_profile,omitempty"`
 	// Crash is a deterministic crash schedule as text: comma-separated
 	// node@barrier events, e.g. "1@1" or "1@1,1@3" (FormatCrash writes it,
-	// BuildConfig parses it). Every event restarts — the full runtime
-	// cannot shrink. Empty attaches no crash plan.
+	// BuildConfig parses it). Every crashed node restarts from its buddy
+	// checkpoint. Empty attaches no crash plan.
 	Crash string `json:"crash,omitempty"`
 	// LockCaching enables lazy-release lock tokens. Kernels marked
 	// LockCaching in the app table (lockmix) always run with them.
@@ -402,12 +402,10 @@ func FaultProfiles() []string {
 }
 
 // CrashSchedules returns the crash matrix's varied axis for a cluster
-// of the given size. Every event restarts (the full runtime cannot
-// shrink — see core.Validate); shrink recovery is covered by the
-// engine-level tests.
+// of the given size.
 func CrashSchedules(nodes int) [][]hlrc.CrashEvent {
 	ev := func(node, barrier int) hlrc.CrashEvent {
-		return hlrc.CrashEvent{Node: node, Barrier: barrier, Restart: true}
+		return hlrc.CrashEvent{Node: node, Barrier: barrier}
 	}
 	return [][]hlrc.CrashEvent{
 		{ev(1, 1)},
@@ -417,8 +415,7 @@ func CrashSchedules(nodes int) [][]hlrc.CrashEvent {
 }
 
 // ParseCrash parses a crash schedule in node@barrier[,node@barrier...]
-// syntax, e.g. "1@2" or "1@1,1@3". Every event restarts. An empty spec
-// yields no events.
+// syntax, e.g. "1@2" or "1@1,1@3". An empty spec yields no events.
 func ParseCrash(spec string) ([]hlrc.CrashEvent, error) {
 	var events []hlrc.CrashEvent
 	for _, part := range strings.Split(spec, ",") {
@@ -432,7 +429,7 @@ func ParseCrash(spec string) ([]hlrc.CrashEvent, error) {
 		if !ok || err1 != nil || err2 != nil {
 			return nil, fmt.Errorf("bad crash event %q (want node@barrier, e.g. 1@2)", part)
 		}
-		events = append(events, hlrc.CrashEvent{Node: node, Barrier: barrier, Restart: true})
+		events = append(events, hlrc.CrashEvent{Node: node, Barrier: barrier})
 	}
 	return events, nil
 }

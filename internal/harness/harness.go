@@ -113,25 +113,27 @@ func ByID(id int, nodes []int, scale string) (Figure, error) {
 
 // ByIDObserved regenerates a figure with observability attached to every
 // run: obsFn receives each run's metrics as the sweep progresses. A nil
-// obsFn is ByID. Every point of every figure is lowered before the first
-// runs, so an invalid scale or node count fails without running anything.
+// obsFn is ByID. Only the requested figure is checked, and before its
+// first run: the scale first, apart from the node counts (so ByID(id,
+// nil, scale) checks it without running anything), then every point.
 func ByIDObserved(id int, nodes []int, scale string, obsFn ObsFunc) (Figure, error) {
 	decls := figures(scale)
 	if id < 6 || id >= 6+len(decls) {
 		return Figure{}, fmt.Errorf("harness: no figure %d (data figures are 6..11)", id)
 	}
-	for _, d := range decls {
-		for _, sd := range d.series {
-			for _, n := range nodes {
-				c := sd.cell
-				c.Nodes = n
-				if err := c.Validate(); err != nil {
-					return Figure{}, err
-				}
+	d := decls[id-6]
+	if err := checkScale(d, decls); err != nil {
+		return Figure{}, err
+	}
+	for _, sd := range d.series {
+		for _, n := range nodes {
+			c := sd.cell
+			c.Nodes = n
+			if err := c.Validate(); err != nil {
+				return Figure{}, err
 			}
 		}
 	}
-	d := decls[id-6]
 
 	fig := Figure{ID: d.id, Title: d.title, XLabel: "nodes", YLabel: d.yLabel, Notes: d.notes}
 	if c := d.series[0].cell; c.Scale != "" {
@@ -181,6 +183,31 @@ func ByIDObserved(id int, nodes []int, scale string, obsFn ObsFunc) (Figure, err
 		}
 	}
 	return fig, nil
+}
+
+// checkScale reports a scale d cannot be drawn at. An app figure needs a
+// size of its own kernel; Figs. 6–7 have one size, so for them the scale
+// only has to be a size of some app figure's kernel.
+func checkScale(d figureDecl, decls []figureDecl) error {
+	sized := []figureDecl{d}
+	if d.series[0].cell.Scale == "" {
+		sized = decls
+	}
+	var err error
+	for _, o := range sized {
+		c := o.series[0].cell
+		if c.Scale == "" {
+			continue
+		}
+		app, _ := MatrixAppByName(c.App)
+		if _, err = app.Problem(c.Scale); err == nil {
+			return nil
+		}
+	}
+	if err != nil {
+		return &CellError{Fields: []FieldError{{Field: "scale", Reason: err.Error()}}}
+	}
+	return nil
 }
 
 // Render formats the figure as an aligned text table.

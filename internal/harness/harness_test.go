@@ -128,6 +128,25 @@ func TestByIDValidation(t *testing.T) {
 	}
 }
 
+// TestByIDChecksOnlyItsFigure: a scale is checked against the requested
+// figure's kernel only. NPB class S is a CG and EP size but not a
+// Helmholtz one, so Fig. 8 draws at it while Fig. 10 rejects it, and
+// rejects it from the scale alone, before any node count is looked at.
+func TestByIDChecksOnlyItsFigure(t *testing.T) {
+	fig, err := ByID(8, []int{1}, "S")
+	if err != nil {
+		t.Fatalf("Fig8 at class S: %v", err)
+	}
+	if len(fig.Series) != 3 || fig.Series[0].Y[0] <= 0 {
+		t.Errorf("Fig8 at class S: series %+v, want three with a positive time", fig.Series)
+	}
+	for _, nodes := range [][]int{{1}, nil} {
+		if _, err := ByID(10, nodes, "S"); err == nil || !strings.Contains(err.Error(), "scale: unknown scale \"S\"") {
+			t.Errorf("Fig10 at class S over nodes %v: err %v, want a scale field error", nodes, err)
+		}
+	}
+}
+
 func TestRenderFormat(t *testing.T) {
 	fig := Figure{
 		ID: "FigX", Title: "test", XLabel: "nodes", YLabel: "s",

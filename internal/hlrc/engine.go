@@ -79,13 +79,12 @@ const (
 	msgLockRevoke
 	msgLockToken
 	// Crash recovery plane (recovery.go). Active only with a crash plan.
-	msgPing           // master liveness probe during a stalled barrier
-	msgCkptFlush      // flush-time checkpoint log to the buddy
-	msgCkptAck        // buddy durability ack for a barrier log
-	msgCkptPage       // incremental home-page mirror update to the buddy
-	msgCkptTok        // lock-token replica delta to the buddy
-	msgRecoverState   // buddy -> restarted node: full state restore
-	msgRecoverInstall // buddy -> new home: orphaned page contents (shrink)
+	msgPing         // master liveness probe during a stalled barrier
+	msgCkptFlush    // flush-time checkpoint log to the buddy
+	msgCkptAck      // buddy durability ack for a barrier log
+	msgCkptPage     // incremental home-page mirror update to the buddy
+	msgCkptTok      // lock-token replica delta to the buddy
+	msgRecoverState // buddy -> restarted node: full state restore
 )
 
 // pageReq asks the home for the current contents of a page.
@@ -209,9 +208,6 @@ type lockState struct {
 	holder  int
 	queue   []int
 	notices map[int]int // page -> last modifier, sent with grants
-	// reclaimed holds the token notices salvaged from a crashed holder
-	// when no requester was queued; the next grant carries them.
-	reclaimed []dsm.WriteNotice
 }
 
 // masterBarrier is the master node's view of the in-progress barrier.
@@ -378,8 +374,6 @@ func (e *Engine) Handle(p *sim.Proc, node int, m *netsim.Message) {
 		e.handleCkptTok(m)
 	case msgRecoverState:
 		e.handleRecoverState(p, node, m)
-	case msgRecoverInstall:
-		e.handleRecoverInstall(p, node, m)
 	default:
 		panic(fmt.Sprintf("hlrc: unknown message type %d", m.Type))
 	}

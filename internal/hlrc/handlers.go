@@ -117,16 +117,14 @@ func (e *Engine) handleBarrierArrive(p *sim.Proc, node int, m *netsim.Message) {
 	if e.recov != nil {
 		e.noteArrival(m.From)
 	}
-	if mb.arrived < e.aliveThreshold() {
+	if mb.arrived < e.cfg.Nodes {
 		return
 	}
 	e.completeBarrier(p, arr.Epoch)
 }
 
 // completeBarrier runs the last-arrival work at the master: elect homes
-// and release everyone. Split out of handleBarrierArrive because a
-// shrink recovery also completes a barrier (on the dead member's
-// behalf) once the survivors are all in.
+// and release everyone.
 func (e *Engine) completeBarrier(p *sim.Proc, epoch int) {
 	mb := &e.master
 	// Close the classifier's interval BEFORE electing: this barrier's
@@ -153,16 +151,8 @@ func (e *Engine) completeBarrier(p *sim.Proc, epoch int) {
 		}
 		cur := homes.Peek(pg).Home
 		class := e.policy.classOf(pg)
-		// A dead candidate cannot take the page (its notices may reach a
-		// shrink barrier); the current home then keeps it.
-		elect := func(h HomeStrategy) int {
-			if cand := h.ElectHome(pg, cur, mods, class, e.cfg.HomeMigration); !e.gone(cand) {
-				return cand
-			}
-			return cur
-		}
-		newHome := elect(e.policy.home)
-		if newHome != elect(legacyHome{}) {
+		newHome := e.policy.home.ElectHome(pg, cur, mods, class, e.cfg.HomeMigration)
+		if newHome != (legacyHome{}).ElectHome(pg, cur, mods, class, e.cfg.HomeMigration) {
 			e.cnt(0).PolicyHomeOverrides++
 		}
 		push := e.policy.prop.ShouldPush(pg, class, mods, len(e.nodes))
@@ -209,9 +199,6 @@ func (e *Engine) completeBarrier(p *sim.Proc, epoch int) {
 	bytes := 16 + 12*len(entries)
 	dep := barrierDepart{Epoch: epoch, Entries: entries}
 	for n := 0; n < e.cfg.Nodes; n++ {
-		if e.gone(n) {
-			continue
-		}
 		e.send(p, 0, n, msgBarrierDepart, bytes, dep)
 	}
 }

@@ -98,14 +98,10 @@ func (e *Engine) cachedLockReq(p *sim.Proc, from, id int) {
 		panic("hlrc: cached lock re-requested by its owner")
 	}
 	if !ls.held {
-		// No owner anywhere: grant directly. The token starts empty
-		// unless a recovery reclaimed it from a crashed holder with its
-		// notices attached.
+		// No owner anywhere: grant an empty token directly.
 		ls.held = true
 		ls.holder = from
-		tok := ls.reclaimed
-		ls.reclaimed = nil
-		e.grantCachedToken(p, from, id, tok)
+		e.grantCachedToken(p, from, id, nil)
 		return
 	}
 	e.cnt(e.lockManager(id)).LockWaits++

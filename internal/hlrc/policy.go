@@ -104,8 +104,7 @@ func (c PageClass) String() string {
 
 // HomeStrategy elects a page's home at barrier time. mods is the sorted
 // modifier set of the ending interval (never empty), cur the current
-// home. migration mirrors Config.HomeMigration. The returned node may
-// still be overridden by the caller when it is out of the membership.
+// home. migration mirrors Config.HomeMigration.
 type HomeStrategy interface {
 	ElectHome(pg, cur int, mods []int, class PageClass, migration bool) int
 }

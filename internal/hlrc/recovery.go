@@ -22,21 +22,16 @@
 //     then exhausts its retries against a crashed peer. Both paths feed
 //     the same recovery daemon.
 //
-//  3. Recovery. For a restart event the daemon waits out the outage,
-//     restores the node from its buddy's snapshot (page table, home
-//     frames, replica contents, lock tokens), synthesizes the barrier
-//     arrival the crash suppressed, and re-drives every stuck
-//     conversation (unacked diff bundles, stalled fetches, pending
-//     revokes, the protected peer's own checkpoint log). Because the
-//     crash point is the quiescent instant after the flush and before
-//     the arrival, the recovered execution is bit-identical to a
-//     fault-free one: same memory image, same protocol decisions, only
-//     the virtual clock differs. For a shrink event (no restart) the
-//     membership contracts instead: orphaned pages are re-homed
-//     (current-home-first, then the smallest alive id), the dead
-//     member's logged write notices are merged into the barrier, its
-//     lock tokens are reclaimed, and the barrier completes over the
-//     surviving members.
+//  3. Recovery. Every crash is a restart: the membership is fixed for
+//     the whole run. The daemon waits out the outage, restores the node
+//     from its buddy's snapshot (page table, home frames, replica
+//     contents, lock tokens), synthesizes the barrier arrival the crash
+//     suppressed, and re-drives every stuck conversation (unacked diff
+//     bundles, stalled fetches, pending revokes, the protected peer's
+//     own checkpoint log). Because the crash point is the quiescent
+//     instant after the flush and before the arrival, the recovered
+//     execution is bit-identical to a fault-free one: same memory image,
+//     same protocol decisions, only the virtual clock differs.
 package hlrc
 
 import (
@@ -53,9 +48,8 @@ import (
 // its flush and checkpoint log are durable but before its barrier
 // arrival is sent.
 type CrashEvent struct {
-	Node    int  // node to crash; never the master (node 0)
-	Barrier int  // 1-based count of the node's own Engine.Barrier calls
-	Restart bool // bring the node back after RestartDelay (else shrink)
+	Node    int // node to crash; never the master (node 0)
+	Barrier int // 1-based count of the node's own Engine.Barrier calls
 }
 
 // CrashPlan is the deterministic crash schedule of one run. A nil or
@@ -170,10 +164,6 @@ type recoverState struct {
 	Tokens  []ckptTok
 }
 
-// recoverInstall hands a dead member's orphaned home pages to their new
-// home during a shrink.
-type recoverInstall struct{ Pages []ckptPageCopy }
-
 // ckptLog is the buddy-held barrier log of one protected node.
 type ckptLog struct {
 	valid   bool
@@ -195,11 +185,8 @@ type recovery struct {
 	plan       CrashPlan
 	barrierSeq []int  // per node: Engine.Barrier calls so far
 	fired      []bool // per plan event: already injected
-	firedEvent []int  // per node: plan event index of its crash, -1 none
 	dead       []bool
 	wasDead    []bool // recovered at least once (stale-signal filter)
-	removed    []bool // shrunk out of the membership, permanently
-	alive      int
 
 	// Master-side stalled-barrier detection.
 	arrivedFrom []bool
@@ -207,7 +194,7 @@ type recovery struct {
 	detectGen   int
 
 	jobs        *sim.Queue[recoveryJob]
-	restoreGate *sim.Gate // recovery daemon waits for the restore/install
+	restoreGate *sim.Gate // recovery daemon waits for the restore
 
 	// State replicated for node W, notionally held at buddy(W) and
 	// wiped when buddy(W) crashes.
@@ -216,38 +203,8 @@ type recovery struct {
 	tokens  []map[int]tokenReplica
 }
 
-// buddy returns node's checkpoint peer, skipping members a shrink
-// removed.
-func (e *Engine) buddy(node int) int {
-	b := (node + 1) % e.cfg.Nodes
-	if e.recov != nil {
-		for e.recov.removed[b] {
-			b = (b + 1) % e.cfg.Nodes
-		}
-	}
-	return b
-}
-
-// gone reports whether node is currently out of the membership.
-func (e *Engine) gone(node int) bool {
-	return e.recov != nil && (e.recov.dead[node] || e.recov.removed[node])
-}
-
-// Removed reports whether a shrink permanently removed node. Programs
-// driving the engine directly must check it after every Barrier: a
-// removed node's representative is released with its state wiped and
-// must stop touching shared memory.
-func (e *Engine) Removed(node int) bool {
-	return e.recov != nil && e.recov.removed[node]
-}
-
-// aliveThreshold is the number of arrivals that completes a barrier.
-func (e *Engine) aliveThreshold() int {
-	if e.recov != nil {
-		return e.recov.alive
-	}
-	return e.cfg.Nodes
-}
+// buddy returns node's checkpoint peer.
+func (e *Engine) buddy(node int) int { return (node + 1) % e.cfg.Nodes }
 
 // armRecovery validates the plan and brings up the recovery plane.
 // Called from New when the configuration carries an active plan.
@@ -263,12 +220,9 @@ func (e *Engine) armRecovery(s *sim.Simulator, net *netsim.Network) {
 		plan:        plan,
 		barrierSeq:  make([]int, e.cfg.Nodes),
 		fired:       make([]bool, len(plan.Events)),
-		firedEvent:  make([]int, e.cfg.Nodes),
 		dead:        make([]bool, e.cfg.Nodes),
 		wasDead:     make([]bool, e.cfg.Nodes),
-		removed:     make([]bool, e.cfg.Nodes),
 		arrivedFrom: make([]bool, e.cfg.Nodes),
-		alive:       e.cfg.Nodes,
 		jobs:        sim.NewQueue[recoveryJob](s),
 		mirrors:     make([]map[int][]byte, e.cfg.Nodes),
 		logs:        make([]ckptLog, e.cfg.Nodes),
@@ -277,7 +231,6 @@ func (e *Engine) armRecovery(s *sim.Simulator, net *netsim.Network) {
 	for i := range r.mirrors {
 		r.mirrors[i] = map[int][]byte{}
 		r.tokens[i] = map[int]tokenReplica{}
-		r.firedEvent[i] = -1
 	}
 	e.recov = r
 	net.SetPeerDownHandler(func(observer, dead int) {
@@ -441,12 +394,11 @@ func (e *Engine) crashEventDue(node int) int {
 // done, the checkpoint log is durable, and the barrier arrival has NOT
 // been sent. The fabric drops the node's in-flight traffic, its
 // volatile protocol state is wiped, and the representative parks on a
-// gate that recovery opens — after a restart via the normal barrier
-// departure, after a shrink explicitly (with the node removed).
+// gate that the normal barrier departure opens once recovery has
+// restarted and restored the node.
 func (e *Engine) crashNow(p *sim.Proc, node, evIdx int) {
 	r := e.recov
 	r.fired[evIdx] = true
-	r.firedEvent[node] = evIdx
 	r.dead[node] = true
 
 	drained := e.net.CrashNode(node)
@@ -528,7 +480,7 @@ func (e *Engine) pingMissing(p *sim.Proc, epoch int) {
 	}
 	r := e.recov
 	for n := 1; n < e.cfg.Nodes; n++ {
-		if !r.arrivedFrom[n] && !r.removed[n] {
+		if !r.arrivedFrom[n] {
 			e.send(p, 0, n, msgPing, 8, nil)
 		}
 	}
@@ -559,18 +511,13 @@ func (e *Engine) sleepFor(p *sim.Proc, d sim.Duration) {
 // recoverNode runs one recovery, serialized on the daemon.
 func (e *Engine) recoverNode(p *sim.Proc, node int, t0 sim.Time) {
 	r := e.recov
-	if r.removed[node] || (!r.dead[node] && r.wasDead[node]) {
+	if !r.dead[node] && r.wasDead[node] {
 		return // late duplicate of an already-handled signal
 	}
 	if !r.dead[node] {
 		panic("hlrc: peer-down signal for a live node")
 	}
-	ev := r.plan.Events[r.firedEvent[node]]
-	if ev.Restart {
-		e.recoverRestart(p, node)
-	} else {
-		e.recoverShrink(p, node)
-	}
+	e.recoverRestart(p, node)
 	r.wasDead[node] = true
 	e.cnt(0).Recoveries++
 	e.rec.RecoveryDone(t0, e.sim.Now(), 0)
@@ -632,7 +579,7 @@ func (e *Engine) resendStuck(p *sim.Proc, node int) {
 	r := e.recov
 	// Diff bundles whose ack never came: the flusher still holds them.
 	for y := 0; y < e.cfg.Nodes; y++ {
-		if y == node || r.dead[y] || r.removed[y] {
+		if y == node || r.dead[y] {
 			continue
 		}
 		ns := e.nodes[y]
@@ -649,7 +596,7 @@ func (e *Engine) resendStuck(p *sim.Proc, node int) {
 	}
 	// Page fetches stalled against the restarted home.
 	for y := 0; y < e.cfg.Nodes; y++ {
-		if y == node || r.dead[y] || r.removed[y] {
+		if y == node || r.dead[y] {
 			continue
 		}
 		ns := e.nodes[y]
@@ -667,7 +614,7 @@ func (e *Engine) resendStuck(p *sim.Proc, node int) {
 	}
 	// The protected peer's own barrier log, if its ack is outstanding
 	// (the crashed node is that peer's buddy).
-	if w := (node - 1 + e.cfg.Nodes) % e.cfg.Nodes; w != 0 && !r.dead[w] && !r.removed[w] {
+	if w := (node - 1 + e.cfg.Nodes) % e.cfg.Nodes; w != 0 && !r.dead[w] {
 		if ck := e.nodes[w].ckptPending; ck != nil {
 			e.shipCkpt(p, w, msgCkptFlush, ckptFlushBytes(ck), *ck)
 		}
@@ -754,223 +701,5 @@ func (e *Engine) handleRecoverState(p *sim.Proc, node int, m *netsim.Message) {
 	// Only now may the daemon re-drive stuck traffic at this node: a
 	// resent diff arriving before the directory restore would find a
 	// reboot-state table.
-	e.recov.restoreGate.Open()
-}
-
-// ---------------------------------------------------------------------
-// Shrink (crash without restart): the membership contracts.
-
-// recoverShrink removes node permanently: orphaned pages are re-homed
-// to the smallest alive id (the dead home loses the current-home-first
-// tie-break by dying), its logged write notices join the stalled
-// barrier, stuck peers are released, and its lock tokens are reclaimed.
-// The directory surgery on the survivors runs host-side: every survivor
-// is parked (at the barrier or on a stuck flush), so there is no
-// concurrent protocol activity to race with; only the bulk page
-// contents travel as a message. Core-level runs reject shrink plans —
-// a removed node's communication and application threads would idle
-// forever — so this path is exercised by engine-level drivers that
-// check Removed() after each barrier.
-func (e *Engine) recoverShrink(p *sim.Proc, node int) {
-	r := e.recov
-	e.net.ResetPeerLinks(node)
-	r.removed[node] = true
-	r.alive--
-
-	log := &r.logs[node]
-	if !log.valid || log.epoch != e.epoch {
-		panic("hlrc: shrink without a matching barrier checkpoint log")
-	}
-	// The dead member's interval notices must join the barrier before
-	// anything can complete it: they invalidate the survivors' stale
-	// replicas of pages it modified.
-	mb := &e.master
-	for _, wn := range log.notices {
-		set := mb.modifiers[wn.Page]
-		if set == nil {
-			set = map[int]bool{}
-			mb.modifiers[wn.Page] = set
-		}
-		set[wn.Modifier] = true
-		e.cnt(0).WriteNotices++
-	}
-	if e.policy.observesReads() && len(log.reads) > 0 {
-		// The dead member's interval reads join the classifier the same
-		// way its notices join the barrier.
-		e.policy.cls.noteReads(node, log.reads)
-	}
-
-	// Merge the stuck flushers' bundles for the dead home into the
-	// mirror, so the new home receives post-interval contents.
-	for y := 0; y < e.cfg.Nodes; y++ {
-		if y == node || r.removed[y] {
-			continue
-		}
-		ns := e.nodes[y]
-		if !ns.flushAwait[node] {
-			continue
-		}
-		for _, d := range ns.flushBundle[node] {
-			buf := r.mirrors[node][d.Page]
-			if buf == nil {
-				panic(fmt.Sprintf("hlrc: no mirror for page %d during shrink merge", d.Page))
-			}
-			d.ApplyInto(buf)
-		}
-	}
-
-	// Re-home the orphans. The master's directory is authoritative for
-	// the pre-crash homes.
-	newHome := 0
-	for n := 0; n < e.cfg.Nodes; n++ {
-		if !r.removed[n] && !r.dead[n] {
-			newHome = n
-			break
-		}
-	}
-	homes := e.nodes[0].table
-	var orphans []int
-	for pg := 0; pg < homes.Len(); pg++ {
-		if homes.Peek(pg).Home == node {
-			orphans = append(orphans, pg)
-		}
-	}
-	if len(orphans) > 0 {
-		install := recoverInstall{Pages: make([]ckptPageCopy, 0, len(orphans))}
-		for _, pg := range orphans {
-			data := r.mirrors[node][pg]
-			if data == nil {
-				panic(fmt.Sprintf("hlrc: no mirror for orphaned page %d", pg))
-			}
-			install.Pages = append(install.Pages, ckptPageCopy{Page: pg, Data: data})
-		}
-		// Directory surgery host-side on every survivor, then the bulk
-		// contents to the new home, gated so nothing runs ahead of the
-		// install.
-		for y := 0; y < e.cfg.Nodes; y++ {
-			if y == node || r.removed[y] {
-				continue
-			}
-			for _, pg := range orphans {
-				e.nodes[y].table.At(pg).Home = newHome
-			}
-		}
-		gate := sim.NewGate(e.sim)
-		r.restoreGate = gate
-		e.send(p, e.buddy(node), newHome, msgRecoverInstall,
-			16+(dsm.PageSize+16)*len(install.Pages), install)
-		gate.Wait(p)
-		r.restoreGate = nil
-	}
-
-	// The dead node was w's buddy: its unacked barrier log, if any,
-	// re-routes to w's next buddy in the shrunken ring.
-	if w := (node - 1 + e.cfg.Nodes) % e.cfg.Nodes; w != 0 && !r.removed[w] {
-		if ck := e.nodes[w].ckptPending; ck != nil {
-			e.shipCkpt(p, w, msgCkptFlush, ckptFlushBytes(ck), *ck)
-		}
-	}
-
-	// Release the stuck flushers: their bundles are merged above, and a
-	// synthetic ack cannot be sent from a node the fabric knows is down.
-	for y := 0; y < e.cfg.Nodes; y++ {
-		if y == node || r.removed[y] {
-			continue
-		}
-		ns := e.nodes[y]
-		if !ns.flushAwait[node] {
-			continue
-		}
-		delete(ns.flushAwait, node)
-		ns.flushPending--
-		if ns.flushPending < 0 {
-			panic("hlrc: shrink ack underflow")
-		}
-		if ns.flushPending == 0 && ns.flushGate != nil {
-			ns.flushGate.Open()
-			ns.flushGate = nil
-		}
-	}
-
-	// Reissue fetches that were stalled against the dead home, now
-	// served by the new one (every survivor's directory is updated).
-	orphanSet := make(map[int]bool, len(orphans))
-	for _, pg := range orphans {
-		orphanSet[pg] = true
-	}
-	for y := 0; y < e.cfg.Nodes; y++ {
-		if y == node || r.removed[y] {
-			continue
-		}
-		ns := e.nodes[y]
-		pgs := make([]int, 0, len(ns.fetch))
-		for pg := range ns.fetch {
-			if orphanSet[pg] {
-				pgs = append(pgs, pg)
-			}
-		}
-		sort.Ints(pgs)
-		for _, pg := range pgs {
-			e.send(p, y, newHome, msgPageReq, 16, pageReq{Page: pg})
-			e.cnt(y).Refetches++
-		}
-	}
-
-	// Reclaim the dead holder's lock tokens from the buddy replica.
-	if e.cfg.LockCaching {
-		ids := make([]int, 0, len(e.locks[0]))
-		for id := range e.locks[0] {
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			ls := e.locks[0][id]
-			if !ls.held || ls.holder != node {
-				continue
-			}
-			tok := r.tokens[node][id]
-			notices := append([]dsm.WriteNotice(nil), tok.notices...)
-			e.cnt(0).ReclaimedLocks++
-			if len(ls.queue) > 0 {
-				e.tokenReturned(p, id, notices)
-			} else {
-				ls.held = false
-				ls.holder = -1
-				ls.reclaimed = notices
-			}
-		}
-	}
-
-	// The barrier may now be completable over the survivors.
-	if mb.arrived >= r.alive {
-		e.completeBarrier(p, e.epoch)
-	}
-
-	// Release the removed node's parked representative; Removed() tells
-	// it to stop.
-	ns := e.nodes[node]
-	gate := ns.barrierGate
-	ns.barrierGate = nil
-	gate.Open()
-}
-
-// handleRecoverInstall installs orphaned page contents at their new
-// home during a shrink.
-func (e *Engine) handleRecoverInstall(p *sim.Proc, node int, m *netsim.Message) {
-	inst := m.Payload.(recoverInstall)
-	ns := e.nodes[node]
-	e.cpus[node].Compute(p, e.cfg.Cost.PageCopy*sim.Duration(len(inst.Pages)))
-	for _, pc := range inst.Pages {
-		pi := ns.table.At(pc.Page)
-		pi.State = dsm.ReadOnly
-		pi.Home = node
-		if pi.Twin != nil {
-			e.frames.Put(pi.Twin)
-			pi.Twin = nil
-		}
-		ns.mem.CopyIn(pc.Page, pc.Data)
-		ns.mem.SetAppPerm(pc.Page, dsm.PermRead)
-		e.cnt(node).PagesRestored++
-	}
 	e.recov.restoreGate.Open()
 }

@@ -23,7 +23,7 @@ func pageAddr(node int) int { return node * dsm.PageSize }
 
 // TestCrashPlanValidate: the plan's structural invariants.
 func TestCrashPlanValidate(t *testing.T) {
-	ev := func(node, k int) CrashEvent { return CrashEvent{Node: node, Barrier: k, Restart: true} }
+	ev := func(node, k int) CrashEvent { return CrashEvent{Node: node, Barrier: k} }
 	cases := []struct {
 		name  string
 		plan  CrashPlan
@@ -85,9 +85,9 @@ func restartProg(t *testing.T, plan *CrashPlan) ([]float64, uint64, *stats.Count
 func TestRestartBitIdentical(t *testing.T) {
 	baseVals, baseFP, baseC := restartProg(t, nil)
 	for _, plan := range []*CrashPlan{
-		{Events: []CrashEvent{{Node: 1, Barrier: 2, Restart: true}}},
-		{Events: []CrashEvent{{Node: 2, Barrier: 3, Restart: true}}},
-		{Events: []CrashEvent{{Node: 1, Barrier: 1, Restart: true}, {Node: 1, Barrier: 3, Restart: true}}},
+		{Events: []CrashEvent{{Node: 1, Barrier: 2}}},
+		{Events: []CrashEvent{{Node: 2, Barrier: 3}}},
+		{Events: []CrashEvent{{Node: 1, Barrier: 1}, {Node: 1, Barrier: 3}}},
 	} {
 		vals, fp, c := restartProg(t, plan)
 		for n := range vals {
@@ -140,7 +140,7 @@ func TestRestartResendsStuckFlush(t *testing.T) {
 		return got, tc.e.StateFingerprint(), tc.c
 	}
 	baseVal, baseFP, _ := run(nil)
-	val, fp, c := run(&CrashPlan{Events: []CrashEvent{{Node: 1, Barrier: 2, Restart: true}}})
+	val, fp, c := run(&CrashPlan{Events: []CrashEvent{{Node: 1, Barrier: 2}}})
 	if val != 7 || baseVal != 7 {
 		t.Fatalf("read %v (fault-free %v), want 7", val, baseVal)
 	}
@@ -175,7 +175,7 @@ func TestRestartReissuesStuckFetch(t *testing.T) {
 		return got, tc.e.StateFingerprint(), tc.c
 	}
 	baseVal, baseFP, _ := run(nil)
-	val, fp, c := run(&CrashPlan{Events: []CrashEvent{{Node: 1, Barrier: 2, Restart: true}}})
+	val, fp, c := run(&CrashPlan{Events: []CrashEvent{{Node: 1, Barrier: 2}}})
 	if val != 9 || baseVal != 9 {
 		t.Fatalf("read %v (fault-free %v), want 9", val, baseVal)
 	}
@@ -231,86 +231,8 @@ func TestRestartDropsCachedPages(t *testing.T) {
 	if o := run(nil); o != (obs{true, true, 0, 21}) {
 		t.Fatalf("fault-free: %+v, want the page still cached and read as 21", o)
 	}
-	if o := run(&CrashPlan{Events: []CrashEvent{{Node: 1, Barrier: 2, Restart: true}}}); o != (obs{false, true, 0, 21}) {
+	if o := run(&CrashPlan{Events: []CrashEvent{{Node: 1, Barrier: 2}}}); o != (obs{false, true, 0, 21}) {
 		t.Fatalf("after restart: %+v, want an empty TLB, 21 read without a fault, then cached", o)
-	}
-}
-
-// TestShrinkRehomesAndSurvives: with Restart=false the dead member is
-// removed; its pages re-home to the smallest survivor with their
-// checkpointed contents intact, the barrier completes over the smaller
-// membership, and the cluster keeps running.
-func TestShrinkRehomesAndSurvives(t *testing.T) {
-	plan := &CrashPlan{Events: []CrashEvent{{Node: 1, Barrier: 2}}}
-	tc := newCrashCluster(3, true, false, plan)
-	var got0, got2 float64
-	tc.spawnNodes(t, func(p *sim.Proc, node int) {
-		if node == 1 {
-			tc.write(p, 1, pageAddr(1), 33)
-		}
-		tc.e.Barrier(p, node) // 1: page migrates to node 1
-		tc.e.Barrier(p, node) // 2: node 1 crashes, membership shrinks
-		if tc.e.Removed(node) {
-			return
-		}
-		if node == 0 {
-			got0 = tc.read(p, 0, pageAddr(1))
-		}
-		if node == 2 {
-			got2 = tc.read(p, 2, pageAddr(1))
-		}
-		tc.e.Barrier(p, node) // 3: completes with 2 members
-	})
-	if got0 != 33 || got2 != 33 {
-		t.Fatalf("survivors read %v/%v, want 33 (checkpointed contents lost)", got0, got2)
-	}
-	if !tc.e.Removed(1) || tc.e.Removed(0) || tc.e.Removed(2) {
-		t.Fatal("membership bookkeeping wrong after shrink")
-	}
-	for _, survivor := range []int{0, 2} {
-		if h := tc.e.nodes[survivor].table.Peek(pageAddr(1) / dsm.PageSize).Home; h != 0 {
-			t.Fatalf("node %d sees home %d for the orphaned page, want 0", survivor, h)
-		}
-	}
-	if tc.c.Recoveries != 1 || tc.c.NodeRestarts != 0 {
-		t.Fatalf("Recoveries=%d NodeRestarts=%d, want 1/0", tc.c.Recoveries, tc.c.NodeRestarts)
-	}
-	if tc.c.PagesRestored == 0 {
-		t.Fatal("no pages restored from the buddy mirror")
-	}
-}
-
-// TestShrinkReclaimsCachedToken: a lazy-release token resident on the
-// dead member is reclaimed by the manager (with its write notices) and
-// granted to the next requester.
-func TestShrinkReclaimsCachedToken(t *testing.T) {
-	plan := &CrashPlan{Events: []CrashEvent{{Node: 1, Barrier: 2}}}
-	tc := newCrashCluster(3, true, true, plan)
-	const lockID = 7
-	reacquired := false
-	tc.spawnNodes(t, func(p *sim.Proc, node int) {
-		if node == 1 {
-			tc.e.AcquireLock(p, 1, lockID)
-			tc.write(p, 1, pageAddr(1), 1)
-			tc.e.ReleaseLock(p, 1, lockID) // token stays cached on node 1
-		}
-		tc.e.Barrier(p, node) // 1
-		tc.e.Barrier(p, node) // 2: node 1 crashes, membership shrinks
-		if tc.e.Removed(node) {
-			return
-		}
-		if node == 2 {
-			tc.e.AcquireLock(p, 2, lockID) // must be granted from the reclaimed token
-			reacquired = true
-			tc.e.ReleaseLock(p, 2, lockID)
-		}
-		tc.e.Barrier(p, node) // 3
-	})
-	if !reacquired {
-		t.Fatal("survivor never reacquired the orphaned lock")
-	}
-	if tc.c.ReclaimedLocks != 1 {
-		t.Fatalf("ReclaimedLocks = %d, want 1", tc.c.ReclaimedLocks)
 	}
 }
 
@@ -330,9 +252,6 @@ func TestFingerprintCoversLockState(t *testing.T) {
 		}},
 		{"queue entry", func() { tc.e.lockState(5).queue = append(tc.e.lockState(5).queue, 0) }},
 		{"manager notice page", func() { tc.e.lockState(5).notices[3] = 1 }},
-		{"reclaimed token", func() {
-			tc.e.lockState(5).reclaimed = []dsm.WriteNotice{{Page: 9, Modifier: 1}}
-		}},
 		{"cached token", func() { tc.e.nodes[1].nodeLockFor(5).cached = true }},
 		{"token notice page", func() {
 			tc.e.nodes[1].nodeLockFor(5).notices = []dsm.WriteNotice{{Page: 7, Modifier: 0}}

@@ -22,17 +22,17 @@ func TestTwinRaceBothWritesSurvive(t *testing.T) {
 	// Node 1 runs two "threads" (plain procs here) writing two slots of
 	// the same page in the same interval; afterwards node 0 (home) must
 	// see both.
-	writers := sim.NewWaitGroup(tc.s)
-	writers.Add(2)
+	written := sim.NewQueue[int](tc.s)
 	for th := 0; th < 2; th++ {
 		th := th
 		tc.s.Spawn(fmt.Sprintf("w%d", th), func(p *sim.Proc) {
 			tc.write(p, 1, 8*th, float64(th+1))
-			writers.Done()
+			written.Push(th)
 		})
 	}
 	tc.s.Spawn("rep1", func(p *sim.Proc) {
-		writers.Wait(p)
+		written.Pop(p)
+		written.Pop(p)
 		tc.e.Barrier(p, 1)
 	})
 	tc.s.Spawn("rep0", func(p *sim.Proc) {
@@ -108,17 +108,8 @@ func TestMixedReadWriteFaultsOnOnePage(t *testing.T) {
 	tc := newTestCluster(2, false)
 	tc.e.Mem(0).WriteF64(0, 5)
 	var got float64
-	done := sim.NewWaitGroup(tc.s)
-	done.Add(2)
-	tc.s.Spawn("reader", func(p *sim.Proc) {
-		got = tc.read(p, 1, 0)
-		done.Done()
-	})
-	tc.s.Spawn("writer", func(p *sim.Proc) {
-		tc.write(p, 1, 8, 7)
-		done.Done()
-	})
-	tc.s.Spawn("sync", func(p *sim.Proc) { done.Wait(p) })
+	tc.s.Spawn("reader", func(p *sim.Proc) { got = tc.read(p, 1, 0) })
+	tc.s.Spawn("writer", func(p *sim.Proc) { tc.write(p, 1, 8, 7) })
 	if err := tc.run(); err != nil {
 		t.Fatal(err)
 	}

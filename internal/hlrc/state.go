@@ -143,7 +143,9 @@ func (e *Engine) StateFingerprint() uint64 {
 		for _, pg := range pages {
 			h.int(pg)
 		}
-		writeNoticePages(ls.reclaimed)
+		// An always-empty notice list: the slot stays so every pinned
+		// MemHash that covers lock state keeps its value.
+		h.int(0)
 	}
 	// The master barrier's pending write notices (empty at quiescence).
 	mbPages := make([]int, 0, len(e.master.modifiers))

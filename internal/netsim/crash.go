@@ -80,16 +80,6 @@ func (n *Network) RestartNode(node int) {
 		panic(fmt.Sprintf("netsim: restart of live node %d", node))
 	}
 	n.down[node] = false
-	n.ResetPeerLinks(node)
-	n.nicFree[node] = n.sim.Now()
-	n.counters.At(node).NodeRestarts++
-}
-
-// ResetPeerLinks resets the reliability state of every link touching
-// node, in both directions. Used on restart, and on a shrink (the node
-// stays down but survivors must stop retrying into it).
-func (n *Network) ResetPeerLinks(node int) {
-	n.requireFaults("ResetPeerLinks")
 	for peer := 0; peer < len(n.inbox); peer++ {
 		if peer == node {
 			continue
@@ -97,6 +87,8 @@ func (n *Network) ResetPeerLinks(node int) {
 		n.resetLink(node, peer)
 		n.resetLink(peer, node)
 	}
+	n.nicFree[node] = n.sim.Now()
+	n.counters.At(node).NodeRestarts++
 }
 
 // resetLink clears one directed link and bumps its epoch so closures

@@ -44,7 +44,7 @@ type relLink struct {
 	// Receiver side.
 	expected int64              // next in-order sequence number
 	buffer   map[int64]*Message // out-of-order arrivals awaiting the gap
-	// epoch increments on every link reset (node restart/shrink); timer
+	// epoch increments on every link reset (node restart); timer
 	// and arrival closures carry the epoch they were armed under and
 	// no-op when it no longer matches.
 	epoch int

@@ -18,7 +18,7 @@
 // process wake-ups are encoded as a field of the event rather than a
 // closure, so the steady-state Sleep/handoff path allocates nothing.
 //
-// All simulation objects (Mutex, Cond, Semaphore, Queue, CPU) block in
+// All simulation objects (Mutex, Cond, Queue, Gate, CPU) block in
 // virtual time, never in host time. Event ties are broken FIFO by a
 // monotonically increasing sequence number, so a simulation with a fixed
 // seed is fully reproducible.

@@ -116,26 +116,6 @@ func TestMutexMutualExclusionAndFIFO(t *testing.T) {
 	}
 }
 
-func TestMutexTryLock(t *testing.T) {
-	s := New(1)
-	mu := NewMutex(s)
-	s.Spawn("p", func(p *Proc) {
-		if !mu.TryLock(p) {
-			t.Error("TryLock on free mutex failed")
-		}
-		if mu.TryLock(p) {
-			t.Error("TryLock on held mutex succeeded")
-		}
-		mu.Unlock(p)
-		if mu.Locked() {
-			t.Error("mutex still locked after Unlock")
-		}
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCondSignalWakesOne(t *testing.T) {
 	s := New(1)
 	mu := NewMutex(s)
@@ -166,30 +146,6 @@ func TestCondSignalWakesOne(t *testing.T) {
 	}
 	if ready != 3 || woken != 3 {
 		t.Fatalf("ready=%d woken=%d", ready, woken)
-	}
-}
-
-func TestSemaphoreLimitsConcurrency(t *testing.T) {
-	s := New(1)
-	sem := NewSemaphore(s, 2)
-	inside, peak := 0, 0
-	for i := 0; i < 6; i++ {
-		s.Spawn("w", func(p *Proc) {
-			sem.Acquire(p)
-			inside++
-			if inside > peak {
-				peak = inside
-			}
-			p.Sleep(Millisecond)
-			inside--
-			sem.Release()
-		})
-	}
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if peak != 2 {
-		t.Fatalf("peak concurrency %d, want 2", peak)
 	}
 }
 
@@ -266,46 +222,6 @@ func TestQueueTryPop(t *testing.T) {
 	v, ok := q.TryPop()
 	if !ok || v != 9 {
 		t.Fatalf("TryPop = %v,%v", v, ok)
-	}
-}
-
-func TestWaitGroup(t *testing.T) {
-	s := New(1)
-	wg := NewWaitGroup(s)
-	wg.Add(3)
-	doneAt := Time(-1)
-	for i := 1; i <= 3; i++ {
-		i := i
-		s.Spawn("w", func(p *Proc) {
-			p.Sleep(Duration(i) * Millisecond)
-			wg.Done()
-		})
-	}
-	s.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if doneAt != Time(3*Millisecond) {
-		t.Fatalf("waiter resumed at %v, want 3ms", doneAt)
-	}
-}
-
-func TestWaitGroupZeroDoesNotBlock(t *testing.T) {
-	s := New(1)
-	wg := NewWaitGroup(s)
-	ran := false
-	s.Spawn("p", func(p *Proc) {
-		wg.Wait(p)
-		ran = true
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ran {
-		t.Fatal("Wait on zero counter blocked")
 	}
 }
 
@@ -550,7 +466,7 @@ func TestMutexExclusionProperty(t *testing.T) {
 func TestGateSemantics(t *testing.T) {
 	s := New(1)
 	g := NewGate(s)
-	if g.Opened() {
+	if g.open {
 		t.Fatal("new gate already open")
 	}
 	passed := 0
@@ -569,8 +485,8 @@ func TestGateSemantics(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if passed != 4 || !g.Opened() {
-		t.Fatalf("passed=%d opened=%v", passed, g.Opened())
+	if passed != 4 || !g.open {
+		t.Fatalf("passed=%d opened=%v", passed, g.open)
 	}
 }
 

@@ -39,18 +39,6 @@ func (m *Mutex) Unlock(p *Proc) {
 	m.sim.wake(next)
 }
 
-// TryLock acquires the mutex without blocking and reports success.
-func (m *Mutex) TryLock(p *Proc) bool {
-	if m.owner != nil {
-		return false
-	}
-	m.owner = p
-	return true
-}
-
-// Locked reports whether the mutex is currently held.
-func (m *Mutex) Locked() bool { return m.owner != nil }
-
 // Cond is a virtual-time condition variable associated with a Mutex.
 type Cond struct {
 	mu      *Mutex
@@ -88,39 +76,6 @@ func (c *Cond) Broadcast() {
 		c.mu.sim.wake(w)
 	}
 	c.waiters = nil
-}
-
-// Semaphore is a counting semaphore in virtual time.
-type Semaphore struct {
-	sim     *Simulator
-	n       int
-	waiters []*Proc
-}
-
-// NewSemaphore creates a semaphore with n initial permits.
-func NewSemaphore(s *Simulator, n int) *Semaphore {
-	return &Semaphore{sim: s, n: n}
-}
-
-// Acquire takes one permit, blocking p while none are available.
-func (s *Semaphore) Acquire(p *Proc) {
-	if s.n > 0 {
-		s.n--
-		return
-	}
-	s.waiters = append(s.waiters, p)
-	p.park("semaphore")
-}
-
-// Release returns one permit, waking the oldest waiter if any.
-func (s *Semaphore) Release() {
-	if len(s.waiters) > 0 {
-		w := s.waiters[0]
-		s.waiters = s.waiters[1:]
-		s.sim.wake(w)
-		return
-	}
-	s.n++
 }
 
 // Queue is an unbounded FIFO whose Pop blocks in virtual time. Push may
@@ -210,43 +165,4 @@ func (g *Gate) Open() {
 		g.sim.wake(p)
 	}
 	g.waiters = nil
-}
-
-// Opened reports whether the gate has been opened.
-func (g *Gate) Opened() bool { return g.open }
-
-// WaitGroup counts outstanding activities in virtual time.
-type WaitGroup struct {
-	sim     *Simulator
-	n       int
-	waiters []*Proc
-}
-
-// NewWaitGroup creates a wait group bound to s.
-func NewWaitGroup(s *Simulator) *WaitGroup { return &WaitGroup{sim: s} }
-
-// Add adds delta to the counter, waking waiters when it reaches zero.
-func (w *WaitGroup) Add(delta int) {
-	w.n += delta
-	if w.n < 0 {
-		panic("sim: negative WaitGroup counter")
-	}
-	if w.n == 0 {
-		for _, p := range w.waiters {
-			w.sim.wake(p)
-		}
-		w.waiters = nil
-	}
-}
-
-// Done decrements the counter by one.
-func (w *WaitGroup) Done() { w.Add(-1) }
-
-// Wait blocks p until the counter is zero.
-func (w *WaitGroup) Wait(p *Proc) {
-	if w.n == 0 {
-		return
-	}
-	w.waiters = append(w.waiters, p)
-	p.park("waitgroup")
 }

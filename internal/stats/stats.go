@@ -101,7 +101,7 @@ type Counters struct {
 	Recoveries     int64 `json:"recovery_runs,omitempty" at:"master" when:"crash plan" help:"recovery protocol executions"`
 	ResentBundles  int64 `json:"recovery_resent_bundles,omitempty" at:"resending node" when:"crash plan" help:"diff bundles resent to a restarted node"`
 	Refetches      int64 `json:"recovery_refetches,omitempty" at:"requester" when:"crash plan" help:"stuck page fetches reissued during recovery"`
-	ReclaimedLocks int64 `json:"recovery_reclaimed_locks,omitempty" at:"master" when:"crash plan" help:"orphaned lock tokens reclaimed"`
+	ReclaimedLocks int64 `json:"recovery_reclaimed_locks,omitempty" at:"master" when:"crash plan" help:"token recalls re-sent to a restarted holder"`
 	PagesRestored  int64 `json:"recovery_pages_restored,omitempty" at:"restored node" when:"crash plan" help:"pages reinstalled from a buddy mirror"`
 
 	// Processor contention.
