@@ -20,8 +20,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -40,23 +42,23 @@ type metricsPoint struct {
 	Metrics json.RawMessage `json:"metrics"`
 }
 
-// writeMetrics dumps the collected per-run metrics as one JSON document.
-func writeMetrics(path string, points []metricsPoint) error {
-	w := os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
+// writeMetrics dumps the collected per-run metrics as one JSON document
+// to path ('-' for stdout).
+func writeMetrics(path string, stdout io.Writer, points []metricsPoint) error {
+	w, closeOut, err := openOut(path, stdout)
+	if err != nil {
+		return err
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
+	err = enc.Encode(struct {
 		Schema string         `json:"schema"`
 		Points []metricsPoint `json:"points"`
 	}{Schema: "parade-bench-metrics/v1", Points: points})
+	if cerr := closeOut(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // splitList parses a comma-separated flag value; an empty value is nil.
@@ -83,48 +85,55 @@ func parseNodes(s string) ([]int, error) {
 	return nodes, nil
 }
 
-func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 6..11 or 'all'")
-	nodesFlag := flag.String("nodes", "1,2,4,8", "comma-separated node counts")
-	scale := flag.String("scale", "bench", "problem size of Figs. 8-11: bench or paper")
-	metricsOut := flag.String("metrics", "", "write per-figure observability metrics JSON to this file ('-' for stdout)")
-	matrix := flag.String("matrix", "", "run an acceptance matrix instead of figures: chaos, crash or policy")
-	matrixNodes := flag.Int("matrix-nodes", 4, "matrix: cluster size")
-	matrixSeed := flag.Int64("matrix-seed", 0, "matrix chaos: fault-plane seed (0 = the default, 1)")
-	matrixApps := flag.String("matrix-apps", "", "matrix: comma-separated subset of helmholtz,ep,cg,md,quad,taskdep,lockmix (empty = all)")
-	matrixModes := flag.String("matrix-modes", "", "matrix policy: comma-separated subset of hybrid,sdsm (empty = both)")
-	matrixFabrics := flag.String("matrix-fabrics", "", "matrix policy: comma-separated subset of via,tcp (empty = both)")
-	matrixProfiles := flag.String("matrix-profiles", "", "matrix chaos: comma-separated subset of drop,dup,reorder,straggler,chaos (empty = all)")
-	matrixPolicy := flag.String("matrix-policy", "", "matrix chaos, crash: hlrc policy for every run (empty = legacy); matrix policy: comma-separated subset to compare (empty = all)")
-	matrixOut := flag.String("matrix-out", "", "matrix: write the runs as JSONL to this file ('-' for stdout)")
-	via := flag.String("via", "", "matrix: then serve every completed run through the fleet service and require identical, cached-on-repeat results: 'self' boots an in-process service, otherwise the base URL of a running parade-serve")
-	cpuprofile := flag.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	// stopProfile completes the -cpuprofile capture, which os.Exit alone
-	// would leave truncated; exit runs it first.
-	stopProfile := func() {}
-	exit := func(code int) {
-		stopProfile()
-		os.Exit(code)
+// run is the command; it returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("parade-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fig := fs.String("fig", "all", "figure to regenerate: 6..11 or 'all'")
+	nodesFlag := fs.String("nodes", "1,2,4,8", "comma-separated node counts")
+	scale := fs.String("scale", "bench", "problem size of Figs. 8-11: bench or paper")
+	metricsOut := fs.String("metrics", "", "write per-figure observability metrics JSON to this file ('-' for stdout)")
+	matrix := fs.String("matrix", "", "run an acceptance matrix instead of figures: chaos, crash or policy")
+	matrixNodes := fs.Int("matrix-nodes", 4, "matrix: cluster size")
+	matrixSeed := fs.Int64("matrix-seed", 0, "matrix chaos: fault-plane seed (0 = the default, 1)")
+	matrixApps := fs.String("matrix-apps", "", "matrix: comma-separated subset of helmholtz,ep,cg,md,quad,taskdep,lockmix (empty = all)")
+	matrixModes := fs.String("matrix-modes", "", "matrix policy: comma-separated subset of hybrid,sdsm (empty = both)")
+	matrixFabrics := fs.String("matrix-fabrics", "", "matrix policy: comma-separated subset of via,tcp (empty = both)")
+	matrixProfiles := fs.String("matrix-profiles", "", "matrix chaos: comma-separated subset of drop,dup,reorder,straggler,chaos (empty = all)")
+	matrixPolicy := fs.String("matrix-policy", "", "matrix chaos, crash: hlrc policy for every run (empty = legacy); matrix policy: comma-separated subset to compare (empty = all)")
+	matrixOut := fs.String("matrix-out", "", "matrix: write the runs as JSONL to this file ('-' for stdout)")
+	via := fs.String("via", "", "matrix: then serve every completed run through the fleet service and require identical, cached-on-repeat results: 'self' boots an in-process service, otherwise the base URL of a running parade-serve")
+	cpuprofile := fs.String("cpuprofile", "", "write a host CPU profile of the run to this file (go tool pprof)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "parade-bench: %v\n", err)
+		return 1
+	}
+
 	if *cpuprofile != "" {
 		stop, err := obs.StartCPUProfile(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-			exit(1)
+			return fail(err)
 		}
-		stopProfile = func() {
+		// Every return path completes the capture, which an early exit
+		// would leave truncated.
+		defer func() {
 			if err := stop(); err != nil {
-				fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
+				fmt.Fprintf(stderr, "parade-bench: %v\n", err)
 			}
-		}
-		defer stopProfile()
+		}()
 	}
 
 	if *via != "" && *matrix == "" {
-		fmt.Fprintln(os.Stderr, "parade-bench: -via needs -matrix")
-		exit(2)
+		fmt.Fprintln(stderr, "parade-bench: -via needs -matrix")
+		return 2
 	}
 	if *matrix != "" {
 		rep, err := harness.RunMatrix(*matrix, harness.MatrixOptions{
@@ -133,73 +142,68 @@ func main() {
 			Profiles: splitList(*matrixProfiles), Policies: splitList(*matrixPolicy),
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-			exit(1)
+			return fail(err)
 		}
-		fmt.Print(rep.Render())
+		fmt.Fprint(stdout, rep.Render())
 		if *matrixOut != "" {
-			w := os.Stdout
-			if *matrixOut != "-" {
-				f, err := os.Create(*matrixOut)
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-					exit(1)
-				}
-				defer f.Close()
-				w = f
+			w, closeOut, err := openOut(*matrixOut, stdout)
+			if err != nil {
+				return fail(err)
 			}
-			if err := rep.WriteJSONL(w); err != nil {
-				fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-				exit(1)
+			err = rep.WriteJSONL(w)
+			if cerr := closeOut(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				return fail(err)
 			}
 		}
 		if !rep.OK() {
-			exit(1)
+			return 1
 		}
 		if *via != "" {
-			sum, err := serveMatrix(*via, rep)
+			sum, err := serveMatrix(*via, rep, stderr)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "parade-bench: replay FAILED: %v\n", err)
-				exit(1)
+				fmt.Fprintf(stderr, "parade-bench: replay FAILED: %v\n", err)
+				return 1
 			}
-			fmt.Printf("replay OK: %d cells identical via service path, %d cache hits on repeat, executions delta %d\n",
+			fmt.Fprintf(stdout, "replay OK: %d cells identical via service path, %d cache hits on repeat, executions delta %d\n",
 				sum.Cells, sum.CacheHits, sum.ExecDelta)
 		}
-		return
+		return 0
 	}
 
 	nodes, err := parseNodes(*nodesFlag)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-		exit(2)
+		fmt.Fprintf(stderr, "parade-bench: %v\n", err)
+		return 2
 	}
 
 	ids := []int{6, 7, 8, 9, 10, 11}
 	if *fig != "all" {
 		id, err := strconv.Atoi(*fig)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "parade-bench: bad figure %q\n", *fig)
-			exit(2)
+			fmt.Fprintf(stderr, "parade-bench: bad figure %q\n", *fig)
+			return 2
 		}
 		ids = []int{id}
 	}
 	// Check every requested figure's scale before the first one prints.
 	for _, id := range ids {
 		if _, err := harness.ByID(id, nil, *scale); err != nil {
-			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-			exit(1)
+			return fail(err)
 		}
 	}
 	var points []metricsPoint
+	var obsErr error
 	for _, id := range ids {
 		var obsFn harness.ObsFunc
 		if *metricsOut != "" {
 			figID := fmt.Sprintf("Fig%d", id)
 			obsFn = func(series string, n int, m *obs.Metrics) {
 				var buf bytes.Buffer
-				if err := m.WriteJSON(&buf); err != nil {
-					fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-					exit(1)
+				if err := m.WriteJSON(&buf); err != nil && obsErr == nil {
+					obsErr = err
 				}
 				points = append(points, metricsPoint{
 					Figure: figID, Series: series, Nodes: n,
@@ -208,26 +212,41 @@ func main() {
 			}
 		}
 		f, err := harness.ByIDObserved(id, nodes, *scale, obsFn)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-			exit(1)
+		if err == nil {
+			err = obsErr
 		}
-		fmt.Println(f.Render())
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintln(stdout, f.Render())
 	}
 	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, points); err != nil {
-			fmt.Fprintf(os.Stderr, "parade-bench: %v\n", err)
-			exit(1)
+		if err := writeMetrics(*metricsOut, stdout, points); err != nil {
+			return fail(err)
 		}
 	}
+	return 0
+}
+
+// openOut opens path for writing, or returns stdout for "-"; the
+// returned close is a no-op for stdout.
+func openOut(path string, stdout io.Writer) (io.Writer, func() error, error) {
+	if path == "-" {
+		return stdout, func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, f.Close, nil
 }
 
 // serveMatrix replays a passed matrix through the fleet service at
 // target: "self" boots an in-process service whose queue admits the
 // whole batch, anything else is a running service's base URL.
-func serveMatrix(target string, rep harness.MatrixReport) (fleet.ReplaySummary, error) {
+func serveMatrix(target string, rep harness.MatrixReport, log io.Writer) (fleet.ReplaySummary, error) {
 	if target != "self" {
-		return fleet.Replay(target, rep, os.Stderr)
+		return fleet.Replay(target, rep, log)
 	}
 	svc, err := fleet.NewService(fleet.ServerOptions{Queue: len(rep.Runs)})
 	if err != nil {
@@ -241,5 +260,5 @@ func serveMatrix(target string, rep harness.MatrixReport) (fleet.ReplaySummary, 
 		svc.Drain()
 		stop()
 	}()
-	return fleet.Replay(url, rep, os.Stderr)
+	return fleet.Replay(url, rep, log)
 }

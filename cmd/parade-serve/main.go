@@ -14,10 +14,10 @@
 //
 // With -serve-chaos the command runs the service-chaos harness instead:
 // a WAL-backed server is killed mid-batch, restarted, and must recover
-// every completed cell bit-identical with zero re-executions; injected
-// worker panics must surface as typed per-job results (with retry and
-// quarantine) while the server keeps serving; and a deadline_ms job
-// must come back canceled instead of hanging a worker.
+// every completed cell bit-identical with zero re-executions; a panic
+// injected inside a simulation must surface as a typed per-job result
+// and quarantine its config while the server keeps serving; and a
+// deadline_ms job must come back canceled instead of hanging a worker.
 package main
 
 import (
@@ -43,7 +43,6 @@ func main() {
 
 		walPath     = flag.String("wal", "", "durable result WAL path: completed results are appended (checksummed, fsynced) and replayed into the cache on startup, so a restart never re-executes a completed cell")
 		jobDeadline = flag.Duration("job-deadline", 0, "server-side watchdog per job (0 disables); a job's own deadline_ms can only tighten it")
-		maxAttempts = flag.Int("max-attempts", 0, "panic-retry budget per job before its config is quarantined (default 3)")
 
 		serveChaos = flag.Bool("serve-chaos", false, "run the service-chaos harness (kill/restart/panic/deadline) instead of serving; requires -wal")
 		chaosCells = flag.Int("chaos-cells", 0, "scenario cells for -serve-chaos (default 24)")
@@ -54,7 +53,7 @@ func main() {
 	opt := fleet.ServerOptions{
 		Workers: *workers, Queue: *queue,
 		Cache: *cache, MaxBatch: *maxBatch,
-		WALPath: *walPath, JobDeadline: *jobDeadline, MaxAttempts: *maxAttempts,
+		WALPath: *walPath, JobDeadline: *jobDeadline,
 	}
 
 	if *serveChaos {

@@ -80,11 +80,14 @@ func solve(cfg parade.Config, n int) parade.Duration {
 				partial := 0.0
 				tc.For(1, n-1, func(i int) {
 					for j := 1; j < n-1; j++ {
-						v := 0.25 * (uold.Get(tc, (i-1)*n+j) + uold.Get(tc, (i+1)*n+j) +
-							uold.Get(tc, i*n+j-1) + uold.Get(tc, i*n+j+1))
+						// Each float64(...) rounds a product before the add that
+						// follows, so no architecture fuses them (the result bits
+						// stay the same on every GOARCH).
+						v := float64(0.25 * (uold.Get(tc, (i-1)*n+j) + uold.Get(tc, (i+1)*n+j) +
+							uold.Get(tc, i*n+j-1) + uold.Get(tc, i*n+j+1)))
 						u.Set(tc, i*n+j, v)
 						d := v - uold.Get(tc, i*n+j)
-						partial += d * d
+						partial += float64(d * d)
 					}
 				})
 				_ = math.Sqrt(tc.Reduce("err", parade.OpSum, partial))

@@ -60,11 +60,16 @@ func solve(cfg parade.Config, n, maxIter int, alpha float64) (parade.Duration, f
 
 		var t0 int64
 		m.Parallel(func(tc *parade.Thread) {
+			// Each float64(...) rounds a product before the add that
+			// follows, so no architecture fuses them (the result bits stay
+			// the same on every GOARCH).
 			tc.For(0, n, func(i int) {
-				x := -1.0 + dx*float64(i)
+				x := -1.0 + float64(dx*float64(i))
+				x2 := 1 - float64(x*x)
 				for j := 0; j < n; j++ {
-					y := -1.0 + dx*float64(j)
-					f.Set(tc, i*n+j, -alpha*(1-x*x)*(1-y*y)-2*(1-x*x)-2*(1-y*y))
+					y := -1.0 + float64(dx*float64(j))
+					y2 := 1 - float64(y*y)
+					f.Set(tc, i*n+j, float64(-alpha*x2*y2)-float64(2*x2)-float64(2*y2))
 				}
 			})
 			tc.Master(func() { t0 = int64(tc.Now()) })
@@ -79,11 +84,11 @@ func solve(cfg parade.Config, n, maxIter int, alpha float64) (parade.Duration, f
 				partial := 0.0
 				tc.For(1, n-1, func(i int) {
 					for j := 1; j < n-1; j++ {
-						r := (ax*(uold.Get(tc, (i-1)*n+j)+uold.Get(tc, (i+1)*n+j)+
-							uold.Get(tc, i*n+j-1)+uold.Get(tc, i*n+j+1)) +
-							b*uold.Get(tc, i*n+j) - f.Get(tc, i*n+j)) / b
+						r := (float64(ax*(uold.Get(tc, (i-1)*n+j)+uold.Get(tc, (i+1)*n+j)+
+							uold.Get(tc, i*n+j-1)+uold.Get(tc, i*n+j+1))) +
+							float64(b*uold.Get(tc, i*n+j)) - f.Get(tc, i*n+j)) / b
 						u.Set(tc, i*n+j, uold.Get(tc, i*n+j)-r)
-						partial += r * r
+						partial += float64(r * r)
 					}
 				})
 				errv = math.Sqrt(tc.Reduce("err", parade.OpSum, partial)) / float64(n*n)

@@ -58,10 +58,6 @@ type Cluster struct {
 	stealRot    uint64
 	taskArrived uint64
 
-	// abortErr is the first runtime error a thread aborted the run with
-	// (depend.go); the always-installed cancellation hook polls it.
-	abortErr error
-
 	programEnd sim.Time
 }
 
@@ -261,21 +257,9 @@ func Run(cfg Config, program func(master *Thread)) (Report, error) {
 		})
 	}
 
-	// The cancellation hook is always installed: runtime errors the
-	// threads cannot panic with (a task dependence cycle — a sim-goroutine
-	// panic would kill the process, see internal/sim) surface by storing
-	// abortErr and letting the kernel's poll unwind the run; the user's
-	// own cancel/deadline hook, when configured, is checked second.
-	userHook := cancelHook(cfg)
-	c.s.SetCancel(func() error {
-		if c.abortErr != nil {
-			return c.abortErr
-		}
-		if userHook != nil {
-			return userHook()
-		}
-		return nil
-	}, 0)
+	if hook := cancelHook(cfg); hook != nil {
+		c.s.SetCancel(hook, 0)
+	}
 	if err := c.s.Run(); err != nil {
 		if errors.Is(err, sim.ErrCanceled) {
 			// Canceled (hook or deadline): the kernel has unwound every
@@ -285,10 +269,12 @@ func Run(cfg Config, program func(master *Thread)) (Report, error) {
 			// zero: a mid-run fingerprint carries no bit-identity meaning.
 			return c.report(cfg, cpus), err
 		}
-		if pd := c.net.PeerDownErr(); pd != nil {
+		var stalled *sim.DeadlockError
+		if pd := c.net.PeerDownErr(); pd != nil && errors.As(err, &stalled) {
 			// A stalled simulation with a recorded retry exhaustion is an
 			// undetected node failure, not a runtime bug: surface the
 			// typed peer-down cause (errors.Is(err, netsim.ErrPeerDown)).
+			// A panic (*sim.PanicError) is returned as is.
 			return Report{}, fmt.Errorf("core: %v: %w", err, pd)
 		}
 		return Report{}, err

@@ -34,11 +34,11 @@ import (
 // reference to a not-yet-registered name holds the task until a sibling
 // registers it (forward references are the point of task handles), and
 // the closing edge can complete a circle. Registration therefore runs a
-// reachability check and rejects the program with a *TaskCycleError —
-// surfaced as the run error of core.Run (errors.As-matchable), with the
-// partial report alongside. A name nobody ever registers resolves
-// vacuously when the context closes: at Taskwait for root tasks, at the
-// parent's completion for nested ones.
+// reachability check and rejects the program by panicking with a
+// *TaskCycleError: core.Run returns the kernel's *sim.PanicError, which
+// errors.As unwraps to it, and no partial report. A name nobody ever
+// registers resolves vacuously when the context closes: at Taskwait for
+// root tasks, at the parent's completion for nested ones.
 //
 // Memory semantics. Graph edges are synchronization, so they carry
 // release consistency exactly like the lock protocol: a tracked task's
@@ -218,7 +218,9 @@ func (t *Thread) registerTaskName(ds *depState, tk *task) {
 	dn := n.depGraph[tk.id]
 	for _, wid := range waiters {
 		if wid == tk.id || n.depReachable(wid, tk.id) {
-			t.abortRun(&TaskCycleError{Name: tk.name})
+			// The kernel recovers the panic: core.Run returns a
+			// *sim.PanicError that errors.As unwraps to this error.
+			panic(&TaskCycleError{Name: tk.name})
 		}
 		// The waiter's placeholder predecessor (counted when the forward
 		// reference was recorded) becomes the real edge.
@@ -401,17 +403,4 @@ func (n *node) enqueueTask(tk *task) {
 	copy(q[i+1:], q[i:])
 	q[i] = tk
 	n.taskq = q
-}
-
-// abortRun records err as the run's cancellation cause and spins this
-// thread in virtual time until the kernel's cancellation poll unwinds
-// the run. core.Run returns an error matching ErrCanceled whose cause
-// (errors.As) is err, alongside the partial report.
-func (t *Thread) abortRun(err error) {
-	if t.c.abortErr == nil {
-		t.c.abortErr = err
-	}
-	for {
-		t.Compute(100 * sim.Microsecond)
-	}
 }

@@ -4,7 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"time"
+
+	"parade/internal/core"
 )
 
 // ChaosOptions sizes a service-chaos run.
@@ -33,7 +36,7 @@ type ChaosSummary struct {
 	ReExecutions int64 // executions during the recovery resubmit (must be 0)
 	Mismatches   int   // recovered/completed results differing from reference
 	Panics       int   // injected-panic jobs answered with StatusPanic
-	Quarantined  int   // quarantine refusals after the panic budget
+	Quarantined  int   // quarantine refusals of the panicked config
 	Canceled     int   // deadline_ms jobs answered with StatusCanceled
 }
 
@@ -51,9 +54,10 @@ type ChaosSummary struct {
 //     counter still at zero — completed cells are never re-executed.
 //     The full batch then completes the sweep; every result must match
 //     the reference.
-//  4. Panic isolation: an injected worker panic must surface as a typed
-//     StatusPanic result after the retry budget, quarantine the config,
-//     and leave the server serving other jobs.
+//  4. Panic isolation: a panic injected inside the simulation (a
+//     cancellation hook the kernel polls on a process goroutine) must
+//     surface as a typed StatusPanic result, quarantine the config, and
+//     leave the server serving other jobs.
 //  5. Deadline: a job with deadline_ms=1 on a large cell must come back
 //     StatusCanceled, not hang a worker.
 //
@@ -249,16 +253,17 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 	}
 	logf("chaos: sweep completed on restarted server, all %d cells identical to reference", len(specs))
 
-	// Phase 4: panic injection. The hook panics on every attempt of the
-	// marked cell; the server must answer a typed panic result, quarantine
-	// the config, and keep serving everything else.
-	panicSpec := specs[0]
-	panicSpec.Seed = freshSeed
-	panicSpec.ID = "chaos-panic"
+	// Phase 4: panic injection. The marked cell runs with a cancellation
+	// hook that panics, so the panic is raised inside the simulation, on
+	// the path a real one takes; the server must answer a typed panic
+	// result, quarantine the config, and keep serving everything else.
+	// A cg cell runs for many kernel poll intervals (DefaultCancelEvery
+	// events), so the hook is sure to be polled.
+	panicSpec := JobSpec{ID: "chaos-panic", App: "cg", Mode: "hybrid", Nodes: 2, Seed: freshSeed}
 	panicFP := panicSpec.Fingerprint()
-	svcB.Executor().BeforeRun = func(spec JobSpec, attempt int) {
+	svcB.Executor().BeforeRun = func(spec JobSpec, cfg *core.Config) {
 		if spec.Fingerprint() == panicFP {
-			panic(fmt.Sprintf("chaos: injected fault (attempt %d)", attempt))
+			cfg.Cancel = func() error { panic("chaos: injected fault") }
 		}
 	}
 	results, err = post(urlB, []JobSpec{panicSpec, specs[0]})
@@ -268,8 +273,8 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 	if got := results[0].Status; got != StatusPanic {
 		return sum, fmt.Errorf("chaos: injected panic produced status %q (%s), want %q", got, results[0].Error, StatusPanic)
 	}
-	if results[0].Attempts < 2 {
-		return sum, fmt.Errorf("chaos: injected panic was not retried (attempts=%d)", results[0].Attempts)
+	if !strings.Contains(results[0].Error, "sim: process") || !strings.Contains(results[0].Error, "injected fault") {
+		return sum, fmt.Errorf("chaos: panic result does not name the simulated process and value: %s", results[0].Error)
 	}
 	if results[1].Status != StatusOK {
 		return sum, fmt.Errorf("chaos: server stopped serving after an injected panic: %q", results[1].Status)
@@ -284,7 +289,7 @@ func RunServeChaos(opt ChaosOptions) (ChaosSummary, error) {
 	}
 	sum.Quarantined++
 	svcB.Executor().BeforeRun = nil
-	logf("chaos: injected panic isolated (typed result, %d attempts, quarantined; server kept serving)", sum.Panics)
+	logf("chaos: injected panic isolated (typed result, quarantined; server kept serving)")
 
 	// Phase 5: a 1ms deadline on a deliberately large cell cancels
 	// instead of hanging a worker. (nodes=8 cg runs far longer than 1ms.)

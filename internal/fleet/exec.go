@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -13,6 +12,7 @@ import (
 	"parade/internal/core"
 	"parade/internal/harness"
 	"parade/internal/obs"
+	"parade/internal/sim"
 )
 
 // Job result statuses.
@@ -28,12 +28,12 @@ const (
 	// deadline_ms or the server's job watchdog) or dropped by a killed
 	// server before it ran.
 	StatusCanceled = "canceled"
-	// StatusPanic marks a job whose worker panicked on every attempt; the
-	// result carries the recovered value and stack. The panic never
-	// escapes the worker — the batch and the process keep serving.
+	// StatusPanic marks a job whose simulation (or worker) panicked; the
+	// result carries the panic value and stack. The panic never escapes
+	// the worker — the batch and the process keep serving.
 	StatusPanic = "panic"
 	// StatusQuarantined marks a job refused without execution because its
-	// fingerprint previously exhausted its panic-retry budget.
+	// fingerprint panicked before.
 	StatusQuarantined = "quarantined"
 )
 
@@ -79,12 +79,8 @@ type JobResult struct {
 	// KernelNs is the virtual time of the timed kernel region.
 	KernelNs int64 `json:"kernel_ns,omitempty"`
 	// HostNs is the wall-clock execution time of the run that produced
-	// this result (the original run's, when served from cache),
-	// including retried attempts.
+	// this result (the original run's, when served from cache).
 	HostNs int64 `json:"host_ns,omitempty"`
-	// Attempts is the number of execution attempts the result took
-	// (> 1 after panic retries; omitted for cached and invalid results).
-	Attempts int `json:"attempts,omitempty"`
 	// Error carries the failure detail for StatusError, StatusCanceled,
 	// StatusPanic, and StatusQuarantined.
 	Error string `json:"error,omitempty"`
@@ -111,25 +107,8 @@ func (r *JobResult) completed(bits string, memHash uint64, timeNs, kernelNs int6
 	r.StateFingerprint = foldState(r.ResultBits, r.MemHash, r.TimeNs)
 }
 
-// PanicError is the typed per-job error a recovered worker panic becomes:
-// the recovered value and the goroutine stack at the panic site. One
-// poisoned cell surfaces as a StatusPanic result; it cannot kill the
-// batch or the process.
-type PanicError struct {
-	// Value is the recovered panic value.
-	Value any
-	// Stack is the worker goroutine's stack at the panic.
-	Stack string
-	// Attempts is how many executions were tried before giving up.
-	Attempts int
-}
-
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("fleet: job panicked on all %d attempt(s): %v", e.Attempts, e.Value)
-}
-
 // QuarantineError is the typed error for a job refused because its
-// fingerprint already exhausted the panic-retry budget.
+// fingerprint panicked before.
 type QuarantineError struct {
 	Fingerprint string
 	Reason      string
@@ -139,99 +118,57 @@ func (e *QuarantineError) Error() string {
 	return fmt.Sprintf("fleet: config %s quarantined: %s", e.Fingerprint, e.Reason)
 }
 
-// ExecOptions tunes the executor's robustness envelope. The zero value
-// selects the defaults noted on each field.
+// ExecOptions tunes the executor. The zero value runs every job without
+// a server-side watchdog.
 type ExecOptions struct {
 	// MaxJobTime, when positive, is the server-side watchdog applied to
 	// every job: the effective deadline is min(MaxJobTime, the spec's
 	// deadline_ms). It bounds a runaway simulation's hold on a worker.
 	MaxJobTime time.Duration
-	// MaxAttempts is the execution-attempt budget per job before its
-	// fingerprint is quarantined (default 3). Panics are the transient
-	// class retried here; simulation errors are deterministic and are
-	// never retried.
-	MaxAttempts int
-	// RetryBase is the first retry's backoff (default 10ms); successive
-	// retries double it, capped at RetryCap (default 250ms). Each wait is
-	// jittered uniformly in [0.5, 1.5)x so synchronized workers spread.
-	RetryBase time.Duration
-	RetryCap  time.Duration
-	// Sleep replaces time.Sleep between attempts (test hook).
-	Sleep func(time.Duration)
-}
-
-func (o ExecOptions) withDefaults() ExecOptions {
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = 3
-	}
-	if o.RetryBase <= 0 {
-		o.RetryBase = 10 * time.Millisecond
-	}
-	if o.RetryCap <= 0 {
-		o.RetryCap = 250 * time.Millisecond
-	}
-	if o.Sleep == nil {
-		o.Sleep = time.Sleep
-	}
-	return o
 }
 
 // ExecStats is a point-in-time snapshot of the executor's robustness
 // counters.
 type ExecStats struct {
-	// Executions counts simulations actually started (every attempt,
-	// including ones that panicked) — the run-count probe.
+	// Executions counts simulations actually started (including ones
+	// that panicked) — the run-count probe.
 	Executions int64
-	// Retries counts re-attempts after a recovered panic.
-	Retries int64
-	// Panics counts recovered worker panics (every attempt's).
+	// Panics counts jobs answered with StatusPanic.
 	Panics int64
 	// Cancels counts jobs aborted by a deadline.
 	Cancels int64
 	// Quarantined counts jobs refused because their fingerprint
-	// exhausted the retry budget.
+	// panicked before.
 	Quarantined int64
 }
 
 // Executor runs job specs in process. It always executes — deduplication
 // lives in Service — and counts executions, so tests and the replay
 // harness can prove that cache hits skip it. The zero value is a valid
-// executor with default ExecOptions; use NewExecutor to tune them.
+// executor with zero ExecOptions; use NewExecutor to set them.
 type Executor struct {
 	executions  atomic.Int64
-	retries     atomic.Int64
 	panics      atomic.Int64
 	cancels     atomic.Int64
 	quarantined atomic.Int64
 
-	opt    ExecOptions
-	optSet bool
+	opt ExecOptions
 
 	quarMu     sync.Mutex
 	quarantine map[uint64]string // fingerprint -> reason
 
-	jitterMu sync.Mutex
-	jitter   *rand.Rand
-
 	// Obs, when non-nil, is called with each run's observability metrics
 	// after the run completes (the Service folds them into /metrics).
 	Obs func(m *obs.Metrics)
-	// BeforeRun, when non-nil, runs at the start of every execution
-	// attempt — the chaos harness's injection point for panics and slow
-	// cells. It executes inside the panic-isolation envelope.
-	BeforeRun func(spec JobSpec, attempt int)
+	// BeforeRun, when non-nil, may adjust each execution's lowered
+	// config before the run — the chaos harness's injection point: a
+	// cfg.Cancel hook that panics raises the panic inside the simulation.
+	BeforeRun func(spec JobSpec, cfg *core.Config)
 }
 
 // NewExecutor builds an executor with the given options.
 func NewExecutor(opt ExecOptions) *Executor {
-	return &Executor{opt: opt.withDefaults(), optSet: true}
-}
-
-func (e *Executor) options() ExecOptions {
-	if e.optSet {
-		return e.opt
-	}
-	return ExecOptions{}.withDefaults()
+	return &Executor{opt: opt}
 }
 
 // Executions returns the number of simulations actually run — the
@@ -242,7 +179,6 @@ func (e *Executor) Executions() int64 { return e.executions.Load() }
 func (e *Executor) Stats() ExecStats {
 	return ExecStats{
 		Executions:  e.executions.Load(),
-		Retries:     e.retries.Load(),
 		Panics:      e.panics.Load(),
 		Cancels:     e.cancels.Load(),
 		Quarantined: e.quarantined.Load(),
@@ -261,43 +197,18 @@ func (e *Executor) Quarantined() map[string]string {
 	return out
 }
 
-// backoff computes the jittered wait before retry attempt (1-based
-// count of completed attempts): base·2^(attempt-1) capped at RetryCap,
-// scaled by a uniform factor in [0.5, 1.5).
-func (e *Executor) backoff(opt ExecOptions, attempt int) time.Duration {
-	d := opt.RetryBase << (attempt - 1)
-	if d > opt.RetryCap || d <= 0 {
-		d = opt.RetryCap
-	}
-	e.jitterMu.Lock()
-	if e.jitter == nil {
-		e.jitter = rand.New(rand.NewSource(time.Now().UnixNano()))
-	}
-	f := 0.5 + e.jitter.Float64()
-	e.jitterMu.Unlock()
-	return time.Duration(float64(d) * f)
-}
-
-// attemptOutcome is one execution attempt's result.
-type attemptOutcome struct {
-	run     harness.MatrixRun
-	runErr  error
-	metrics *obs.Metrics
-	pan     *PanicError
-}
-
-// attempt executes one try of the spec inside the panic-isolation
-// envelope. A panic anywhere under the cell's run (or the BeforeRun
-// hook) is recovered into out.pan with the stack captured at the panic
-// site.
-func (e *Executor) attempt(spec JobSpec, cfg core.Config, attempt int) (out attemptOutcome) {
+// execute runs the spec once. A panic inside the simulation comes back
+// from the kernel as a *sim.PanicError; one on the worker goroutine
+// itself (BeforeRun, the cell's lowering) is recovered here into the
+// same type, so either is a typed result, never a dead worker.
+func (e *Executor) execute(spec JobSpec, cfg core.Config) (run harness.MatrixRun, metrics *obs.Metrics, err error) {
 	defer func() {
 		if v := recover(); v != nil {
-			out.pan = &PanicError{Value: v, Stack: string(debug.Stack()), Attempts: attempt}
+			err = &sim.PanicError{Value: v, Stack: string(debug.Stack())}
 		}
 	}()
 	if e.BeforeRun != nil {
-		e.BeforeRun(spec, attempt)
+		e.BeforeRun(spec, &cfg)
 	}
 	var rec *obs.Recorder
 	if e.Obs != nil {
@@ -305,19 +216,19 @@ func (e *Executor) attempt(spec JobSpec, cfg core.Config, attempt int) (out atte
 		cfg.Obs = rec
 	}
 	e.executions.Add(1)
-	out.run, out.runErr = spec.RunWith(cfg)
+	run, err = spec.RunWith(cfg)
 	if rec != nil {
-		out.metrics = rec.Metrics()
+		metrics = rec.Metrics()
 	}
-	return out
+	return run, metrics, err
 }
 
 // Run executes the spec's simulation and returns its result. Invalid
 // specs are reported as StatusInvalid results (never executed); run
-// errors as StatusError; deadline aborts as StatusCanceled; exhausted
-// panic retries as StatusPanic (and the fingerprint is quarantined —
-// later identical jobs get StatusQuarantined without executing). The
-// returned error is always nil.
+// errors as StatusError; deadline aborts as StatusCanceled; panics as
+// StatusPanic (and the fingerprint is quarantined — a cell is
+// deterministic, so later identical jobs get StatusQuarantined without
+// executing). The returned error is always nil.
 func (e *Executor) Run(spec JobSpec) (JobResult, error) {
 	return e.run(spec.Lower()), nil
 }
@@ -345,44 +256,37 @@ func (e *Executor) run(job *harness.Lowered) JobResult {
 		res.Error = (&QuarantineError{Fingerprint: res.Fingerprint, Reason: reason}).Error()
 		return res
 	}
-	opt := e.options()
-	cfg.Deadline = effectiveDeadline(opt.MaxJobTime, spec.DeadlineMS)
+	cfg.Deadline = effectiveDeadline(e.opt.MaxJobTime, spec.DeadlineMS)
 
 	start := time.Now()
-	for attempt := 1; ; attempt++ {
-		out := e.attempt(spec, cfg, attempt)
-		res.HostNs = time.Since(start).Nanoseconds()
-		res.Attempts = attempt
-		if out.pan != nil {
-			e.panics.Add(1)
-			if attempt < opt.MaxAttempts {
-				e.retries.Add(1)
-				opt.Sleep(e.backoff(opt, attempt))
-				continue
-			}
-			e.setQuarantine(fp, out.pan)
-			res.Status = StatusPanic
-			res.Error = out.pan.Error()
-			return res
-		}
-		if out.runErr != nil {
-			if errors.Is(out.runErr, core.ErrCanceled) {
-				e.cancels.Add(1)
-				res.Status = StatusCanceled
-				res.Error = out.runErr.Error()
-				res.TimeNs = int64(out.run.Time) // partial: virtual time reached
-				return res
-			}
-			res.Status = StatusError
-			res.Error = out.runErr.Error()
-			return res
-		}
-		res.completed(out.run.Result, out.run.MemHash, int64(out.run.Time), int64(out.run.Kernel))
-		if e.Obs != nil && out.metrics != nil {
-			e.Obs(out.metrics)
+	run, metrics, err := e.execute(spec, cfg)
+	res.HostNs = time.Since(start).Nanoseconds()
+	if err == nil {
+		res.completed(run.Result, run.MemHash, int64(run.Time), int64(run.Kernel))
+		if e.Obs != nil && metrics != nil {
+			e.Obs(metrics)
 		}
 		return res
 	}
+	// Declared here, not above: errors.As moves pe to the heap, and a
+	// completed job should not pay for it.
+	var pe *sim.PanicError
+	switch {
+	case errors.As(err, &pe):
+		e.panics.Add(1)
+		e.setQuarantine(fp, pe)
+		res.Status = StatusPanic
+		res.Error = fmt.Sprintf("%v\n%s", pe, pe.Stack)
+	case errors.Is(err, core.ErrCanceled):
+		e.cancels.Add(1)
+		res.Status = StatusCanceled
+		res.Error = err.Error()
+		res.TimeNs = int64(run.Time) // partial: virtual time reached
+	default:
+		res.Status = StatusError
+		res.Error = err.Error()
+	}
+	return res
 }
 
 // effectiveDeadline combines the server watchdog and the spec's own
@@ -405,11 +309,11 @@ func (e *Executor) quarantineReason(fp uint64) (string, bool) {
 	return reason, ok
 }
 
-func (e *Executor) setQuarantine(fp uint64, pe *PanicError) {
+func (e *Executor) setQuarantine(fp uint64, pe *sim.PanicError) {
 	e.quarMu.Lock()
 	if e.quarantine == nil {
 		e.quarantine = map[uint64]string{}
 	}
-	e.quarantine[fp] = fmt.Sprintf("panicked on %d attempt(s), last: %v", pe.Attempts, pe.Value)
+	e.quarantine[fp] = fmt.Sprintf("panicked: %v", pe.Value)
 	e.quarMu.Unlock()
 }

@@ -2,62 +2,69 @@ package fleet
 
 import (
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"parade/internal/core"
 )
 
-// TestExecPanicRetryThenRecover: a transient panic (first attempt only)
-// is retried with backoff and the job still succeeds; the counters and
-// Attempts reflect the retry.
-func TestExecPanicRetryThenRecover(t *testing.T) {
-	var slept atomic.Int64
-	exec := NewExecutor(ExecOptions{Sleep: func(d time.Duration) {
-		if d <= 0 {
-			t.Errorf("backoff slept %v, want > 0", d)
+// panicsInSim returns a BeforeRun hook that makes the run of target
+// panic inside the simulation: the kernel polls the cancellation hook on
+// a process goroutine.
+func panicsInSim(target JobSpec) func(JobSpec, *core.Config) {
+	fp := target.Fingerprint()
+	return func(spec JobSpec, cfg *core.Config) {
+		if spec.Fingerprint() == fp {
+			cfg.Cancel = func() error { panic("poisoned cell") }
 		}
-		slept.Add(1)
-	}})
-	exec.BeforeRun = func(spec JobSpec, attempt int) {
-		if attempt == 1 {
-			panic("transient fault")
-		}
-	}
-	res, err := exec.Run(validSpec())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if res.Status != StatusOK {
-		t.Fatalf("status = %q (%s), want ok after retry", res.Status, res.Error)
-	}
-	if res.Attempts != 2 {
-		t.Fatalf("Attempts = %d, want 2", res.Attempts)
-	}
-	st := exec.Stats()
-	if st.Panics != 1 || st.Retries != 1 || slept.Load() != 1 {
-		t.Fatalf("stats = %+v (slept %d), want 1 panic, 1 retry, 1 backoff", st, slept.Load())
-	}
-	if len(exec.Quarantined()) != 0 {
-		t.Fatalf("recovered job quarantined: %v", exec.Quarantined())
 	}
 }
 
-// TestExecPanicExhaustsIntoQuarantine: a cell that panics on every
-// attempt becomes a typed StatusPanic result carrying the stack, and its
-// fingerprint is quarantined — the identical spec is refused without
-// executing again.
+// TestExecPanicInSimulation: a panic raised inside a running simulation
+// is a typed StatusPanic result carrying the value and the stack, the
+// fingerprint is quarantined at once, and the executor keeps serving.
+func TestExecPanicInSimulation(t *testing.T) {
+	// cg runs for several kernel poll intervals, so the hook is polled.
+	poisoned := JobSpec{App: "cg", Mode: "hybrid", Nodes: 2}
+	exec := NewExecutor(ExecOptions{})
+	exec.BeforeRun = panicsInSim(poisoned)
+	res, err := exec.Run(poisoned)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Status != StatusPanic {
+		t.Fatalf("status = %q (%s), want %q", res.Status, res.Error, StatusPanic)
+	}
+	for _, want := range []string{"sim: process", "poisoned cell", "goroutine", "checkCancel"} {
+		if !strings.Contains(res.Error, want) {
+			t.Fatalf("panic result error does not contain %q:\n%s", want, res.Error)
+		}
+	}
+	if len(exec.Quarantined()) != 1 || exec.Stats().Panics != 1 {
+		t.Fatalf("quarantine = %v, stats = %+v, want the poisoned fingerprint and 1 panic",
+			exec.Quarantined(), exec.Stats())
+	}
+	if res, _ := exec.Run(validSpec()); res.Status != StatusOK {
+		t.Fatalf("next job status = %q (%s), want ok", res.Status, res.Error)
+	}
+}
+
+// TestExecPanicExhaustsIntoQuarantine: a panic on the worker goroutine
+// (outside the simulation) also becomes a typed StatusPanic result
+// carrying the stack, after one execution: its fingerprint is
+// quarantined, and the identical spec is refused without executing.
 func TestExecPanicExhaustsIntoQuarantine(t *testing.T) {
-	exec := NewExecutor(ExecOptions{MaxAttempts: 2, Sleep: func(time.Duration) {}})
-	exec.BeforeRun = func(JobSpec, int) { panic("poisoned cell") }
+	exec := NewExecutor(ExecOptions{})
+	exec.BeforeRun = func(JobSpec, *core.Config) { panic("poisoned cell") }
 	res, err := exec.Run(validSpec())
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.Status != StatusPanic || res.Attempts != 2 {
-		t.Fatalf("result = {%s, attempts %d}, want panic after 2 attempts", res.Status, res.Attempts)
+	if res.Status != StatusPanic {
+		t.Fatalf("status = %q (%s), want panic", res.Status, res.Error)
 	}
-	if !strings.Contains(res.Error, "poisoned cell") {
-		t.Fatalf("panic result error %q does not carry the panic value", res.Error)
+	if !strings.Contains(res.Error, "poisoned cell") || !strings.Contains(res.Error, "goroutine") {
+		t.Fatalf("panic result error %q does not carry the panic value and stack", res.Error)
 	}
 	if len(exec.Quarantined()) != 1 {
 		t.Fatalf("quarantine = %v, want the poisoned fingerprint", exec.Quarantined())

@@ -158,8 +158,7 @@ func (m *Metrics) WritePrometheus(w io.Writer, cache *Cache, exec ExecStats, wal
 	counter("parade_fleet_batches_rejected_total", "Batches refused with 429 (queue full).", m.rejected)
 	counter("parade_fleet_executions_total", "Simulations actually executed (the cache-skip probe).",
 		exec.Executions)
-	counter("parade_fleet_jobs_retried_total", "Job attempts repeated after a recovered panic.", exec.Retries)
-	counter("parade_fleet_jobs_panicked_total", "Jobs whose attempts exhausted on panics.", exec.Panics)
+	counter("parade_fleet_jobs_panicked_total", "Jobs whose run panicked.", exec.Panics)
 	counter("parade_fleet_jobs_canceled_total", "Jobs canceled by deadline or cancellation hook.", exec.Cancels)
 	counter("parade_fleet_jobs_quarantined_total", "Jobs refused because their config is quarantined.", exec.Quarantined)
 

@@ -220,9 +220,11 @@ func readResults(resp *http.Response, n int) ([]JobResult, error) {
 	return results, nil
 }
 
-// jitter scales d by a uniform factor in [0.5, 1.5).
+// jitter scales d by a uniform factor in [0.5, 1.5). The explicit
+// conversion rounds Float64's inlined product before the add, so no
+// architecture fuses them into a multiply-add.
 func jitter(d time.Duration, rng *rand.Rand) time.Duration {
-	return time.Duration(float64(d) * (0.5 + rng.Float64()))
+	return time.Duration(float64(d) * (0.5 + float64(rng.Float64())))
 }
 
 // diffResults compares the identity observables of two results and

@@ -31,9 +31,6 @@ type ServerOptions struct {
 	// cooperatively canceled and answered with a typed canceled result).
 	// A job's own deadline_ms can only tighten it.
 	JobDeadline time.Duration
-	// MaxAttempts bounds panic retries per job (default 3; the executor
-	// quarantines the config after the last attempt panics).
-	MaxAttempts int
 }
 
 func (o ServerOptions) withDefaults() ServerOptions {
@@ -86,7 +83,7 @@ type flightCall struct {
 func NewService(opt ServerOptions) (*Service, error) {
 	opt = opt.withDefaults()
 	s := &Service{
-		exec:    NewExecutor(ExecOptions{MaxJobTime: opt.JobDeadline, MaxAttempts: opt.MaxAttempts}),
+		exec:    NewExecutor(ExecOptions{MaxJobTime: opt.JobDeadline}),
 		cache:   NewCache(opt.Cache),
 		metrics: NewMetrics(),
 		opt:     opt,

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"parade/internal/core"
 	"parade/internal/harness"
 	"parade/internal/stats"
 )
@@ -126,7 +127,7 @@ func TestServiceBackpressure429(t *testing.T) {
 	svc := mustService(t, ServerOptions{Workers: 1, Queue: 2})
 	defer svc.Drain()
 	entered, release := make(chan struct{}, 4), make(chan struct{})
-	svc.Executor().BeforeRun = func(JobSpec, int) {
+	svc.Executor().BeforeRun = func(JobSpec, *core.Config) {
 		entered <- struct{}{}
 		<-release
 	}

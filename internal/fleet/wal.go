@@ -65,14 +65,14 @@ type WALReplay struct {
 }
 
 // walEntry is the on-disk line format. Sum is the FNV-1a hash (hex) of
-// "fp|canon|" + the result's JSON encoding; the result JSON round-trips
-// bit-exactly (strings, ints, and bools only), so verification
-// re-marshals the decoded result.
+// "fp|canon|" + the result's JSON encoding, the bytes of Res as written.
+// Verification hashes those bytes as read, so a record keeps verifying
+// after JobResult gains or loses a field.
 type walEntry struct {
-	FP    string    `json:"fp"`
-	Canon string    `json:"canon"`
-	Res   JobResult `json:"res"`
-	Sum   string    `json:"sum"`
+	FP    string          `json:"fp"`
+	Canon string          `json:"canon"`
+	Res   json.RawMessage `json:"res"`
+	Sum   string          `json:"sum"`
 }
 
 func walSum(fp, canon string, resJSON []byte) string {
@@ -93,11 +93,11 @@ func decodeWALLine(line []byte) (WALRecord, bool) {
 	if err != nil {
 		return WALRecord{}, false
 	}
-	resJSON, err := json.Marshal(ent.Res)
-	if err != nil || walSum(ent.FP, ent.Canon, resJSON) != ent.Sum {
+	var res JobResult
+	if walSum(ent.FP, ent.Canon, ent.Res) != ent.Sum || json.Unmarshal(ent.Res, &res) != nil {
 		return WALRecord{}, false
 	}
-	return WALRecord{FP: fp, Canonical: ent.Canon, Result: ent.Res}, true
+	return WALRecord{FP: fp, Canonical: ent.Canon, Result: res}, true
 }
 
 // compactThreshold: a log at least this long with >= 2x duplication per
@@ -219,7 +219,7 @@ func encodeWALLine(fp uint64, canonical string, res JobResult) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fleet: encoding WAL record: %w", err)
 	}
-	ent := walEntry{FP: fpHex, Canon: canonical, Res: res, Sum: walSum(fpHex, canonical, resJSON)}
+	ent := walEntry{FP: fpHex, Canon: canonical, Res: resJSON, Sum: walSum(fpHex, canonical, resJSON)}
 	line, err := json.Marshal(ent)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: encoding WAL record: %w", err)

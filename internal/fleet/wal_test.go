@@ -19,7 +19,6 @@ func walResult(i int) JobResult {
 		StateFingerprint: fmt.Sprintf("%016x", i*7),
 		TimeNs:           int64(1000 + i),
 		KernelNs:         int64(900 + i),
-		Attempts:         1,
 	}
 }
 
@@ -61,6 +60,29 @@ func TestWALRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(rec.Result, want) {
 			t.Fatalf("record %d result = %+v, want %+v (request-scoped fields stripped)", i, rec.Result, want)
 		}
+	}
+}
+
+// TestWALReplaysRetiredFields: a record written while JobResult had a
+// field it no longer has (attempts) still verifies and replays.
+func TestWALReplaysRetiredFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "results.wal")
+	res := `{"index":0,"status":"ok","cached":false,"mem_hash":"00000000000000aa","attempts":1}`
+	line := fmt.Sprintf(`{"fp":"00000000000000ff","canon":"x","res":%s,"sum":%q}`+"\n",
+		res, walSum("00000000000000ff", "x", []byte(res)))
+	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, records, rep, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if len(records) != 1 || rep.TruncatedBytes != 0 {
+		t.Fatalf("replayed %d records, truncated %d bytes; want the one record intact", len(records), rep.TruncatedBytes)
+	}
+	if got := records[0].Result; got.Status != StatusOK || got.MemHash != "00000000000000aa" {
+		t.Fatalf("replayed result = %+v", got)
 	}
 }
 

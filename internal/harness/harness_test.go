@@ -97,6 +97,9 @@ func helmholtzFigure(t *testing.T) Figure {
 }
 
 func TestFig10HelmholtzShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("app figure render is slow")
+	}
 	fig := helmholtzFigure(t)
 	oneT1C, oneT2C := fig.Series[0], fig.Series[1]
 	// Times decrease with nodes for the overlapped configurations.
@@ -133,6 +136,9 @@ func TestByIDValidation(t *testing.T) {
 // Helmholtz one, so Fig. 8 draws at it while Fig. 10 rejects it, and
 // rejects it from the scale alone, before any node count is looked at.
 func TestByIDChecksOnlyItsFigure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("Fig. 8 at class S is slow")
+	}
 	fig, err := ByID(8, []int{1}, "S")
 	if err != nil {
 		t.Fatalf("Fig8 at class S: %v", err)

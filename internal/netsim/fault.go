@@ -63,8 +63,9 @@ type Profile struct {
 	RTOSlack sim.Duration
 	// RTOCap bounds the exponential backoff. Zero selects a default.
 	RTOCap sim.Duration
-	// MaxAttempts bounds retransmissions per frame before the run panics
-	// (a lost-cause guard against DropProb ~ 1). Zero means 64.
+	// MaxAttempts bounds retransmissions per frame before the link is
+	// declared down (a lost-cause guard against DropProb ~ 1). Zero
+	// means 64.
 	MaxAttempts int
 }
 

@@ -83,7 +83,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	if h.Count == 0 {
 		return 0
 	}
-	target := int64(q*float64(h.Count) + 0.5)
+	target := int64(float64(q*float64(h.Count)) + 0.5) // rounded: no fused multiply-add
 	if target < 1 {
 		target = 1
 	}

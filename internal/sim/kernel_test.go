@@ -3,7 +3,7 @@ package sim
 import "testing"
 
 // Hygiene tests for the hand-rolled event kernel: popped heap slots must
-// not retain payloads, the parked map must not accumulate entries, and
+// not retain payloads, park reasons must clear when a wake pops, and
 // the steady-state dispatch paths must not allocate.
 
 func TestHeapPopClearsSlot(t *testing.T) {
@@ -45,7 +45,7 @@ func TestHeapOrdersByTimeThenSeq(t *testing.T) {
 	}
 }
 
-func TestParkedMapEmptyAfterCleanRun(t *testing.T) {
+func TestParkReasonsClearedAfterCleanRun(t *testing.T) {
 	s := New(1)
 	mu := NewMutex(s)
 	for i := 0; i < 4; i++ {
@@ -61,15 +61,17 @@ func TestParkedMapEmptyAfterCleanRun(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.parked) != 0 {
-		t.Fatalf("parked map retains %d entries after clean run: %v", len(s.parked), s.parked)
+	for _, p := range s.procs {
+		if p.reason != "" {
+			t.Fatalf("proc %q keeps park reason %q after clean run", p.name, p.reason)
+		}
 	}
 	if s.queue.len() != 0 {
 		t.Fatalf("queue retains %d events after run", s.queue.len())
 	}
 }
 
-func TestParkedMapKeepsOnlyBlockedProcsOnDeadlock(t *testing.T) {
+func TestParkReasonsKeepOnlyBlockedProcsOnDeadlock(t *testing.T) {
 	s := New(1)
 	g := NewGate(s)
 	s.Spawn("done", func(p *Proc) { p.Sleep(Microsecond) })
@@ -78,13 +80,14 @@ func TestParkedMapKeepsOnlyBlockedProcsOnDeadlock(t *testing.T) {
 	if _, ok := err.(*DeadlockError); !ok {
 		t.Fatalf("want deadlock, got %v", err)
 	}
-	if len(s.parked) != 1 {
-		t.Fatalf("parked map has %d entries, want only the stuck proc: %v", len(s.parked), s.parked)
-	}
-	for p := range s.parked {
-		if p.name != "stuck" {
-			t.Fatalf("unexpected parked proc %q", p.name)
+	var parked []string
+	for _, p := range s.procs {
+		if p.reason != "" {
+			parked = append(parked, p.name)
 		}
+	}
+	if len(parked) != 1 || parked[0] != "stuck" {
+		t.Fatalf("procs with a park reason = %v, want only the stuck proc", parked)
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"sort"
 	"strings"
 )
@@ -178,6 +179,36 @@ func (e *CanceledError) Unwrap() error { return e.Cause }
 // Is matches the ErrCanceled sentinel.
 func (e *CanceledError) Is(target error) bool { return target == ErrCanceled }
 
+// PanicError is returned by Run when simulation code panicked: a process
+// body, an event callback, or the cancellation hook. The run ends there
+// as a canceled run does — every process goroutine is unwound — and the
+// recovered value and the stack at the panic site are carried here.
+type PanicError struct {
+	// Proc names the process whose goroutine panicked; empty when the
+	// panic came from a callback Run's own goroutine ran before the first
+	// hand-off to a process.
+	Proc string
+	// At is the virtual time of the panic.
+	At Time
+	// Value is the recovered panic value.
+	Value any
+	// Stack is the panicking goroutine's stack at the panic site.
+	Stack string
+}
+
+func (e *PanicError) Error() string {
+	if e.Proc == "" {
+		return fmt.Sprintf("sim: panic at %v: %v", e.At, e.Value)
+	}
+	return fmt.Sprintf("sim: process %s panicked at %v: %v", e.Proc, e.At, e.Value)
+}
+
+// Unwrap exposes Value to errors.Is/As chains when it is an error.
+func (e *PanicError) Unwrap() error {
+	err, _ := e.Value.(error)
+	return err
+}
+
 // abortUnwind is the internal panic sentinel teardown uses to unwind a
 // process goroutine's stack. spawn's wrapper recovers it; it never
 // escapes the package.
@@ -195,19 +226,20 @@ type Simulator struct {
 	done   chan struct{}
 	live   int
 	nextID int
-	parked map[*Proc]string
 	rng    *rand.Rand
 	ran    bool
 
-	// Cooperative cancellation (SetCancel) and end-of-run teardown.
-	// procs registers every spawned process so teardown can unwind the
-	// goroutines still blocked on their resume channels; aborting flips
-	// once no simulation goroutine runs anymore and is read only after a
-	// happens-before edge (a resume send), so a plain bool suffices.
+	// Cooperative cancellation (SetCancel), panics and end-of-run
+	// teardown. procs registers every spawned process so teardown can
+	// unwind the goroutines still blocked on their resume channels;
+	// aborting flips once no simulation goroutine runs anymore and is
+	// read only after a happens-before edge (a resume send), so a plain
+	// bool suffices.
 	cancelFn    func() error
 	cancelEvery int
 	cancelTick  int
-	cancelErr   error // the hook's cause; non-nil once the run is canceled
+	cancelErr   error       // the hook's cause; non-nil once the run is canceled
+	panicErr    *PanicError // the first panic; non-nil once the run panicked
 	aborting    bool
 	procs       []*Proc
 	unwound     chan struct{}
@@ -217,7 +249,6 @@ type Simulator struct {
 func New(seed int64) *Simulator {
 	return &Simulator{
 		done:    make(chan struct{}),
-		parked:  make(map[*Proc]string),
 		rng:     rand.New(rand.NewSource(seed)),
 		unwound: make(chan struct{}),
 	}
@@ -288,6 +319,7 @@ type Proc struct {
 	name   string
 	id     int
 	resume chan struct{}
+	reason string // why p is parked (reported on deadlock); "" when not
 	exited bool
 	daemon bool
 }
@@ -354,18 +386,33 @@ func (s *Simulator) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 }
 
 // procExit is the deferred tail of every process goroutine: it recovers
-// the teardown sentinel, marks the goroutine gone, and reports to the
-// sequential unwinder. Real panics from process bodies pass through.
+// the teardown sentinel or a real panic, marks the goroutine gone, and
+// reports to the sequential unwinder. A real panic raised while the run
+// was live (the goroutine holds the baton) ends the run: control goes to
+// Run, which returns it as a *PanicError after tearing the rest down.
 func (s *Simulator) procExit(p *Proc) {
 	r := recover()
 	if r == nil {
 		return
 	}
-	if _, ok := r.(abortUnwind); !ok {
-		panic(r)
-	}
 	p.exited = true
+	if _, ok := r.(abortUnwind); !ok {
+		live := !s.aborting
+		s.recordPanic(p.name, r)
+		if live {
+			s.done <- struct{}{}
+		}
+	}
 	s.unwound <- struct{}{}
+}
+
+// recordPanic keeps the run's first panic and stops the run. Called from
+// a deferred recover, so debug.Stack still holds the panicking frames.
+func (s *Simulator) recordPanic(proc string, v any) {
+	if s.panicErr == nil {
+		s.panicErr = &PanicError{Proc: proc, At: s.now, Value: v, Stack: string(debug.Stack())}
+	}
+	s.aborting = true
 }
 
 // checkCancel polls the cancellation hook on the event loop
@@ -444,7 +491,7 @@ func (s *Simulator) schedLoop(self *Proc) loopOutcome {
 			continue
 		}
 		q := ev.p
-		delete(s.parked, q)
+		q.reason = ""
 		if q == self {
 			return loopResumed
 		}
@@ -470,7 +517,7 @@ func (p *Proc) park(reason string) {
 		// unwind path itself) re-entered the kernel: keep unwinding.
 		panic(abortUnwind{})
 	}
-	s.parked[p] = reason
+	p.reason = reason
 	switch s.schedLoop(p) {
 	case loopDrained:
 		// The queue drained while p was parked: nothing can ever wake p
@@ -516,46 +563,62 @@ func (p *Proc) Yield() {
 
 // Run executes events until the queue drains. It returns nil when every
 // spawned process has exited, a *DeadlockError when processes remain
-// parked with no event left to wake them, and a *CanceledError when the
-// SetCancel hook fired. In every case the kernel tears its goroutines
-// down before returning: parked daemons, deadlocked processes, and
-// canceled runs all unwind, so a completed Run leaks nothing.
+// parked with no event left to wake them, a *CanceledError when the
+// SetCancel hook fired, and a *PanicError when simulation code panicked.
+// In every case the kernel tears its goroutines down before returning:
+// parked daemons, deadlocked processes, and canceled or panicked runs
+// all unwind, so a completed Run leaks nothing.
 func (s *Simulator) Run() error {
 	if s.ran {
 		return fmt.Errorf("sim: Run called twice")
 	}
 	s.ran = true
-	if s.schedLoop(nil) == loopHandedOff {
+	if s.runLoop() == loopHandedOff {
 		// The baton is circulating among process goroutines; whichever
-		// one drains the queue (or detects cancellation) signals
-		// completion.
+		// one drains the queue (or detects cancellation, or panics)
+		// signals completion.
 		<-s.done
 		if s.aborting {
-			// A process goroutine detected the cancellation; wait for it
-			// to finish unwinding before tearing down the rest.
+			// A process goroutine detected the cancellation or panicked;
+			// wait for it to finish unwinding before tearing down the rest.
 			<-s.unwound
 		}
 	}
-	if s.aborting {
-		err := &CanceledError{Cause: s.cancelErr, At: s.now}
-		s.unwindAll()
-		return err
-	}
 	var err error
-	if s.live > 0 {
+	switch {
+	case s.aborting && s.panicErr == nil:
+		err = &CanceledError{Cause: s.cancelErr, At: s.now}
+	case s.live > 0:
 		var parked []string
-		for p, reason := range s.parked {
-			if p.daemon {
-				continue
+		for _, p := range s.procs {
+			if p.reason != "" && !p.daemon {
+				parked = append(parked, p.name+": "+p.reason)
 			}
-			parked = append(parked, p.name+": "+reason)
 		}
 		sort.Strings(parked)
 		err = &DeadlockError{Parked: parked}
 	}
 	// Tear down the goroutines the run leaves blocked (parked daemons
-	// always; parked processes too on deadlock).
+	// always; parked processes too on deadlock, cancel or panic).
 	s.aborting = true
 	s.unwindAll()
+	if s.panicErr != nil {
+		// The run panicked, or a deferred call panicked while teardown
+		// unwound its goroutine: a panic wins over every other ending.
+		return s.panicErr
+	}
 	return err
+}
+
+// runLoop is Run's own turn at the event loop, before the first hand-off
+// to a process: a panic in a callback (or the cancellation hook) it runs
+// ends the run like a panic on a process goroutine.
+func (s *Simulator) runLoop() (out loopOutcome) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.recordPanic("", r)
+			out = loopCanceled
+		}
+	}()
+	return s.schedLoop(nil)
 }

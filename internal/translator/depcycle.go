@@ -3,10 +3,10 @@ package translator
 import "fmt"
 
 // Static rejection of circular depend(task:) sets. The runtime detects
-// the same condition at spawn time (*core.TaskCycleError, aborting the
-// run); the translator catches the literal-name case before any code is
-// generated, per function — the static approximation of the runtime's
-// spawning context.
+// the same condition at spawn time (it panics with a *core.TaskCycleError,
+// which ends the run as a *sim.PanicError); the translator catches the
+// literal-name case before any code is generated, per function — the
+// static approximation of the runtime's spawning context.
 
 // DepCycleError is the typed error for a statically detectable cycle in
 // the named-task dependence graph: a task whose depend(task:) references
