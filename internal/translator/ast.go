@@ -157,32 +157,10 @@ const (
 )
 
 func (d DirKind) String() string {
-	switch d {
-	case DirParallel:
-		return "parallel"
-	case DirFor:
-		return "for"
-	case DirParallelFor:
-		return "parallel for"
-	case DirCritical:
-		return "critical"
-	case DirAtomic:
-		return "atomic"
-	case DirSingle:
-		return "single"
-	case DirMaster:
-		return "master"
-	case DirBarrier:
-		return "barrier"
-	case DirTask:
-		return "task"
-	case DirTaskwait:
-		return "taskwait"
-	case DirTarget:
-		return "target"
-	default:
-		return "?"
+	if int(d) < len(directives) {
+		return directives[d].words
 	}
+	return "?"
 }
 
 // Reduction is one reduction(op:vars) clause entry.

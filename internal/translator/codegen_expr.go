@@ -32,8 +32,8 @@ func (g *generator) exprType(e Expr) Type {
 	case *Ident:
 		name := x.Name
 		if r := g.renames[name]; r != "" {
-			// Renames cover reduction accumulators (always double) and
-			// firstprivate task captures (typed like their source).
+			// Renames cover reduction accumulators and firstprivate task
+			// captures, each typed like its source.
 			if t, ok := g.types[r]; ok {
 				return t
 			}
@@ -136,7 +136,11 @@ func (g *generator) exprRaw(e Expr) string {
 		if arr == nil {
 			return fmt.Sprintf("/* unknown array */ %s", x.Base)
 		}
-		return fmt.Sprintf("%s.Get(%s, %s)", x.Base, g.ctx, g.flatIndex(arr, x.Subs))
+		get := fmt.Sprintf("%s.Get(%s, %s)", x.Base, g.ctx, g.flatIndex(arr, x.Subs))
+		if arr.Elem == TypeInt {
+			return "int(" + get + ")" // int arrays hold int64s
+		}
+		return get
 	case *Unary:
 		return x.Op + "(" + g.exprRaw(x.X) + ")"
 	case *Binary:

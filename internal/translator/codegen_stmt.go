@@ -163,14 +163,14 @@ func (g *generator) genAssign(st *Assign) error {
 		if arr == nil {
 			return fmt.Errorf("translator: assignment to undeclared array %s", lhs.Base)
 		}
-		idx := g.flatIndex(arr, lhs.Subs)
 		val := g.expr(st.RHS, arr.Elem)
-		if st.Op == "=" {
-			g.p("%s.Set(%s, %s, %s)", lhs.Base, g.ctx, idx, val)
-			return nil
+		if st.Op != "=" {
+			val = fmt.Sprintf("%s %s %s", g.exprRaw(lhs), strings.TrimSuffix(st.Op, "="), val)
 		}
-		g.p("%s.Set(%s, %s, %s.Get(%s, %s) %s %s)",
-			lhs.Base, g.ctx, idx, lhs.Base, g.ctx, idx, strings.TrimSuffix(st.Op, "="), val)
+		if arr.Elem == TypeInt {
+			val = "int64(" + val + ")"
+		}
+		g.p("%s.Set(%s, %s, %s)", lhs.Base, g.ctx, g.flatIndex(arr, lhs.Subs), val)
 		return nil
 	default:
 		return fmt.Errorf("translator: unsupported assignment target %T", st.LHS)
@@ -196,6 +196,9 @@ func (g *generator) genIncDec(st *IncDec) error {
 		return nil
 	case *Index:
 		arr := g.arrays[lhs.Base]
+		if arr == nil {
+			return fmt.Errorf("translator: %s of undeclared array %s", st.Op, lhs.Base)
+		}
 		idx := g.flatIndex(arr, lhs.Subs)
 		g.p("%s.Set(%s, %s, %s.Get(%s, %s) %s 1)", lhs.Base, g.ctx, idx, lhs.Base, g.ctx, idx, op)
 		return nil
@@ -229,6 +232,27 @@ func (g *generator) genOmp(st *OmpStmt) error {
 		// task spawns are the one directive that composes.
 		return fmt.Errorf("line %d: %v directive inside a task body is not supported", st.Line, st.Dir.Kind)
 	}
+	owned := append(append([]string{}, st.Dir.Private...), st.Dir.FirstPrivate...)
+	for _, r := range st.Dir.Reductions {
+		owned = append(owned, r.Vars...)
+	}
+	for i, v := range append(owned, st.Dir.Shared...) {
+		_, scalar := g.types[v]
+		switch {
+		case !scalar && g.arrays[v] == nil:
+			return fmt.Errorf("line %d: %s in a data-sharing clause is not declared", st.Line, v)
+		case i < len(owned) && (g.arrays[v] != nil || g.scalars[v]):
+			// Arrays and the scalars a critical, atomic or single updates
+			// are shared objects; the generator has no per-thread copy.
+			return fmt.Errorf("line %d: %s is shared data and cannot be private, firstprivate or a reduction variable", st.Line, v)
+		}
+	}
+	switch st.Dir.Kind {
+	case DirFor, DirCritical, DirAtomic, DirSingle, DirTarget, DirTaskwait:
+		if g.ctx != "tc" {
+			return fmt.Errorf("line %d: omp %v outside a parallel region", st.Line, st.Dir.Kind)
+		}
+	}
 	switch st.Dir.Kind {
 	case DirParallel:
 		return g.genParallel(st.Dir, st.Body.(*Block), nil)
@@ -236,9 +260,6 @@ func (g *generator) genOmp(st *OmpStmt) error {
 		f := st.Body.(*ForStmt)
 		return g.genParallel(st.Dir, &Block{Stmts: []Stmt{}}, f)
 	case DirFor:
-		if g.ctx != "tc" {
-			return fmt.Errorf("line %d: omp for outside a parallel region", st.Line)
-		}
 		return g.genOmpFor(st.Dir, st.Body.(*ForStmt))
 	case DirCritical:
 		return g.genCritical(st)
@@ -259,14 +280,8 @@ func (g *generator) genOmp(st *OmpStmt) error {
 	case DirTask:
 		return g.genTask(st)
 	case DirTarget:
-		if g.ctx != "tc" {
-			return fmt.Errorf("line %d: omp target outside a parallel region", st.Line)
-		}
 		return g.genTask(st)
 	case DirTaskwait:
-		if g.ctx != "tc" {
-			return fmt.Errorf("line %d: omp taskwait outside a parallel region", st.Line)
-		}
 		g.p("tc.Taskwait()")
 		return nil
 	default:
@@ -327,24 +342,12 @@ func (g *generator) genParallel(dir Directive, body *Block, loop *ForStmt) error
 	// Region-level reduction clauses (reduction on `parallel` itself,
 	// when the loop form is not combined): private accumulators combine
 	// once at region end.
-	var regionReds []string
-	regionOps := map[string]string{}
+	var regionReds []Reduction
 	if loop == nil {
-		for _, r := range dir.Reductions {
-			for _, v := range r.Vars {
-				regionReds = append(regionReds, v)
-				regionOps[v] = r.Op
-			}
-		}
+		regionReds = dir.Reductions
 	}
 	g.siteSeq++
-	rseq := g.siteSeq
-	for _, v := range regionReds {
-		acc := fmt.Sprintf("__red%d_%s", rseq, v)
-		g.p("%s := %s // region reduction accumulator (%s)", acc, identityFor(regionOps[v], g), regionOps[v])
-		g.p("__orig%d_%s := %s", rseq, v, v)
-		g.renames[v] = acc
-	}
+	accs := g.openReductions(regionReds, g.siteSeq, "region reduction accumulator")
 
 	var err error
 	if loop != nil {
@@ -353,25 +356,7 @@ func (g *generator) genParallel(dir Directive, body *Block, loop *ForStmt) error
 		err = g.genBlockInner(body)
 	}
 
-	for _, v := range regionReds {
-		acc := fmt.Sprintf("__red%d_%s", rseq, v)
-		orig := fmt.Sprintf("__orig%d_%s", rseq, v)
-		delete(g.renames, v)
-		switch regionOps[v] {
-		case "+":
-			g.p("%s = %s + tc.Reduce(%q, parade.OpSum, %s)", v, orig, v, acc)
-		case "*":
-			g.p("%s = %s * tc.Reduce(%q, parade.OpProd, %s)", v, orig, v, acc)
-		case "max":
-			g.usesMath = true
-			g.p("%s = math.Max(%s, tc.Reduce(%q, parade.OpMax, %s))", v, orig, v, acc)
-		case "min":
-			g.usesMath = true
-			g.p("%s = math.Min(%s, tc.Reduce(%q, parade.OpMin, %s))", v, orig, v, acc)
-		default:
-			err = fmt.Errorf("translator: unsupported reduction operator %q", regionOps[v])
-		}
-	}
+	g.closeReductions(accs)
 	g.ctx, g.region = prevCtx, prevRegion
 	g.depth--
 	g.p("})")
@@ -384,26 +369,11 @@ func (g *generator) genParallel(dir Directive, body *Block, loop *ForStmt) error
 // synchronizes the team (the paper's barrier-saving rule). Otherwise
 // the for keeps its barrier so page flushes happen.
 func (g *generator) genOmpFor(dir Directive, loop *ForStmt) error {
-	var redVars []string
-	redOps := map[string]string{}
-	for _, r := range dir.Reductions {
-		for _, v := range r.Vars {
-			redVars = append(redVars, v)
-			redOps[v] = r.Op
-		}
-	}
 	g.siteSeq++
 	seq := g.siteSeq
-	acc := func(v string) string { return fmt.Sprintf("__red%d_%s", seq, v) }
-	orig := func(v string) string { return fmt.Sprintf("__orig%d_%s", seq, v) }
-	for _, v := range redVars {
-		g.p("%s := %s // reduction accumulator (%s)", acc(v), identityFor(redOps[v], g), redOps[v])
-		// Capture the pre-construct value once: the post-combine below is
-		// executed by every thread against the same captured variable, so
-		// it must be a pure overwrite with an identical value.
-		g.p("%s := %s", orig(v), v)
-		g.renames[v] = acc(v)
-	}
+	// Each thread's post-combine overwrites the variable with the same
+	// value, so the pre-construct value is captured once, before the loop.
+	reds := g.openReductions(dir.Reductions, seq, "reduction accumulator")
 
 	hi := g.expr(loop.Hi, TypeInt)
 	if loop.LessEq {
@@ -428,7 +398,7 @@ func (g *generator) genOmpFor(dir Directive, loop *ForStmt) error {
 		if dir.NoWait {
 			opts = append(opts, "parade.Nowait()")
 		}
-	} else if dir.NoWait || (len(redVars) > 0 && !g.writesSharedArray(loop.Body)) {
+	} else if dir.NoWait || (len(reds) > 0 && !g.writesSharedArray(loop.Body)) {
 		// nowait, explicit or from the barrier-saving rule: a loop whose
 		// only shared writes are reduction variables needs no flush — the
 		// reduction collective below synchronizes the team.
@@ -454,25 +424,71 @@ func (g *generator) genOmpFor(dir Directive, loop *ForStmt) error {
 		return err
 	}
 
-	for _, v := range redVars {
-		delete(g.renames, v)
-		op := redOps[v]
-		switch op {
-		case "+":
-			g.p("%s = %s + tc.Reduce(%q, parade.OpSum, %s)", v, orig(v), v, acc(v))
-		case "*":
-			g.p("%s = %s * tc.Reduce(%q, parade.OpProd, %s)", v, orig(v), v, acc(v))
-		case "max":
-			g.usesMath = true
-			g.p("%s = math.Max(%s, tc.Reduce(%q, parade.OpMax, %s))", v, orig(v), v, acc(v))
-		case "min":
-			g.usesMath = true
-			g.p("%s = math.Min(%s, tc.Reduce(%q, parade.OpMin, %s))", v, orig(v), v, acc(v))
-		default:
-			return fmt.Errorf("translator: unsupported reduction operator %q", op)
+	g.closeReductions(reds)
+	return nil
+}
+
+// redVar is one reduction variable of a construct: its accumulator and
+// its value captured before the construct.
+type redVar struct {
+	name, op, acc, orig string
+	typ                 Type
+}
+
+// reductionOps gives each reduction operator its runtime collective, its
+// identity for a double and an int accumulator, and how the reduced
+// value combines with the captured one for a double and an int variable.
+var reductionOps = map[string]struct{ collective, idDouble, idInt, combineDouble, combineInt string }{
+	"+":   {"OpSum", "0.0", "0", "%s + %s", "%s + %s"},
+	"*":   {"OpProd", "1.0", "1", "%s * %s", "%s * %s"},
+	"max": {"OpMax", "math.Inf(-1)", "-1 << 53", "math.Max(%s, %s)", "max(%s, %s)"},
+	"min": {"OpMin", "math.Inf(1)", "1 << 53", "math.Min(%s, %s)", "min(%s, %s)"},
+}
+
+// openReductions starts the reductions of a construct: each variable
+// gets an accumulator set to its operator's identity, typed like the
+// variable, and the body is renamed onto the accumulator.
+func (g *generator) openReductions(reds []Reduction, seq int, label string) []redVar {
+	var out []redVar
+	for _, r := range reds {
+		for _, v := range r.Vars {
+			rv := redVar{name: v, op: r.Op, typ: g.identType(v),
+				acc: fmt.Sprintf("__red%d_%s", seq, v), orig: fmt.Sprintf("__orig%d_%s", seq, v)}
+			id := reductionOps[r.Op].idDouble
+			if rv.typ == TypeInt {
+				id = reductionOps[r.Op].idInt
+			}
+			g.usesMath = g.usesMath || strings.HasPrefix(id, "math.")
+			g.p("%s := %s // %s (%s)", rv.acc, id, label, r.Op)
+			g.p("%s := %s", rv.orig, v)
+			g.renames[v] = rv.acc
+			g.types[rv.acc] = rv.typ
+			out = append(out, rv)
 		}
 	}
-	return nil
+	return out
+}
+
+// closeReductions combines each accumulator across the team with one
+// collective and folds the result into the captured value. The
+// collective reduces float64s, so an int reduction is exact only while
+// every partial result is below 2^53 in magnitude. For the same reason
+// the int identities of max and min are -2^53 and 2^53: math.MaxInt
+// rounds to 2^63 as a float64, which does not convert back to an int.
+func (g *generator) closeReductions(reds []redVar) {
+	for _, rv := range reds {
+		delete(g.renames, rv.name)
+		delete(g.types, rv.acc)
+		op := reductionOps[rv.op]
+		combine := op.combineDouble
+		reduced := fmt.Sprintf("tc.Reduce(%q, parade.%s, %s)", rv.name, op.collective, rv.acc)
+		if rv.typ == TypeInt {
+			combine = op.combineInt
+			reduced = fmt.Sprintf("int(tc.Reduce(%q, parade.%s, float64(%s)))", rv.name, op.collective, rv.acc)
+		}
+		g.usesMath = g.usesMath || strings.HasPrefix(combine, "math.")
+		g.p("%s = "+combine, rv.name, rv.orig, reduced)
+	}
 }
 
 // genTask lowers `#pragma omp task` and `#pragma omp target` onto the
@@ -495,9 +511,6 @@ func (g *generator) genTask(st *OmpStmt) error {
 	seq := g.siteSeq
 	saved := map[string]string{}
 	for _, name := range st.Dir.FirstPrivate {
-		if g.scalars[name] {
-			return fmt.Errorf("line %d: firstprivate on hybrid scalar %s is not supported", st.Line, name)
-		}
 		src := name
 		if r := g.renames[name]; r != "" {
 			src = r
@@ -602,23 +615,6 @@ func (g *generator) depHandle(e Expr, line int) (string, error) {
 		return fmt.Sprintf("parade.DepAddr(%s.Addr(%s))", x.Base, g.flatIndex(arr, x.Subs)), nil
 	default:
 		return "", fmt.Errorf("line %d: unsupported depend item %T", line, e)
-	}
-}
-
-func identityFor(op string, g *generator) string {
-	switch op {
-	case "+":
-		return "0.0"
-	case "*":
-		return "1.0"
-	case "max":
-		g.usesMath = true
-		return "math.Inf(-1)"
-	case "min":
-		g.usesMath = true
-		return "math.Inf(1)"
-	default:
-		return "0.0"
 	}
 }
 

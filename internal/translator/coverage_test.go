@@ -127,6 +127,8 @@ int main() {
 		{"unterminated block", `int main() { {`, "end of file"},
 		{"arrays in helper scope", `double f() { double local[4]; return local[0]; }
 int main() {}`, "file scope or in main"},
+		{"unterminated char literal at end of file", "'000", "unterminated char literal"},
+		{"unterminated char literal in a statement", "int main() { x = 'a", "unterminated char literal"},
 	}
 	for _, c := range cases {
 		_, err := Translate(c.src, Options{})

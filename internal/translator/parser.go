@@ -2,6 +2,7 @@ package translator
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -424,10 +425,10 @@ func (p *Parser) ompStmt() (Stmt, error) {
 	}
 }
 
-// ClauseError is the typed error for an unknown or malformed directive
-// clause. Line is the pragma's source line; Col is the 1-based column of
-// the offending token within the directive text (the part after
-// `#pragma `, whose own indentation the preprocessor strips).
+// ClauseError is the typed error for an unknown, misplaced or malformed
+// directive clause. Line is the pragma's source line; Col is the
+// 1-based column of the offending token within the directive text (the
+// part after `#pragma `, whose own indentation the preprocessor strips).
 type ClauseError struct {
 	Line, Col int
 	Clause    string // the clause being parsed ("depend", "map", ...)
@@ -438,328 +439,309 @@ func (e *ClauseError) Error() string {
 	return fmt.Sprintf("line %d, col %d: %s clause: %s", e.Line, e.Col, e.Clause, e.Msg)
 }
 
-// parseDirective parses the text after `#pragma`.
+// argShape is the grammar of a clause's parenthesised argument.
+type argShape uint8
+
+const (
+	argNone      argShape = iota // nowait
+	argVars                      // (a, b)
+	argKindVars                  // (word: a, b) — reduction's op, map's direction
+	argKindItems                 // (kind: x, a[i][j]) — depend; task-kind items are task names
+	argSchedule                  // (kind[, chunk])
+	argInt                       // (n), a non-negative integer
+	argIdent                     // (x) — also critical's (name)
+	argKeyword                   // (word)
+)
+
+// clauses gives each clause the translator lowers its argument shape;
+// for the shapes that start with a word, the words it accepts; and how
+// its argument is stored in the Directive (default(shared|none) needs no
+// lowering: shared is the default). schedule(runtime) and schedule(auto)
+// are rejected: static is the paper's schedule (§4.3), dynamic and
+// guided the runtime's extensions.
+var clauses = map[string]struct {
+	shape argShape
+	words []string
+	store func(*Directive, clauseArg)
+}{
+	"private":      {argVars, nil, func(d *Directive, a clauseArg) { d.Private = append(d.Private, a.vars...) }},
+	"firstprivate": {argVars, nil, func(d *Directive, a clauseArg) { d.FirstPrivate = append(d.FirstPrivate, a.vars...) }},
+	"shared":       {argVars, nil, func(d *Directive, a clauseArg) { d.Shared = append(d.Shared, a.vars...) }},
+	"reduction": {argKindVars, []string{"+", "*", "max", "min"}, func(d *Directive, a clauseArg) {
+		d.Reductions = append(d.Reductions, Reduction{Op: a.word, Vars: a.vars})
+	}},
+	"schedule": {argSchedule, []string{"static", "dynamic", "guided"}, func(d *Directive, a clauseArg) {
+		d.Dynamic, d.Guided, d.ChunkSize = a.word != "static", a.word == "guided", a.n
+	}},
+	"depend": {argKindItems, []string{"in", "out", "inout", "task"}, func(d *Directive, a clauseArg) {
+		dep := Depend{Kind: a.word, Items: a.items}
+		if a.word == "task" {
+			dep = Depend{Kind: a.word, Tasks: a.vars}
+		}
+		d.Depends = append(d.Depends, dep)
+	}},
+	"map": {argKindVars, []string{"to", "from", "tofrom"}, func(d *Directive, a clauseArg) {
+		d.Maps = append(d.Maps, MapClause{Dir: a.word, Vars: a.vars})
+	}},
+	"device":   {argInt, nil, func(d *Directive, a clauseArg) { d.Device = a.n }},
+	"priority": {argInt, nil, func(d *Directive, a clauseArg) { d.Priority = a.n }},
+	"name":     {argIdent, nil, func(d *Directive, a clauseArg) { d.TaskName = a.word }},
+	"default":  {argKeyword, []string{"shared", "none"}, func(*Directive, clauseArg) {}},
+	"nowait":   {argNone, nil, func(d *Directive, _ clauseArg) { d.NoWait = true }},
+}
+
+const (
+	parallelClauses = "private firstprivate shared default reduction"
+	forClauses      = "private firstprivate reduction schedule nowait"
+)
+
+// directives is the directive table, indexed by DirKind: each
+// directive's spelling after `omp` and the clauses it takes. A row lists
+// only clauses the code generator lowers, so it is the directive's
+// OpenMP 2.5 clause set (OpenMP 4.5 for task and target) less what the
+// generator would ignore: single takes neither nowait nor its data
+// clauses, for takes no lastprivate, parallel no copyin, if or
+// num_threads. The departures from the specification are
+//   - parallel for is the union of the parallel and for rows, so it
+//     also takes nowait;
+//   - schedule(static) takes no chunk: the runtime's static schedule is
+//     always one block per thread;
+//   - name, and priority on target, are this translator's task-graph
+//     extensions.
+var directives = [...]struct{ words, clauses string }{
+	DirParallel:    {"parallel", parallelClauses},
+	DirFor:         {"for", forClauses},
+	DirParallelFor: {"parallel for", parallelClauses + " " + forClauses},
+	DirCritical:    {"critical", ""},
+	DirAtomic:      {"atomic", ""},
+	DirSingle:      {"single", ""},
+	DirMaster:      {"master", ""},
+	DirBarrier:     {"barrier", ""},
+	DirTask:        {"task", "private firstprivate shared depend name priority"},
+	DirTaskwait:    {"taskwait", ""},
+	DirTarget:      {"target", "private firstprivate depend map device name priority"},
+}
+
+// parseDirective parses the text after `#pragma` against the directive
+// table: it looks up the directive word or words, then reads each
+// clause with its shape's reader and stores it in the Directive.
 func parseDirective(text string, line int) (Directive, error) {
 	var d Directive
 	words, cols := tokenizePragma(text)
-	if len(words) == 0 || words[0] != "omp" {
+	s := &pragmaScanner{words: words, cols: cols, line: line}
+	if s.next() != "omp" {
 		return d, fmt.Errorf("line %d: only `#pragma omp` is supported (got %q)", line, text)
 	}
-	i := 1
-	next := func() string {
-		if i < len(words) {
-			w := words[i]
-			i++
-			return w
+	n := 0 // the longest directive spelling that matches
+	for k, row := range directives {
+		spelled := strings.Fields(row.words)
+		if len(spelled) > n && slices.Equal(spelled, words[1:min(len(words), 1+len(spelled))]) {
+			d.Kind, n = DirKind(k), len(spelled)
 		}
-		return ""
 	}
-	// col reports the column of word idx (or just past the last word when
-	// the directive ended early), for ClauseError positions.
-	col := func(idx int) int {
-		if idx < len(cols) {
-			return cols[idx]
-		}
-		if len(cols) > 0 {
-			return cols[len(cols)-1] + len(words[len(words)-1])
-		}
-		return 1
+	if n == 0 {
+		return d, fmt.Errorf("line %d: unsupported omp directive %q", line, s.peek())
 	}
-	cerr := func(clause string, at int, format string, args ...any) error {
-		return &ClauseError{Line: line, Col: col(at), Clause: clause, Msg: fmt.Sprintf(format, args...)}
+	s.i += n
+	if d.Kind == DirCritical && s.peek() == "(" {
+		a, err := s.read("name")
+		if err != nil {
+			return d, err
+		}
+		d.Name = a.word
 	}
-	switch w := next(); w {
-	case "parallel":
-		if i < len(words) && words[i] == "for" {
-			i++
-			d.Kind = DirParallelFor
-		} else {
-			d.Kind = DirParallel
+	named := map[string]bool{} // variables of the data-sharing clauses so far
+	for s.i < len(words) {
+		kw := s.i
+		c := s.next()
+		_, known := clauses[c]
+		switch {
+		case !known && isIdent(c):
+			return d, s.errAt(kw, c, "unsupported clause")
+		case !known:
+			return d, s.errAt(kw, c, "unexpected %q", c)
+		case !slices.Contains(strings.Fields(directives[d.Kind].clauses), c):
+			return d, s.errAt(kw, c, "the %v directive does not take %s", d.Kind, c)
 		}
-	case "for":
-		d.Kind = DirFor
-	case "critical":
-		d.Kind = DirCritical
-		if i < len(words) && words[i] == "(" {
-			i++
-			d.Name = next()
-			if next() != ")" {
-				return d, fmt.Errorf("line %d: malformed critical name", line)
+		a, err := s.read(c)
+		if err != nil {
+			return d, err
+		}
+		switch c {
+		case "private", "firstprivate", "shared", "reduction":
+			for k, v := range a.vars {
+				if named[v] {
+					return d, s.errAt(a.at[k], c, "%s is already named in a data-sharing clause", v)
+				}
+				named[v] = true
 			}
 		}
-	case "atomic":
-		d.Kind = DirAtomic
-		return d, nil
-	case "single":
-		d.Kind = DirSingle
-	case "master":
-		d.Kind = DirMaster
-		return d, nil
-	case "barrier":
-		d.Kind = DirBarrier
-		return d, nil
-	case "task":
-		d.Kind = DirTask
-	case "taskwait":
-		d.Kind = DirTaskwait
-		return d, nil
-	case "target":
-		d.Kind = DirTarget
-	default:
-		return d, fmt.Errorf("line %d: unsupported omp directive %q", line, w)
-	}
-
-	// Clauses.
-	for i < len(words) {
-		switch w := next(); w {
-		case "private", "firstprivate", "shared":
-			vars, err := clauseVars(words, &i, line)
-			if err != nil {
-				return d, err
-			}
-			switch w {
-			case "private":
-				d.Private = append(d.Private, vars...)
-			case "firstprivate":
-				d.FirstPrivate = append(d.FirstPrivate, vars...)
-			case "shared":
-				d.Shared = append(d.Shared, vars...)
-			}
-		case "reduction":
-			if next() != "(" {
-				return d, fmt.Errorf("line %d: reduction needs (op:vars)", line)
-			}
-			op := next()
-			if next() != ":" {
-				return d, fmt.Errorf("line %d: reduction needs (op:vars)", line)
-			}
-			var vars []string
-			for i < len(words) && words[i] != ")" {
-				if words[i] != "," {
-					vars = append(vars, words[i])
-				}
-				i++
-			}
-			if next() != ")" {
-				return d, fmt.Errorf("line %d: unterminated reduction clause", line)
-			}
-			d.Reductions = append(d.Reductions, Reduction{Op: op, Vars: vars})
-		case "nowait":
-			d.NoWait = true
-		case "schedule":
-			// static is the paper's schedule (§4.3); dynamic is provided
-			// as the runtime's future-work extension. guided/runtime are
-			// rejected.
-			if next() != "(" {
-				return d, fmt.Errorf("line %d: malformed schedule clause", line)
-			}
-			switch kind := next(); kind {
-			case "static":
-			case "dynamic", "guided":
-				d.Dynamic = true
-				d.Guided = kind == "guided"
-				if i < len(words) && words[i] == "," {
-					i++
-					n, err := strconv.Atoi(next())
-					if err != nil || n < 1 {
-						return d, fmt.Errorf("line %d: bad %s chunk size", line, kind)
-					}
-					d.ChunkSize = n
-				}
-			default:
-				return d, fmt.Errorf("line %d: schedule(%s) is not supported (static per paper §4.3, dynamic/guided as extensions)", line, kind)
-			}
-			for i < len(words) && words[i] != ")" {
-				i++
-			}
-			next()
-		case "default":
-			// default(shared|none): accepted and ignored (shared is the default).
-			if next() != "(" {
-				return d, fmt.Errorf("line %d: malformed default clause", line)
-			}
-			next()
-			if next() != ")" {
-				return d, fmt.Errorf("line %d: malformed default clause", line)
-			}
-		case "depend":
-			kw := i - 1
-			if d.Kind != DirTask && d.Kind != DirTarget {
-				return d, cerr("depend", kw, "only task and target directives take depend")
-			}
-			if next() != "(" {
-				return d, cerr("depend", i-1, "expected (kind: list)")
-			}
-			mod := i
-			kind := next()
-			switch kind {
-			case "in", "out", "inout", "task":
-			default:
-				return d, cerr("depend", mod, "unknown dependence kind %q (want in, out, inout, or task)", kind)
-			}
-			if next() != ":" {
-				return d, cerr("depend", i-1, "expected `:` after %q", kind)
-			}
-			dep := Depend{Kind: kind}
-			for i < len(words) && words[i] != ")" {
-				if words[i] == "," {
-					i++
-					continue
-				}
-				at := i
-				name := next()
-				if !isIdent(name) {
-					return d, cerr("depend", at, "list item must start with an identifier (got %q)", name)
-				}
-				if kind == "task" {
-					dep.Tasks = append(dep.Tasks, name)
-					continue
-				}
-				var item Expr = &Ident{Name: name}
-				for i < len(words) && words[i] == "[" {
-					i++
-					sat := i
-					sub := next()
-					var se Expr
-					switch {
-					case isIdent(sub):
-						se = &Ident{Name: sub}
-					case sub != "" && sub[0] >= '0' && sub[0] <= '9':
-						se = &Number{Text: sub}
-					default:
-						return d, cerr("depend", sat, "array subscript must be an identifier or number (got %q)", sub)
-					}
-					if next() != "]" {
-						return d, cerr("depend", i-1, "unterminated subscript on %s", name)
-					}
-					if ix, ok := item.(*Index); ok {
-						ix.Subs = append(ix.Subs, se)
-					} else {
-						item = &Index{Base: name, Subs: []Expr{se}}
-					}
-				}
-				dep.Items = append(dep.Items, item)
-			}
-			if next() != ")" {
-				return d, cerr("depend", i-1, "unterminated depend clause")
-			}
-			if len(dep.Items)+len(dep.Tasks) == 0 {
-				return d, cerr("depend", kw, "empty dependence list")
-			}
-			d.Depends = append(d.Depends, dep)
-		case "map":
-			kw := i - 1
-			if d.Kind != DirTarget {
-				return d, cerr("map", kw, "only the target directive takes map")
-			}
-			if next() != "(" {
-				return d, cerr("map", i-1, "expected (dir: vars)")
-			}
-			mod := i
-			dir := next()
-			switch dir {
-			case "to", "from", "tofrom":
-			default:
-				return d, cerr("map", mod, "unknown map direction %q (want to, from, or tofrom)", dir)
-			}
-			if next() != ":" {
-				return d, cerr("map", i-1, "expected `:` after %q", dir)
-			}
-			mc := MapClause{Dir: dir}
-			for i < len(words) && words[i] != ")" {
-				if words[i] == "," {
-					i++
-					continue
-				}
-				at := i
-				v := next()
-				if !isIdent(v) {
-					return d, cerr("map", at, "map items must be whole variables (got %q)", v)
-				}
-				mc.Vars = append(mc.Vars, v)
-			}
-			if next() != ")" {
-				return d, cerr("map", i-1, "unterminated map clause")
-			}
-			if len(mc.Vars) == 0 {
-				return d, cerr("map", kw, "empty map list")
-			}
-			d.Maps = append(d.Maps, mc)
-		case "device":
-			kw := i - 1
-			if d.Kind != DirTarget {
-				return d, cerr("device", kw, "only the target directive takes device")
-			}
-			if next() != "(" {
-				return d, cerr("device", i-1, "expected (node)")
-			}
-			at := i
-			n, err := strconv.Atoi(next())
-			if err != nil || n < 0 {
-				return d, cerr("device", at, "device must be a non-negative integer node id")
-			}
-			if next() != ")" {
-				return d, cerr("device", i-1, "unterminated device clause")
-			}
-			d.Device = n
-		case "name":
-			kw := i - 1
-			if d.Kind != DirTask && d.Kind != DirTarget {
-				return d, cerr("name", kw, "only task and target directives take name")
-			}
-			if next() != "(" {
-				return d, cerr("name", i-1, "expected (identifier)")
-			}
-			at := i
-			nm := next()
-			if !isIdent(nm) {
-				return d, cerr("name", at, "task name must be an identifier (got %q)", nm)
-			}
-			if next() != ")" {
-				return d, cerr("name", i-1, "unterminated name clause")
-			}
-			d.TaskName = nm
-		case "priority":
-			kw := i - 1
-			if d.Kind != DirTask && d.Kind != DirTarget {
-				return d, cerr("priority", kw, "only task and target directives take priority")
-			}
-			if next() != "(" {
-				return d, cerr("priority", i-1, "expected (integer)")
-			}
-			at := i
-			n, err := strconv.Atoi(next())
-			if err != nil {
-				return d, cerr("priority", at, "priority must be an integer")
-			}
-			if next() != ")" {
-				return d, cerr("priority", i-1, "unterminated priority clause")
-			}
-			d.Priority = n
-		default:
-			return d, fmt.Errorf("line %d: unsupported clause %q", line, w)
-		}
+		clauses[c].store(&d, a)
 	}
 	return d, nil
 }
 
-func clauseVars(words []string, i *int, line int) ([]string, error) {
-	if *i >= len(words) || words[*i] != "(" {
-		return nil, fmt.Errorf("line %d: clause needs a variable list", line)
+// pragmaScanner walks the words of one directive for parseDirective.
+type pragmaScanner struct {
+	words []string
+	cols  []int
+	i     int // index of the next word
+	line  int
+}
+
+func (s *pragmaScanner) peek() string {
+	if s.i < len(s.words) {
+		return s.words[s.i]
 	}
-	*i++
-	var vars []string
-	for *i < len(words) && words[*i] != ")" {
-		if words[*i] != "," {
-			vars = append(vars, words[*i])
+	return ""
+}
+
+// next consumes one word; at the end it returns "" and stays there, so
+// s.i-1 is always the word just read (or the last word).
+func (s *pragmaScanner) next() string {
+	w := s.peek()
+	if s.i < len(s.words) {
+		s.i++
+	}
+	return w
+}
+
+// errAt returns the ClauseError for word idx, or for the column just past
+// the last word when the directive ended early.
+func (s *pragmaScanner) errAt(idx int, clause, format string, args ...any) error {
+	col := 1
+	switch {
+	case idx < len(s.cols):
+		col = s.cols[idx]
+	case len(s.cols) > 0:
+		col = s.cols[len(s.cols)-1] + len(s.words[len(s.words)-1])
+	}
+	return &ClauseError{Line: s.line, Col: col, Clause: clause, Msg: fmt.Sprintf(format, args...)}
+}
+
+func (s *pragmaScanner) expect(want, clause string) error {
+	if w := s.next(); w != want {
+		return s.errAt(s.i-1, clause, "expected %q, found %q", want, w)
+	}
+	return nil
+}
+
+// clauseArg is one clause's argument; which fields are set depends on
+// the clause's shape.
+type clauseArg struct {
+	word  string   // the op, kind, direction, keyword or identifier
+	n     int      // the integer, or schedule's chunk (0 when absent)
+	vars  []string // the list's variables (an item's base name)
+	items []Expr   // the list as *Ident or, for subscripted items, *Index
+	at    []int    // each list item's word index
+}
+
+// read reads clause c's argument with its shape's reader.
+func (s *pragmaScanner) read(c string) (clauseArg, error) {
+	spec := clauses[c]
+	var a clauseArg
+	if spec.shape == argNone {
+		return a, nil
+	}
+	kw := s.i - 1
+	if err := s.expect("(", c); err != nil {
+		return a, err
+	}
+	var err error
+	switch spec.shape {
+	case argVars:
+		err = s.list(&a, c, kw, false)
+	case argKindVars, argKindItems:
+		if a.word, err = s.oneOf(c, spec.words); err == nil {
+			if err = s.expect(":", c); err == nil {
+				err = s.list(&a, c, kw, spec.shape == argKindItems && a.word != "task")
+			}
 		}
-		*i++
+	case argSchedule:
+		if a.word, err = s.oneOf(c, spec.words); err == nil && s.peek() == "," {
+			s.next()
+			if a.word == "static" {
+				return a, s.errAt(s.i, c, "static takes no chunk: the runtime's static schedule is one block per thread")
+			}
+			a.n, err = s.integer(c, 1)
+		}
+	case argInt:
+		a.n, err = s.integer(c, 0)
+	case argIdent:
+		if a.word = s.next(); !isIdent(a.word) {
+			err = s.errAt(s.i-1, c, "want an identifier, found %q", a.word)
+		}
+	case argKeyword:
+		a.word, err = s.oneOf(c, spec.words)
 	}
-	if *i >= len(words) {
-		return nil, fmt.Errorf("line %d: unterminated clause", line)
+	if err != nil {
+		return a, err
 	}
-	*i++
-	return vars, nil
+	return a, s.expect(")", c)
+}
+
+// oneOf reads one of the words a clause accepts.
+func (s *pragmaScanner) oneOf(clause string, words []string) (string, error) {
+	w := s.next()
+	if slices.Contains(words, w) {
+		return w, nil
+	}
+	return "", s.errAt(s.i-1, clause, "%q is not one of %s", w, strings.Join(words, ", "))
+}
+
+// integer reads an integer of at least least.
+func (s *pragmaScanner) integer(clause string, least int) (int, error) {
+	w := s.next()
+	n, err := strconv.Atoi(w)
+	if err != nil || n < least {
+		return 0, s.errAt(s.i-1, clause, "want an integer of at least %d, found %q", least, w)
+	}
+	return n, nil
+}
+
+// list reads a non-empty comma-separated list of variables up to the
+// closing parenthesis. subs lets an item carry [identifier] or [number]
+// subscripts. kw is the clause word's index, where an empty list is
+// reported.
+func (s *pragmaScanner) list(a *clauseArg, clause string, kw int, subs bool) error {
+	for s.peek() != ")" {
+		if len(a.vars) > 0 {
+			if err := s.expect(",", clause); err != nil {
+				return err
+			}
+		}
+		at := s.i
+		name := s.next()
+		if !isIdent(name) {
+			return s.errAt(at, clause, "list items must be variables, found %q", name)
+		}
+		var idx []Expr
+		for subs && s.peek() == "[" {
+			s.next()
+			var sub Expr
+			switch w := s.next(); {
+			case isIdent(w):
+				sub = &Ident{Name: w}
+			case w != "" && w[0] >= '0' && w[0] <= '9':
+				sub = &Number{Text: w}
+			default:
+				return s.errAt(s.i-1, clause, "array subscript must be an identifier or number, found %q", w)
+			}
+			if err := s.expect("]", clause); err != nil {
+				return err
+			}
+			idx = append(idx, sub)
+		}
+		var item Expr = &Ident{Name: name}
+		if idx != nil {
+			item = &Index{Base: name, Subs: idx}
+		}
+		a.vars, a.items, a.at = append(a.vars, name), append(a.items, item), append(a.at, at)
+	}
+	if len(a.vars) == 0 {
+		return s.errAt(kw, clause, "empty list")
+	}
+	return nil
 }
 
 // tokenizePragma splits a pragma line into words and punctuation, also

@@ -13,9 +13,8 @@
 // The accepted language is the subset the paper's evaluation programs
 // need: int/long/double scalars and (multi-dimensional, constant-bound)
 // arrays at file scope or function scope, functions, for/while/if/return,
-// the usual expression operators, printf, and the OpenMP 1.0 directives
-// parallel, for, parallel for, critical, atomic, single, master, barrier
-// with private/firstprivate/shared/reduction/nowait clauses.
+// the usual expression operators, printf, and the OpenMP directives and
+// clauses that the directive table in parser.go declares.
 package translator
 
 import (
@@ -263,6 +262,9 @@ func (lx *Lexer) token() (Token, error) {
 				lx.pos++
 			}
 			lx.pos++
+		}
+		if lx.pos >= len(lx.src) {
+			return Token{}, fmt.Errorf("line %d: unterminated char literal", line)
 		}
 		lx.pos++
 		return Token{Kind: TokChar, Text: lx.src[start:lx.pos], Line: line}, nil
