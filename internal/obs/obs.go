@@ -16,8 +16,9 @@
 // # The single-threaded-kernel invariant
 //
 // The simulation kernel (internal/sim) runs exactly one goroutine at a
-// time: the scheduler hands a baton through unbuffered channels, and a
-// process only touches simulation state while it holds the baton. Every
+// time: its processes are coroutines that hand a baton to each other
+// through Run, and a process only touches simulation state while it
+// holds the baton. Every
 // Recorder call is made from baton-holding context, so recording is
 // plain field writes — no atomics, no locks, and one reusable scratch
 // Event instead of a per-event allocation. This is the same invariant

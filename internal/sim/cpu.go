@@ -12,7 +12,7 @@ type CPU struct {
 	slots   int
 	quantum Duration
 	busy    int
-	queue   []*Proc
+	queue   fifo[*Proc]
 
 	// BusyTime accumulates slot-occupancy for utilization reporting.
 	BusyTime Duration
@@ -53,7 +53,7 @@ func (c *CPU) acquire(p *Proc) {
 		c.busy++
 		return
 	}
-	c.queue = append(c.queue, p)
+	c.queue.push(p)
 	t0 := p.Now()
 	p.park("cpu")
 	// Ownership is transferred by release; busy already accounts for us.
@@ -66,11 +66,9 @@ func (c *CPU) acquire(p *Proc) {
 
 // release frees a slot or hands it directly to the oldest waiter.
 func (c *CPU) release() {
-	if len(c.queue) > 0 {
-		next := c.queue[0]
-		c.queue = c.queue[1:]
-		c.sim.wake(next)
-		return // slot stays busy, transferred to next
+	if c.queue.len() > 0 {
+		c.sim.wake(c.queue.pop())
+		return // slot stays busy, transferred to the oldest waiter
 	}
 	c.busy--
 }

@@ -121,4 +121,123 @@ func TestDispatchPathsDoNotAllocate(t *testing.T) {
 	if err := s2.Run(); err != nil {
 		t.Fatal(err)
 	}
+
+	// Process-to-process hand-offs through each wait list: the measuring
+	// process and a partner alternate, so every op parks, hands the baton
+	// to the other process and is woken by a wait-list pop.
+	s3 := New(1)
+	ping, pong := NewQueue[int](s3), NewQueue[int](s3)
+	if a := handoffAllocs(t, s3,
+		func(p *Proc) { ping.Push(1); pong.Pop(p) },
+		func(p *Proc) { pong.Push(ping.Pop(p)) }); a > 0 {
+		t.Errorf("Queue ping-pong allocates %.1f times per op", a)
+	}
+	s4 := New(1)
+	mu := NewMutex(s4)
+	critical := func(p *Proc) { mu.Lock(p); p.Sleep(Nanosecond); mu.Unlock(p) }
+	if a := handoffAllocs(t, s4, critical, critical); a > 0 {
+		t.Errorf("Mutex hand-off allocates %.1f times per op", a)
+	}
+	s5 := New(1)
+	cpu := NewCPU(s5, 1, Microsecond)
+	compute := func(p *Proc) { cpu.Compute(p, 3*Microsecond) }
+	if a := handoffAllocs(t, s5, compute, compute); a > 0 {
+		t.Errorf("CPU time-slicing allocates %.1f times per op", a)
+	}
+}
+
+// handoffAllocs reports the steady-state allocations per call of op, run
+// by one process while a daemon partner repeats partner until the
+// measurement ends.
+func handoffAllocs(t *testing.T, s *Simulator, op, partner func(p *Proc)) float64 {
+	t.Helper()
+	var allocs float64
+	done := false
+	s.Spawn("measure", func(p *Proc) {
+		allocs = testing.AllocsPerRun(100, func() { op(p) })
+		done = true
+	})
+	s.SpawnDaemon("partner", func(p *Proc) {
+		for !done {
+			partner(p)
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return allocs
+}
+
+// TestQueueFIFOProperty drives a Queue with random Push (from the
+// process and from callbacks), Pop, TryPop and Len against a reference
+// slice, with the length swinging so pops leave a dead prefix and pushes
+// cross the compaction boundary many times.
+func TestQueueFIFOProperty(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		s := New(seed)
+		q := NewQueue[int](s)
+		var ref []int
+		next, maxLen := 0, 0
+		push := func() {
+			q.Push(next)
+			ref = append(ref, next)
+			next++
+			maxLen = max(maxLen, len(ref))
+		}
+		s.Spawn("driver", func(p *Proc) {
+			rng := s.Rand()
+			for op := 0; op < 4000; op++ {
+				// Alternate growing and draining phases of random length.
+				pushBias := 7
+				if (op/150)%2 == 1 {
+					pushBias = 3
+				}
+				switch r := rng.Intn(10); {
+				case r < pushBias/2:
+					push()
+				case r < pushBias:
+					s.At(Duration(rng.Intn(3)), push)
+					p.Sleep(Duration(rng.Intn(2)))
+				case r < 9:
+					if len(ref) == 0 {
+						// Pop must park until a callback pushes.
+						s.At(Nanosecond, push)
+					}
+					got := q.Pop(p)
+					if got != ref[0] {
+						t.Fatalf("seed %d op %d: Pop = %d, want %d", seed, op, got, ref[0])
+					}
+					ref = ref[1:]
+				default:
+					got, ok := q.TryPop()
+					if ok != (len(ref) > 0) || ok && got != ref[0] {
+						t.Fatalf("seed %d op %d: TryPop = %d, %v with %v queued", seed, op, got, ok, ref)
+					}
+					if ok {
+						ref = ref[1:]
+					}
+				}
+				if q.Len() != len(ref) {
+					t.Fatalf("seed %d op %d: Len = %d, want %d", seed, op, q.Len(), len(ref))
+				}
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		for len(ref) > 0 {
+			got, ok := q.TryPop()
+			if !ok || got != ref[0] {
+				t.Fatalf("seed %d drain: TryPop = %d, %v, want %d", seed, got, ok, ref[0])
+			}
+			ref = ref[1:]
+		}
+		if _, ok := q.TryPop(); ok || q.Len() != 0 {
+			t.Fatalf("seed %d: queue not empty after drain", seed)
+		}
+		// Reuse bounds the backing array by the longest the queue got.
+		if c := cap(q.items.buf); c > 4*maxLen+8 {
+			t.Fatalf("seed %d: backing array grew to %d for at most %d items", seed, c, maxLen)
+		}
+	}
 }

@@ -1,22 +1,26 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel drives a set of cooperating processes (Proc) in virtual
-// time. Exactly one goroutine runs at any instant: either the current
-// holder of the scheduler baton or the single currently-running process.
-// Control is handed off through unbuffered channels, which also
-// establishes the happens-before edges that make cross-process data
-// access race-free without further locking.
+// time. Each process is a coroutine (iter.Pull): it runs only while the
+// kernel has switched to it and blocks only through sim primitives, so
+// exactly one of Run's goroutine and the processes runs at any instant.
+// iter.Pull's switches also establish the happens-before edges that make
+// cross-process data access race-free without further locking.
 //
-// There is no dedicated scheduler goroutine. Whichever goroutine holds
-// the baton drains the event queue; waking a process transfers the baton
-// to it with one channel send, and a process that parks becomes the
-// scheduler itself. A process whose own wake-up is the next event (the
-// Sleep fast path) therefore resumes without any channel operation.
+// There is no dedicated scheduler loop. Whoever holds the baton drains
+// the event queue: a process that parks runs callback events inline and
+// returns at once when its own wake-up is the next event (the Sleep fast
+// path, free of any switch). When another process's wake-up pops, the
+// holder records that process as the hand-off target and yields to Run,
+// which resumes the target: a hand-off is two coroutine switches and
+// never passes through the Go scheduler's run queue.
 //
 // The event queue is a hand-rolled binary heap of event values — no
 // container/heap interface boxing, no per-event heap allocation — and
 // process wake-ups are encoded as a field of the event rather than a
-// closure, so the steady-state Sleep/handoff path allocates nothing.
+// closure. Wait lists (Queue, Mutex, Cond, CPU) are FIFOs that reuse
+// their backing arrays, so the steady-state Sleep, hand-off and
+// queue/lock paths allocate nothing.
 //
 // All simulation objects (Mutex, Cond, Queue, Gate, CPU) block in
 // virtual time, never in host time. Event ties are broken FIFO by a
@@ -27,6 +31,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/rand"
 	"runtime/debug"
 	"sort"
@@ -161,7 +166,7 @@ var ErrCanceled = errors.New("sim: run canceled")
 
 // CanceledError is returned by Run when the cancellation hook installed
 // with SetCancel fired: the event loop stopped at a poll point, every
-// process goroutine was unwound, and the hook's cause is carried here.
+// process was unwound, and the hook's cause is carried here.
 type CanceledError struct {
 	// Cause is the non-nil error the cancel hook returned.
 	Cause error
@@ -181,18 +186,20 @@ func (e *CanceledError) Is(target error) bool { return target == ErrCanceled }
 
 // PanicError is returned by Run when simulation code panicked: a process
 // body, an event callback, or the cancellation hook. The run ends there
-// as a canceled run does — every process goroutine is unwound — and the
-// recovered value and the stack at the panic site are carried here.
+// as a canceled run does — every process is unwound — and the recovered
+// value and the stack at the panic site are carried here.
 type PanicError struct {
-	// Proc names the process whose goroutine panicked; empty when the
-	// panic came from a callback Run's own goroutine ran before the first
-	// hand-off to a process.
+	// Proc names the process that was running when the panic was raised:
+	// in its body, in a callback it drained while parked or exiting, or
+	// in a deferred call teardown ran while unwinding it. Empty when the
+	// panic came from a callback (or the cancellation hook) Run drained
+	// itself before it first started a process.
 	Proc string
 	// At is the virtual time of the panic.
 	At Time
 	// Value is the recovered panic value.
 	Value any
-	// Stack is the panicking goroutine's stack at the panic site.
+	// Stack is the stack at the panic site.
 	Stack string
 }
 
@@ -210,8 +217,7 @@ func (e *PanicError) Unwrap() error {
 }
 
 // abortUnwind is the internal panic sentinel teardown uses to unwind a
-// process goroutine's stack. spawn's wrapper recovers it; it never
-// escapes the package.
+// process's stack. procExit recovers it; it never escapes the package.
 type abortUnwind struct{}
 
 // DefaultCancelEvery is the event-count granularity of cancellation
@@ -223,18 +229,20 @@ type Simulator struct {
 	now    Time
 	seq    uint64
 	queue  eventHeap
-	done   chan struct{}
 	live   int
 	nextID int
 	rng    *rand.Rand
 	ran    bool
 
+	// handoff is the process Run resumes next: the baton holder sets it
+	// when another process's wake pops, then yields (or returns, when it
+	// is exiting) to Run.
+	handoff *Proc
+
 	// Cooperative cancellation (SetCancel), panics and end-of-run
 	// teardown. procs registers every spawned process so teardown can
-	// unwind the goroutines still blocked on their resume channels;
-	// aborting flips once no simulation goroutine runs anymore and is
-	// read only after a happens-before edge (a resume send), so a plain
-	// bool suffices.
+	// stop the coroutines still suspended; aborting is set once the run
+	// stops executing events.
 	cancelFn    func() error
 	cancelEvery int
 	cancelTick  int
@@ -242,22 +250,17 @@ type Simulator struct {
 	panicErr    *PanicError // the first panic; non-nil once the run panicked
 	aborting    bool
 	procs       []*Proc
-	unwound     chan struct{}
 }
 
 // New creates a simulator whose random source is seeded with seed.
 func New(seed int64) *Simulator {
-	return &Simulator{
-		done:    make(chan struct{}),
-		rng:     rand.New(rand.NewSource(seed)),
-		unwound: make(chan struct{}),
-	}
+	return &Simulator{rng: rand.New(rand.NewSource(seed))}
 }
 
 // SetCancel installs a cooperative cancellation hook, polled from the
 // event loop every `every` processed events (DefaultCancelEvery when
 // every <= 0). A non-nil return cancels the run: the kernel stops at the
-// poll point, unwinds every process goroutine, and Run returns a
+// poll point, unwinds every process, and Run returns a
 // *CanceledError (errors.Is-matchable against ErrCanceled) wrapping the
 // hook's cause. Must be called before Run.
 func (s *Simulator) SetCancel(check func() error, every int) {
@@ -295,7 +298,7 @@ func (s *Simulator) schedule(t Time, fn func()) {
 	s.push(t, event{fn: fn})
 }
 
-// At schedules fn to run d from now on the baton holder's goroutine.
+// At schedules fn to run d from now, inline on the baton holder.
 // fn must not block; use Spawn for blocking activities.
 func (s *Simulator) At(d Duration, fn func()) {
 	if d < 0 {
@@ -312,14 +315,16 @@ func (s *Simulator) ConfigureLanes(n, workers int, lookahead Duration, relaxed b
 // bench/e2e names it; ROADMAP 1(a) deletes it.
 func (s *Simulator) AtFrom(src, dst int, d Duration, fn func()) { s.At(d, fn) }
 
-// Proc is a simulated process: a goroutine that runs only when the
-// scheduler hands it control and blocks only through sim primitives.
+// Proc is a simulated process: a coroutine that runs only when the
+// kernel switches to it and blocks only through sim primitives.
 type Proc struct {
 	sim    *Simulator
 	name   string
 	id     int
-	resume chan struct{}
-	reason string // why p is parked (reported on deadlock); "" when not
+	next   func() (struct{}, bool) // resume p (Run's side of the coroutine)
+	stop   func()                  // unwind p at teardown
+	yield  func(struct{}) bool     // suspend p (p's side); false once stopped
+	reason string                  // why p is parked (reported on deadlock); "" when not
 	exited bool
 	daemon bool
 }
@@ -344,52 +349,40 @@ func (s *Simulator) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnDaemon creates a process that does not keep the simulation alive:
 // a daemon parked forever (e.g. a communication thread blocked on an
-// empty mailbox) is not a deadlock. Its goroutine is unwound when the
-// simulation ends, so completed runs leak nothing.
+// empty mailbox) is not a deadlock. It is unwound when the simulation
+// ends, so completed runs leak nothing.
 func (s *Simulator) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	return s.spawn(name, fn, true)
 }
 
 func (s *Simulator) spawn(name string, fn func(p *Proc), daemon bool) *Proc {
 	s.nextID++
-	p := &Proc{sim: s, name: name, id: s.nextID, resume: make(chan struct{}), daemon: daemon}
+	p := &Proc{sim: s, name: name, id: s.nextID, daemon: daemon}
 	if !daemon {
 		s.live++
 	}
 	s.procs = append(s.procs, p)
-	go func() {
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer s.procExit(p)
-		<-p.resume
-		if s.aborting {
-			panic(abortUnwind{})
-		}
 		fn(p)
 		p.exited = true
 		if !p.daemon {
 			s.live--
 		}
-		// The exiting process holds the baton; keep draining events on
-		// this goroutine until the baton moves on or the queue empties.
-		switch s.schedLoop(nil) {
-		case loopDrained:
-			s.done <- struct{}{}
-		case loopCanceled:
-			// This goroutine detected the cancellation while draining
-			// after its own exit: hand control to Run, then confirm the
-			// goroutine is finished (no unwinding left to do).
-			s.done <- struct{}{}
-			s.unwound <- struct{}{}
-		}
-	}()
+		// The exiting process holds the baton; keep draining events
+		// inline until the baton moves on (Run resumes s.handoff), the
+		// queue empties or the run is canceled.
+		s.schedLoop(nil)
+	})
 	s.push(s.now, event{p: p})
 	return p
 }
 
-// procExit is the deferred tail of every process goroutine: it recovers
-// the teardown sentinel or a real panic, marks the goroutine gone, and
-// reports to the sequential unwinder. A real panic raised while the run
-// was live (the goroutine holds the baton) ends the run: control goes to
-// Run, which returns it as a *PanicError after tearing the rest down.
+// procExit is the deferred tail of every process coroutine: it recovers
+// the teardown sentinel or a real panic and marks the process gone, so
+// no panic ever reaches iter.Pull. A real panic ends the run: Run
+// returns it as a *PanicError after tearing the rest down.
 func (s *Simulator) procExit(p *Proc) {
 	r := recover()
 	if r == nil {
@@ -397,13 +390,8 @@ func (s *Simulator) procExit(p *Proc) {
 	}
 	p.exited = true
 	if _, ok := r.(abortUnwind); !ok {
-		live := !s.aborting
 		s.recordPanic(p.name, r)
-		if live {
-			s.done <- struct{}{}
-		}
 	}
-	s.unwound <- struct{}{}
 }
 
 // recordPanic keeps the run's first panic and stops the run. Called from
@@ -437,30 +425,13 @@ func (s *Simulator) checkCancel() bool {
 	return false
 }
 
-// unwindAll wakes every process goroutine still blocked on its resume
-// channel — parked processes, parked daemons, processes whose start
-// event never fired — one at a time, waiting for each to finish
-// unwinding before waking the next, so the kernel's one-runner invariant
-// holds through teardown. Callers set s.aborting first; the woken
-// goroutine sees it and panics with the abortUnwind sentinel, which
-// procExit recovers.
-func (s *Simulator) unwindAll() {
-	for _, p := range s.procs {
-		if p.exited {
-			continue
-		}
-		p.resume <- struct{}{}
-		<-s.unwound
-	}
-}
-
 // loopOutcome reports why schedLoop stopped draining events.
 type loopOutcome int
 
 const (
 	// loopResumed: self's wake event fired; the caller continues.
 	loopResumed loopOutcome = iota
-	// loopHandedOff: the baton moved to another process (self == nil).
+	// loopHandedOff: the baton moved to s.handoff (self == nil).
 	loopHandedOff
 	// loopDrained: the queue is empty; the simulation is over.
 	loopDrained
@@ -468,12 +439,12 @@ const (
 	loopCanceled
 )
 
-// schedLoop drains the event queue on the calling goroutine. Callback
-// events run inline; a wake event for another process transfers the
-// baton to it (after which a non-nil self blocks until its own wake-up
-// arrives, while a nil self returns loopHandedOff); a wake event for
-// self returns immediately — the allocation- and channel-free resume
-// path.
+// schedLoop drains the event queue on behalf of self (nil for Run or an
+// exiting process). Callback events run inline; a wake event for self
+// returns immediately — the allocation- and switch-free resume path; a
+// wake event for another process records it as s.handoff, after which a
+// nil self returns loopHandedOff and a parked self yields to Run until
+// its own wake-up hands the baton back.
 func (s *Simulator) schedLoop(self *Proc) loopOutcome {
 	// cancelFn is immutable once Run starts; hoisting the nil test out
 	// of the loop keeps the disabled path at one register-resident
@@ -495,41 +466,43 @@ func (s *Simulator) schedLoop(self *Proc) loopOutcome {
 		if q == self {
 			return loopResumed
 		}
-		q.resume <- struct{}{}
+		s.handoff = q
 		if self == nil {
 			return loopHandedOff
 		}
-		<-self.resume
-		if s.aborting {
-			// The wake came from teardown, not the scheduler: unwind.
-			panic(abortUnwind{})
-		}
+		self.suspend()
 		return loopResumed
 	}
 	return loopDrained
+}
+
+// suspend yields p's coroutine to Run. It returns when Run resumes p and
+// unwinds p when teardown stops it instead.
+func (p *Proc) suspend() {
+	if !p.yield(struct{}{}) {
+		panic(abortUnwind{})
+	}
 }
 
 // park blocks p until some event wakes it. reason is reported on deadlock.
 func (p *Proc) park(reason string) {
 	s := p.sim
 	if s.aborting {
-		// Teardown is unwinding this goroutine and a defer (or the
-		// unwind path itself) re-entered the kernel: keep unwinding.
+		// Teardown is unwinding this process and a defer (or the unwind
+		// path itself) re-entered the kernel: keep unwinding.
 		panic(abortUnwind{})
 	}
 	p.reason = reason
 	switch s.schedLoop(p) {
 	case loopDrained:
 		// The queue drained while p was parked: nothing can ever wake p
-		// again. Hand control back to Run (which reports the deadlock or
-		// ignores a parked daemon); teardown unwinds this goroutine.
-		s.done <- struct{}{}
-		<-p.resume // teardown's unwind wake
+		// again. Yield to Run (which reports the deadlock or ignores a
+		// parked daemon); teardown's stop unwinds p.
+		p.suspend()
 		panic(abortUnwind{})
 	case loopCanceled:
-		// p detected the cancellation while holding the baton: hand
-		// control to Run, then unwind (procExit reports completion).
-		s.done <- struct{}{}
+		// p detected the cancellation while holding the baton: unwind;
+		// the coroutine's return hands control to Run.
 		panic(abortUnwind{})
 	}
 }
@@ -565,7 +538,7 @@ func (p *Proc) Yield() {
 // spawned process has exited, a *DeadlockError when processes remain
 // parked with no event left to wake them, a *CanceledError when the
 // SetCancel hook fired, and a *PanicError when simulation code panicked.
-// In every case the kernel tears its goroutines down before returning:
+// In every case the kernel tears its processes down before returning:
 // parked daemons, deadlocked processes, and canceled or panicked runs
 // all unwind, so a completed Run leaks nothing.
 func (s *Simulator) Run() error {
@@ -573,16 +546,14 @@ func (s *Simulator) Run() error {
 		return fmt.Errorf("sim: Run called twice")
 	}
 	s.ran = true
-	if s.runLoop() == loopHandedOff {
-		// The baton is circulating among process goroutines; whichever
-		// one drains the queue (or detects cancellation, or panics)
-		// signals completion.
-		<-s.done
-		if s.aborting {
-			// A process goroutine detected the cancellation or panicked;
-			// wait for it to finish unwinding before tearing down the rest.
-			<-s.unwound
-		}
+	s.runLoop()
+	// The baton circulates among the processes: each one that parks or
+	// exits while another's wake is next leaves it in s.handoff. The loop
+	// ends when one drains the queue, detects cancellation or panics.
+	for s.handoff != nil {
+		q := s.handoff
+		s.handoff = nil
+		q.next()
 	}
 	var err error
 	switch {
@@ -598,27 +569,31 @@ func (s *Simulator) Run() error {
 		sort.Strings(parked)
 		err = &DeadlockError{Parked: parked}
 	}
-	// Tear down the goroutines the run leaves blocked (parked daemons
-	// always; parked processes too on deadlock, cancel or panic).
+	// Tear down the processes the run leaves suspended (parked daemons
+	// always; parked processes too on deadlock, cancel or panic), one at
+	// a time: stop makes a parked process's yield return false, and a
+	// process whose start event never fired is never started. The index
+	// loop also reaches a process a deferred call spawns while unwinding.
 	s.aborting = true
-	s.unwindAll()
+	for i := 0; i < len(s.procs); i++ {
+		s.procs[i].stop()
+	}
 	if s.panicErr != nil {
 		// The run panicked, or a deferred call panicked while teardown
-		// unwound its goroutine: a panic wins over every other ending.
+		// unwound its process: a panic wins over every other ending.
 		return s.panicErr
 	}
 	return err
 }
 
-// runLoop is Run's own turn at the event loop, before the first hand-off
-// to a process: a panic in a callback (or the cancellation hook) it runs
-// ends the run like a panic on a process goroutine.
-func (s *Simulator) runLoop() (out loopOutcome) {
+// runLoop is Run's own turn at the event loop, before it first starts a
+// process: a panic in a callback (or the cancellation hook) it runs ends
+// the run like a panic in a process.
+func (s *Simulator) runLoop() {
 	defer func() {
 		if r := recover(); r != nil {
 			s.recordPanic("", r)
-			out = loopCanceled
 		}
 	}()
-	return s.schedLoop(nil)
+	s.schedLoop(nil)
 }

@@ -1,11 +1,55 @@
 package sim
 
+// fifo is a first-in first-out list that reuses its backing array: a
+// head index advances on pop and resets to zero when the list drains,
+// and a push into a full array whose dead prefix is at least half of it
+// compacts the live items to the front instead of growing. A queue whose
+// length stays bounded therefore stops allocating once its array has
+// grown to that bound. Popped slots are zeroed so the array does not
+// retain what it handed out.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.buf) == cap(f.buf) && 2*f.head >= len(f.buf) {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf = f.buf[:n]
+		f.head = 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+// pop removes and returns the oldest item; the list must not be empty.
+func (f *fifo[T]) pop() T {
+	v := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf = f.buf[:0]
+		f.head = 0
+	}
+	return v
+}
+
+// wakeOldest wakes the longest-parked process in w, if any.
+func (s *Simulator) wakeOldest(w *fifo[*Proc]) {
+	if w.len() > 0 {
+		s.wake(w.pop())
+	}
+}
+
 // Mutex is a virtual-time mutual-exclusion lock with FIFO hand-off.
 // It models a pthread mutex inside one simulated SMP node.
 type Mutex struct {
 	sim     *Simulator
 	owner   *Proc
-	waiters []*Proc
+	waiters fifo[*Proc]
 }
 
 // NewMutex creates a mutex bound to s.
@@ -20,7 +64,7 @@ func (m *Mutex) Lock(p *Proc) {
 	if m.owner == p {
 		panic("sim: recursive Mutex.Lock by " + p.name)
 	}
-	m.waiters = append(m.waiters, p)
+	m.waiters.push(p)
 	p.park("mutex")
 }
 
@@ -29,12 +73,11 @@ func (m *Mutex) Unlock(p *Proc) {
 	if m.owner != p {
 		panic("sim: Mutex.Unlock by non-owner " + p.name)
 	}
-	if len(m.waiters) == 0 {
+	if m.waiters.len() == 0 {
 		m.owner = nil
 		return
 	}
-	next := m.waiters[0]
-	m.waiters = m.waiters[1:]
+	next := m.waiters.pop()
 	m.owner = next
 	m.sim.wake(next)
 }
@@ -42,7 +85,7 @@ func (m *Mutex) Unlock(p *Proc) {
 // Cond is a virtual-time condition variable associated with a Mutex.
 type Cond struct {
 	mu      *Mutex
-	waiters []*Proc
+	waiters fifo[*Proc]
 }
 
 // NewCond creates a condition variable using mu for its monitor.
@@ -54,28 +97,20 @@ func (c *Cond) Wait(p *Proc) {
 	if c.mu.owner != p {
 		panic("sim: Cond.Wait without mutex held")
 	}
-	c.waiters = append(c.waiters, p)
+	c.waiters.push(p)
 	c.mu.Unlock(p)
 	p.park("cond")
 	c.mu.Lock(p)
 }
 
 // Signal wakes the oldest waiter, if any. The caller should hold the mutex.
-func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
-	}
-	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	c.mu.sim.wake(w)
-}
+func (c *Cond) Signal() { c.mu.sim.wakeOldest(&c.waiters) }
 
 // Broadcast wakes every waiter.
 func (c *Cond) Broadcast() {
-	for _, w := range c.waiters {
-		c.mu.sim.wake(w)
+	for c.waiters.len() > 0 {
+		c.mu.sim.wake(c.waiters.pop())
 	}
-	c.waiters = nil
 }
 
 // Queue is an unbounded FIFO whose Pop blocks in virtual time. Push may
@@ -84,8 +119,8 @@ func (c *Cond) Broadcast() {
 // communication thread.
 type Queue[T any] struct {
 	sim     *Simulator
-	items   []T
-	waiters []*Proc
+	items   fifo[T]
+	waiters fifo[*Proc]
 }
 
 // NewQueue creates an empty queue bound to s.
@@ -93,45 +128,36 @@ func NewQueue[T any](s *Simulator) *Queue[T] { return &Queue[T]{sim: s} }
 
 // Push appends v and wakes one blocked Pop, if any.
 func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v)
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.sim.wake(w)
-	}
+	q.items.push(v)
+	q.sim.wakeOldest(&q.waiters)
 }
 
 // Pop removes and returns the oldest item, blocking p until one exists.
 func (q *Queue[T]) Pop(p *Proc) T {
-	for len(q.items) == 0 {
-		q.waiters = append(q.waiters, p)
+	for q.items.len() == 0 {
+		q.waiters.push(p)
 		p.park("queue")
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
+	v := q.items.pop()
 	// A Push wakes only one waiter; if items remain and more waiters
 	// exist (multiple Pushes raced with parked Pops), cascade the wake.
-	if len(q.items) > 0 && len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		q.sim.wake(w)
+	if q.items.len() > 0 {
+		q.sim.wakeOldest(&q.waiters)
 	}
 	return v
 }
 
 // TryPop removes and returns the oldest item without blocking.
 func (q *Queue[T]) TryPop() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.items.len() == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.items.pop(), true
 }
 
 // Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Gate is a one-shot event: Wait blocks until Open is called, after
 // which all current and future waiters pass immediately. It is the

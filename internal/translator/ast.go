@@ -222,6 +222,7 @@ type StringLit struct{ Text string }
 type Index struct {
 	Base string
 	Subs []Expr
+	Line int
 }
 
 // Call is a function call.

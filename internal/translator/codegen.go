@@ -67,6 +67,18 @@ type generator struct {
 	usesB2i     bool
 	usesTernary bool
 	siteSeq     int
+
+	// err is the first error found while rendering an expression of
+	// main (the expression renderers return strings, not errors; helpers
+	// index no arrays, checkPure rejects that).
+	err error
+}
+
+// fail records err unless an earlier error is already recorded.
+func (g *generator) fail(err error) {
+	if g.err == nil {
+		g.err = err
+	}
 }
 
 func (g *generator) p(format string, args ...any) {
@@ -125,6 +137,9 @@ func (g *generator) run(opts Options) (string, error) {
 	for _, s := range mainFn.Body.Stmts {
 		if err := body.genStmt(s); err != nil {
 			return "", err
+		}
+		if body.err != nil {
+			return "", body.err
 		}
 	}
 

@@ -136,7 +136,7 @@ func (g *generator) exprRaw(e Expr) string {
 		if arr == nil {
 			return fmt.Sprintf("/* unknown array */ %s", x.Base)
 		}
-		get := fmt.Sprintf("%s.Get(%s, %s)", x.Base, g.ctx, g.flatIndex(arr, x.Subs))
+		get := fmt.Sprintf("%s.Get(%s, %s)", x.Base, g.ctx, g.flatIndex(arr, x))
 		if arr.Elem == TypeInt {
 			return "int(" + get + ")" // int arrays hold int64s
 		}
@@ -234,13 +234,16 @@ func (g *generator) call(x *Call) string {
 }
 
 // flatIndex renders the flattened element index of a multi-dimensional
-// access (row-major, matching C).
-func (g *generator) flatIndex(arr *VarDecl, subs []Expr) string {
-	if len(subs) != len(arr.Dims) {
-		return "/* rank mismatch */ 0"
+// access x (row-major, matching C). A subscript count that differs from
+// the array's rank is recorded as the generator's error.
+func (g *generator) flatIndex(arr *VarDecl, x *Index) string {
+	if len(x.Subs) != len(arr.Dims) {
+		g.fail(fmt.Errorf("line %d: array %s has rank %d but is indexed with %d subscript(s)",
+			x.Line, x.Base, len(arr.Dims), len(x.Subs)))
+		return "0"
 	}
-	parts := make([]string, len(subs))
-	for i, sub := range subs {
+	parts := make([]string, len(x.Subs))
+	for i, sub := range x.Subs {
 		term := "(" + g.expr(sub, TypeInt) + ")"
 		for j := i + 1; j < len(arr.Dims); j++ {
 			term += "*(" + g.expr(arr.Dims[j], TypeInt) + ")"

@@ -170,7 +170,7 @@ func (g *generator) genAssign(st *Assign) error {
 		if arr.Elem == TypeInt {
 			val = "int64(" + val + ")"
 		}
-		g.p("%s.Set(%s, %s, %s)", lhs.Base, g.ctx, g.flatIndex(arr, lhs.Subs), val)
+		g.p("%s.Set(%s, %s, %s)", lhs.Base, g.ctx, g.flatIndex(arr, lhs), val)
 		return nil
 	default:
 		return fmt.Errorf("translator: unsupported assignment target %T", st.LHS)
@@ -199,7 +199,7 @@ func (g *generator) genIncDec(st *IncDec) error {
 		if arr == nil {
 			return fmt.Errorf("translator: %s of undeclared array %s", st.Op, lhs.Base)
 		}
-		idx := g.flatIndex(arr, lhs.Subs)
+		idx := g.flatIndex(arr, lhs)
 		g.p("%s.Set(%s, %s, %s.Get(%s, %s) %s 1)", lhs.Base, g.ctx, idx, lhs.Base, g.ctx, idx, op)
 		return nil
 	default:
@@ -612,7 +612,7 @@ func (g *generator) depHandle(e Expr, line int) (string, error) {
 		if arr == nil {
 			return "", fmt.Errorf("line %d: depend item %s is not a shared array", line, x.Base)
 		}
-		return fmt.Sprintf("parade.DepAddr(%s.Addr(%s))", x.Base, g.flatIndex(arr, x.Subs)), nil
+		return fmt.Sprintf("parade.DepAddr(%s.Addr(%s))", x.Base, g.flatIndex(arr, x)), nil
 	default:
 		return "", fmt.Errorf("line %d: unsupported depend item %T", line, e)
 	}

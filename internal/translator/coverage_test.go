@@ -129,6 +129,17 @@ int main() {
 int main() {}`, "file scope or in main"},
 		{"unterminated char literal at end of file", "'000", "unterminated char literal"},
 		{"unterminated char literal in a statement", "int main() { x = 'a", "unterminated char literal"},
+		{"subscript count below rank", `double a[4][4];
+int main() {
+	a[1] = 2.0;
+}`, "line 3: array a has rank 2 but is indexed with 1 subscript(s)"},
+		{"subscript count above rank in a read", `double a[4];
+double s;
+int main() {
+	s = a[1][2];
+}`, "line 4: array a has rank 1 but is indexed with 2 subscript(s)"},
+		{"for-increment steps another variable", `int main() { int i; int j;
+for (i = 0; i < 4; j++) { } }`, "line 2: for-increment must step the loop variable"},
 	}
 	for _, c := range cases {
 		_, err := Translate(c.src, Options{})

@@ -383,8 +383,12 @@ func (p *Parser) forStmt() (Stmt, error) {
 	if err := p.expect(")"); err != nil {
 		return nil, err
 	}
-	if id, ok := incr.(*IncDec); !ok || id.Op != "++" {
+	step, ok := incr.(*IncDec)
+	if !ok || step.Op != "++" {
 		return nil, fmt.Errorf("line %d: for-increment must be `var++`", line)
+	}
+	if id, ok := step.LHS.(*Ident); !ok || id.Name != iv.Name {
+		return nil, fmt.Errorf("line %d: for-increment must step the loop variable", line)
 	}
 	body, err := p.stmtAsBlock()
 	if err != nil {
@@ -734,7 +738,7 @@ func (s *pragmaScanner) list(a *clauseArg, clause string, kw int, subs bool) err
 		}
 		var item Expr = &Ident{Name: name}
 		if idx != nil {
-			item = &Index{Base: name, Subs: idx}
+			item = &Index{Base: name, Subs: idx, Line: s.line}
 		}
 		a.vars, a.items, a.at = append(a.vars, name), append(a.items, item), append(a.at, at)
 	}
@@ -904,7 +908,7 @@ func (p *Parser) postfix() (Expr, error) {
 			return call, nil
 		}
 		if p.cur().Text == "[" {
-			idx := &Index{Base: name}
+			idx := &Index{Base: name, Line: tok.Line}
 			for p.accept("[") {
 				sub, err := p.expr()
 				if err != nil {
