@@ -20,56 +20,33 @@ var ompFuncs = map[string]bool{
 	"omp_get_wtime": true,
 }
 
-// scalarTargets walks the program and collects the names of scalars
-// assigned inside critical or atomic bodies: those become hybrid Scalar
-// variables; every other scalar is a replicated local.
+// scalarTargets collects the names of scalars assigned inside critical,
+// atomic or single bodies: those become hybrid Scalar variables; every
+// other scalar is a replicated local.
 func scalarTargets(prog *Program) map[string]bool {
 	targets := map[string]bool{}
-	var walkStmt func(s Stmt, inCritical bool)
-	walkBlock := func(b *Block, inCritical bool) {
-		if b == nil {
-			return
-		}
-		for _, s := range b.Stmts {
-			walkStmt(s, inCritical)
-		}
-	}
-	walkStmt = func(s Stmt, inCritical bool) {
-		switch st := s.(type) {
-		case *Block:
-			walkBlock(st, inCritical)
+	record := func(n any) bool {
+		var lhs Expr
+		switch st := n.(type) {
 		case *Assign:
-			if inCritical {
-				if id, ok := st.LHS.(*Ident); ok {
-					targets[id.Name] = true
-				}
-			}
+			lhs = st.LHS
 		case *IncDec:
-			if inCritical {
-				if id, ok := st.LHS.(*Ident); ok {
-					targets[id.Name] = true
-				}
-			}
-		case *ForStmt:
-			walkBlock(st.Body, inCritical)
-		case *WhileStmt:
-			walkBlock(st.Body, inCritical)
-		case *IfStmt:
-			walkBlock(st.Then, inCritical)
-			walkBlock(st.Else, inCritical)
-		case *OmpStmt:
-			inner := inCritical || st.Dir.Kind == DirCritical || st.Dir.Kind == DirAtomic ||
-				st.Dir.Kind == DirSingle
-			switch b := st.Body.(type) {
-			case *Block:
-				walkBlock(b, inner)
-			case *ForStmt:
-				walkBlock(b.Body, inner)
-			}
+			lhs = st.LHS
 		}
+		if id, ok := lhs.(*Ident); ok {
+			targets[id.Name] = true
+		}
+		return true
 	}
 	for _, fn := range prog.Funcs {
-		walkBlock(fn.Body, false)
+		walk(fn.Body, func(n any) bool {
+			st, ok := n.(*OmpStmt)
+			if !ok || st.Dir.Kind != DirCritical && st.Dir.Kind != DirAtomic && st.Dir.Kind != DirSingle {
+				return true
+			}
+			walk(st.Body, record)
+			return false
+		})
 	}
 	return targets
 }
@@ -115,7 +92,7 @@ func (g *generator) commutativeUpdate(s Stmt) (string, bool) {
 		if !ok || g.arrays[id.Name] != nil {
 			return "", false
 		}
-		if !g.pureExpr(st.RHS, id.Name) {
+		if !g.pureExpr(st.RHS) {
 			return "", false
 		}
 		switch st.Op {
@@ -147,34 +124,23 @@ func (g *generator) commutativeUpdate(s Stmt) (string, bool) {
 }
 
 // pureExpr reports whether e reads no shared arrays and calls only
-// whitelisted math functions. target may appear (self reference).
-func (g *generator) pureExpr(e Expr, target string) bool {
-	switch x := e.(type) {
-	case nil:
-		return true
-	case *Ident, *Number, *StringLit:
-		return true
-	case *Index:
-		return g.arrays[x.Base] == nil
-	case *Unary:
-		return g.pureExpr(x.X, target)
-	case *Binary:
-		return g.pureExpr(x.X, target) && g.pureExpr(x.Y, target)
-	case *Cond:
-		return g.pureExpr(x.X, target) && g.pureExpr(x.A, target) && g.pureExpr(x.B, target)
-	case *Call:
-		if _, ok := mathFuncs[x.Name]; !ok && !isCast(x.Name) {
+// whitelisted math functions. The subscripts of a private array are not
+// examined.
+func (g *generator) pureExpr(e Expr) bool {
+	pure := true
+	walk(e, func(n any) bool {
+		switch x := n.(type) {
+		case *Index:
+			pure = pure && g.arrays[x.Base] == nil
 			return false
-		}
-		for _, a := range x.Args {
-			if !g.pureExpr(a, target) {
-				return false
+		case *Call:
+			if _, ok := mathFuncs[x.Name]; !ok && !isCast(x.Name) {
+				pure = false
 			}
 		}
-		return true
-	default:
-		return false
-	}
+		return pure
+	})
+	return pure
 }
 
 func isCast(name string) bool {
@@ -195,7 +161,7 @@ func (g *generator) analyzableSingle(b *Block) (string, bool) {
 	if !ok || g.arrays[id.Name] != nil || !g.scalars[id.Name] {
 		return "", false
 	}
-	if !g.pureExpr(asg.RHS, id.Name) {
+	if !g.pureExpr(asg.RHS) {
 		return "", false
 	}
 	return id.Name, true
@@ -214,9 +180,9 @@ func (g *generator) atomicUpdate(b *Block) (name string, delta Expr, negate bool
 		}
 		switch st.Op {
 		case "+=":
-			return id.Name, st.RHS, false, g.pureExpr(st.RHS, id.Name)
+			return id.Name, st.RHS, false, g.pureExpr(st.RHS)
 		case "-=":
-			return id.Name, st.RHS, true, g.pureExpr(st.RHS, id.Name)
+			return id.Name, st.RHS, true, g.pureExpr(st.RHS)
 		}
 	case *IncDec:
 		id, isID := st.LHS.(*Ident)
@@ -232,31 +198,19 @@ func (g *generator) atomicUpdate(b *Block) (name string, delta Expr, negate bool
 // into a shared DSM array (used to decide whether a reduction for-loop
 // still needs its implicit barrier).
 func (g *generator) writesSharedArray(s Stmt) bool {
-	switch st := s.(type) {
-	case nil:
-		return false
-	case *Block:
-		for _, x := range st.Stmts {
-			if g.writesSharedArray(x) {
-				return true
-			}
+	writes := false
+	walk(s, func(n any) bool {
+		var lhs Expr
+		switch st := n.(type) {
+		case *Assign:
+			lhs = st.LHS
+		case *IncDec:
+			lhs = st.LHS
 		}
-	case *Assign:
-		if idx, ok := st.LHS.(*Index); ok && g.arrays[idx.Base] != nil {
-			return true
+		if idx, ok := lhs.(*Index); ok && g.arrays[idx.Base] != nil {
+			writes = true
 		}
-	case *IncDec:
-		if idx, ok := st.LHS.(*Index); ok && g.arrays[idx.Base] != nil {
-			return true
-		}
-	case *ForStmt:
-		return g.writesSharedArray(st.Body)
-	case *WhileStmt:
-		return g.writesSharedArray(st.Body)
-	case *IfStmt:
-		return g.writesSharedArray(st.Then) || g.writesSharedArray(st.Else)
-	case *OmpStmt:
-		return g.writesSharedArray(st.Body)
-	}
-	return false
+		return !writes
+	})
+	return writes
 }

@@ -256,3 +256,73 @@ func (*Call) expr()      {}
 func (*Unary) expr()     {}
 func (*Binary) expr()    {}
 func (*Cond) expr()      {}
+
+// walk visits node and everything under it in source order, in the
+// manner of go/ast.Inspect: visit is called with each Stmt and Expr node,
+// with each *VarDecl of a block (its dimensions and initializer are its
+// children) and with each *Depend of a directive (its items are its
+// children), and a false result skips that node's children. A
+// directive's depend clauses come before its body.
+func walk(node any, visit func(node any) bool) {
+	if !visit(node) {
+		return
+	}
+	exprs := func(es ...Expr) {
+		for _, e := range es {
+			if e != nil {
+				walk(e, visit)
+			}
+		}
+	}
+	switch n := node.(type) {
+	case *VarDecl:
+		exprs(n.Dims...)
+		exprs(n.Init)
+	case *Depend:
+		exprs(n.Items...)
+	case *Block:
+		for _, d := range n.Decls {
+			walk(d, visit)
+		}
+		for _, s := range n.Stmts {
+			walk(s, visit)
+		}
+	case *ExprStmt:
+		exprs(n.X)
+	case *Assign:
+		exprs(n.LHS, n.RHS)
+	case *IncDec:
+		exprs(n.LHS)
+	case *ForStmt:
+		exprs(n.Lo, n.Hi)
+		walk(n.Body, visit)
+	case *WhileStmt:
+		exprs(n.Cond)
+		walk(n.Body, visit)
+	case *IfStmt:
+		exprs(n.Cond)
+		walk(n.Then, visit)
+		if n.Else != nil {
+			walk(n.Else, visit)
+		}
+	case *ReturnStmt:
+		exprs(n.X)
+	case *OmpStmt:
+		for i := range n.Dir.Depends {
+			walk(&n.Dir.Depends[i], visit)
+		}
+		if n.Body != nil {
+			walk(n.Body, visit)
+		}
+	case *Index:
+		exprs(n.Subs...)
+	case *Call:
+		exprs(n.Args...)
+	case *Unary:
+		exprs(n.X)
+	case *Binary:
+		exprs(n.X, n.Y)
+	case *Cond:
+		exprs(n.X, n.A, n.B)
+	}
+}

@@ -1,8 +1,11 @@
 package translator
 
 import (
+	"cmp"
 	"fmt"
 	"go/format"
+	"maps"
+	"slices"
 	"strings"
 )
 
@@ -72,6 +75,11 @@ type generator struct {
 	// main (the expression renderers return strings, not errors; helpers
 	// index no arrays, checkPure rejects that).
 	err error
+
+	// late is the first name a helper cannot see. Like checkNames's
+	// errors, it is reported only once the lowering succeeds, so an input
+	// the lowering rejects keeps that error.
+	late error
 }
 
 // fail records err unless an earlier error is already recorded.
@@ -158,91 +166,88 @@ func (g *generator) run(opts Options) (string, error) {
 		}
 	}
 
-	// Assemble the file.
-	g.p("// Code generated by parade-translate from OpenMP C source. DO NOT EDIT.")
-	g.p("//")
-	g.p("// The OpenMP directives of the original program were lowered with the")
-	g.p("// ParADE translation rules (paper §4): hybrid criticals/atomics and")
-	g.p("// broadcast singles for statically analyzable small data, collective")
-	g.p("// reductions (merged when possible), static for-scheduling.")
-	g.p("package %s", opts.Package)
-	g.p("")
-	g.p("import (")
-	g.depth++
-	g.p("\"flag\"")
+	var imports, support string
 	if body.usesFmt || helpers.usesFmt {
-		g.p("\"fmt\"")
+		imports += "\t\"fmt\"\n"
 	}
 	if body.usesMath || helpers.usesMath {
-		g.p("\"math\"")
+		imports += "\t\"math\"\n"
 	}
-	g.p("\"log\"")
-	g.p("")
-	g.p("\"parade\"")
-	g.depth--
-	g.p(")")
-	g.p("")
 	if body.usesB2i || helpers.usesB2i {
-		g.p("// b2i is C's boolean-as-int convention.")
-		g.p("func b2i(b bool) int {")
-		g.depth++
-		g.p("if b {")
-		g.depth++
-		g.p("return 1")
-		g.depth--
-		g.p("}")
-		g.p("return 0")
-		g.depth--
-		g.p("}")
-		g.p("")
+		support += b2iFunc
 	}
 	if body.usesTernary || helpers.usesTernary {
-		g.p("// ternary is C's conditional operator.")
-		g.p("func ternary[T any](c bool, a, b T) T {")
-		g.depth++
-		g.p("if c {")
-		g.depth++
-		g.p("return a")
-		g.depth--
-		g.p("}")
-		g.p("return b")
-		g.depth--
-		g.p("}")
-		g.p("")
+		support += ternaryFunc
 	}
-	g.buf.WriteString(helpers.buf.String())
-	g.p("func main() {")
-	g.depth++
-	g.p(`nodes := flag.Int("nodes", 4, "cluster nodes")`)
-	g.p(`tpn := flag.Int("tpn", 1, "threads per node")`)
-	g.p(`cpus := flag.Int("cpus", 2, "CPUs per node")`)
-	g.p(`mode := flag.String("mode", "parade", "runtime: parade or kdsm")`)
-	g.p("flag.Parse()")
-	g.p("cfg := parade.Config{Nodes: *nodes, ThreadsPerNode: *tpn, CPUsPerNode: *cpus, HomeMigration: true}")
-	g.p(`if *mode == "kdsm" {`)
-	g.depth++
-	g.p("cfg.Mode = parade.SDSM")
-	g.p("cfg.HomeMigration = false")
-	g.depth--
-	g.p("}")
-	g.p("_, err := parade.Run(cfg, func(m *parade.Thread) {")
-	g.buf.WriteString(body.buf.String())
-	g.p("})")
-	g.p("if err != nil {")
-	g.depth++
-	g.p("log.Fatal(err)")
-	g.depth--
-	g.p("}")
-	g.depth--
-	g.p("}")
-	formatted, err := format.Source([]byte(g.buf.String()))
+	src := fmt.Sprintf(fileTemplate, opts.Package, imports, support, helpers.buf.String(), body.buf.String())
+	formatted, err := format.Source([]byte(src))
 	if err != nil {
 		// A formatting failure indicates a generator bug; return the raw
 		// source so the caller can see what was produced.
-		return g.buf.String(), fmt.Errorf("translator: generated code does not parse: %w", err)
+		return src, fmt.Errorf("translator: generated code does not parse: %w", err)
+	}
+	if err := cmp.Or(checkNames(g.prog), helpers.late); err != nil {
+		return "", err
 	}
 	return string(formatted), nil
 }
+
+// fileTemplate is the emitted file around its variable parts: the
+// package name, the optional imports, the support functions, the
+// helpers, and the body of main's Run closure.
+const fileTemplate = `// Code generated by parade-translate from OpenMP C source. DO NOT EDIT.
+//
+// The OpenMP directives of the original program were lowered with the
+// ParADE translation rules (paper §4): hybrid criticals/atomics and
+// broadcast singles for statically analyzable small data, collective
+// reductions (merged when possible), static for-scheduling.
+package %s
+
+import (
+	"flag"
+%s	"log"
+
+	"parade"
+)
+
+%s%sfunc main() {
+	nodes := flag.Int("nodes", 4, "cluster nodes")
+	tpn := flag.Int("tpn", 1, "threads per node")
+	cpus := flag.Int("cpus", 2, "CPUs per node")
+	mode := flag.String("mode", "parade", "runtime: parade or kdsm")
+	flag.Parse()
+	cfg := parade.Config{Nodes: *nodes, ThreadsPerNode: *tpn, CPUsPerNode: *cpus, HomeMigration: true}
+	if *mode == "kdsm" {
+		cfg.Mode = parade.SDSM
+		cfg.HomeMigration = false
+	}
+	_, err := parade.Run(cfg, func(m *parade.Thread) {
+%s	})
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+`
+
+const b2iFunc = `// b2i is C's boolean-as-int convention.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+`
+
+const ternaryFunc = `// ternary is C's conditional operator.
+func ternary[T any](c bool, a, b T) T {
+	if c {
+		return a
+	}
+	return b
+}
+
+`
 
 // genArrayAlloc emits the shared allocation of one array declaration.
 func (g *generator) genArrayAlloc(d *VarDecl) {
@@ -279,102 +284,139 @@ func scalarVar(name string) string { return "s_" + name }
 
 // genHelper emits a pure helper function.
 func (g *generator) genHelper(fn *FuncDecl) error {
-	if err := g.checkPure(fn.Body, fn.Name); err != nil {
+	if err := g.checkPure(fn); err != nil {
 		return err
 	}
 	params := make([]string, len(fn.Params))
-	for _, prm := range fn.Params {
-		g.types[prm.Name] = prm.Elem
-	}
 	for i, prm := range fn.Params {
+		g.types[prm.Name] = prm.Elem
 		params[i] = prm.Name + " " + prm.Elem.GoType()
 	}
 	ret := ""
 	if fn.Ret != TypeVoid {
 		ret = " " + fn.Ret.GoType()
 	}
-	g.p("func %s(%s)%s {", fn.Name, strings.Join(params, ", "), ret)
-	g.depth++
 	g.ctx = ""
-	if err := g.genBlockInner(fn.Body); err != nil {
-		return err
-	}
-	g.depth--
-	g.p("}")
+	err := g.nested(fmt.Sprintf("func %s(%s)%s {", fn.Name, strings.Join(params, ", "), ret), fn.Body, "}")
 	g.p("")
-	return nil
+	return err
 }
 
-// checkPure verifies a helper touches no shared data and no directives.
-func (g *generator) checkPure(b *Block, fname string) error {
+// checkPure verifies a helper touches no shared data and no directives;
+// the last violation found is the error. A reference to a file-scope
+// variable, which the helper cannot see (they are locals of main's Run
+// closure), is recorded in g.late instead.
+func (g *generator) checkPure(fn *FuncDecl) error {
+	local := declaredNames(fn)
+	fileScope := func(name string) {
+		if g.late == nil && !local[name] && slices.ContainsFunc(g.prog.Decls, func(d *VarDecl) bool { return d.Name == name }) {
+			g.late = fmt.Errorf("translator: helper %s references file-scope variable %s (pass it as a parameter)", fn.Name, name)
+		}
+	}
 	var bad error
-	var walk func(s Stmt)
-	check := func(e Expr) {
-		var ew func(Expr)
-		ew = func(e Expr) {
-			switch x := e.(type) {
-			case *Index:
-				if g.arrays[x.Base] != nil {
-					bad = fmt.Errorf("translator: helper %s references shared array %s (move the access into main or annotate the data private)", fname, x.Base)
-				}
-				for _, s := range x.Subs {
-					ew(s)
-				}
-			case *Ident:
-				if g.scalars[x.Name] {
-					bad = fmt.Errorf("translator: helper %s references shared scalar %s", fname, x.Name)
-				}
-			case *Unary:
-				ew(x.X)
-			case *Binary:
-				ew(x.X)
-				ew(x.Y)
-			case *Cond:
-				ew(x.X)
-				ew(x.A)
-				ew(x.B)
-			case *Call:
-				for _, a := range x.Args {
-					ew(a)
-				}
-			}
-		}
-		ew(e)
-	}
-	walk = func(s Stmt) {
-		switch st := s.(type) {
+	walk(fn.Body, func(n any) bool {
+		switch x := n.(type) {
 		case *OmpStmt:
-			bad = fmt.Errorf("translator: helper %s contains an omp directive (only main may)", fname)
-		case *Block:
-			for _, x := range st.Stmts {
-				walk(x)
-			}
-		case *Assign:
-			check(st.LHS)
-			check(st.RHS)
-		case *IncDec:
-			check(st.LHS)
-		case *ExprStmt:
-			check(st.X)
+			bad = fmt.Errorf("translator: helper %s contains an omp directive (only main may)", fn.Name)
+			return false
+		case *VarDecl:
+			// The shared-data rules skip declarations; the scope rule
+			// reads them.
+			walk(x, func(n any) bool {
+				if id, ok := n.(*Ident); ok {
+					fileScope(id.Name)
+				}
+				return true
+			})
+			return false
 		case *ForStmt:
-			check(st.Lo)
-			check(st.Hi)
-			walk(st.Body)
-		case *WhileStmt:
-			check(st.Cond)
-			walk(st.Body)
-		case *IfStmt:
-			check(st.Cond)
-			walk(st.Then)
-			if st.Else != nil {
-				walk(st.Else)
+			fileScope(x.Var)
+		case *Index:
+			if g.arrays[x.Base] != nil {
+				bad = fmt.Errorf("translator: helper %s references shared array %s (move the access into main or annotate the data private)", fn.Name, x.Base)
 			}
-		case *ReturnStmt:
-			if st.X != nil {
-				check(st.X)
+		case *Ident:
+			if g.scalars[x.Name] {
+				bad = fmt.Errorf("translator: helper %s references shared scalar %s", fn.Name, x.Name)
+			}
+			fileScope(x.Name)
+		}
+		return true
+	})
+	return bad
+}
+
+// declaredNames returns the parameters of fn and every variable declared
+// anywhere in its body.
+func declaredNames(fn *FuncDecl) map[string]bool {
+	names := map[string]bool{}
+	for _, p := range fn.Params {
+		names[p.Name] = true
+	}
+	walk(fn.Body, func(n any) bool {
+		if d, ok := n.(*VarDecl); ok {
+			names[d.Name] = true
+		}
+		return true
+	})
+	return names
+}
+
+// checkNames resolves every name of the program. An identifier, array
+// base or loop variable must name a variable of its scope or a function
+// of the program: at file scope the file-scope variables, in a function
+// those, its parameters and its declarations. A call must name a
+// function of the program, printf, a math or OpenMP runtime function, or
+// a cast. A bare name in a depend list is an abstract dependence object,
+// not a variable, so only the subscripts of an element item resolve.
+func checkNames(prog *Program) error {
+	isFunc := func(name string) bool {
+		return slices.ContainsFunc(prog.Funcs, func(fn *FuncDecl) bool { return fn.Name == name })
+	}
+	var err error
+	check := func(where string, scope map[string]bool, root any) {
+		resolve := func(name string) {
+			if err == nil && !scope[name] && !isFunc(name) {
+				err = fmt.Errorf("translator: undeclared name %s %s", name, where)
 			}
 		}
+		var visit func(n any) bool
+		visit = func(n any) bool {
+			switch x := n.(type) {
+			case *Depend:
+				for _, it := range x.Items {
+					if idx, ok := it.(*Index); ok {
+						walk(idx, visit)
+					}
+				}
+				return false
+			case *ForStmt:
+				resolve(x.Var)
+			case *Ident:
+				resolve(x.Name)
+			case *Index:
+				resolve(x.Base)
+			case *Call:
+				_, math := mathFuncs[x.Name]
+				if err == nil && !isFunc(x.Name) && x.Name != "printf" && !math && !ompFuncs[x.Name] && !isCast(x.Name) {
+					err = fmt.Errorf("translator: call of undeclared function %s %s", x.Name, where)
+				}
+			}
+			return err == nil
+		}
+		walk(root, visit)
 	}
-	walk(b)
-	return bad
+	global := map[string]bool{}
+	for _, d := range prog.Decls {
+		global[d.Name] = true
+	}
+	for _, d := range prog.Decls {
+		check("at file scope", global, d)
+	}
+	for _, fn := range prog.Funcs {
+		scope := declaredNames(fn)
+		maps.Copy(scope, global)
+		check("in "+fn.Name, scope, fn.Body)
+	}
+	return err
 }

@@ -1,7 +1,9 @@
 package translator
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -25,17 +27,20 @@ func (g *generator) genBlockInner(b *Block) error {
 	return nil
 }
 
+// nested prints head, the statements of b one level deeper, and tail.
+func (g *generator) nested(head string, b *Block, tail string) error {
+	g.p("%s", head)
+	g.depth++
+	err := g.genBlockInner(b)
+	g.depth--
+	g.p("%s", tail)
+	return err
+}
+
 func (g *generator) genStmt(s Stmt) error {
 	switch st := s.(type) {
 	case *Block:
-		g.p("{")
-		g.depth++
-		if err := g.genBlockInner(st); err != nil {
-			return err
-		}
-		g.depth--
-		g.p("}")
-		return nil
+		return g.nested("{", st, "}")
 	case *ExprStmt:
 		if call, ok := st.X.(*Call); ok {
 			return g.genCallStmt(call)
@@ -49,31 +54,20 @@ func (g *generator) genStmt(s Stmt) error {
 	case *ForStmt:
 		return g.genSerialFor(st)
 	case *WhileStmt:
-		g.p("for %s {", g.cond(st.Cond))
-		g.depth++
-		if err := g.genBlockInner(st.Body); err != nil {
-			return err
-		}
-		g.depth--
-		g.p("}")
-		return nil
+		return g.nested("for "+g.cond(st.Cond)+" {", st.Body, "}")
 	case *IfStmt:
-		g.p("if %s {", g.cond(st.Cond))
-		g.depth++
-		if err := g.genBlockInner(st.Then); err != nil {
+		head := "if " + g.cond(st.Cond) + " {"
+		if st.Else == nil {
+			return g.nested(head, st.Then, "}")
+		}
+		if err := g.nested(head, st.Then, "} else {"); err != nil {
 			return err
 		}
+		g.depth++
+		err := g.genBlockInner(st.Else)
 		g.depth--
-		if st.Else != nil {
-			g.p("} else {")
-			g.depth++
-			if err := g.genBlockInner(st.Else); err != nil {
-				return err
-			}
-			g.depth--
-		}
 		g.p("}")
-		return nil
+		return err
 	case *ReturnStmt:
 		if st.X != nil && !g.inMain {
 			g.p("return %s", g.expr(st.X, g.exprType(st.X)))
@@ -152,11 +146,7 @@ func (g *generator) genAssign(st *Assign) error {
 			}
 			return nil
 		}
-		name := lhs.Name
-		if r := g.renames[name]; r != "" {
-			name = r
-		}
-		g.p("%s %s %s", name, st.Op, g.expr(st.RHS, g.identType(lhs.Name)))
+		g.p("%s %s %s", cmp.Or(g.renames[lhs.Name], lhs.Name), st.Op, g.expr(st.RHS, g.identType(lhs.Name)))
 		return nil
 	case *Index:
 		arr := g.arrays[lhs.Base]
@@ -188,11 +178,7 @@ func (g *generator) genIncDec(st *IncDec) error {
 			g.p("%s.Add(%s, %s1)", scalarVar(lhs.Name), g.ctx, op)
 			return nil
 		}
-		name := lhs.Name
-		if r := g.renames[name]; r != "" {
-			name = r
-		}
-		g.p("%s%s", name, st.Op)
+		g.p("%s%s", cmp.Or(g.renames[lhs.Name], lhs.Name), st.Op)
 		return nil
 	case *Index:
 		arr := g.arrays[lhs.Base]
@@ -210,18 +196,12 @@ func (g *generator) genIncDec(st *IncDec) error {
 // genSerialFor lowers a non-worksharing counted loop.
 func (g *generator) genSerialFor(st *ForStmt) error {
 	hi := g.expr(st.Hi, TypeInt)
-	cmp := "<"
+	rel := "<"
 	if st.LessEq {
-		cmp = "<="
+		rel = "<="
 	}
-	g.p("for %s = %s; %s %s %s; %s++ {", st.Var, g.expr(st.Lo, TypeInt), st.Var, cmp, hi, st.Var)
-	g.depth++
-	if err := g.genBlockInner(st.Body); err != nil {
-		return err
-	}
-	g.depth--
-	g.p("}")
-	return nil
+	head := fmt.Sprintf("for %s = %s; %s %s %s; %s++ {", st.Var, g.expr(st.Lo, TypeInt), st.Var, rel, hi, st.Var)
+	return g.nested(head, st.Body, "}")
 }
 
 // genOmp lowers one directive (§4's translation rules).
@@ -268,18 +248,11 @@ func (g *generator) genOmp(st *OmpStmt) error {
 	case DirSingle:
 		return g.genSingle(st)
 	case DirMaster:
-		g.p("%s.Master(func() {", g.ctx)
-		g.depth++
-		err := g.genBlockInner(st.Body.(*Block))
-		g.depth--
-		g.p("})")
-		return err
+		return g.nested(g.ctx+".Master(func() {", st.Body.(*Block), "})")
 	case DirBarrier:
 		g.p("%s.Barrier()", g.ctx)
 		return nil
-	case DirTask:
-		return g.genTask(st)
-	case DirTarget:
+	case DirTask, DirTarget:
 		return g.genTask(st)
 	case DirTaskwait:
 		g.p("tc.Taskwait()")
@@ -325,9 +298,9 @@ func (g *generator) genParallel(dir Directive, body *Block, loop *ForStmt) error
 	for name := range g.collectScalarRefs(body, loop) {
 		refs = append(refs, name)
 	}
-	sortStrings(refs)
+	slices.Sort(refs)
 	for _, name := range refs {
-		if reds[name] != "" || g.scalars[name] || contains(dir.Private, name) || declared[name] {
+		if reds[name] != "" || g.scalars[name] || slices.Contains(dir.Private, name) || declared[name] {
 			continue
 		}
 		g.p("%s := %s // firstprivate copy (replicated-local semantics)", name, name)
@@ -511,12 +484,8 @@ func (g *generator) genTask(st *OmpStmt) error {
 	seq := g.siteSeq
 	saved := map[string]string{}
 	for _, name := range st.Dir.FirstPrivate {
-		src := name
-		if r := g.renames[name]; r != "" {
-			src = r
-		}
 		cp := fmt.Sprintf("__task%d_%s", seq, name)
-		g.p("%s := %s // firstprivate capture at spawn", cp, src)
+		g.p("%s := %s // firstprivate capture at spawn", cp, cmp.Or(g.renames[name], name))
 		saved[name] = g.renames[name]
 		g.renames[name] = cp
 		g.types[cp] = g.identType(name)
@@ -628,20 +597,15 @@ func (g *generator) genCritical(st *OmpStmt) error {
 		name = fmt.Sprintf("crit_%d", g.siteSeq)
 	}
 	body := st.Body.(*Block)
+	head := fmt.Sprintf("tc.Critical(%q, nil, func() {", name)
 	if vars, ok := g.analyzableCritical(body); ok {
 		svars := make([]string, len(vars))
 		for i, v := range vars {
 			svars[i] = scalarVar(v)
 		}
-		g.p("tc.Critical(%q, []*parade.Scalar{%s}, func() {", name, strings.Join(svars, ", "))
-	} else {
-		g.p("tc.Critical(%q, nil, func() {", name)
+		head = fmt.Sprintf("tc.Critical(%q, []*parade.Scalar{%s}, func() {", name, strings.Join(svars, ", "))
 	}
-	g.depth++
-	err := g.genBlockInner(body)
-	g.depth--
-	g.p("})")
-	return err
+	return g.nested(head, body, "})")
 }
 
 // genAtomic lowers the atomic directive onto one collective (§4.2).
@@ -668,195 +632,60 @@ func (g *generator) genSingle(st *OmpStmt) error {
 	g.siteSeq++
 	name := fmt.Sprintf("single_%d", g.siteSeq)
 	body := st.Body.(*Block)
+	head := fmt.Sprintf("tc.SingleBarrier(%q, func() {", name)
 	if target, ok := g.analyzableSingle(body); ok {
-		g.p("tc.Single(%q, %s, func() {", name, scalarVar(target))
-	} else {
-		g.p("tc.SingleBarrier(%q, func() {", name)
+		head = fmt.Sprintf("tc.Single(%q, %s, func() {", name, scalarVar(target))
 	}
-	g.depth++
-	err := g.genBlockInner(body)
-	g.depth--
-	g.p("})")
-	return err
+	return g.nested(head, body, "})")
 }
 
-// collectScalarRefs gathers the names of non-hybrid scalar variables
-// referenced inside a region body (for firstprivate shadowing).
+// collectScalarRefs gathers the names of the known scalars and the loop
+// variables referenced inside a region body (for firstprivate
+// shadowing). Declaration initializers and depend items are not read.
 func (g *generator) collectScalarRefs(b *Block, loop *ForStmt) map[string]bool {
 	refs := map[string]bool{}
-	var we func(Expr)
-	var ws func(Stmt)
-	we = func(e Expr) {
-		switch x := e.(type) {
+	visit := func(n any) bool {
+		switch x := n.(type) {
+		case *VarDecl, *Depend:
+			return false
 		case *Ident:
 			if _, known := g.types[x.Name]; known {
 				refs[x.Name] = true
 			}
-		case *Index:
-			for _, s := range x.Subs {
-				we(s)
-			}
-		case *Unary:
-			we(x.X)
-		case *Binary:
-			we(x.X)
-			we(x.Y)
-		case *Cond:
-			we(x.X)
-			we(x.A)
-			we(x.B)
-		case *Call:
-			for _, a := range x.Args {
-				we(a)
-			}
-		}
-	}
-	var wb func(*Block)
-	ws = func(s Stmt) {
-		switch st := s.(type) {
-		case *Block:
-			wb(st)
-		case *ExprStmt:
-			we(st.X)
-		case *Assign:
-			we(st.LHS)
-			we(st.RHS)
-		case *IncDec:
-			we(st.LHS)
 		case *ForStmt:
-			we(st.Lo)
-			we(st.Hi)
-			refs[st.Var] = true
-			wb(st.Body)
-		case *WhileStmt:
-			we(st.Cond)
-			wb(st.Body)
-		case *IfStmt:
-			we(st.Cond)
-			wb(st.Then)
-			if st.Else != nil {
-				wb(st.Else)
-			}
-		case *ReturnStmt:
-			if st.X != nil {
-				we(st.X)
-			}
-		case *OmpStmt:
-			switch b := st.Body.(type) {
-			case *Block:
-				wb(b)
-			case *ForStmt:
-				ws(b)
-			}
+			refs[x.Var] = true
 		}
+		return true
 	}
-	wb = func(b *Block) {
-		if b == nil {
-			return
-		}
-		// Block-local declarations are genuinely local; still record the
-		// name so shadowing logic sees them as declared (harmless).
-		for _, s := range b.Stmts {
-			ws(s)
-		}
-	}
-	if b != nil {
-		wb(b)
-	}
+	walk(b, visit)
 	if loop != nil {
-		ws(loop)
+		walk(loop, visit)
 	}
 	return refs
-}
-
-func contains(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // collectDeclared records every variable declared in b or any block
 // nested inside it (loop bodies, branches, task and target bodies).
 func collectDeclared(b *Block, declared map[string]bool) {
-	if b == nil {
-		return
-	}
-	for _, d := range b.Decls {
-		declared[d.Name] = true
-	}
-	var ws func(Stmt)
-	ws = func(s Stmt) {
-		switch st := s.(type) {
-		case *Block:
-			collectDeclared(st, declared)
-		case *ForStmt:
-			collectDeclared(st.Body, declared)
-		case *WhileStmt:
-			collectDeclared(st.Body, declared)
-		case *IfStmt:
-			collectDeclared(st.Then, declared)
-			if st.Else != nil {
-				collectDeclared(st.Else, declared)
-			}
-		case *OmpStmt:
-			switch b := st.Body.(type) {
-			case *Block:
-				collectDeclared(b, declared)
-			case *ForStmt:
-				ws(b)
-			}
+	walk(b, func(n any) bool {
+		if d, ok := n.(*VarDecl); ok {
+			declared[d.Name] = true
 		}
-	}
-	for _, s := range b.Stmts {
-		ws(s)
-	}
+		return true
+	})
 }
 
 // collectNestedReductions records the reduction variables of directives
 // nested inside a region body.
 func collectNestedReductions(b *Block, reds map[string]string) {
-	if b == nil {
-		return
-	}
-	var ws func(Stmt)
-	ws = func(s Stmt) {
-		switch st := s.(type) {
-		case *Block:
-			for _, x := range st.Stmts {
-				ws(x)
-			}
-		case *ForStmt:
-			ws(st.Body)
-		case *WhileStmt:
-			ws(st.Body)
-		case *IfStmt:
-			ws(st.Then)
-			if st.Else != nil {
-				ws(st.Else)
-			}
-		case *OmpStmt:
+	walk(b, func(n any) bool {
+		if st, ok := n.(*OmpStmt); ok {
 			for _, r := range st.Dir.Reductions {
 				for _, v := range r.Vars {
 					reds[v] = r.Op
 				}
 			}
-			if st.Body != nil {
-				ws(st.Body)
-			}
 		}
-	}
-	for _, s := range b.Stmts {
-		ws(s)
-	}
+		return true
+	})
 }

@@ -140,6 +140,23 @@ int main() {
 }`, "line 4: array a has rank 1 but is indexed with 2 subscript(s)"},
 		{"for-increment steps another variable", `int main() { int i; int j;
 for (i = 0; i < 4; j++) { } }`, "line 2: for-increment must step the loop variable"},
+		{"undeclared name in a statement", `int main(){A;}`, "undeclared name A in main"},
+		{"undeclared name in an expression", `double x;
+int main() {
+	x = y + 1;
+}`, "undeclared name y in main"},
+		{"call of an undeclared function", `int main() {
+	foo(1);
+}`, "call of undeclared function foo in main"},
+		{"name declared only in a helper", `double h(double v) { double t; t = v; return t; }
+int main() {
+	printf("%f\n", h(t));
+}`, "undeclared name t in main"},
+		{"helper reads a file-scope scalar", `int n = 4;
+int helper(int k) { return k + n; }
+int main() {
+	printf("%d\n", helper(1));
+}`, "helper helper references file-scope variable n"},
 	}
 	for _, c := range cases {
 		_, err := Translate(c.src, Options{})

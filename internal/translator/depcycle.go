@@ -1,6 +1,9 @@
 package translator
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Static rejection of circular depend(task:) sets. The runtime detects
 // the same condition at spawn time (it panics with a *core.TaskCycleError,
@@ -31,51 +34,24 @@ func checkTaskCycles(prog *Program) error {
 			out  []string
 		}
 		graph := map[string]*node{}
-		var walk func(Stmt)
-		wb := func(b *Block) {
-			if b == nil {
-				return
+		walk(fn.Body, func(x any) bool {
+			st, ok := x.(*OmpStmt)
+			if !ok || st.Dir.Kind != DirTask && st.Dir.Kind != DirTarget || st.Dir.TaskName == "" {
+				return true
 			}
-			for _, s := range b.Stmts {
-				walk(s)
+			var out []string
+			for _, dep := range st.Dir.Depends {
+				out = append(out, dep.Tasks...)
 			}
-		}
-		walk = func(s Stmt) {
-			switch st := s.(type) {
-			case *Block:
-				wb(st)
-			case *ForStmt:
-				wb(st.Body)
-			case *WhileStmt:
-				wb(st.Body)
-			case *IfStmt:
-				wb(st.Then)
-				if st.Else != nil {
-					wb(st.Else)
-				}
-			case *OmpStmt:
-				if (st.Dir.Kind == DirTask || st.Dir.Kind == DirTarget) && st.Dir.TaskName != "" {
-					var out []string
-					for _, dep := range st.Dir.Depends {
-						out = append(out, dep.Tasks...)
-					}
-					if n := graph[st.Dir.TaskName]; n != nil {
-						// A reused name (e.g. a spawn in a loop): the edges
-						// of every occurrence belong to one node.
-						n.out = append(n.out, out...)
-					} else {
-						graph[st.Dir.TaskName] = &node{line: st.Line, out: out}
-					}
-				}
-				switch b := st.Body.(type) {
-				case *Block:
-					wb(b)
-				case *ForStmt:
-					walk(b)
-				}
+			if n := graph[st.Dir.TaskName]; n != nil {
+				// A reused name (e.g. a spawn in a loop): the edges of
+				// every occurrence belong to one node.
+				n.out = append(n.out, out...)
+			} else {
+				graph[st.Dir.TaskName] = &node{line: st.Line, out: out}
 			}
-		}
-		wb(fn.Body)
+			return true
+		})
 
 		// Unnamed tasks cannot be referenced, so only named nodes can sit
 		// on a cycle; depth-first search with the usual three colors.
@@ -110,7 +86,7 @@ func checkTaskCycles(prog *Program) error {
 		for name := range graph {
 			names = append(names, name)
 		}
-		sortStrings(names)
+		slices.Sort(names)
 		for _, name := range names {
 			if err := visit(name); err != nil {
 				return err

@@ -253,11 +253,11 @@ func TestDirectiveGrammarErrors(t *testing.T) {
 }
 
 // FuzzTranslate: Translate never panics, and its directive lowering
-// never makes an accepted program ill-typed. The sequential C subset has
-// no semantic check of its own yet (an undeclared name, % on a double or
-// a helper without a return all translate to Go that does not compile),
-// so an output that fails to type-check is a fault here only when the
-// same program with its pragma lines blanked type-checks. Seeds are the
+// never makes an accepted program ill-typed. The sequential C subset
+// still has holes: % on a double, && assigned to an int and a non-void
+// helper with no return all translate to Go that does not compile. So an
+// output that fails to type-check is a fault here only when the same
+// program with its pragma lines blanked type-checks. Seeds are the
 // committed C sources and the corpus under testdata/fuzz/FuzzTranslate.
 func FuzzTranslate(f *testing.F) {
 	srcs, err := filepath.Glob("testdata/*.c")

@@ -14,7 +14,9 @@
 // need: int/long/double scalars and (multi-dimensional, constant-bound)
 // arrays at file scope or function scope, functions, for/while/if/return,
 // the usual expression operators, printf, and the OpenMP directives and
-// clauses that the directive table in parser.go declares.
+// clauses that the directive table in parser.go declares. Every analysis
+// of the parse tree is a visitor on one walk (ast.go), and every name in
+// an accepted program resolves (checkNames in codegen.go).
 package translator
 
 import (
