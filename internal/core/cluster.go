@@ -171,7 +171,7 @@ func Run(cfg Config, program func(master *Thread)) (Report, error) {
 	cpus := make([]*sim.CPU, cfg.Nodes)
 	c.nodes = make([]*node, cfg.Nodes)
 	for i := range c.nodes {
-		cpu := sim.NewCPU(c.s, cfg.CPUsPerNode, cfg.Quantum)
+		cpu := sim.NewCPU(c.s, cfg.CPUsPerNode, 0)
 		cpus[i] = cpu
 		n := &node{
 			id: i, s: c.s, cpu: cpu,
@@ -209,7 +209,7 @@ func Run(cfg Config, program func(master *Thread)) (Report, error) {
 	c.engine = hlrc.New(c.s, c.net, cpus, hlrc.Config{
 		Nodes: cfg.Nodes, ShmBytes: cfg.ShmBytes,
 		HomeMigration: cfg.HomeMigration, LockCaching: cfg.LockCaching,
-		Strategy: cfg.Strategy, Cost: cfg.Cost, Crash: cfg.Crash,
+		Strategy: cfg.Strategy, Crash: cfg.Crash,
 		Policy: cfg.Policy,
 	}, counters)
 

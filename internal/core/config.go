@@ -24,7 +24,6 @@ import (
 	"parade/internal/hlrc"
 	"parade/internal/netsim"
 	"parade/internal/obs"
-	"parade/internal/sim"
 )
 
 // Mode selects how synchronization and work-sharing directives execute.
@@ -47,11 +46,13 @@ func (m Mode) String() string {
 	return "sdsm"
 }
 
-// Config describes one simulated cluster run.
+// Config describes one simulated cluster run. The protocol, runtime and
+// scheduler costs are constants, not fields (DESIGN.md §6 lists each);
+// the fabric preset carries the network's.
 type Config struct {
 	Nodes          int
 	ThreadsPerNode int // computational threads per node
-	CPUsPerNode    int // processors per node
+	CPUsPerNode    int // processors per node; each time-slices at sim.DefaultQuantum
 	Fabric         netsim.Fabric
 	Mode           Mode
 	HomeMigration  bool
@@ -59,17 +60,18 @@ type Config struct {
 	SmallThreshold int  // bytes; directives guarding <= this use collectives
 	ShmBytes       int  // shared memory pool size
 	Seed           int64
-	Quantum        sim.Duration
 	// Lanes has no effect; kept only because bench/e2e names it;
 	// ROADMAP 1(a) deletes it.
-	Lanes    int
+	Lanes int
+	// Strategy is the atomic page update method; its UpdateCost is
+	// charged per installed page.
 	Strategy dsm.UpdateStrategy
-	Cost     hlrc.CostModel
 	// Policy selects the hlrc protocol policy: "" (legacy, an alias of
 	// "invalidate": the paper's protocol), "invalidate", "update", or "adaptive"
 	// (per-page online classification; see internal/hlrc/policy.go).
-	// Adaptive also derives SmallThreshold from the fabric and cost model
-	// (AutoThreshold) when the threshold is left zero.
+	// Adaptive also derives SmallThreshold from the fabric and the
+	// protocol's cost constants (AutoThreshold) when the threshold is
+	// left zero.
 	Policy string
 	// Obs, when non-nil, attaches an observability recorder to the run:
 	// the protocol engine, the network, the MPI library, and the runtime
@@ -143,16 +145,13 @@ func (c Config) WithDefaults() Config {
 	if c.Strategy == dsm.SingleMapping {
 		c.Strategy = dsm.FileMapping
 	}
-	if c.Cost == (hlrc.CostModel{}) {
-		c.Cost = hlrc.DefaultCosts()
-	}
-	// The threshold fill runs after the fabric and cost fills: the
-	// adaptive policy replaces the paper's lexical 256-byte constant with
-	// the value derived from this run's fabric, cost model, and node
-	// count (§5.2.1's own stated derivation).
+	// The threshold fill runs after the fabric fill: the adaptive policy
+	// replaces the paper's lexical 256-byte constant with the value
+	// derived from this run's fabric, the protocol's cost constants, and
+	// the node count (§5.2.1's own stated derivation).
 	if c.SmallThreshold == 0 {
 		if c.Policy == hlrc.PolicyAdaptive {
-			c.SmallThreshold = AutoThreshold(c.Fabric, c.Cost, c.Nodes)
+			c.SmallThreshold = AutoThreshold(c.Fabric, c.Nodes)
 		} else {
 			c.SmallThreshold = DefaultSmallThreshold
 		}

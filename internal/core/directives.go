@@ -63,7 +63,7 @@ func (c *Cluster) lockID(name string) int {
 // path when the runtime is in Hybrid mode and the data fits under the
 // small-structure threshold. The threshold is the paper's lexical 256
 // bytes by default; the adaptive policy derives it from the fabric,
-// cost model, and node count instead (AutoThreshold, applied in
+// the protocol's cost constants, and the node count instead (AutoThreshold, applied in
 // WithDefaults), so the cutoff tracks the actual crossover point.
 func (t *Thread) useCollective(size int) bool {
 	return t.c.cfg.Mode == Hybrid && size <= t.c.cfg.SmallThreshold

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"parade/internal/hlrc"
 	"parade/internal/netsim"
 	"parade/internal/sim"
 )
@@ -159,17 +158,6 @@ func TestForDynamicChunkLargerThanRange(t *testing.T) {
 	}
 }
 
-func TestCustomQuantumAccepted(t *testing.T) {
-	cfg := Config{Nodes: 1, ThreadsPerNode: 2, CPUsPerNode: 1, Quantum: 5 * sim.Millisecond}
-	rep := run(t, cfg, func(m *Thread) {
-		m.Parallel(func(tc *Thread) { tc.Compute(10 * sim.Millisecond) })
-	})
-	// Two threads x 10ms on one CPU: exactly 20ms of busy time.
-	if rep.Time < sim.Duration(20*sim.Millisecond) {
-		t.Fatalf("time %v too small for serialized compute", rep.Time)
-	}
-}
-
 func TestTCPFabricSlowsCommunication(t *testing.T) {
 	measure := func(cfg Config) sim.Duration {
 		rep := run(t, cfg, func(m *Thread) {
@@ -247,28 +235,28 @@ func TestReportUtilization(t *testing.T) {
 }
 
 func TestAutoThresholdMatchesPaperBallpark(t *testing.T) {
-	th := AutoThreshold(netsim.VIA(), hlrc.DefaultCosts(), 8)
+	th := AutoThreshold(netsim.VIA(), 8)
 	// The paper chose 256 bytes for its 8-node VIA Linux cluster; the
 	// derived value must land in the same ballpark (within ~4x).
 	if th < 64 || th > 1024 {
 		t.Fatalf("derived VIA threshold %d bytes, want hundreds", th)
 	}
 	// A slower per-byte fabric must lower the switch point.
-	if tcp := AutoThreshold(netsim.TCP(), hlrc.DefaultCosts(), 8); tcp >= th {
+	if tcp := AutoThreshold(netsim.TCP(), 8); tcp >= th {
 		t.Fatalf("TCP threshold %d not below VIA %d", tcp, th)
 	}
 }
 
 func TestAutoThresholdShrinksWithNodes(t *testing.T) {
-	t2 := AutoThreshold(netsim.VIA(), hlrc.DefaultCosts(), 2)
-	t8 := AutoThreshold(netsim.VIA(), hlrc.DefaultCosts(), 8)
+	t2 := AutoThreshold(netsim.VIA(), 2)
+	t8 := AutoThreshold(netsim.VIA(), 8)
 	if t8 > t2 {
 		t.Fatalf("threshold grew with nodes: 2->%d, 8->%d", t2, t8)
 	}
 }
 
 func TestAutoThresholdSingleNodeUnbounded(t *testing.T) {
-	if th := AutoThreshold(netsim.VIA(), hlrc.DefaultCosts(), 1); th < 1<<19 {
+	if th := AutoThreshold(netsim.VIA(), 1); th < 1<<19 {
 		t.Fatalf("single-node threshold %d should be effectively unbounded", th)
 	}
 }
@@ -276,7 +264,7 @@ func TestAutoThresholdSingleNodeUnbounded(t *testing.T) {
 func TestAutoThresholdAligned(t *testing.T) {
 	for _, n := range []int{2, 4, 8} {
 		for _, f := range []netsim.Fabric{netsim.VIA(), netsim.TCP()} {
-			th := AutoThreshold(f, hlrc.DefaultCosts(), n)
+			th := AutoThreshold(f, n)
 			if th%8 != 0 || th < 8 {
 				t.Fatalf("threshold %d not 8-byte aligned", th)
 			}

@@ -204,7 +204,7 @@ func TestRuntimeRandomizedOracle(t *testing.T) {
 				}
 				tc.Barrier()
 				// Sample 50 random-but-deterministic indices.
-				h := uint32(tc.GID()*2654435761 + r*40503)
+				h := uint32(tc.GID())*2654435761 + uint32(r)*40503
 				for k := 0; k < 50; k++ {
 					h = h*1664525 + 1013904223
 					idx := int(h % uint32(n))

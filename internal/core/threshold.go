@@ -20,12 +20,12 @@ import (
 // For the paper's cLAN VIA cluster this lands in the hundreds of bytes —
 // the paper chose 256 — and it shrinks as nodes are added (collectives
 // get deeper) or as the fabric gets slower per byte.
-func AutoThreshold(fabric netsim.Fabric, cost hlrc.CostModel, nodes int) int {
+func AutoThreshold(fabric netsim.Fabric, nodes int) int {
 	if nodes < 2 {
 		// No network on one node; any size may use the local fast path.
 		return 1 << 20
 	}
-	invalidate := invalidatePathCost(fabric, cost)
+	invalidate := invalidatePathCost(fabric)
 	// Find the largest size whose collective cost stays below it.
 	best := 0
 	for size := 8; size <= 1<<20; size *= 2 {
@@ -65,12 +65,12 @@ func updatePathCost(fabric netsim.Fabric, nodes, size int) sim.Duration {
 // fetch on the next access is excluded — it amortizes over accesses —
 // which keeps the derived threshold conservative, as the paper's choice
 // of 256 bytes is.
-func invalidatePathCost(fabric netsim.Fabric, cost hlrc.CostModel) sim.Duration {
+func invalidatePathCost(fabric netsim.Fabric) sim.Duration {
 	msg := func(bytes int) sim.Duration {
 		return fabric.SendOverhead + fabric.RecvOverhead + fabric.Latency +
 			sim.Duration(int64(bytes+fabric.HeaderBytes)*int64(sim.Second)/fabric.BandwidthBps)
 	}
 	lockRTT := 2 * msg(16)
-	diffs := cost.TwinCreate + cost.DiffScan + msg(128) + cost.DiffApply
-	return lockRTT + diffs + cost.FaultHandler + 2*cost.LockManage
+	diffs := hlrc.CostTwinCreate + hlrc.CostDiffScan + msg(128) + hlrc.CostDiffApply
+	return lockRTT + diffs + hlrc.CostFaultHandler + 2*hlrc.CostLockManage
 }

@@ -65,27 +65,10 @@ func (u UpdateStrategy) String() string {
 // whether the application mapping can stay protected during updates.
 func (u UpdateStrategy) Dual() bool { return u != SingleMapping }
 
-// SetupCost is the one-time cost of establishing the mapping for the
-// whole pool; UpdateCost is the per-page-update overhead of the access
-// path. The paper's companion study found the dual methods comparable on
-// Linux; the numbers preserve that ordering without pretending precision.
-func (u UpdateStrategy) SetupCost() sim.Duration {
-	switch u {
-	case FileMapping:
-		return 120 * sim.Microsecond
-	case SysVShm:
-		return 80 * sim.Microsecond
-	case Mdup:
-		return 40 * sim.Microsecond
-	case ChildProcess:
-		return 300 * sim.Microsecond
-	default:
-		return 0
-	}
-}
-
 // UpdateCost is the extra per-update CPU cost of the strategy's access
-// path relative to a plain store.
+// path relative to a plain store. The paper's companion study found the
+// dual methods comparable on Linux; the numbers preserve that ordering
+// without pretending precision.
 func (u UpdateStrategy) UpdateCost() sim.Duration {
 	switch u {
 	case SingleMapping:

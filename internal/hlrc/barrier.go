@@ -67,7 +67,7 @@ func (e *Engine) Barrier(p *sim.Proc, node int) {
 // the policy observes reads, so legacy and fixed-policy arrivals carry
 // no extra bytes.
 func (e *Engine) drainReads(node int) []int {
-	if !e.policy.observesReads() {
+	if e.cls == nil {
 		return nil
 	}
 	ns := e.nodes[node]
@@ -103,7 +103,7 @@ func (e *Engine) refreshPages(p *sim.Proc, node int) {
 		if pi.State != dsm.Invalid || pi.Home == node {
 			continue // raced with a migration back to us; nothing to refresh
 		}
-		if e.policy.observesReads() {
+		if e.cls != nil {
 			// A refresh is a read observation: the classifier must keep
 			// seeing this node as a consumer even though the push just
 			// eliminated its demand faults (otherwise producer-consumer
@@ -223,7 +223,7 @@ func (e *Engine) flush(p *sim.Proc, node int) []dsm.WriteNotice {
 			}
 			continue
 		}
-		e.cpus[node].Compute(p, e.cfg.Cost.DiffScan)
+		e.cpus[node].Compute(p, CostDiffScan)
 		d := e.diffs.Get()
 		dsm.DiffInto(d, pg, pi.Twin, ns.mem.Frame(pg))
 		c := e.cnt(node)

@@ -95,8 +95,14 @@ func (c *classifier) noteReads(node int, pages []int) {
 	}
 }
 
-// classOf returns the page's acting class.
-func (c *classifier) classOf(pg int) PageClass { return c.pages.Peek(pg).class }
+// classOf returns the page's acting class; a nil classifier (the fixed
+// policies carry none) answers ClassUnknown.
+func (c *classifier) classOf(pg int) PageClass {
+	if c == nil {
+		return ClassUnknown
+	}
+	return c.pages.Peek(pg).class
+}
 
 // observe closes one barrier interval: every page touched in the
 // interval (modified, read, or both) gets one observation, hysteresis

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"parade/internal/dsm"
 	"parade/internal/sim"
 )
 
@@ -236,7 +237,6 @@ func TestClassifierDeterministicAcrossInsertionOrder(t *testing.T) {
 // minority-writer boundary for falsely-shared pages (push at exactly
 // half the cluster writing, invalidate above).
 func TestPushByClass(t *testing.T) {
-	s := pushByClass{}
 	cases := []struct {
 		name   string
 		class  PageClass
@@ -255,8 +255,8 @@ func TestPushByClass(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := s.ShouldPush(0, tc.class, tc.mods, tc.nnodes); got != tc.want {
-				t.Fatalf("ShouldPush(%v, %v, %d) = %v, want %v",
+			if got := shouldPush(PolicyAdaptive, tc.class, tc.mods, tc.nnodes); got != tc.want {
+				t.Fatalf("shouldPush(%v, %v, %d) = %v, want %v",
 					tc.class, tc.mods, tc.nnodes, got, tc.want)
 			}
 		})
@@ -267,35 +267,36 @@ func TestPushByClass(t *testing.T) {
 func TestHomeStrategies(t *testing.T) {
 	cases := []struct {
 		name      string
-		strat     HomeStrategy
+		policy    string
 		cur       int
 		mods      []int
 		class     PageClass
 		migration bool
 		want      int
 	}{
-		{"legacy migrates single mod", legacyHome{}, 0, []int{2}, ClassUnknown, true, 2},
-		{"legacy pinned without flag", legacyHome{}, 0, []int{2}, ClassUnknown, false, 0},
-		{"legacy keeps home on multi-mod", legacyHome{}, 0, []int{1, 2}, ClassUnknown, true, 0},
-		{"adaptive follows migratory writer", adaptiveHome{}, 0, []int{2}, ClassMigratory, false, 2},
-		{"adaptive follows producer", adaptiveHome{}, 0, []int{3}, ClassProducerConsumer, false, 3},
-		{"adaptive pins falsely-shared", adaptiveHome{}, 0, []int{2}, ClassFalselyShared, true, 0},
-		{"adaptive pins read-mostly", adaptiveHome{}, 0, []int{2}, ClassReadMostly, true, 0},
-		{"adaptive unknown falls back to legacy", adaptiveHome{}, 0, []int{2}, ClassUnknown, true, 2},
-		{"adaptive keeps home on multi-mod", adaptiveHome{}, 1, []int{0, 2}, ClassFalselyShared, true, 1},
+		{"legacy migrates single mod", PolicyLegacy, 0, []int{2}, ClassUnknown, true, 2},
+		{"legacy pinned without flag", PolicyLegacy, 0, []int{2}, ClassUnknown, false, 0},
+		{"legacy keeps home on multi-mod", PolicyLegacy, 0, []int{1, 2}, ClassUnknown, true, 0},
+		{"adaptive follows migratory writer", PolicyAdaptive, 0, []int{2}, ClassMigratory, false, 2},
+		{"adaptive follows producer", PolicyAdaptive, 0, []int{3}, ClassProducerConsumer, false, 3},
+		{"adaptive pins falsely-shared", PolicyAdaptive, 0, []int{2}, ClassFalselyShared, true, 0},
+		{"adaptive pins read-mostly", PolicyAdaptive, 0, []int{2}, ClassReadMostly, true, 0},
+		{"adaptive unknown falls back to legacy", PolicyAdaptive, 0, []int{2}, ClassUnknown, true, 2},
+		{"adaptive keeps home on multi-mod", PolicyAdaptive, 1, []int{0, 2}, ClassFalselyShared, true, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := tc.strat.ElectHome(0, tc.cur, tc.mods, tc.class, tc.migration)
+			got := electHome(tc.policy, tc.cur, tc.mods, tc.class, tc.migration)
 			if got != tc.want {
-				t.Fatalf("ElectHome = %d, want %d", got, tc.want)
+				t.Fatalf("electHome = %d, want %d", got, tc.want)
 			}
 		})
 	}
 }
 
 // TestPolicyNames: the accepted-name list and validator stay in sync,
-// and the engine factory covers every name.
+// New builds a classifier for exactly the adaptive policy, and the empty
+// name is an alias of invalidate in both election rules.
 func TestPolicyNames(t *testing.T) {
 	want := []string{PolicyLegacy, PolicyInvalidate, PolicyUpdate, PolicyAdaptive}
 	if got := PolicyNames(); !reflect.DeepEqual(got, want) {
@@ -305,14 +306,25 @@ func TestPolicyNames(t *testing.T) {
 		if !ValidPolicy(name) {
 			t.Fatalf("ValidPolicy(%q) = false", name)
 		}
-		eng := newPolicyEngine(name, 4)
-		if (eng.cls != nil) != (name == PolicyAdaptive) {
-			t.Fatalf("newPolicyEngine(%q) classifier presence wrong", name)
+		tc := newClusterWith(Config{Nodes: 2, ShmBytes: 1 << 16, Strategy: dsm.FileMapping, Policy: name}, false)
+		if (tc.e.cls != nil) != (name == PolicyAdaptive) {
+			t.Fatalf("New(Policy %q) classifier presence wrong", name)
 		}
 	}
-	// The empty name is an alias: it builds the invalidate engine.
-	if !reflect.DeepEqual(newPolicyEngine(PolicyLegacy, 4), newPolicyEngine(PolicyInvalidate, 4)) {
-		t.Fatal(`newPolicyEngine("") is not the invalidate engine`)
+	// The empty name is an alias: every election matches invalidate's.
+	classes := []PageClass{ClassUnknown, ClassReadMostly, ClassMigratory, ClassProducerConsumer, ClassFalselyShared}
+	for _, class := range classes {
+		for _, mods := range [][]int{{1}, {0, 1}, {0, 1, 2, 3}} {
+			for _, migration := range []bool{false, true} {
+				if electHome(PolicyLegacy, 0, mods, class, migration) != electHome(PolicyInvalidate, 0, mods, class, migration) ||
+					shouldPush(PolicyLegacy, class, mods, 4) != shouldPush(PolicyInvalidate, class, mods, 4) {
+					t.Fatalf(`policy "" differs from invalidate on %v %v migration=%v`, class, mods, migration)
+				}
+				if shouldPush(PolicyInvalidate, class, mods, 4) || !shouldPush(PolicyUpdate, class, mods, 4) {
+					t.Fatalf("fixed propagation wrong on %v %v", class, mods)
+				}
+			}
+		}
 	}
 	if ValidPolicy("bogus") {
 		t.Fatal(`ValidPolicy("bogus") = true`)

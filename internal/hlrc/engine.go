@@ -18,6 +18,7 @@ package hlrc
 
 import (
 	"fmt"
+	"strings"
 
 	"parade/internal/dsm"
 	"parade/internal/netsim"
@@ -26,30 +27,17 @@ import (
 	"parade/internal/stats"
 )
 
-// CostModel holds the CPU costs of protocol operations, calibrated to a
-// Pentium-III/Linux-2.4 node like the paper's testbed.
-type CostModel struct {
-	FaultHandler   sim.Duration // SIGSEGV delivery + handler entry
-	PageCopy       sim.Duration // copy one 4 KiB page
-	TwinCreate     sim.Duration // allocate + copy a twin
-	DiffScan       sim.Duration // compare page against twin
-	DiffApply      sim.Duration // apply one diff at the home
-	ProtocolHandle sim.Duration // per-message protocol bookkeeping
-	LockManage     sim.Duration // lock manager queue operation
-}
-
-// DefaultCosts returns the calibrated cost model.
-func DefaultCosts() CostModel {
-	return CostModel{
-		FaultHandler:   10 * sim.Microsecond,
-		PageCopy:       6 * sim.Microsecond,
-		TwinCreate:     6 * sim.Microsecond,
-		DiffScan:       15 * sim.Microsecond,
-		DiffApply:      3 * sim.Microsecond,
-		ProtocolHandle: 2 * sim.Microsecond,
-		LockManage:     1 * sim.Microsecond,
-	}
-}
+// CPU costs of protocol operations, calibrated to a Pentium-III/Linux-2.4
+// node like the paper's testbed.
+const (
+	CostFaultHandler   = 10 * sim.Microsecond // SIGSEGV delivery + handler entry
+	CostPageCopy       = 6 * sim.Microsecond  // copy one 4 KiB page
+	CostTwinCreate     = 6 * sim.Microsecond  // allocate + copy a twin
+	CostDiffScan       = 15 * sim.Microsecond // compare page against twin
+	CostDiffApply      = 3 * sim.Microsecond  // apply one diff at the home
+	CostProtocolHandle = 2 * sim.Microsecond  // per-message protocol bookkeeping
+	CostLockManage     = 1 * sim.Microsecond  // lock manager queue operation
+)
 
 // Config selects the protocol variant.
 type Config struct {
@@ -58,8 +46,7 @@ type Config struct {
 	HomeMigration bool               // paper's migratory-home extension
 	LockCaching   bool               // lazy-release lock tokens (Yun et al.)
 	Strategy      dsm.UpdateStrategy // atomic page update method
-	Cost          CostModel
-	Crash         *CrashPlan // crash-stop fault plan (nil/empty: inert)
+	Crash         *CrashPlan         // crash-stop fault plan (nil/empty: inert)
 	// Policy selects the protocol policy (policy.go): "" (legacy),
 	// "invalidate", "update", or "adaptive".
 	Policy string
@@ -258,9 +245,11 @@ type Engine struct {
 	// without it).
 	recov *recovery
 
-	// policy is the protocol policy engine (never nil: the empty policy
-	// name builds the invalidate engine).
-	policy *policyEngine
+	// cls is the per-page classifier of the adaptive policy (policy.go);
+	// nil under the fixed policies. Its presence also gates read-set
+	// observation (fault.go, barrier.go): fixed policies need no reader
+	// information, so they add no bytes to any protocol message.
+	cls *classifier
 }
 
 // New creates a protocol engine for the given cluster. It counts into
@@ -270,16 +259,20 @@ func New(s *sim.Simulator, net *netsim.Network, cpus []*sim.CPU, cfg Config, c *
 	if c != net.Counters().Total() {
 		panic("hlrc: New needs the *stats.Counters its network was built with")
 	}
-	if cfg.Cost == (CostModel{}) {
-		cfg.Cost = DefaultCosts()
-	}
 	npages := (cfg.ShmBytes + dsm.PageSize - 1) / dsm.PageSize
 	e := &Engine{
 		sim: s, net: net, cpus: cpus, cfg: cfg, counters: net.Counters(),
 		Alloc:   dsm.NewAllocator(npages * dsm.PageSize),
 		locks:   make([]map[int]*lockState, cfg.Nodes),
 		pgStats: make([]dsm.Chunked[pageActivity], cfg.Nodes),
-		policy:  newPolicyEngine(cfg.Policy, npages),
+	}
+	// Unknown policy names panic: core.Config.Validate rejects them
+	// before an engine is ever constructed.
+	if !ValidPolicy(cfg.Policy) {
+		panic(fmt.Sprintf("hlrc: unknown protocol policy %q (valid: %s)", cfg.Policy, strings.Join(PolicyNames()[1:], ", ")))
+	}
+	if cfg.Policy == PolicyAdaptive {
+		e.cls = newClassifier(npages)
 	}
 	for i := range e.locks {
 		e.locks[i] = map[int]*lockState{}
@@ -338,7 +331,7 @@ func (e *Engine) send(p *sim.Proc, from, to, typ int, bytes int, payload any) {
 // Handle dispatches one incoming protocol message on node's
 // communication thread (process p).
 func (e *Engine) Handle(p *sim.Proc, node int, m *netsim.Message) {
-	e.cpus[node].Compute(p, e.cfg.Cost.ProtocolHandle)
+	e.cpus[node].Compute(p, CostProtocolHandle)
 	switch m.Type {
 	case msgPageReq:
 		e.handlePageReq(p, node, m)

@@ -68,7 +68,7 @@ func (e *Engine) storeMiss(p *sim.Proc, node, addr int, w uint64) {
 // fault runs one iteration of the page fault handler for page pg.
 func (e *Engine) fault(p *sim.Proc, node, pg int, write bool) {
 	ns := e.nodes[node]
-	e.cpus[node].Compute(p, e.cfg.Cost.FaultHandler)
+	e.cpus[node].Compute(p, CostFaultHandler)
 	pi := ns.table.Peek(pg)
 	switch pi.State {
 	case dsm.Invalid:
@@ -82,7 +82,7 @@ func (e *Engine) fault(p *sim.Proc, node, pg int, write bool) {
 			t0 = p.Now()
 			e.rec.FetchStart(t0, node, pg, home, write)
 		}
-		if e.policy.observesReads() {
+		if e.cls != nil {
 			// Classifier input: any demand fetch means this node consumed
 			// the page this interval. Write-fault fetches are recorded too
 			// — harmless, since the fetcher is then also in the modifier
@@ -134,7 +134,7 @@ func (e *Engine) requestPage(p *sim.Proc, node, home, pg int) {
 func (e *Engine) makeDirty(p *sim.Proc, node, pg int) {
 	ns := e.nodes[node]
 	if ns.table.Peek(pg).Home != node {
-		e.cpus[node].Compute(p, e.cfg.Cost.TwinCreate)
+		e.cpus[node].Compute(p, CostTwinCreate)
 		// Two local threads can write-fault on the same page and both
 		// reach this handler; the Compute above yields the processor, so
 		// re-check whether the other thread finished the transition. A

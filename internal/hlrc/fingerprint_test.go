@@ -20,7 +20,7 @@ import (
 // bench/e2e/golden.json, the WAL and the fleet cache pin its values.
 func denseFingerprint(e *Engine) uint64 {
 	h := fnv.New64a()
-	writeInt := func(v int) { writeWord(h, v) }
+	writeInt := func(v int) { writeWord(h, uint64(int64(v))) }
 	writeNoticePages := func(notices []dsm.WriteNotice) {
 		pages := make([]int, 0, len(notices))
 		for _, wn := range notices {
@@ -124,8 +124,8 @@ func denseFingerprint(e *Engine) uint64 {
 			writeInt(n)
 		}
 	}
-	if e.policy.observesReads() {
-		c := e.policy.cls
+	if e.cls != nil {
+		c := e.cls
 		for pg := 0; pg < c.pages.Len(); pg++ {
 			po := c.pages.Peek(pg)
 			if po.class == ClassUnknown && po.cand == ClassUnknown &&
@@ -147,9 +147,9 @@ func denseFingerprint(e *Engine) uint64 {
 	return h.Sum64()
 }
 
-func writeWord(h hash.Hash64, v int) {
+func writeWord(h hash.Hash64, v uint64) {
 	var word [8]byte
-	binary.LittleEndian.PutUint64(word[:], uint64(int64(v)))
+	binary.LittleEndian.PutUint64(word[:], v)
 	h.Write(word[:])
 }
 
@@ -217,8 +217,8 @@ func scrambleEngine(e *Engine, r *rand.Rand) {
 	for i := r.Intn(3); i > 0; i-- {
 		e.master.modifiers[page()] = map[int]bool{r.Intn(nodes): true}
 	}
-	if e.policy.observesReads() {
-		c := e.policy.cls
+	if e.cls != nil {
+		c := e.cls
 		for epoch := 1; epoch <= 1+r.Intn(5); epoch++ {
 			mods := map[int]map[int]bool{}
 			for k := r.Intn(5); k > 0; k-- {
@@ -306,11 +306,11 @@ func TestFNVRegisterMatchesHashFNV(t *testing.T) {
 		switch r.Intn(4) {
 		case 0: // mostly-zero words
 			v := int(r.Int63()) >> uint(8*r.Intn(8)) * (1 - 2*r.Intn(2))
-			writeWord(ref, v)
+			writeWord(ref, uint64(int64(v)))
 			h.int(v)
 		case 1: // zero bytes inside and below the significant ones
 			v := r.Uint64() & [...]uint64{0xff00ff0000ff0000, 0x00000000ffff0000, 0xff00000000000000, 0}[r.Intn(4)]
-			writeWord(ref, int(v))
+			writeWord(ref, v)
 			h.word(v)
 		case 2:
 			b := make([]byte, r.Intn(160))

@@ -18,7 +18,7 @@ func (e *Engine) handlePageReq(p *sim.Proc, node int, m *netsim.Message) {
 		panic(fmt.Sprintf("hlrc: node %d got page request for %d but home is %d",
 			node, req.Page, home))
 	}
-	e.cpus[node].Compute(p, e.cfg.Cost.PageCopy)
+	e.cpus[node].Compute(p, CostPageCopy)
 	var data []byte
 	if f := ns.mem.FrameIfPresent(req.Page); f != nil {
 		data = e.frames.Get() // released by handlePageReply after CopyIn
@@ -35,7 +35,7 @@ func (e *Engine) handlePageReply(p *sim.Proc, node int, m *netsim.Message) {
 	rep := m.Payload.(pageReply)
 	ns := e.nodes[node]
 	pg := rep.Page
-	e.cpus[node].Compute(p, e.cfg.Cost.PageCopy+ns.mem.Strategy().UpdateCost())
+	e.cpus[node].Compute(p, CostPageCopy+ns.mem.Strategy().UpdateCost())
 	ns.mem.BeginSystemUpdate(pg)
 	ns.mem.CopyIn(pg, rep.Data)
 	if rep.Data != nil {
@@ -66,7 +66,7 @@ func (e *Engine) handleDiff(p *sim.Proc, node int, m *netsim.Message) {
 			panic(fmt.Sprintf("hlrc: node %d got diff for page %d but home is %d",
 				node, d.Page, home))
 		}
-		e.cpus[node].Compute(p, e.cfg.Cost.DiffApply)
+		e.cpus[node].Compute(p, CostDiffApply)
 		d.ApplyInto(ns.mem.Frame(d.Page))
 		e.cnt(node).DiffsApplied++
 		e.forwardHomePage(p, node, d.Page)
@@ -110,8 +110,8 @@ func (e *Engine) handleBarrierArrive(p *sim.Proc, node int, m *netsim.Message) {
 		set[wn.Modifier] = true
 		e.cnt(0).WriteNotices++
 	}
-	if e.policy.observesReads() && len(arr.Reads) > 0 {
-		e.policy.cls.noteReads(m.From, arr.Reads)
+	if e.cls != nil && len(arr.Reads) > 0 {
+		e.cls.noteReads(m.From, arr.Reads)
 	}
 	mb.arrived++
 	if e.recov != nil {
@@ -131,8 +131,8 @@ func (e *Engine) completeBarrier(p *sim.Proc, epoch int) {
 	// decisions should see the classes the interval's evidence produced.
 	// observe iterates a sorted page union, so the hash-map order of
 	// mb.modifiers never shows through.
-	if e.policy.observesReads() {
-		for _, ev := range e.policy.cls.observe(epoch, p.Now(), mb.modifiers) {
+	if e.cls != nil {
+		for _, ev := range e.cls.observe(epoch, p.Now(), mb.modifiers) {
 			e.cnt(0).PolicyReclass++
 			if !ev.First {
 				e.rec.PolicyReclass(0, ev.SinceNs)
@@ -150,12 +150,12 @@ func (e *Engine) completeBarrier(p *sim.Proc, epoch int) {
 			sort.Ints(mods)
 		}
 		cur := homes.Peek(pg).Home
-		class := e.policy.classOf(pg)
-		newHome := e.policy.home.ElectHome(pg, cur, mods, class, e.cfg.HomeMigration)
-		if newHome != (legacyHome{}).ElectHome(pg, cur, mods, class, e.cfg.HomeMigration) {
+		class := e.cls.classOf(pg)
+		newHome := electHome(e.cfg.Policy, cur, mods, class, e.cfg.HomeMigration)
+		if newHome != electHome(PolicyLegacy, cur, mods, class, e.cfg.HomeMigration) {
 			e.cnt(0).PolicyHomeOverrides++
 		}
-		push := e.policy.prop.ShouldPush(pg, class, mods, len(e.nodes))
+		push := shouldPush(e.cfg.Policy, class, mods, len(e.nodes))
 		if push {
 			e.cnt(0).PolicyPushes++
 		}

@@ -62,7 +62,7 @@ func (e *Engine) acquireCentral(p *sim.Proc, node, id int) {
 	e.cnt(node).LockRequests++
 	mgr := e.lockManager(id)
 	if mgr == node {
-		e.cpus[node].Compute(p, e.cfg.Cost.LockManage)
+		e.cpus[node].Compute(p, CostLockManage)
 		e.lockRequest(p, node, id)
 	} else {
 		e.send(p, node, mgr, msgLockReq, 16, lockMsg{Lock: id})
@@ -102,7 +102,7 @@ func (e *Engine) grantLock(p *sim.Proc, to, id int, ls *lockState) {
 
 // handleLockReq processes a remote lock request at the manager.
 func (e *Engine) handleLockReq(p *sim.Proc, node int, m *netsim.Message) {
-	e.cpus[node].Compute(p, e.cfg.Cost.LockManage)
+	e.cpus[node].Compute(p, CostLockManage)
 	req := m.Payload.(lockMsg)
 	if e.cfg.LockCaching {
 		e.cachedLockReq(p, m.From, req.Lock)
@@ -199,7 +199,7 @@ func (e *Engine) releaseCentral(p *sim.Proc, node, id int) {
 	e.shipMiniLog(p, node)
 	mgr := e.lockManager(id)
 	if mgr == node {
-		e.cpus[node].Compute(p, e.cfg.Cost.LockManage)
+		e.cpus[node].Compute(p, CostLockManage)
 		e.lockRelease(p, node, id, notices)
 		return
 	}
@@ -208,7 +208,7 @@ func (e *Engine) releaseCentral(p *sim.Proc, node, id int) {
 
 // handleLockRelease processes a release at the manager.
 func (e *Engine) handleLockRelease(p *sim.Proc, node int, m *netsim.Message) {
-	e.cpus[node].Compute(p, e.cfg.Cost.LockManage)
+	e.cpus[node].Compute(p, CostLockManage)
 	rel := m.Payload.(lockMsg)
 	e.lockRelease(p, m.From, rel.Lock, rel.Notices)
 }

@@ -47,14 +47,14 @@ func (e *Engine) acquireCached(p *sim.Proc, node, id int) {
 		// concurrent revoke on the communication thread would otherwise
 		// see an idle token and ship it away mid-acquire.
 		nl.inUse = true
-		e.cpus[node].Compute(p, e.cfg.Cost.LockManage)
+		e.cpus[node].Compute(p, CostLockManage)
 		return
 	}
 	gate := sim.NewGate(e.sim)
 	ns.lockGate[id] = gate
 	mgr := e.lockManager(id)
 	if mgr == node {
-		e.cpus[node].Compute(p, e.cfg.Cost.LockManage)
+		e.cpus[node].Compute(p, CostLockManage)
 		e.cachedLockReq(p, node, id)
 	} else {
 		e.send(p, node, mgr, msgLockReq, 16, lockMsg{Lock: id})
@@ -84,7 +84,7 @@ func (e *Engine) releaseCached(p *sim.Proc, node, id int) {
 	e.forwardToken(p, node, id, nl)
 	mgr := e.lockManager(id)
 	if mgr == node {
-		e.cpus[node].Compute(p, e.cfg.Cost.LockManage)
+		e.cpus[node].Compute(p, CostLockManage)
 		e.tokenReturned(p, id, tok)
 		return
 	}
@@ -196,14 +196,14 @@ func (e *Engine) applyCachedGrant(p *sim.Proc, node, id int, tok []dsm.WriteNoti
 
 // handleLockRevoke dispatches a revoke on the owner's comm thread.
 func (e *Engine) handleLockRevoke(p *sim.Proc, node int, m *netsim.Message) {
-	e.cpus[node].Compute(p, e.cfg.Cost.LockManage)
+	e.cpus[node].Compute(p, CostLockManage)
 	e.revokeAt(p, node, m.Payload.(lockMsg).Lock)
 }
 
 // handleLockToken dispatches a returned token on the manager's comm
 // thread.
 func (e *Engine) handleLockToken(p *sim.Proc, node int, m *netsim.Message) {
-	e.cpus[node].Compute(p, e.cfg.Cost.LockManage)
+	e.cpus[node].Compute(p, CostLockManage)
 	msg := m.Payload.(lockMsg)
 	e.tokenReturned(p, msg.Lock, msg.Notices)
 }

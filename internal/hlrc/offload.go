@@ -32,7 +32,7 @@ func (e *Engine) PrefetchPages(p *sim.Proc, node int, pages []int) {
 			if home == node {
 				continue // home holds the master copy; nothing to pull
 			}
-			if e.policy.observesReads() {
+			if e.cls != nil {
 				// A prefetch is a read observation, like a demand fetch:
 				// the classifier must keep seeing this node as a consumer.
 				ns.readObs[pg] = struct{}{}

@@ -2,7 +2,7 @@ package hlrc
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 )
 
 // Protocol policy: the propagation choice (invalidate vs. update), the
@@ -48,20 +48,7 @@ func PolicyNames() []string {
 }
 
 // ValidPolicy reports whether name is an accepted Config.Policy value.
-func ValidPolicy(name string) bool {
-	for _, n := range PolicyNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
-
-// policyNamesForErr renders the non-empty policy names for error text.
-func policyNamesForErr() string {
-	names := PolicyNames()[1:]
-	return strings.Join(names, ", ")
-}
+func ValidPolicy(name string) bool { return slices.Contains(PolicyNames(), name) }
 
 // PageClass is the classifier's verdict on one page's access pattern
 // over recent barrier intervals.
@@ -102,69 +89,46 @@ func (c PageClass) String() string {
 	return fmt.Sprintf("PageClass(%d)", uint8(c))
 }
 
-// HomeStrategy elects a page's home at barrier time. mods is the sorted
-// modifier set of the ending interval (never empty), cur the current
-// home. migration mirrors Config.HomeMigration.
-type HomeStrategy interface {
-	ElectHome(pg, cur int, mods []int, class PageClass, migration bool) int
-}
-
-// PropagateStrategy decides, per modified page, between invalidate
-// propagation (stale copies drop their mapping and re-fault on demand)
-// and update propagation (stale copies eagerly refresh in parallel right
-// after barrier departure). mods is the ending interval's sorted
-// modifier set for the page (never empty) and nnodes the cluster size;
-// together they let a strategy distinguish partial from full
-// write-sharing.
-type PropagateStrategy interface {
-	ShouldPush(pg int, class PageClass, mods []int, nnodes int) bool
-}
-
-// legacyHome is the paper's §5.2.2 rule: a single modifier becomes the
-// new home when migration is on; multiple modifiers keep the current
-// home.
-type legacyHome struct{}
-
-func (legacyHome) ElectHome(_ int, cur int, mods []int, _ PageClass, migration bool) int {
-	if migration && len(mods) == 1 && mods[0] != cur {
+// electHome elects a page's home at barrier time under policy. mods is
+// the sorted modifier set of the ending interval (never empty), cur the
+// current home, class the page's class (ClassUnknown outside the
+// adaptive policy); migration mirrors Config.HomeMigration.
+//
+// Every policy but adaptive keeps the paper's §5.2.2 rule: a single
+// modifier becomes the new home when migration is on; multiple modifiers
+// keep the current home. The adaptive policy follows the single writer
+// for migratory and producer-consumer pages regardless of the migration
+// flag (ownership provably moves with the writer, so diffs become
+// in-place home writes), keeps falsely-shared and read-mostly homes
+// pinned (moving them buys nothing and churns the directory), and falls
+// back to the paper's rule while a page is still unclassified.
+func electHome(policy string, cur int, mods []int, class PageClass, migration bool) int {
+	if len(mods) != 1 {
+		return cur
+	}
+	if policy == PolicyAdaptive {
+		switch class {
+		case ClassMigratory, ClassProducerConsumer:
+			return mods[0]
+		case ClassFalselyShared, ClassReadMostly:
+			return cur
+		}
+	}
+	if migration {
 		return mods[0]
 	}
 	return cur
 }
 
-// adaptiveHome follows the single writer for migratory and
-// producer-consumer pages regardless of the migration flag (ownership
-// provably moves with the writer, so diffs become in-place home writes),
-// keeps falsely-shared and read-mostly homes pinned (moving them buys
-// nothing and churns the directory), and falls back to the legacy rule
-// while a page is still unclassified.
-type adaptiveHome struct{}
-
-func (adaptiveHome) ElectHome(pg, cur int, mods []int, class PageClass, migration bool) int {
-	if len(mods) != 1 {
-		return cur
-	}
-	switch class {
-	case ClassMigratory, ClassProducerConsumer:
-		return mods[0]
-	case ClassFalselyShared, ClassReadMostly:
-		return cur
-	default:
-		return legacyHome{}.ElectHome(pg, cur, mods, class, migration)
-	}
-}
-
-// pushNever is invalidate-only propagation (the legacy protocol).
-type pushNever struct{}
-
-func (pushNever) ShouldPush(int, PageClass, []int, int) bool { return false }
-
-// pushAlways is the fixed update protocol.
-type pushAlways struct{}
-
-func (pushAlways) ShouldPush(int, PageClass, []int, int) bool { return true }
-
-// pushByClass is the adaptive propagation rule:
+// shouldPush decides, per modified page, between invalidate propagation
+// (stale copies drop their mapping and re-fault on demand) and update
+// propagation (stale copies eagerly refresh in parallel right after
+// barrier departure). mods is the ending interval's sorted modifier set
+// for the page (never empty) and nnodes the cluster size; together they
+// distinguish partial from full write-sharing.
+//
+// The legacy and invalidate policies never push; the update policy
+// always does. The adaptive rule is:
 //
 //   - migratory pages invalidate — the single mover has no concurrent
 //     readers, so an update would ship data nobody looks at;
@@ -181,54 +145,17 @@ func (pushAlways) ShouldPush(int, PageClass, []int, int) bool { return true }
 //     where update protocols degrade — so the rule falls back to
 //     invalidate;
 //   - unclassified pages invalidate, the conservative default.
-type pushByClass struct{ cls *classifier }
-
-func (s pushByClass) ShouldPush(pg int, class PageClass, mods []int, nnodes int) bool {
-	switch class {
-	case ClassReadMostly, ClassProducerConsumer:
+func shouldPush(policy string, class PageClass, mods []int, nnodes int) bool {
+	switch policy {
+	case PolicyUpdate:
 		return true
-	case ClassFalselyShared:
-		return 2*len(mods) <= nnodes
+	case PolicyAdaptive:
+		switch class {
+		case ClassReadMostly, ClassProducerConsumer:
+			return true
+		case ClassFalselyShared:
+			return 2*len(mods) <= nnodes
+		}
 	}
 	return false
-}
-
-// policyEngine bundles one policy's strategies.
-type policyEngine struct {
-	home HomeStrategy
-	prop PropagateStrategy
-	// cls is the per-page classifier; nil for the fixed policies. Its
-	// presence also gates read-set observation (fault.go, barrier.go):
-	// fixed policies need no reader information, so they add no bytes to
-	// any protocol message.
-	cls *classifier
-}
-
-// newPolicyEngine builds the policy engine for name. Unknown names
-// panic: core.Config.Validate rejects them before an engine is ever
-// constructed.
-func newPolicyEngine(name string, npages int) *policyEngine {
-	switch name {
-	case PolicyLegacy, PolicyInvalidate:
-		return &policyEngine{home: legacyHome{}, prop: pushNever{}}
-	case PolicyUpdate:
-		return &policyEngine{home: legacyHome{}, prop: pushAlways{}}
-	case PolicyAdaptive:
-		cls := newClassifier(npages)
-		return &policyEngine{home: adaptiveHome{}, prop: pushByClass{cls}, cls: cls}
-	}
-	panic(fmt.Sprintf("hlrc: unknown protocol policy %q (valid: %s)", name, policyNamesForErr()))
-}
-
-// observesReads reports whether the policy needs per-interval read
-// sets piggybacked on barrier arrivals (classifier input).
-func (pe *policyEngine) observesReads() bool { return pe.cls != nil }
-
-// classOf returns the page's current class (ClassUnknown for fixed
-// policies, which carry no classifier).
-func (pe *policyEngine) classOf(pg int) PageClass {
-	if pe.cls == nil {
-		return ClassUnknown
-	}
-	return pe.cls.classOf(pg)
 }

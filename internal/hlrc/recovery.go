@@ -56,23 +56,16 @@ type CrashEvent struct {
 // empty plan arms nothing: the engine byte-for-byte matches a build
 // without the recovery plane.
 type CrashPlan struct {
-	Events        []CrashEvent
-	DetectTimeout sim.Duration // master's stalled-barrier probe period
-	RestartDelay  sim.Duration // outage length before a restart
+	Events []CrashEvent
 }
+
+const (
+	detectTimeout = 500 * sim.Microsecond // master's stalled-barrier probe period
+	restartDelay  = sim.Millisecond       // outage length before a restart
+)
 
 // Active reports whether the plan schedules any crash.
 func (cp *CrashPlan) Active() bool { return cp != nil && len(cp.Events) > 0 }
-
-func (cp CrashPlan) withDefaults() CrashPlan {
-	if cp.DetectTimeout == 0 {
-		cp.DetectTimeout = 500 * sim.Microsecond
-	}
-	if cp.RestartDelay == 0 {
-		cp.RestartDelay = sim.Millisecond
-	}
-	return cp
-}
 
 // Validate checks the plan against the protocol's restrictions: the
 // master cannot crash (it is the barrier coordinator and, under a crash
@@ -209,7 +202,7 @@ func (e *Engine) buddy(node int) int { return (node + 1) % e.cfg.Nodes }
 // armRecovery validates the plan and brings up the recovery plane.
 // Called from New when the configuration carries an active plan.
 func (e *Engine) armRecovery(s *sim.Simulator, net *netsim.Network) {
-	plan := e.cfg.Crash.withDefaults()
+	plan := *e.cfg.Crash
 	if err := plan.Validate(e.cfg.Nodes); err != nil {
 		panic("hlrc: " + err.Error())
 	}
@@ -454,7 +447,7 @@ func (e *Engine) noteArrival(from int) {
 	r.detectArmed = true
 	r.detectGen++
 	gen, epoch := r.detectGen, e.epoch
-	e.sim.At(r.plan.DetectTimeout, func() { e.detectTick(gen, epoch) })
+	e.sim.At(detectTimeout, func() { e.detectTick(gen, epoch) })
 }
 
 // detectTick fires on the virtual clock while a barrier is stalled; it
@@ -467,7 +460,7 @@ func (e *Engine) detectTick(gen, epoch int) {
 		return
 	}
 	r.jobs.Push(recoveryJob{kind: jobPing, epoch: epoch})
-	e.sim.At(r.plan.DetectTimeout, func() { e.detectTick(gen, epoch) })
+	e.sim.At(detectTimeout, func() { e.detectTick(gen, epoch) })
 }
 
 // pingMissing probes every member that has not arrived at the stalled
@@ -528,7 +521,7 @@ func (e *Engine) recoverNode(p *sim.Proc, node int, t0 sim.Time) {
 // left stuck.
 func (e *Engine) recoverRestart(p *sim.Proc, node int) {
 	r := e.recov
-	e.sleepFor(p, r.plan.RestartDelay)
+	e.sleepFor(p, restartDelay)
 	e.net.RestartNode(node)
 	r.dead[node] = false
 
@@ -645,7 +638,7 @@ func (e *Engine) handleRecoverState(p *sim.Proc, node int, m *netsim.Message) {
 		panic("hlrc: restore snapshot from a different epoch")
 	}
 	ns := e.nodes[node]
-	e.cpus[node].Compute(p, e.cfg.Cost.PageCopy*sim.Duration(len(rs.Pages)+1))
+	e.cpus[node].Compute(p, CostPageCopy*sim.Duration(len(rs.Pages)+1))
 	// Directory first. Assignment (not Table.Set) because a snapshot
 	// state is not a legal runtime transition from the reboot state.
 	// Entries the reboot state already matches are left alone, so the

@@ -50,7 +50,7 @@ func chunksMaterialized(e *Engine) int {
 				}
 			}
 		}
-		if e.policy.observesReads() && e.policy.cls.pages.Materialized(base) {
+		if e.cls != nil && e.cls.pages.Materialized(base) {
 			k++
 		}
 	}

@@ -172,8 +172,8 @@ func (e *Engine) StateFingerprint() uint64 {
 	// here made identical protocol elections. Absent (zero-cost) for
 	// legacy and fixed policies, whose fingerprints must stay comparable
 	// with pre-policy baselines.
-	if e.policy.observesReads() {
-		e.policy.cls.fold(h.int)
+	if e.cls != nil {
+		e.cls.fold(h.int)
 	}
 	return uint64(h)
 }

@@ -57,10 +57,6 @@ type Profile struct {
 	// serialization, and receive overhead by StragglerFactor.
 	StragglerNode   int
 	StragglerFactor float64
-	// RTOSlack is the grace period added to the modeled round-trip
-	// estimate before a frame is declared lost; it doubles per attempt.
-	// Zero selects a fabric-derived default.
-	RTOSlack sim.Duration
 	// RTOCap bounds the exponential backoff. Zero selects a default.
 	RTOCap sim.Duration
 	// MaxAttempts bounds retransmissions per frame before the link is

@@ -171,10 +171,7 @@ func (n *Network) transmitFrame(pf *pendingFrame) {
 	// just computed it), so the timeout only needs to cover the
 	// worst-case injected hold, the ack's return trip, and a slack that
 	// doubles per attempt up to the cap.
-	slack := fp.prof.RTOSlack
-	if slack == 0 {
-		slack = 4*n.fabric.Latency + 10*sim.Microsecond
-	}
+	slack := 4*n.fabric.Latency + 10*sim.Microsecond
 	for i := 0; i < pf.attempts && slack < fp.prof.RTOCap; i++ {
 		slack *= 2
 	}

@@ -210,7 +210,10 @@ type Directive struct {
 type Expr interface{ expr() }
 
 // Ident references a variable.
-type Ident struct{ Name string }
+type Ident struct {
+	Name string
+	Line int
+}
 
 // Number is a numeric literal (original spelling preserved).
 type Number struct{ Text string }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"go/format"
-	"maps"
 	"slices"
 	"strings"
 )
@@ -297,9 +296,36 @@ func (g *generator) genHelper(fn *FuncDecl) error {
 		ret = " " + fn.Ret.GoType()
 	}
 	g.ctx = ""
-	err := g.nested(fmt.Sprintf("func %s(%s)%s {", fn.Name, strings.Join(params, ", "), ret), fn.Body, "}")
+	g.p("func %s(%s)%s {", fn.Name, strings.Join(params, ", "), ret)
+	g.depth++
+	err := g.genBlockInner(fn.Body)
+	if fn.Ret != TypeVoid && !terminates(fn.Body) {
+		// C leaves the value of a call that falls off the end undefined;
+		// Go requires a terminating statement.
+		g.p("panic(%q)", fn.Name+": reached the end of a non-void function")
+	}
+	g.depth--
+	g.p("}")
 	g.p("")
 	return err
+}
+
+// terminates reports whether b ends in a terminating statement by Go's
+// rules for the statements the generator emits: a return, a block that
+// terminates, or an if/else whose branches both terminate.
+func terminates(b *Block) bool {
+	if len(b.Stmts) == 0 {
+		return false
+	}
+	switch st := b.Stmts[len(b.Stmts)-1].(type) {
+	case *ReturnStmt:
+		return true
+	case *Block:
+		return terminates(st)
+	case *IfStmt:
+		return st.Else != nil && terminates(st.Then) && terminates(st.Else)
+	}
+	return false
 }
 
 // checkPure verifies a helper touches no shared data and no directives;
@@ -307,14 +333,13 @@ func (g *generator) genHelper(fn *FuncDecl) error {
 // variable, which the helper cannot see (they are locals of main's Run
 // closure), is recorded in g.late instead.
 func (g *generator) checkPure(fn *FuncDecl) error {
-	local := declaredNames(fn)
-	fileScope := func(name string) {
-		if g.late == nil && !local[name] && slices.ContainsFunc(g.prog.Decls, func(d *VarDecl) bool { return d.Name == name }) {
-			g.late = fmt.Errorf("translator: helper %s references file-scope variable %s (pass it as a parameter)", fn.Name, name)
-		}
-	}
 	var bad error
-	walk(fn.Body, func(n any) bool {
+	walkScoped(fn, func(n any, local func(string) bool) bool {
+		fileScope := func(name string) {
+			if g.late == nil && !local(name) && slices.ContainsFunc(g.prog.Decls, func(d *VarDecl) bool { return d.Name == name }) {
+				g.late = fmt.Errorf("translator: helper %s references file-scope variable %s (pass it as a parameter)", fn.Name, name)
+			}
+		}
 		switch x := n.(type) {
 		case *OmpStmt:
 			bad = fmt.Errorf("translator: helper %s contains an omp directive (only main may)", fn.Name)
@@ -346,77 +371,91 @@ func (g *generator) checkPure(fn *FuncDecl) error {
 	return bad
 }
 
-// declaredNames returns the parameters of fn and every variable declared
-// anywhere in its body.
-func declaredNames(fn *FuncDecl) map[string]bool {
-	names := map[string]bool{}
+// walkScoped walks fn's body like walk, passing visit each node and a
+// test of whether a name is declared in the node's scope: a parameter of
+// fn, or a declaration of a block enclosing the node (C's block scope;
+// the generator emits a block's declarations at the head of the same Go
+// block).
+func walkScoped(fn *FuncDecl, visit func(n any, local func(name string) bool) bool) {
+	var scope []string // the names in scope, innermost last
 	for _, p := range fn.Params {
-		names[p.Name] = true
+		scope = append(scope, p.Name)
 	}
-	walk(fn.Body, func(n any) bool {
-		if d, ok := n.(*VarDecl); ok {
-			names[d.Name] = true
+	local := func(name string) bool { return slices.Contains(scope, name) }
+	var step func(n any) bool
+	step = func(n any) bool {
+		b, ok := n.(*Block)
+		if !ok {
+			return visit(n, local)
 		}
-		return true
-	})
-	return names
+		outer := len(scope)
+		for _, d := range b.Decls {
+			scope = append(scope, d.Name)
+		}
+		for _, d := range b.Decls {
+			walk(d, step)
+		}
+		for _, st := range b.Stmts {
+			walk(st, step)
+		}
+		scope = scope[:outer]
+		return false
+	}
+	walk(fn.Body, step)
 }
 
 // checkNames resolves every name of the program. An identifier, array
 // base or loop variable must name a variable of its scope or a function
 // of the program: at file scope the file-scope variables, in a function
-// those, its parameters and its declarations. A call must name a
-// function of the program, printf, a math or OpenMP runtime function, or
-// a cast. A bare name in a depend list is an abstract dependence object,
-// not a variable, so only the subscripts of an element item resolve.
+// those, its parameters and the declarations of its enclosing blocks. A
+// call must name a function of the program, printf, a math or OpenMP
+// runtime function, or a cast. A bare name in a depend list is an
+// abstract dependence object, not a variable, so only the subscripts of
+// an element item resolve.
 func checkNames(prog *Program) error {
 	isFunc := func(name string) bool {
 		return slices.ContainsFunc(prog.Funcs, func(fn *FuncDecl) bool { return fn.Name == name })
-	}
-	var err error
-	check := func(where string, scope map[string]bool, root any) {
-		resolve := func(name string) {
-			if err == nil && !scope[name] && !isFunc(name) {
-				err = fmt.Errorf("translator: undeclared name %s %s", name, where)
-			}
-		}
-		var visit func(n any) bool
-		visit = func(n any) bool {
-			switch x := n.(type) {
-			case *Depend:
-				for _, it := range x.Items {
-					if idx, ok := it.(*Index); ok {
-						walk(idx, visit)
-					}
-				}
-				return false
-			case *ForStmt:
-				resolve(x.Var)
-			case *Ident:
-				resolve(x.Name)
-			case *Index:
-				resolve(x.Base)
-			case *Call:
-				_, math := mathFuncs[x.Name]
-				if err == nil && !isFunc(x.Name) && x.Name != "printf" && !math && !ompFuncs[x.Name] && !isCast(x.Name) {
-					err = fmt.Errorf("translator: call of undeclared function %s %s", x.Name, where)
-				}
-			}
-			return err == nil
-		}
-		walk(root, visit)
 	}
 	global := map[string]bool{}
 	for _, d := range prog.Decls {
 		global[d.Name] = true
 	}
+	var err error
+	var check func(where string, n any, local func(string) bool) bool
+	check = func(where string, n any, local func(string) bool) bool {
+		resolve := func(name string, line int) {
+			if err == nil && !local(name) && !global[name] && !isFunc(name) {
+				err = fmt.Errorf("translator: line %d: undeclared name %s %s", line, name, where)
+			}
+		}
+		switch x := n.(type) {
+		case *Depend:
+			for _, it := range x.Items {
+				if idx, ok := it.(*Index); ok {
+					walk(idx, func(n any) bool { return check(where, n, local) })
+				}
+			}
+			return false
+		case *ForStmt:
+			resolve(x.Var, x.Line)
+		case *Ident:
+			resolve(x.Name, x.Line)
+		case *Index:
+			resolve(x.Base, x.Line)
+		case *Call:
+			_, math := mathFuncs[x.Name]
+			if err == nil && !isFunc(x.Name) && x.Name != "printf" && !math && !ompFuncs[x.Name] && !isCast(x.Name) {
+				err = fmt.Errorf("translator: call of undeclared function %s %s", x.Name, where)
+			}
+		}
+		return err == nil
+	}
+	none := func(string) bool { return false }
 	for _, d := range prog.Decls {
-		check("at file scope", global, d)
+		walk(d, func(n any) bool { return check("at file scope", n, none) })
 	}
 	for _, fn := range prog.Funcs {
-		scope := declaredNames(fn)
-		maps.Copy(scope, global)
-		check("in "+fn.Name, scope, fn.Body)
+		walkScoped(fn, func(n any, local func(string) bool) bool { return check("in "+fn.Name, n, local) })
 	}
 	return err
 }

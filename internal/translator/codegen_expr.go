@@ -142,11 +142,17 @@ func (g *generator) exprRaw(e Expr) string {
 		}
 		return get
 	case *Unary:
+		if x.Op == "!" {
+			// A C truth value used as a value is the int 0 or 1.
+			g.usesB2i = true
+			return "b2i(" + g.cond(x) + ")"
+		}
 		return x.Op + "(" + g.exprRaw(x.X) + ")"
 	case *Binary:
 		switch x.Op {
 		case "&&", "||":
-			return "(" + g.cond(x.X) + " " + x.Op + " " + g.cond(x.Y) + ")"
+			g.usesB2i = true
+			return "b2i(" + g.cond(x) + ")"
 		case "<", "<=", ">", ">=", "==", "!=":
 			// Render as a C-style 0/1 int only when used as a value;
 			// cond() bypasses this for control flow.
@@ -157,6 +163,12 @@ func (g *generator) exprRaw(e Expr) string {
 		t := TypeInt
 		if g.exprType(x.X) == TypeDouble || g.exprType(x.Y) == TypeDouble {
 			t = TypeDouble
+		}
+		if x.Op == "%" && t == TypeDouble {
+			// Go's % takes integers only; fmod's truncated remainder is
+			// math.Mod.
+			g.usesMath = true
+			return "math.Mod(" + g.expr(x.X, t) + ", " + g.expr(x.Y, t) + ")"
 		}
 		return "(" + g.expr(x.X, t) + " " + x.Op + " " + g.expr(x.Y, t) + ")"
 	case *Cond:

@@ -200,7 +200,8 @@ func (g *generator) genSerialFor(st *ForStmt) error {
 	if st.LessEq {
 		rel = "<="
 	}
-	head := fmt.Sprintf("for %s = %s; %s %s %s; %s++ {", st.Var, g.expr(st.Lo, TypeInt), st.Var, rel, hi, st.Var)
+	v := cmp.Or(g.renames[st.Var], st.Var)
+	head := fmt.Sprintf("for %s = %s; %s %s %s; %s++ {", v, g.expr(st.Lo, TypeInt), v, rel, hi, v)
 	return g.nested(head, st.Body, "}")
 }
 
@@ -483,9 +484,13 @@ func (g *generator) genTask(st *OmpStmt) error {
 	g.siteSeq++
 	seq := g.siteSeq
 	saved := map[string]string{}
+	reads := taskReads(st)
 	for _, name := range st.Dir.FirstPrivate {
 		cp := fmt.Sprintf("__task%d_%s", seq, name)
 		g.p("%s := %s // firstprivate capture at spawn", cp, cmp.Or(g.renames[name], name))
+		if !reads[name] {
+			g.p("_ = %s", cp)
+		}
 		saved[name] = g.renames[name]
 		g.renames[name] = cp
 		g.types[cp] = g.identType(name)
@@ -524,6 +529,38 @@ func (g *generator) genTask(st *OmpStmt) error {
 		}
 	}
 	return err
+}
+
+// taskReads returns the names a task's clauses and body read as Go sees
+// them: an assignment's target is not a read (its capture would be
+// declared and not used), and a bare depend item names an abstract
+// dependence object, not a variable.
+func taskReads(st *OmpStmt) map[string]bool {
+	reads := map[string]bool{}
+	var visit func(n any) bool
+	visit = func(n any) bool {
+		switch x := n.(type) {
+		case *Depend:
+			for _, it := range x.Items {
+				if idx, ok := it.(*Index); ok {
+					walk(idx, visit)
+				}
+			}
+			return false
+		case *Assign:
+			if _, ok := x.LHS.(*Ident); ok && x.Op == "=" {
+				walk(x.RHS, visit)
+				return false
+			}
+		case *ForStmt:
+			reads[x.Var] = true
+		case *Ident:
+			reads[x.Name] = true
+		}
+		return true
+	}
+	walk(st, visit)
+	return reads
 }
 
 // taskOpts renders a task/target directive's graph and offload clauses

@@ -157,6 +157,17 @@ int helper(int k) { return k + n; }
 int main() {
 	printf("%d\n", helper(1));
 }`, "helper helper references file-scope variable n"},
+		{"name read in a sibling of its block", `int main() {
+	int s = 0;
+	{ int j; j = 3; s = s + j; }
+	{ j = 4; s = s + j; }
+	printf("%d\n", s);
+}`, "line 4: undeclared name j in main"},
+		{"helper reads a file-scope scalar its sibling block shadows", `int n = 4;
+int h(int k) { { int n; n = k; } return k + n; }
+int main() {
+	printf("%d\n", h(1));
+}`, "helper h references file-scope variable n"},
 	}
 	for _, c := range cases {
 		_, err := Translate(c.src, Options{})

@@ -725,7 +725,7 @@ func (s *pragmaScanner) list(a *clauseArg, clause string, kw int, subs bool) err
 			var sub Expr
 			switch w := s.next(); {
 			case isIdent(w):
-				sub = &Ident{Name: w}
+				sub = &Ident{Name: w, Line: s.line}
 			case w != "" && w[0] >= '0' && w[0] <= '9':
 				sub = &Number{Text: w}
 			default:
@@ -736,7 +736,7 @@ func (s *pragmaScanner) list(a *clauseArg, clause string, kw int, subs bool) err
 			}
 			idx = append(idx, sub)
 		}
-		var item Expr = &Ident{Name: name}
+		var item Expr = &Ident{Name: name, Line: s.line}
 		if idx != nil {
 			item = &Index{Base: name, Subs: idx, Line: s.line}
 		}
@@ -921,7 +921,7 @@ func (p *Parser) postfix() (Expr, error) {
 			}
 			return idx, nil
 		}
-		return &Ident{Name: name}, nil
+		return &Ident{Name: name, Line: tok.Line}, nil
 	default:
 		return nil, p.errf("unexpected token %q in expression", tok.Text)
 	}
